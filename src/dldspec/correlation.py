@@ -6,9 +6,16 @@ Conventions, shared by every operation and by the brute-force test oracles:
 * Histograms bin the half-open domain [lo, lo + nbins * width); nbins =
   ceil((hi - lo) / width). A value exactly at the upper domain edge is out.
 * Coincidence selection windows are closed, [lo, hi] inclusive on both ends.
+  Delays are integer picoseconds, so a delay d is inside [lo, hi] exactly when
+  ceil(lo) <= d <= floor(hi) (`in_window`).
 * Pair search never materialises the all-pairs product: both streams are
   time-sorted, so for each left event the partner range is found with two
   binary searches and only in-window pairs are expanded, block by block.
+* Closed windows that are analysed together need one pair search, not one
+  each: select the pairs of the hull [min lo, max hi] once, then filter its
+  delays with `in_window` per window. `pipeline.analyze_events` does this for
+  the coincidence, accidental and side-peak windows; the half-open g2
+  histogram keeps its own pass.
 
 Merging chunk-partial histograms with identical axes is exact, which is what
 licenses chunked or parallel accumulation.
@@ -17,6 +24,7 @@ licenses chunked or parallel accumulation.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -93,11 +101,6 @@ class Histogram1D:
         if not self.same_axis(other):
             raise AxisMismatchError("1D histogram axes differ")
         return Histogram1D(self.lo, self.hi, self.bin_width, self.counts + other.counts)
-
-    def window_sum(self, lo: float, hi: float) -> int:
-        """Total counts in bins whose centers fall inside [lo, hi]."""
-        c = self.bin_centers()
-        return int(self.counts[(c >= lo) & (c <= hi)].sum())
 
     def to_csv(self, sink) -> None:
         _write_text(sink, self._csv_lines())
@@ -204,6 +207,17 @@ def _event_times(events) -> np.ndarray:
     return arr
 
 
+def _closed_bounds(lo: float, hi: float) -> tuple[int, int]:
+    """Integer delay range [first, last] of the closed window [lo, hi]."""
+    return int(math.ceil(lo)), int(math.floor(hi))
+
+
+def in_window(delays: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Mask of integer delays inside the closed window, as `select_coincidences` selects them."""
+    first, last = _closed_bounds(*window)
+    return (delays >= first) & (delays <= last)
+
+
 def iter_window_pairs(
     t1: np.ndarray,
     t2: np.ndarray,
@@ -217,9 +231,10 @@ def iter_window_pairs(
     Cost is O(n1 log n2 + pairs); memory is bounded by the block size. The
     window is [lo, hi] when closed else [lo, hi).
     """
-    starts = np.searchsorted(t2, t1 + int(math.ceil(lo)), side="left")
+    first, last = _closed_bounds(lo, hi)
+    starts = np.searchsorted(t2, t1 + first, side="left")
     side = "right" if closed else "left"
-    bound = int(math.floor(hi)) if closed else int(math.ceil(hi))
+    bound = last if closed else int(math.ceil(hi))
     ends = np.searchsorted(t2, t1 + bound, side=side)
     ends = np.maximum(ends, starts)
     for b in range(0, t1.size, block):
@@ -320,7 +335,10 @@ def fit_fwhm(hist: Histogram1D, peak_center: float, halfwidth_bins: int = 5) -> 
     mu0 = float(xs[int(np.argmax(ys))])
     p0 = (max(amp0, 1.0), mu0, 2.0 * hist.bin_width, float(ys.min()))
     try:
-        popt, _ = optimize.curve_fit(model, xs, ys, p0=p0, maxfev=20000)
+        # curve_fit only warns when it cannot estimate the covariance; make that fail too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", optimize.OptimizeWarning)
+            popt, _ = optimize.curve_fit(model, xs, ys, p0=p0, maxfev=20000)
     except (RuntimeError, optimize.OptimizeWarning) as exc:
         raise FitError(f"peak fit did not converge: {exc}") from None
     amp, mu, sigma, off = (float(v) for v in popt)

@@ -33,6 +33,7 @@ from .correlation import (
     build_jsi,
     fit_fwhm,
     g2_histogram,
+    in_window,
     select_coincidences,
     spectrum_1d,
     subtract_accidental,
@@ -425,6 +426,11 @@ def analyze_events(events: tuple[np.ndarray, np.ndarray], corr: CorrelationConfi
     Center/side-peak statistics are event counts in equal-width delay windows
     (the coincidence window and its images at multiples of the accidental-
     window center), not histogram-bin sums, so they carry no binning bias.
+
+    The g2 histogram is one half-open pair pass. All closed windows share one
+    more: `select_coincidences` over their hull, whose delays are filtered per
+    window with `in_window`. The coincidence and accidental windows keep their
+    index pairs for the joint spectra; the side windows only count.
     """
     warnings: list[str] = []
     ev0, ev1 = events
@@ -442,19 +448,24 @@ def analyze_events(events: tuple[np.ndarray, np.ndarray], corr: CorrelationConfi
         warnings.append(f"g2 peak fit unavailable: {exc}")
     t0 = ev0["t_ps"]
     t1 = ev1["t_ps"]
-    ci, cj = select_coincidences(t0, t1, corr.coincidence_window_ps)
-    ai, aj = select_coincidences(t0, t1, corr.accidental_window_ps)
+    half = (corr.coincidence_window_ps[1] - corr.coincidence_window_ps[0]) / 2.0
+    side_center = (corr.accidental_window_ps[0] + corr.accidental_window_ps[1]) / 2.0
+    side_windows = [
+        (c - half, c + half)
+        for k in range(1, SIDE_PEAK_COUNT + 1)
+        for c in (k * side_center, -k * side_center)
+    ]
+    windows = [corr.coincidence_window_ps, corr.accidental_window_ps, *side_windows]
+    pair_i, pair_j = select_coincidences(t0, t1, (min(w[0] for w in windows), max(w[1] for w in windows)))
+    delays = t1[pair_j] - t0[pair_i]
+    c_mask = in_window(delays, corr.coincidence_window_ps)
+    a_mask = in_window(delays, corr.accidental_window_ps)
+    ci, cj = pair_i[c_mask], pair_j[c_mask]
+    ai, aj = pair_i[a_mask], pair_j[a_mask]
     if ci.size == 0:
         warnings.append("no coincidences inside the coincidence window")
     center = int(ci.size)
-    half = (corr.coincidence_window_ps[1] - corr.coincidence_window_ps[0]) / 2.0
-    side_center = (corr.accidental_window_ps[0] + corr.accidental_window_ps[1]) / 2.0
-    side_counts = []
-    for k in range(1, SIDE_PEAK_COUNT + 1):
-        for sign in (1, -1):
-            c = sign * k * side_center
-            i, _ = select_coincidences(t0, t1, (c - half, c + half))
-            side_counts.append(int(i.size))
+    side_counts = [int(np.count_nonzero(in_window(delays, w))) for w in side_windows]
     side_mean = float(np.mean(side_counts)) if side_counts else math.nan
     ratio = center / side_mean if side_mean > 0 else math.nan
     jsi = build_jsi(ev0["wavelength_nm"][ci], ev1["wavelength_nm"][cj], corr)

@@ -40,6 +40,17 @@ def brute_coincidences(t1, t2, window):
     return out
 
 
+def events_csv_text(events):
+    """Events CSV formatted row by row from numpy fields, header included."""
+    lines = ["detector,t_ps,x_mm,y_mm,lambda_nm\n"]
+    for row in events:
+        lines.append(
+            f"{int(row['detector']) + 1},{int(row['t_ps'])},"
+            f"{row['x_mm']:.6f},{row['y_mm']:.6f},{row['wavelength_nm']:.6f}\n"
+        )
+    return "".join(lines)
+
+
 def position_from_times(t_xa, t_xb, propagation_time_ps, speed_mm_per_ps):
     """Direct evaluation of the time-difference-to-position line."""
     return ((t_xa - t_xb) + propagation_time_ps) * speed_mm_per_ps / 2.0

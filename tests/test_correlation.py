@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dldspec.correlation import (
     AxisMismatchError,
     DegeneratePeakError,
+    FitError,
     Histogram1D,
     build_jsi,
     delay_histogram,
@@ -259,6 +260,14 @@ class TestFitFwhm:
         h = Histogram1D(-1000.0, 1000.0, 88.0)
         h.counts[h.nbins // 2] = 500
         with pytest.raises(DegeneratePeakError):
+            fit_fwhm(h, 0.0)
+
+    def test_unestimable_covariance_fails(self):
+        # a flat histogram leaves center and width unconstrained: curve_fit
+        # only warns that it cannot estimate the covariance
+        h = Histogram1D(-1000.0, 1000.0, 88.0)
+        h.counts[:] = 100
+        with pytest.raises(FitError, match="Covariance"):
             fit_fwhm(h, 0.0)
 
     def test_offset_absorbed(self):

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from dldspec import correlation
 from dldspec.correlation import build_jsi, select_coincidences, spectrum_1d
 from dldspec.detector_sim import apply_dead_time, detect, encode_groups, groups_to_pulses
 from dldspec.event_format import read_all_pulses
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
-from dldspec.reconstruction import match_hits, groups_to_events
+from dldspec.reconstruction import PHOTON_DTYPE, match_hits, groups_to_events
 from dldspec.source_sim import generate_emissions, pulse_train
 
+from _oracles import brute_coincidences, brute_delay_histogram
 from conftest import make_config
 
 
@@ -232,3 +236,109 @@ def test_summary_contains_stable_keys(tmp_path, small_config):
         "car_raw=", "car_subtracted=", "jsi_peak1_det1_nm=",
     ):
         assert key in text
+
+
+def _photons(times, rng):
+    ev = np.zeros(len(times), dtype=PHOTON_DTYPE)
+    ev["t_ps"] = np.sort(np.asarray(times, dtype=np.int64))
+    ev["wavelength_nm"] = rng.uniform(388.5, 390.0, ev.size)
+    return ev
+
+
+def _side_windows(corr):
+    """The +-k images (k = 1..4) of the coincidence window, + before -."""
+    cw, aw = corr.coincidence_window_ps, corr.accidental_window_ps
+    half = (cw[1] - cw[0]) / 2.0
+    step = (aw[0] + aw[1]) / 2.0
+    return [(s * k * step - half, s * k * step + half) for k in range(1, 5) for s in (1, -1)]
+
+
+def _edge_delays(corr):
+    """Integer delays on, just inside and just outside every window edge."""
+    out = set()
+    for lo, hi in [corr.coincidence_window_ps, corr.accidental_window_ps, *_side_windows(corr)]:
+        for edge in (lo, hi):
+            out |= {math.floor(edge) - 1, math.floor(edge), math.ceil(edge), math.ceil(edge) + 1}
+    return sorted(out)
+
+
+def _check_windows_against_brute(ev0, ev1, corr):
+    """analyze_events window statistics equal the all-pairs oracle, window by window."""
+    a = analyze_events((ev0, ev1), corr)
+    t0, t1 = ev0["t_ps"], ev1["t_ps"]
+    coinc = brute_coincidences(t0, t1, corr.coincidence_window_ps)
+    acc = brute_coincidences(t0, t1, corr.accidental_window_ps)
+    assert a.coincidence_count == a.center_window_counts == len(coinc)
+    assert a.accidental_count == len(acc)
+    assert a.side_window_counts == [len(brute_coincidences(t0, t1, w)) for w in _side_windows(corr)]
+    for hist, pairs in ((a.jsi_report.jsi, coinc), (a.jsi_report.accidental, acc)):
+        i = np.array([p[0] for p in pairs], dtype=np.int64)
+        j = np.array([p[1] for p in pairs], dtype=np.int64)
+        expected = build_jsi(ev0["wavelength_nm"][i], ev1["wavelength_nm"][j], corr)
+        assert np.array_equal(hist.counts, expected.counts)
+    return a
+
+
+NON_INTEGER_WINDOWS = {"coincidence_window_ps": [-250.5, 250.25], "accidental_window_ps": [1000.25, 1501.0]}
+
+
+@pytest.mark.parametrize("corr_overrides", [{}, NON_INTEGER_WINDOWS], ids=["integer", "non-integer"])
+def test_window_counts_on_edges_match_brute_force(corr_overrides, rng):
+    corr = make_config(correlation=corr_overrides).correlation
+    bases = [0, 1_000_000]  # far enough apart that only same-base pairs fall in any window
+    t1 = [b + d for b in bases for d in _edge_delays(corr)]
+    a = _check_windows_against_brute(_photons(bases, rng), _photons(t1, rng), corr)
+    # per base and window: two edge delays each side land inside, the rest outside
+    assert a.coincidence_count == a.accidental_count == 4 * len(bases)
+    assert a.side_window_counts == [4 * len(bases)] * 8
+
+
+@pytest.mark.parametrize("corr_overrides", [{}, NON_INTEGER_WINDOWS], ids=["integer", "non-integer"])
+def test_window_counts_random_streams_match_brute_force(corr_overrides, rng):
+    corr = make_config(correlation=corr_overrides).correlation
+    span = int(4 * max(abs(w[0]) for w in _side_windows(corr)))
+    ev0 = _photons(rng.integers(0, span, 150), rng)
+    ev1 = _photons(rng.integers(0, span, 150), rng)
+    a = _check_windows_against_brute(ev0, ev1, corr)
+    assert a.coincidence_count > 0 and min(a.side_window_counts) > 0
+
+
+def test_side_windows_beyond_g2_range(rng):
+    cfg = make_config(correlation={"g2_range_ps": 20_000.0})
+    cfg.validate()  # side windows past the g2 range are still a valid config
+    corr = cfg.correlation
+    assert max(w[1] for w in _side_windows(corr)) > corr.g2_range_ps
+    ev0 = _photons([100_000], rng)
+    ev1 = _photons([d + 100_000 for d in _edge_delays(corr)], rng)
+    a = _check_windows_against_brute(ev0, ev1, corr)
+    assert a.side_window_counts == [4] * 8
+    # the g2 histogram still stops at its range
+    r = corr.g2_range_ps
+    expected = brute_delay_histogram(ev0["t_ps"], ev1["t_ps"], -r, r, corr.g2_bin_width_ps)
+    assert np.array_equal(a.g2.counts, expected)
+
+
+@pytest.mark.parametrize("sizes", [(0, 5), (5, 0), (0, 0)])
+def test_window_counts_with_empty_streams(sizes, rng):
+    corr = make_config().correlation
+    ev0, ev1 = (_photons(rng.integers(0, 20_000, n), rng) for n in sizes)
+    a = _check_windows_against_brute(ev0, ev1, corr)
+    assert a.coincidence_count == a.accidental_count == 0
+    assert a.side_window_counts == [0] * 8
+    assert "no coincidences inside the coincidence window" in a.warnings
+
+
+def test_analyze_makes_two_pair_passes(monkeypatch, rng):
+    """One half-open pass for g2 and one closed pass shared by every window."""
+    passes = []
+    original = correlation.iter_window_pairs
+
+    def counting(*args, **kwargs):
+        passes.append(args[2:4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(correlation, "iter_window_pairs", counting)
+    ev0 = _photons(rng.integers(0, 200_000, 200), rng)
+    ev1 = _photons(rng.integers(0, 200_000, 200), rng)
+    analyze_events((ev0, ev1), make_config().correlation)
+    assert len(passes) == 2

@@ -3,12 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dldspec import reconstruction
 from dldspec.detector_sim import DETECTION_DTYPE, encode_groups, groups_to_pulses
 from dldspec.event_format import Channel
 from dldspec.reconstruction import (
     HIT_GROUP_DTYPE,
     HitMatcher,
     MalformedHitError,
+    PHOTON_DTYPE,
     default_window_ticks,
     groups_to_events,
     match_hits,
@@ -19,7 +21,7 @@ from dldspec.reconstruction import (
 )
 from dldspec.source_sim import EventKind
 
-from _oracles import position_from_times
+from _oracles import events_csv_text, position_from_times
 
 
 def _encode_detections(rows, geometry):
@@ -201,3 +203,18 @@ class TestGroupsToEvents:
         assert fields[0] == "1"  # detectors are 1-based in exports
         assert float(fields[2]) == pytest.approx(20.0)
         assert float(fields[4]) == pytest.approx(389.25)
+
+    def test_csv_bytes_match_rowwise_formatter(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(reconstruction, "_CSV_BLOCK_ROWS", 64)  # several blocks, one partial
+        n = 500
+        events = np.zeros(n, dtype=PHOTON_DTYPE)
+        events["detector"] = rng.integers(0, 2, n)
+        events["t_ps"] = np.sort(rng.integers(0, 2**62, n))
+        events["x_mm"] = rng.uniform(-1.0, 41.0, n)
+        events["y_mm"] = rng.uniform(-1.0, 41.0, n)
+        events["wavelength_nm"] = rng.uniform(388.0, 390.5, n)
+        events["x_mm"][:3] = (0.0, -0.0, 1e-7)  # signed zero and sub-resolution values
+        for name, arr in (("some", events), ("none", events[:0])):
+            p = tmp_path / f"{name}.csv"
+            write_events_csv(arr, p)
+            assert p.read_bytes() == events_csv_text(arr).encode()
