@@ -51,6 +51,7 @@ from .event_format import (
     EventWriter,
     FormatError,
     RawPulse,
+    TimestampRangeError,
     TimestampRegressionError,
     TruncatedRecordError,
     parse_events,

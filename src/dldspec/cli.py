@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--input", required=False, help="input .dlde path (or io.events_path)")
         p.add_argument("--out", required=False, help="report directory (or io.out_dir)")
-        p.add_argument("--workers", type=int, default=1, help="parallel decode slices (default 1)")
         p.add_argument("--events-csv", action="store_true", help="also export reconstructed events as CSV")
     return parser
 
@@ -93,7 +92,7 @@ def _cmd_analyze(args, artifacts) -> int:
         raise ConfigError("no input: pass --input or set io.events_path")
     if not out_dir:
         raise ConfigError("no output directory: pass --out or set io.out_dir")
-    decode, analysis = analyze_file(in_path, cfg, workers=args.workers)
+    decode, analysis = analyze_file(in_path, cfg)
     write_report_bundle(out_dir, decode, analysis, events_csv=args.events_csv, artifacts=artifacts)
     sys.stdout.write("\n".join(summary_lines(decode, analysis)) + "\n")
     if analysis.warnings:

@@ -6,11 +6,11 @@ The chain per emission event is
     -> split into MCP + four delay-line pulses -> quantise timestamps
     -> discard multi-hit collisions within the dead time.
 
-The five pulses of one detection are kept together as a GROUP_DTYPE row until
-serialization; the analysis side has to undo that bundling from timestamps
-alone. The anode encoding is exact by construction: before quantisation,
-(t_xa - t0) + (t_xb - t0) equals the full propagation time and the time
-difference t_xa - t_xb inverts to the landing position.
+The five pulses of one detection are kept together as a HIT_GROUP_DTYPE row
+until serialization; the analysis side has to undo that bundling from
+timestamps alone. The anode encoding is exact by construction: before
+quantisation, (t_xa - t0) + (t_xb - t0) equals the full propagation time and
+the time difference t_xa - t_xb inverts to the landing position.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import AnodeGeometry, SimConfig, fwhm_to_sigma
 from .event_format import Channel, PULSE_DTYPE, RawPulse
-from .reconstruction import wavelength_to_position
+from .reconstruction import HIT_GROUP_DTYPE, wavelength_to_position
 from .source_sim import EventKind
 
 # Gaussian jitter is clipped here so that a detection time can be bounded by
@@ -36,17 +36,6 @@ DETECTION_DTYPE = np.dtype(
         ("x_mm", "<f8"),
         ("y_mm", "<f8"),
         ("wavelength_nm", "<f8"),
-    ]
-)
-
-GROUP_DTYPE = np.dtype(
-    [
-        ("detector", "u1"),
-        ("t_mcp", "<i8"),
-        ("t_xa", "<i8"),
-        ("t_xb", "<i8"),
-        ("t_ya", "<i8"),
-        ("t_yb", "<i8"),
     ]
 )
 
@@ -121,7 +110,7 @@ def encode_groups(detections: np.ndarray, geometry: AnodeGeometry) -> np.ndarray
     v = geometry.signal_speed_mm_per_ps
     tick = geometry.tick_ps
     t = detections["time_ps"]
-    out = np.empty(detections.size, dtype=GROUP_DTYPE)
+    out = np.empty(detections.size, dtype=HIT_GROUP_DTYPE)
     out["detector"] = detections["path"]
     out["t_mcp"] = np.rint(t / tick).astype(np.int64)
     out["t_xa"] = np.rint((t + x / v) / tick).astype(np.int64)
@@ -191,7 +180,7 @@ class DeadTimeFilter:
 
     def __init__(self, dead_time_ps: float, tick_ps: int = 1):
         self.dead_ticks = int(np.floor(dead_time_ps / tick_ps))
-        self._pending = [np.empty(0, dtype=GROUP_DTYPE) for _ in (0, 1)]
+        self._pending = [np.empty(0, dtype=HIT_GROUP_DTYPE) for _ in (0, 1)]
         self._last_trigger = [None, None]
         self.discards = [0, 0]
 
@@ -223,7 +212,7 @@ class DeadTimeFilter:
         return merged[order]
 
     def finish(self) -> np.ndarray:
-        return self.feed(np.empty(0, dtype=GROUP_DTYPE), None)
+        return self.feed(np.empty(0, dtype=HIT_GROUP_DTYPE), None)
 
     def emitted_floor_ticks(self, future_floor_ticks: int) -> int:
         """Lower bound on any trigger tick this stage can still emit."""

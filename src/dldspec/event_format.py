@@ -13,18 +13,24 @@ Layout, all little-endian:
         channel        u8       0=MCP 1=XA 2=XB 3=YA 4=YB
         timestamp      u64      ticks
 
-Fixed-width records keep truncation detection exact and make any record offset
-computable, which is what permits chunked parallel consumption. The parser
-validates magic, version, channel and detector ranges, timestamp monotonicity
-and record completeness as it streams; every failure mode has a distinct
-exception type carrying the byte offset (and record index where meaningful).
-Memory is bounded by the chunk size regardless of file size.
+Fixed-width records keep truncation detection exact. The parser validates
+magic, version, channel and detector ranges, the timestamp range (a u64 tick
+>= 2**63 is rejected), timestamp monotonicity and record completeness as it
+streams; every failure mode has a distinct exception type carrying the byte
+offset (and record index where meaningful). Memory is bounded by the chunk
+size regardless of file size.
+
+Writing to a path goes through a temporary file beside it that replaces the
+path only when the writer closes cleanly, so an interrupted run never leaves a
+short file that still parses.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple
@@ -78,6 +84,10 @@ class TimestampRegressionError(FormatError):
     pass
 
 
+class TimestampRangeError(FormatError):
+    pass
+
+
 class ChannelRangeError(FormatError):
     pass
 
@@ -119,12 +129,6 @@ def _open_source(source) -> tuple[BinaryIO, bool]:
     return source, False
 
 
-def _open_sink(sink) -> tuple[BinaryIO, bool]:
-    if isinstance(sink, (str, Path)):
-        return open(sink, "wb"), True
-    return sink, False
-
-
 def as_pulse_array(pulses) -> np.ndarray:
     """Coerce an iterable of RawPulse-likes (or a PULSE_DTYPE array) to an array."""
     if isinstance(pulses, np.ndarray) and pulses.dtype == PULSE_DTYPE:
@@ -136,61 +140,67 @@ def as_pulse_array(pulses) -> np.ndarray:
     return arr
 
 
+def _raise_first(mask: np.ndarray, error: type[FormatError], start_index: int, what) -> None:
+    """Raise `error` for the first True in `mask`; `what(i)` describes row i."""
+    bad = np.flatnonzero(mask)
+    if bad.size:
+        i = int(bad[0])
+        n = start_index + i
+        raise error(f"{what(i)} at record {n}", offset=HEADER_SIZE + n * RECORD_SIZE, record_index=n)
+
+
 def _validate_chunk(
     arr: np.ndarray,
     header: EventFileHeader,
     start_index: int,
     prev_timestamp: int,
 ) -> None:
-    ts = arr["timestamp"].astype(np.int64, copy=False)
-    bad = np.nonzero(arr["channel"] > int(Channel.YB))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ChannelRangeError(
-            f"channel {int(arr['channel'][i])} out of range at record {start_index + i}",
-            offset=HEADER_SIZE + (start_index + i) * RECORD_SIZE,
-            record_index=start_index + i,
-        )
-    bad = np.nonzero(arr["detector"] >= header.detector_count)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise DetectorRangeError(
-            f"detector {int(arr['detector'][i])} out of range at record {start_index + i}",
-            offset=HEADER_SIZE + (start_index + i) * RECORD_SIZE,
-            record_index=start_index + i,
-        )
+    _raise_first(arr["channel"] > int(Channel.YB), ChannelRangeError, start_index,
+                 lambda i: f"channel {int(arr['channel'][i])} out of range")
+    _raise_first(arr["detector"] >= header.detector_count, DetectorRangeError, start_index,
+                 lambda i: f"detector {int(arr['detector'][i])} out of range")
     if arr.size:
+        ts = arr["timestamp"].astype(np.int64, copy=False)
+        _raise_first(ts < 0, TimestampRangeError, start_index,
+                     lambda i: f"timestamp {int(arr['timestamp'][i])} out of range (>= 2**63 ticks)")
         full = np.empty(arr.size, dtype=np.int64)
         full[0] = ts[0] - prev_timestamp
         if arr.size > 1:
             np.subtract(ts[1:], ts[:-1], out=full[1:])
-        bad = np.nonzero(full < 0)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise TimestampRegressionError(
-                f"timestamp goes backwards at record {start_index + i}",
-                offset=HEADER_SIZE + (start_index + i) * RECORD_SIZE,
-                record_index=start_index + i,
-            )
+        _raise_first(full < 0, TimestampRegressionError, start_index, lambda i: "timestamp goes backwards")
 
 
 class EventWriter:
-    """Incremental writer; chunks must arrive globally timestamp-sorted."""
+    """Incremental writer; chunks must arrive globally timestamp-sorted.
+
+    A path sink is written through a temporary file in the same directory,
+    moved onto the path by `close()`. Leaving the `with` block on an exception
+    deletes the temporary file instead, and a file already at the path keeps
+    its bytes. File-object sinks are written directly.
+    """
 
     def __init__(self, sink, header: EventFileHeader):
-        self._f, self._owns = _open_sink(sink)
+        packed = header.pack()  # a bad header fails before any file is opened
+        self._path = Path(sink) if isinstance(sink, (str, Path)) else None
+        if self._path is None:
+            self._f = sink
+        else:
+            self._tmp = self._path.with_name(f".{self._path.name}.{uuid.uuid4().hex}.tmp")
+            self._f = open(self._tmp, "xb")
+        self._f.write(packed)
         self.header = header
         self._last_ts = 0
         self._any = False
-        self.bytes_written = len(header.pack())
+        self.bytes_written = len(packed)
         self.records_written = 0
-        self._f.write(header.pack())
 
     def write_chunk(self, pulses) -> None:
         arr = as_pulse_array(pulses)
         if arr.size == 0:
             return
         ts = arr["timestamp"].astype(np.int64, copy=False)
+        if np.any(ts < 0):
+            raise ValueError("timestamp out of range (>= 2**63 ticks)")
         if np.any(np.diff(ts) < 0) or (self._any and int(ts[0]) < self._last_ts):
             raise ValueError("pulses must be sorted by timestamp before serialization")
         if np.any(arr["channel"] > int(Channel.YB)):
@@ -204,15 +214,23 @@ class EventWriter:
         self.records_written += int(arr.size)
 
     def close(self) -> int:
-        if self._owns:
-            self._f.close()
+        self._finish(publish=True)
         return self.bytes_written
+
+    def _finish(self, publish: bool) -> None:
+        if self._path is None or self._f.closed:
+            return
+        self._f.close()
+        if publish:
+            os.replace(self._tmp, self._path)
+        else:
+            self._tmp.unlink(missing_ok=True)
 
     def __enter__(self) -> "EventWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        self._finish(publish=exc_type is None)
 
 
 def write_events(pulses, header: EventFileHeader, sink) -> int:
@@ -233,7 +251,11 @@ class EventReader:
     def __init__(self, source, chunk_records: int = DEFAULT_CHUNK_RECORDS):
         self._f, self._owns = _open_source(source)
         self.chunk_records = max(int(chunk_records), 1)
-        self.header = EventFileHeader.unpack(self._f.read(HEADER_SIZE))
+        try:
+            self.header = EventFileHeader.unpack(self._f.read(HEADER_SIZE))
+        except BaseException:
+            self.close()
+            raise
         self.records_read = 0
         self._prev_ts = 0
 
@@ -293,33 +315,3 @@ def read_all_pulses(source) -> tuple[EventFileHeader, np.ndarray]:
         chunks = list(r.iter_chunks())
         arr = np.concatenate(chunks) if chunks else np.empty(0, dtype=PULSE_DTYPE)
         return r.header, arr
-
-
-def record_count(path) -> int:
-    size = Path(path).stat().st_size
-    if size < HEADER_SIZE or (size - HEADER_SIZE) % RECORD_SIZE:
-        raise TruncatedRecordError(
-            "file size is not header + whole records",
-            offset=size - ((size - HEADER_SIZE) % RECORD_SIZE) if size >= HEADER_SIZE else 0,
-            record_index=(size - HEADER_SIZE) // RECORD_SIZE if size >= HEADER_SIZE else None,
-        )
-    return (size - HEADER_SIZE) // RECORD_SIZE
-
-
-def read_record_range(f: BinaryIO, start: int, stop: int) -> np.ndarray:
-    """Read records [start, stop) from an open file, clamped at end-of-file.
-
-    A trailing partial record is a truncation error; asking for records beyond
-    the end simply returns fewer.
-    """
-    n = max(stop - start, 0)
-    f.seek(HEADER_SIZE + start * RECORD_SIZE)
-    buf = f.read(n * RECORD_SIZE)
-    extra = len(buf) % RECORD_SIZE
-    if extra:
-        raise TruncatedRecordError(
-            f"file ends inside record {start + len(buf) // RECORD_SIZE}",
-            offset=HEADER_SIZE + start * RECORD_SIZE + len(buf) - extra,
-            record_index=start + len(buf) // RECORD_SIZE,
-        )
-    return np.frombuffer(buf, dtype=PULSE_DTYPE)

@@ -6,19 +6,15 @@ globally sorted serialization carry small boundary buffers between blocks. The
 block size is a constant of the implementation, not configuration: it is part
 of the identity of the sampled random stream for a given seed.
 
-Decoding has a sequential streaming path (bounded buffers, the default) and a
-record-sliced parallel path. Both make identical per-trigger decisions, so
-their outputs are bit-identical: slices start at timestamp-run boundaries and
-each worker reads forward far enough to cover every owned trigger's candidate
-window. Orphan accounting across slice edges is reconciled exactly from the
-workers' claim reports.
+Decoding streams the file in fixed-size record chunks through one
+`HitMatcher` per detector, so memory is bounded by the chunk size plus the
+reconstructed events, and the result does not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,18 +47,13 @@ from .event_format import (
     EventFileHeader,
     EventReader,
     EventWriter,
+    FormatError,
     PULSE_DTYPE,
-    _validate_chunk,
-    read_record_range,
-    record_count,
 )
 from .reconstruction import (
     DEFAULT_SUM_TOL_TICKS,
-    HIT_GROUP_DTYPE,
     HitMatcher,
     PHOTON_DTYPE,
-    _match_core,
-    default_window_ticks,
     groups_to_events,
     write_events_csv,
 )
@@ -70,7 +61,6 @@ from .render import svg_heatmap, svg_histogram
 from .source_sim import EventKind, generate_emissions
 
 SIM_BLOCK_PULSES = 1 << 20
-PARALLEL_SLICE_RECORDS = 1 << 21
 SIDE_PEAK_COUNT = 4
 
 
@@ -204,23 +194,9 @@ def decode_file(
     calibration,
     window_ps: float | None = None,
     sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS,
-    workers: int = 1,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
 ) -> DecodeResult:
     """Parse a `.dlde` file and reconstruct photon events per detector."""
-    if workers <= 1:
-        return _decode_sequential(path, geometry, calibration, window_ps, sum_tol_ticks, chunk_records)
-    return _decode_parallel(path, geometry, calibration, window_ps, sum_tol_ticks, workers)
-
-
-def _check_tick(header: EventFileHeader, geometry) -> None:
-    if header.tick_ps != geometry.tick_ps:
-        raise ValueError(
-            f"file tick_ps={header.tick_ps} does not match configured geometry tick_ps={geometry.tick_ps}"
-        )
-
-
-def _decode_sequential(path, geometry, calibration, window_ps, sum_tol_ticks, chunk_records) -> DecodeResult:
     matchers = [HitMatcher(geometry, window_ps, sum_tol_ticks, detector=d) for d in (0, 1)]
     buffers: list[list[np.ndarray]] = [[], []]
     malformed = [0, 0]
@@ -233,7 +209,16 @@ def _decode_sequential(path, geometry, calibration, window_ps, sum_tol_ticks, ch
             buffers[det].append(ev)
 
     with EventReader(path, chunk_records) as reader:
-        _check_tick(reader.header, geometry)
+        header = reader.header
+        if header.detector_count != 2:
+            raise FormatError(
+                f"header detector_count={header.detector_count}; the decoder reads exactly 2 detectors",
+                offset=10,  # the header's detector_count byte
+            )
+        if header.tick_ps != geometry.tick_ps:
+            raise ValueError(
+                f"file tick_ps={header.tick_ps} does not match configured geometry tick_ps={geometry.tick_ps}"
+            )
         for chunk in reader.iter_chunks():
             for det in (0, 1):
                 mask = chunk["detector"] == det
@@ -248,159 +233,15 @@ def _decode_sequential(path, geometry, calibration, window_ps, sum_tol_ticks, ch
             ev = np.concatenate(buffers[det]) if buffers[det] else np.empty(0, dtype=PHOTON_DTYPE)
             buffers[det] = []  # release chunk pieces before concatenating the next detector
             events_list.append(ev)
-        events = tuple(events_list)
         return DecodeResult(
-            header=reader.header,
-            events=events,  # type: ignore[arg-type]
+            header=header,
+            events=tuple(events_list),  # type: ignore[arg-type]
             records=reader.records_read,
             records_per_detector=per_det,
             groups=[m.n_groups for m in matchers],
             orphans=[m.orphans for m in matchers],
             malformed=malformed,
         )
-
-
-def _align_to_run_start(f, boundary: int) -> int:
-    """Move a record boundary back to the first record of its timestamp run."""
-    if boundary <= 0:
-        return 0
-    t_b = int(read_record_range(f, boundary, boundary + 1)["timestamp"][0])
-    b = boundary
-    while b > 0:
-        lo = max(0, b - 4096)
-        ts = read_record_range(f, lo, b)["timestamp"].astype(np.int64)
-        i = ts.size
-        while i > 0 and int(ts[i - 1]) == t_b:
-            i -= 1
-        b = lo + i
-        if i > 0:
-            break
-    return b
-
-
-def _decode_slice(path, header, geometry, calibration, window_ticks, sum_tol_ticks, lo, hi):
-    """Decode the triggers owned by records [lo, hi), reading forward overlap."""
-    with open(path, "rb") as f:
-        owned = read_record_range(f, lo, hi)
-        prev_ts = int(read_record_range(f, lo - 1, lo)["timestamp"][0]) if lo > 0 else 0
-        _validate_chunk(owned, header, lo, prev_ts)
-        parts = [owned]
-        gid_parts = [np.arange(lo, hi, dtype=np.int64)]
-        if owned.size:
-            bound = int(owned["timestamp"][-1]) + window_ticks
-            pos = hi
-            last_ts = int(owned["timestamp"][-1])
-            while True:
-                nxt = read_record_range(f, pos, pos + 65536)
-                if nxt.size == 0:
-                    break
-                _validate_chunk(nxt, header, pos, last_ts)
-                last_ts = int(nxt["timestamp"][-1])
-                keep = nxt["timestamp"].astype(np.int64) <= bound
-                n_keep = int(np.count_nonzero(keep))
-                if n_keep:
-                    parts.append(nxt[:n_keep])
-                    gid_parts.append(np.arange(pos, pos + n_keep, dtype=np.int64))
-                if n_keep < nxt.size:
-                    break
-                pos += nxt.size
-    pulses = np.concatenate(parts)
-    gids = np.concatenate(gid_parts)
-    out = {
-        "events": [],
-        "groups": [0, 0],
-        "malformed": [0, 0],
-        "records_per_detector": [0, 0],
-        "head_unclaimed": [None, None],
-        "beyond_unclaimed": [0, 0],
-        "claims_forward": [None, None],
-    }
-    for det in (0, 1):
-        mask = pulses["detector"] == det
-        ts = pulses["timestamp"][mask].astype(np.int64)
-        ch = pulses["channel"][mask]
-        gid = gids[mask]
-        owned_mask = gid < hi
-        out["records_per_detector"][det] = int(np.count_nonzero(owned_mask))
-        _, ok, mcp_idx, cand_t, cand_idx = _match_core(
-            ts, ch, geometry.propagation_ticks, window_ticks, sum_tol_ticks
-        )
-        accept = ok & (gid[mcp_idx] < hi)
-        claimed = np.zeros(ts.size, dtype=bool)
-        claimed[mcp_idx[accept]] = True
-        for k in range(4):
-            claimed[cand_idx[k][accept]] = True
-        groups = np.empty(int(np.count_nonzero(accept)), dtype=HIT_GROUP_DTYPE)
-        groups["detector"] = det
-        groups["t_mcp"] = ts[mcp_idx[accept]]
-        for k, name in enumerate(("t_xa", "t_xb", "t_ya", "t_yb")):
-            groups[name] = cand_t[k][accept]
-        ev, bad = groups_to_events(groups, geometry, calibration)
-        out["events"].append(ev)
-        out["groups"][det] = int(groups.size)
-        out["malformed"][det] = bad
-        if np.any(owned_mask):
-            head_bound = int(ts[owned_mask][0]) + window_ticks
-            head = owned_mask & (ts <= head_bound)
-            out["head_unclaimed"][det] = gid[head & ~claimed]
-            out["beyond_unclaimed"][det] = int(np.count_nonzero(owned_mask & ~head & ~claimed))
-        else:
-            out["head_unclaimed"][det] = np.empty(0, dtype=np.int64)
-        out["claims_forward"][det] = gid[~owned_mask & claimed]
-    return out
-
-
-def _decode_parallel(path, geometry, calibration, window_ps, sum_tol_ticks, workers) -> DecodeResult:
-    with open(path, "rb") as f:
-        header = EventFileHeader.unpack(f.read(16))
-        _check_tick(header, geometry)
-        n = record_count(path)
-        n_slices = max(workers, math.ceil(n / PARALLEL_SLICE_RECORDS)) if n else 1
-        raw_bounds = [n * k // n_slices for k in range(1, n_slices)]
-        aligned = {_align_to_run_start(f, b) for b in raw_bounds}
-        bounds = sorted({0, n} | aligned)
-    window_ticks = (
-        default_window_ticks(geometry, sum_tol_ticks)
-        if window_ps is None
-        else int(round(window_ps / geometry.tick_ps))
-    )
-    slices = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1) if bounds[i] < bounds[i + 1]]
-    if not slices:
-        slices = [(0, n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                lambda se: _decode_slice(
-                    path, header, geometry, calibration, window_ticks, sum_tol_ticks, se[0], se[1]
-                ),
-                slices,
-            )
-        )
-    buffers: list[list[np.ndarray]] = [[], []]
-    groups = [0, 0]
-    malformed = [0, 0]
-    per_det = [0, 0]
-    orphans = [0, 0]
-    for det in (0, 1):
-        head_all = np.concatenate([r["head_unclaimed"][det] for r in results])
-        claims_all = np.concatenate([r["claims_forward"][det] for r in results])
-        orphans[det] = int(np.setdiff1d(head_all, claims_all).size)
-        for r in results:
-            buffers[det].append(r["events"][det])
-            groups[det] += r["groups"][det]
-            malformed[det] += r["malformed"][det]
-            per_det[det] += r["records_per_detector"][det]
-            orphans[det] += r["beyond_unclaimed"][det]
-    events = tuple(np.concatenate(b) if b else np.empty(0, dtype=PHOTON_DTYPE) for b in buffers)
-    return DecodeResult(
-        header=header,
-        events=events,  # type: ignore[arg-type]
-        records=n,
-        records_per_detector=per_det,
-        groups=groups,
-        orphans=orphans,
-        malformed=malformed,
-    )
 
 
 @dataclass
@@ -489,16 +330,10 @@ def analyze_events(events: tuple[np.ndarray, np.ndarray], corr: CorrelationConfi
 
 
 def analyze_file(
-    path, cfg: RunConfig, workers: int = 1, chunk_records: int = DEFAULT_CHUNK_RECORDS
+    path, cfg: RunConfig, chunk_records: int = DEFAULT_CHUNK_RECORDS
 ) -> tuple[DecodeResult, AnalysisResult]:
     cfg.validate()
-    decode = decode_file(
-        path,
-        cfg.geometry,
-        cfg.calibration,
-        workers=workers,
-        chunk_records=chunk_records,
-    )
+    decode = decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
     analysis = analyze_events(decode.events, cfg.correlation)
     if decode.records == 0:
         analysis.warnings.insert(0, "input file contains no records")

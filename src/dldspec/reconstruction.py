@@ -72,32 +72,17 @@ def match_hits(
     the gate and be lost — the square-anode multi-hit blind spot. Pulses
     absorbed by no accepted group are orphans.
 
-    Returns (hit groups, orphan count).
+    The whole stream goes through one `HitMatcher` call. Returns (hit groups,
+    orphan count).
     """
     if pulses.size and (pulses["detector"].min() != pulses["detector"].max()):
         raise ValueError("match_hits expects pulses from a single detector")
     ts = pulses["timestamp"].astype(np.int64)
     if np.any(np.diff(ts) < 0):
         raise ValueError("pulses must be time-sorted")
-    window_ticks = (
-        default_window_ticks(geometry, sum_tol_ticks)
-        if window_ps is None
-        else int(round(window_ps / geometry.tick_ps))
-    )
-    groups, ok, mcp_idx, cand_t, cand_idx = _match_core(
-        ts, pulses["channel"], geometry.propagation_ticks, window_ticks, sum_tol_ticks
-    )
-    claimed = np.zeros(pulses.size, dtype=bool)
-    claimed[mcp_idx[ok]] = True
-    for k in range(4):
-        claimed[cand_idx[k][ok]] = True
-    out = np.empty(int(np.count_nonzero(ok)), dtype=HIT_GROUP_DTYPE)
-    out["detector"] = pulses["detector"][0] if pulses.size else 0
-    out["t_mcp"] = ts[mcp_idx[ok]]
-    for k, name in enumerate(("t_xa", "t_xb", "t_ya", "t_yb")):
-        out[name] = cand_t[k][ok]
-    orphans = int(pulses.size - np.count_nonzero(claimed))
-    return out, orphans
+    detector = int(pulses["detector"][0]) if pulses.size else 0
+    matcher = HitMatcher(geometry, window_ps, sum_tol_ticks, detector)
+    return matcher.feed(ts, pulses["channel"], final=True), matcher.orphans
 
 
 def _match_core(
@@ -106,7 +91,7 @@ def _match_core(
     propagation_ticks: int,
     window_ticks: int,
     sum_tol_ticks: int,
-) -> tuple[None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Candidate search + timing-sum gate. Returns per-MCP accept mask and
     candidate times/indices (4 x n arrays, rows XA, XB, YA, YB)."""
     mcp_idx = np.nonzero(ch == int(Channel.MCP))[0]
@@ -133,7 +118,7 @@ def _match_core(
     sum_y = cand_t[2] + cand_t[3] - 2 * mcp_t
     ok &= np.abs(sum_x - propagation_ticks) <= sum_tol_ticks
     ok &= np.abs(sum_y - propagation_ticks) <= sum_tol_ticks
-    return None, ok, mcp_idx, cand_t, cand_idx
+    return ok, mcp_idx, cand_t, cand_idx
 
 
 class HitMatcher:
@@ -173,7 +158,7 @@ class HitMatcher:
         buf_claimed = np.concatenate([self._carry_claimed, np.zeros(ts.size, dtype=bool)])
         if buf_ts.size == 0:
             return np.empty(0, dtype=HIT_GROUP_DTYPE)
-        _, ok, mcp_idx, cand_t, cand_idx = _match_core(
+        ok, mcp_idx, cand_t, cand_idx = _match_core(
             buf_ts, buf_ch, self.geometry.propagation_ticks, self.window_ticks, self.sum_tol_ticks
         )
         if final:

@@ -7,6 +7,7 @@ vectorised kernels.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -38,6 +39,42 @@ def brute_coincidences(t1, t2, window):
             if lo <= b - a <= hi:
                 out.append((i, j))
     return out
+
+
+def brute_match_hits(timestamps, channels, propagation_ticks, window_ticks, sum_tol_ticks):
+    """Group one detector's time-sorted pulses trigger by trigger.
+
+    Channels are 0=MCP and 1-4=XA, XB, YA, YB. For each MCP pulse at t, the
+    first pulse of each anode channel in [t, t + window] is its candidate; the
+    group is kept when both timing sums are within tolerance of the
+    propagation time. Returns ((t_mcp, t_xa, t_xb, t_ya, t_yb) tuples, number
+    of pulses in no kept group).
+    """
+    ts = [int(t) for t in timestamps]
+    ch = [int(c) for c in channels]
+    claimed = [False] * len(ts)
+    groups = []
+    for i in range(len(ts)):
+        if ch[i] != 0:
+            continue
+        t = ts[i]
+        picks = []
+        for want in (1, 2, 3, 4):
+            k = bisect.bisect_left(ts, t)
+            while k < len(ts) and ts[k] <= t + window_ticks and ch[k] != want:
+                k += 1
+            if k < len(ts) and ts[k] <= t + window_ticks:
+                picks.append(k)
+        if len(picks) < 4:
+            continue
+        xa, xb, ya, yb = (ts[k] for k in picks)
+        if abs(xa + xb - 2 * t - propagation_ticks) <= sum_tol_ticks and abs(
+            ya + yb - 2 * t - propagation_ticks
+        ) <= sum_tol_ticks:
+            groups.append((t, xa, xb, ya, yb))
+            for k in (i, *picks):
+                claimed[k] = True
+    return groups, claimed.count(False)
 
 
 def events_csv_text(events):

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from dldspec.cli import EXIT_FAILURE, EXIT_OK, EXIT_WARNINGS, main
+from dldspec.event_format import PULSE_DTYPE, EventFileHeader, write_events
 
 
 def run_cli(args):
@@ -57,7 +59,7 @@ def test_analyze_rerun_identical_bundle(tmp_path, cfg_file):
     run_cli(["simulate", "--config", cfg_file, "--out", data])
     r1, r2 = tmp_path / "r1", tmp_path / "r2"
     run_cli(["analyze", "--config", cfg_file, "--input", data, "--out", r1])
-    run_cli(["analyze", "--config", cfg_file, "--input", data, "--out", r2, "--workers", "3"])
+    run_cli(["analyze", "--config", cfg_file, "--input", data, "--out", r2])
     f1 = sorted(p.name for p in r1.iterdir())
     f2 = sorted(p.name for p in r2.iterdir())
     assert f1 == f2
@@ -114,6 +116,23 @@ def test_corrupt_input_fails(tmp_path, cfg_file, capsys):
     code = run_cli(["analyze", "--config", cfg_file, "--input", bad, "--out", tmp_path / "rep"])
     assert code == EXIT_FAILURE
     assert "magic" in capsys.readouterr().err
+
+
+def test_other_detector_count_fails(tmp_path, cfg_file, capsys):
+    data = tmp_path / "three.dlde"
+    pulses = np.zeros(5, dtype=PULSE_DTYPE)
+    pulses["detector"] = 2
+    pulses["channel"] = np.arange(5)
+    write_events(pulses, EventFileHeader(detector_count=3), data)
+    code = run_cli(["analyze", "--config", cfg_file, "--input", data, "--out", tmp_path / "rep"])
+    assert code == EXIT_FAILURE
+    assert "input format error" in capsys.readouterr().err
+
+
+def test_workers_option_is_gone(tmp_path, cfg_file):
+    with pytest.raises(SystemExit) as e:
+        run_cli(["analyze", "--config", cfg_file, "--input", tmp_path / "x.dlde", "--workers", "2"])
+    assert e.value.code == 2
 
 
 def test_missing_input_argument_fails(tmp_path, cfg_file, capsys):

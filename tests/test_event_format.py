@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from dldspec.event_format import (
     HEADER_SIZE,
     PULSE_DTYPE,
     RECORD_SIZE,
+    EventWriter,
     RawPulse,
+    TimestampRangeError,
     TimestampRegressionError,
     TruncatedRecordError,
     parse_events,
@@ -66,6 +70,30 @@ class TestWrite:
             write_events(make_pulses([(0, 5, 1)]), EventFileHeader(), io.BytesIO())
         with pytest.raises(ValueError, match="detector"):
             write_events(make_pulses([(2, 0, 1)]), EventFileHeader(), io.BytesIO())
+
+    def test_rejects_timestamp_beyond_int64(self):
+        pulses = make_pulses([(0, 0, 5), (0, 0, 2**63 + 5)])
+        with pytest.raises(ValueError, match="timestamp out of range"):
+            write_events(pulses, EventFileHeader(), io.BytesIO())
+
+    def test_path_appears_only_on_clean_close(self, tmp_path):
+        path = tmp_path / "run.dlde"
+        pulses = make_pulses([(0, 0, 10), (1, 1, 11)])
+        with EventWriter(path, EventFileHeader()) as w:
+            w.write_chunk(pulses)
+            assert not path.exists()
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == EventFileHeader().pack() + pulses.tobytes()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "run.dlde"
+        path.write_bytes(b"earlier")
+        with pytest.raises(ValueError, match="sorted"):
+            write_events(make_pulses([(0, 0, 10), (0, 0, 5)]), EventFileHeader(), path)
+        with pytest.raises(ValueError, match="tick_ps"):
+            EventWriter(path, EventFileHeader(tick_ps=0))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"earlier"
 
 
 class TestParse:
@@ -137,6 +165,25 @@ class TestParse:
             with pytest.raises(TimestampRegressionError) as e:
                 list(r.iter_chunks())
         assert e.value.record_index == 2
+
+    def test_timestamp_beyond_int64_is_a_range_error(self):
+        for stamps, index in (([2**63 + 5], 0), ([5, 2**63 + 5], 1)):
+            arr = make_pulses([(0, 0, t) for t in stamps])
+            blob = EventFileHeader().pack() + arr.tobytes()
+            with pytest.raises(TimestampRangeError) as e:
+                read_all_pulses(io.BytesIO(blob))
+            assert e.value.record_index == index
+            assert e.value.offset == HEADER_SIZE + index * RECORD_SIZE
+
+    def test_rejected_header_closes_the_file(self, tmp_path):
+        path = tmp_path / "bad.dlde"
+        path.write_bytes(b"XXXX" + bytes(12))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BadMagicError):
+                EventReader(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_channel_out_of_range(self):
         arr = make_pulses([(0, 0, 1)])

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from dldspec import correlation
+from dldspec import correlation, pipeline
 from dldspec.correlation import build_jsi, select_coincidences, spectrum_1d
 from dldspec.detector_sim import apply_dead_time, detect, encode_groups, groups_to_pulses
-from dldspec.event_format import read_all_pulses
+from dldspec.event_format import PULSE_DTYPE, EventFileHeader, FormatError, read_all_pulses, write_events
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
 from dldspec.reconstruction import PHOTON_DTYPE, match_hits, groups_to_events
 from dldspec.source_sim import generate_emissions, pulse_train
@@ -86,19 +86,58 @@ def test_full_loop_fidelity_no_noise(tmp_path):
         assert np.abs(events["x_mm"] - truth["x_mm"]).max() <= 0.0005 + 1e-12
 
 
-def test_decode_workers_bit_identical(tmp_path, small_config):
+def test_decode_chunk_size_invariant(tmp_path, small_config):
     path = tmp_path / "r.dlde"
     simulate_to_file(small_config, path)
-    seq = decode_file(path, small_config.geometry, small_config.calibration, workers=1)
-    par = decode_file(path, small_config.geometry, small_config.calibration, workers=3)
-    for det in (0, 1):
-        assert np.array_equal(seq.events[det], par.events[det])
-    assert seq.orphans == par.orphans
-    assert seq.groups == par.groups
-    assert seq.records_per_detector == par.records_per_detector
-    a1 = analyze_events(seq.events, small_config.correlation)
-    a2 = analyze_events(par.events, small_config.correlation)
-    assert summary_lines(seq, a1) == summary_lines(par, a2)
+    ref = decode_file(path, small_config.geometry, small_config.calibration)
+    assert ref.records == sum(ref.records_per_detector) > 0
+    ref_lines = summary_lines(ref, analyze_events(ref.events, small_config.correlation))
+    for chunk_records in (5, 997):
+        got = decode_file(path, small_config.geometry, small_config.calibration, chunk_records=chunk_records)
+        for det in (0, 1):
+            assert np.array_equal(got.events[det], ref.events[det])
+        assert got.orphans == ref.orphans
+        assert got.groups == ref.groups
+        assert got.records_per_detector == ref.records_per_detector
+        assert summary_lines(got, analyze_events(got.events, small_config.correlation)) == ref_lines
+
+
+def test_decode_rejects_other_detector_counts(tmp_path, small_config):
+    # The decoder reads detectors 0 and 1 only; a third detector's records
+    # must not vanish silently.
+    path = tmp_path / "three.dlde"
+    pulses = np.zeros(5, dtype=PULSE_DTYPE)
+    pulses["detector"] = 2
+    pulses["channel"] = np.arange(5)
+    pulses["timestamp"] = 1000
+    write_events(pulses, EventFileHeader(tick_ps=small_config.geometry.tick_ps, detector_count=3), path)
+    with pytest.raises(FormatError, match="detector_count") as e:
+        analyze_file(path, small_config)
+    assert e.value.offset == 10
+
+
+def test_interrupted_simulation_leaves_no_file(tmp_path, monkeypatch):
+    cfg = make_config(seed=23, duration_ps=6e8)
+    real = pipeline.generate_emissions
+    calls = []
+
+    def interrupted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("interrupted in the third block")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "generate_emissions", interrupted)
+    out = tmp_path / "run.dlde"
+    with pytest.raises(RuntimeError, match="third block"):
+        simulate_to_file(cfg, out, block_pulses=500)
+    assert list(tmp_path.iterdir()) == []
+    out.write_bytes(b"an earlier run")
+    calls.clear()
+    with pytest.raises(RuntimeError, match="third block"):
+        simulate_to_file(cfg, out, block_pulses=500)
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"an earlier run"
 
 
 def test_decode_rejects_tick_mismatch(tmp_path, small_config):

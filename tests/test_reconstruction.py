@@ -7,6 +7,7 @@ from dldspec import reconstruction
 from dldspec.detector_sim import DETECTION_DTYPE, encode_groups, groups_to_pulses
 from dldspec.event_format import Channel
 from dldspec.reconstruction import (
+    DEFAULT_SUM_TOL_TICKS,
     HIT_GROUP_DTYPE,
     HitMatcher,
     MalformedHitError,
@@ -21,7 +22,7 @@ from dldspec.reconstruction import (
 )
 from dldspec.source_sim import EventKind
 
-from _oracles import events_csv_text, position_from_times
+from _oracles import brute_match_hits, events_csv_text, position_from_times
 
 
 def _encode_detections(rows, geometry):
@@ -153,13 +154,27 @@ class TestMatchHits:
             match_hits(pulses, g)
 
     def test_streaming_matcher_equals_batch(self, default_config, rng):
+        # Detections closer than the window steal each other's candidates, and
+        # stray anode pulses join no group; both matcher entry points must
+        # make the per-trigger decisions of the plain-Python oracle.
         g = default_config.geometry
         n = 400
         t = np.cumsum(rng.integers(2_000, 120_000, n)).astype(np.float64)
         rows = [(0, float(tt), float(rng.uniform(0, 40)), float(rng.uniform(0, 40))) for tt in t]
         pulses = groups_to_pulses(_encode_detections(rows, g))
+        stray = np.zeros(60, dtype=pulses.dtype)
+        stray["channel"] = rng.integers(1, 5, stray.size)
+        stray["timestamp"] = rng.integers(0, int(pulses["timestamp"][-1]), stray.size)
+        pulses = np.concatenate([pulses, stray])
+        pulses = pulses[np.argsort(pulses["timestamp"], kind="stable")]
+        want_groups, want_orphans = brute_match_hits(
+            pulses["timestamp"], pulses["channel"], g.propagation_ticks, default_window_ticks(g), DEFAULT_SUM_TOL_TICKS
+        )
+        assert 0 < len(want_groups) < n  # some detections are lost to stealing
         batch_hits, batch_orphans = match_hits(pulses, g)
-        for chunk_size in (7, 97, 1000, 5 * n + 10):
+        assert batch_hits[["t_mcp", "t_xa", "t_xb", "t_ya", "t_yb"]].tolist() == want_groups
+        assert batch_orphans == want_orphans
+        for chunk_size in (7, 97, 1000, pulses.size + 10):
             m = HitMatcher(g)
             got = []
             for lo in range(0, pulses.size, chunk_size):
@@ -168,8 +183,8 @@ class TestMatchHits:
             got.append(m.finish())
             streamed = np.concatenate(got)
             assert np.array_equal(streamed, batch_hits)
-            assert m.orphans == batch_orphans
-            assert m.n_groups == batch_hits.size
+            assert m.orphans == want_orphans
+            assert m.n_groups == len(want_groups)
 
 
 class TestGroupsToEvents:
