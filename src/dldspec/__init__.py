@@ -40,7 +40,7 @@ from .correlation import (
     spectrum_1d,
     subtract_accidental,
 )
-from .detector_sim import apply_dead_time, detect, encode_anode, encode_groups
+from .detector_sim import detect, encode_groups
 from .event_format import (
     BadMagicError,
     ChannelRangeError,
@@ -50,11 +50,9 @@ from .event_format import (
     EventReader,
     EventWriter,
     FormatError,
-    RawPulse,
     TimestampRangeError,
     TimestampRegressionError,
     TruncatedRecordError,
-    parse_events,
     write_events,
 )
 from .pipeline import (
@@ -75,6 +73,6 @@ from .reconstruction import (
     reconstruct_position,
     wavelength_to_position,
 )
-from .source_sim import EventKind, generate_emissions, pulse_train, sample_background, sample_pairs
+from .source_sim import EventKind, generate_emissions, pulse_count, sample_background, sample_pairs
 
 __version__ = "0.1.0"

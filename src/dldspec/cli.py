@@ -15,12 +15,10 @@ individual keys and `--seed` is a shortcut for simulation.seed. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-from .config import ConfigError, RunConfig, apply_overrides, run_config_from_dict, run_config_to_dict
-from .event_format import FormatError
+from .config import ConfigError, RunConfig, _read_config_doc, apply_overrides, run_config_from_dict
+from .event_format import FormatError, StagedFile
 from .pipeline import analyze_file, simulate_to_file, summary_lines, write_report_bundle
 
 EXIT_OK = 0
@@ -60,13 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    if args.config is None:
-        doc = run_config_to_dict(run_config_from_dict({}))
-    else:
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{args.config}: {exc}") from None
+    doc = {} if args.config is None else _read_config_doc(args.config)
     overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(f"simulation.seed={args.seed}")
@@ -79,7 +71,7 @@ def _cmd_simulate(args) -> int:
     summary = simulate_to_file(cfg, args.out)
     text = "\n".join(summary.lines()) + "\n"
     sys.stdout.write(text)
-    with open(str(args.out) + ".summary.txt", "w") as fh:
+    with StagedFile(str(args.out) + ".summary.txt", "x") as fh:
         fh.write(text)
     return EXIT_OK
 

@@ -289,14 +289,21 @@ def run_config_from_dict(doc: dict[str, Any]) -> RunConfig:
     return cfg
 
 
-def load_run_config(path: str | Path) -> RunConfig:
-    """Load a JSON run configuration file."""
-    text = Path(path).read_text()
+def _read_config_doc(path: str | Path) -> Any:
+    """The JSON document in a config file; ConfigError if unreadable or not JSON."""
     try:
-        doc = json.loads(text)
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    return run_config_from_dict(doc)
+
+
+def load_run_config(path: str | Path) -> RunConfig:
+    """Load a JSON run configuration file."""
+    return run_config_from_dict(_read_config_doc(path))
 
 
 def apply_overrides(doc: dict[str, Any], overrides: list[str]) -> dict[str, Any]:

@@ -17,8 +17,8 @@ Conventions, shared by every operation and by the brute-force test oracles:
   the coincidence, accidental and side-peak windows; the half-open g2
   histogram keeps its own pass.
 
-Merging chunk-partial histograms with identical axes is exact, which is what
-licenses chunked or parallel accumulation.
+Merging chunk-partial histograms with identical axes is exact, so histograms
+accumulated over chunks or separate runs add up to the single-pass result.
 """
 
 from __future__ import annotations
@@ -103,13 +103,11 @@ class Histogram1D:
         return Histogram1D(self.lo, self.hi, self.bin_width, self.counts + other.counts)
 
     def to_csv(self, sink) -> None:
-        _write_text(sink, self._csv_lines())
-
-    def _csv_lines(self) -> Iterator[str]:
-        yield "bin_lo,bin_hi,count\n"
+        """`bin_lo,bin_hi,count` lines to an open text file."""
+        sink.write("bin_lo,bin_hi,count\n")
         edges = self.bin_edges()
         for i in range(self.nbins):
-            yield f"{edges[i]:.6f},{edges[i + 1]:.6f},{int(self.counts[i])}\n"
+            sink.write(f"{edges[i]:.6f},{edges[i + 1]:.6f},{int(self.counts[i])}\n")
 
 
 @dataclass
@@ -171,30 +169,14 @@ class Histogram2D:
         )
 
     def to_csv(self, sink, matrix: np.ndarray | None = None) -> None:
-        """Sparse `x_bin,y_bin,count` triplets (bin lower edges); zeros skipped."""
+        """Sparse `x_bin,y_bin,count` triplets (bin lower edges) to an open text
+        file; zeros skipped."""
         m = self.counts if matrix is None else matrix
-
-        def lines() -> Iterator[str]:
-            yield "x_bin,y_bin,count\n"
-            xs = self.x_lo + self.x_width * np.arange(self.shape[0])
-            ys = self.y_lo + self.y_width * np.arange(self.shape[1])
-            for i, j in zip(*np.nonzero(m)):
-                yield f"{xs[i]:.6f},{ys[j]:.6f},{int(m[i, j])}\n"
-
-        _write_text(sink, lines())
-
-
-def _write_text(sink, lines: Iterator[str]) -> None:
-    close = False
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        sink = open(sink, "w")
-        close = True
-    try:
-        for line in lines:
-            sink.write(line)
-    finally:
-        if close:
-            sink.close()
+        sink.write("x_bin,y_bin,count\n")
+        xs = self.x_lo + self.x_width * np.arange(self.shape[0])
+        ys = self.y_lo + self.y_width * np.arange(self.shape[1])
+        for i, j in zip(*np.nonzero(m)):
+            sink.write(f"{xs[i]:.6f},{ys[j]:.6f},{int(m[i, j])}\n")
 
 
 def _event_times(events) -> np.ndarray:

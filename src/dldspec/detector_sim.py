@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AnodeGeometry, SimConfig, fwhm_to_sigma
-from .event_format import Channel, PULSE_DTYPE, RawPulse
+from .event_format import Channel, PULSE_DTYPE
 from .reconstruction import HIT_GROUP_DTYPE, wavelength_to_position
 from .source_sim import EventKind
 
@@ -42,18 +42,14 @@ DETECTION_DTYPE = np.dtype(
 
 @dataclass
 class DetectTally:
-    n_in: int = 0
     n_qe_lost: int = 0
     n_off_sensor: int = 0
     n_negative_time: int = 0
-    n_detected: int = 0
 
     def add(self, other: "DetectTally") -> None:
-        self.n_in += other.n_in
         self.n_qe_lost += other.n_qe_lost
         self.n_off_sensor += other.n_off_sensor
         self.n_negative_time += other.n_negative_time
-        self.n_detected += other.n_detected
 
 
 def detect(
@@ -68,7 +64,7 @@ def detect(
     outside the anode fall off the sensor and are dropped (counted), as are
     detections jittered to negative times at the run start.
     """
-    tally = DetectTally(n_in=int(events.size))
+    tally = DetectTally()
     geometry = config.geometry
     survive = rng.random(events.size) < config.qe
     tally.n_qe_lost = int(events.size - np.count_nonzero(survive))
@@ -96,7 +92,6 @@ def detect(
     out["x_mm"] = x[keep]
     out["y_mm"] = y[keep]
     out["wavelength_nm"] = ev["wavelength_nm"][keep]
-    tally.n_detected = int(out.size)
     order = np.argsort(out["time_ps"], kind="stable")
     return out[order], tally
 
@@ -120,46 +115,6 @@ def encode_groups(detections: np.ndarray, geometry: AnodeGeometry) -> np.ndarray
     return out
 
 
-def encode_anode(
-    x_mm: float, y_mm: float, t_ps: float, geometry: AnodeGeometry, detector: int = 0
-) -> tuple[RawPulse, RawPulse, RawPulse, RawPulse, RawPulse]:
-    """Encode a single detection; returns its five pulses (MCP, XA, XB, YA, YB)."""
-    det = np.array(
-        [(detector, 0, t_ps, x_mm, y_mm, np.nan)], dtype=DETECTION_DTYPE
-    )
-    g = encode_groups(det, geometry)[0]
-    return (
-        RawPulse(detector, int(Channel.MCP), int(g["t_mcp"])),
-        RawPulse(detector, int(Channel.XA), int(g["t_xa"])),
-        RawPulse(detector, int(Channel.XB), int(g["t_xb"])),
-        RawPulse(detector, int(Channel.YA), int(g["t_ya"])),
-        RawPulse(detector, int(Channel.YB), int(g["t_yb"])),
-    )
-
-
-def apply_dead_time(
-    groups: np.ndarray, dead_time_ps: float, tick_ps: int = 1
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Discard whole detections whose MCP triggers collide within the dead time.
-
-    A square anode cannot untangle overlapping delay-line signals, so when two
-    triggers on one detector fall within dead_time of each other *both*
-    detections are removed. Returns (kept groups, per-detector discard counts).
-    """
-    dead_ticks = int(np.floor(dead_time_ps / tick_ps))
-    keep = np.ones(groups.size, dtype=bool)
-    discards = [0, 0]
-    for det in (0, 1):
-        idx = np.nonzero(groups["detector"] == det)[0]
-        t = groups["t_mcp"][idx]
-        if t.size > 1 and np.any(np.diff(t) < 0):
-            raise ValueError("groups must be time-sorted per detector")
-        collide = _collision_mask(t, dead_ticks)
-        keep[idx[collide]] = False
-        discards[det] = int(np.count_nonzero(collide))
-    return groups[keep], (discards[0], discards[1])
-
-
 def _collision_mask(t: np.ndarray, dead_ticks: int) -> np.ndarray:
     """True where a trigger has a neighbour within dead_ticks (inclusive)."""
     collide = np.zeros(t.size, dtype=bool)
@@ -171,11 +126,17 @@ def _collision_mask(t: np.ndarray, dead_ticks: int) -> np.ndarray:
 
 
 class DeadTimeFilter:
-    """Streaming dead-time stage over blocks of groups.
+    """Dead-time stage: discards whole detections whose MCP triggers collide.
+
+    A square anode cannot untangle overlapping delay-line signals, so when two
+    triggers on one detector lie within floor(dead_time_ps / tick_ps) ticks of
+    each other *both* detections are removed; `discards` counts them per
+    detector.
 
     Blocks arrive time-sorted per detector; `future_floor_ticks` promises that
     every later trigger lands at or above that tick, which bounds how much must
-    be buffered before a detection's fate is decidable.
+    be buffered before a detection's fate is decidable. `None` promises no
+    later trigger, so `feed(groups, None)` filters a whole stream at once.
     """
 
     def __init__(self, dead_time_ps: float, tick_ps: int = 1):

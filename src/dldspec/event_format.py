@@ -22,7 +22,8 @@ size regardless of file size.
 
 Writing to a path goes through a temporary file beside it that replaces the
 path only when the writer closes cleanly, so an interrupted run never leaves a
-short file that still parses.
+short file that still parses. `StagedFile` holds that rule; the report bundle
+writes its files through it too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import struct
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, NamedTuple
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -55,12 +56,6 @@ class Channel(enum.IntEnum):
     XB = 2
     YA = 3
     YB = 4
-
-
-class RawPulse(NamedTuple):
-    detector: int
-    channel: int
-    timestamp: int
 
 
 class FormatError(ValueError):
@@ -129,17 +124,6 @@ def _open_source(source) -> tuple[BinaryIO, bool]:
     return source, False
 
 
-def as_pulse_array(pulses) -> np.ndarray:
-    """Coerce an iterable of RawPulse-likes (or a PULSE_DTYPE array) to an array."""
-    if isinstance(pulses, np.ndarray) and pulses.dtype == PULSE_DTYPE:
-        return pulses
-    rows = list(pulses)
-    arr = np.empty(len(rows), dtype=PULSE_DTYPE)
-    for i, (det, ch, ts) in enumerate(rows):
-        arr[i] = (det, ch, ts)
-    return arr
-
-
 def _raise_first(mask: np.ndarray, error: type[FormatError], start_index: int, what) -> None:
     """Raise `error` for the first True in `mask`; `what(i)` describes row i."""
     bad = np.flatnonzero(mask)
@@ -170,23 +154,52 @@ def _validate_chunk(
         _raise_first(full < 0, TimestampRegressionError, start_index, lambda i: "timestamp goes backwards")
 
 
+class StagedFile:
+    """A file written under a temporary name beside `path`.
+
+    `close(publish=True)` moves it onto the path; `close(publish=False)`
+    deletes it, and a file already at the path keeps its bytes. As a context
+    manager it yields the open file and publishes only on a clean exit.
+    """
+
+    def __init__(self, path, mode: str):
+        self.path = Path(path)
+        self._tmp = self.path.with_name(f".{self.path.name}.{uuid.uuid4().hex}.tmp")
+        self.file = open(self._tmp, mode)
+
+    def close(self, publish: bool) -> None:
+        if self.file.closed:
+            return
+        self.file.close()
+        if publish:
+            os.replace(self._tmp, self.path)
+        else:
+            self._tmp.unlink(missing_ok=True)
+
+    def __enter__(self):
+        return self.file
+
+    def __exit__(self, exc_type, *exc) -> None:
+        self.close(publish=exc_type is None)
+
+
 class EventWriter:
     """Incremental writer; chunks must arrive globally timestamp-sorted.
 
-    A path sink is written through a temporary file in the same directory,
-    moved onto the path by `close()`. Leaving the `with` block on an exception
-    deletes the temporary file instead, and a file already at the path keeps
-    its bytes. File-object sinks are written directly.
+    A path sink is written through a `StagedFile`, published by `close()`.
+    Leaving the `with` block on an exception discards it instead, and a file
+    already at the path keeps its bytes. File-object sinks are written
+    directly.
     """
 
     def __init__(self, sink, header: EventFileHeader):
         packed = header.pack()  # a bad header fails before any file is opened
-        self._path = Path(sink) if isinstance(sink, (str, Path)) else None
-        if self._path is None:
-            self._f = sink
+        if isinstance(sink, (str, Path)):
+            self._staged = StagedFile(sink, "xb")
+            self._f = self._staged.file
         else:
-            self._tmp = self._path.with_name(f".{self._path.name}.{uuid.uuid4().hex}.tmp")
-            self._f = open(self._tmp, "xb")
+            self._staged = None
+            self._f = sink
         self._f.write(packed)
         self.header = header
         self._last_ts = 0
@@ -194,43 +207,37 @@ class EventWriter:
         self.bytes_written = len(packed)
         self.records_written = 0
 
-    def write_chunk(self, pulses) -> None:
-        arr = as_pulse_array(pulses)
-        if arr.size == 0:
+    def write_chunk(self, pulses: np.ndarray) -> None:
+        if not isinstance(pulses, np.ndarray) or pulses.dtype != PULSE_DTYPE:
+            raise ValueError("write_chunk takes a PULSE_DTYPE array")
+        if pulses.size == 0:
             return
-        ts = arr["timestamp"].astype(np.int64, copy=False)
+        ts = pulses["timestamp"].astype(np.int64, copy=False)
         if np.any(ts < 0):
             raise ValueError("timestamp out of range (>= 2**63 ticks)")
         if np.any(np.diff(ts) < 0) or (self._any and int(ts[0]) < self._last_ts):
             raise ValueError("pulses must be sorted by timestamp before serialization")
-        if np.any(arr["channel"] > int(Channel.YB)):
+        if np.any(pulses["channel"] > int(Channel.YB)):
             raise ValueError("channel out of range")
-        if np.any(arr["detector"] >= self.header.detector_count):
+        if np.any(pulses["detector"] >= self.header.detector_count):
             raise ValueError("detector out of range")
-        self._f.write(arr.tobytes())
+        self._f.write(pulses.tobytes())
         self._last_ts = int(ts[-1])
         self._any = True
-        self.bytes_written += arr.size * RECORD_SIZE
-        self.records_written += int(arr.size)
+        self.bytes_written += pulses.size * RECORD_SIZE
+        self.records_written += int(pulses.size)
 
     def close(self) -> int:
-        self._finish(publish=True)
+        if self._staged is not None:
+            self._staged.close(publish=True)
         return self.bytes_written
-
-    def _finish(self, publish: bool) -> None:
-        if self._path is None or self._f.closed:
-            return
-        self._f.close()
-        if publish:
-            os.replace(self._tmp, self._path)
-        else:
-            self._tmp.unlink(missing_ok=True)
 
     def __enter__(self) -> "EventWriter":
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
-        self._finish(publish=exc_type is None)
+        if self._staged is not None:
+            self._staged.close(publish=exc_type is None)
 
 
 def write_events(pulses, header: EventFileHeader, sink) -> int:
@@ -244,8 +251,7 @@ class EventReader:
     """Streaming reader over a `.dlde` source.
 
     `iter_chunks()` yields validated PULSE_DTYPE arrays of at most
-    chunk_records rows; `__iter__` yields individual RawPulse tuples on top of
-    the same chunk machinery.
+    chunk_records rows.
     """
 
     def __init__(self, source, chunk_records: int = DEFAULT_CHUNK_RECORDS):
@@ -278,11 +284,6 @@ class EventReader:
                 self._prev_ts = int(arr["timestamp"][-1])
             yield arr
 
-    def __iter__(self) -> Iterator[RawPulse]:
-        for chunk in self.iter_chunks():
-            for det, ch, ts in chunk:
-                yield RawPulse(int(det), int(ch), int(ts))
-
     def close(self) -> None:
         if self._owns:
             self._f.close()
@@ -292,21 +293,6 @@ class EventReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def parse_events(
-    source, chunk_records: int = DEFAULT_CHUNK_RECORDS
-) -> tuple[EventFileHeader, Iterator[RawPulse]]:
-    """Open a source and return (header, lazy pulse iterator)."""
-    reader = EventReader(source, chunk_records)
-
-    def gen() -> Iterator[RawPulse]:
-        try:
-            yield from reader
-        finally:
-            reader.close()
-
-    return reader.header, gen()
 
 
 def read_all_pulses(source) -> tuple[EventFileHeader, np.ndarray]:

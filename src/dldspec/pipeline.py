@@ -13,7 +13,6 @@ reconstructed events, and the result does not depend on the chunk size.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +48,7 @@ from .event_format import (
     EventWriter,
     FormatError,
     PULSE_DTYPE,
+    StagedFile,
 )
 from .reconstruction import (
     DEFAULT_SUM_TOL_TICKS,
@@ -57,21 +57,11 @@ from .reconstruction import (
     groups_to_events,
     write_events_csv,
 )
-from .render import svg_heatmap, svg_histogram
-from .source_sim import EventKind, generate_emissions
+from .render import _fmt, svg_heatmap, svg_histogram
+from .source_sim import EventKind, generate_emissions, pulse_count
 
 SIM_BLOCK_PULSES = 1 << 20
 SIDE_PEAK_COUNT = 4
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.6g}"
-    return str(v)
 
 
 @dataclass
@@ -124,9 +114,7 @@ def simulate_to_file(
     sim.validate()
     geometry = sim.geometry
     period = sim.pulse_period_ps
-    n_pulses = int(np.ceil(sim.duration_ps / period))
-    while n_pulses > 1 and (n_pulses - 1) * period >= sim.duration_ps:
-        n_pulses -= 1
+    n_pulses = pulse_count(sim)
     rng = np.random.default_rng(np.random.SeedSequence(sim.seed))
     header = EventFileHeader(tick_ps=geometry.tick_ps, detector_count=2)
     summary = SimulationSummary(seed=sim.seed, duration_ps=sim.duration_ps, laser_pulses=n_pulses)
@@ -410,64 +398,58 @@ def write_report_bundle(
     events_csv: bool = False,
     artifacts: tuple[str, ...] = ("spectrum", "g2", "jsi"),
 ) -> list[Path]:
-    """Write CSV + SVG artifacts and the flat summary; returns written paths."""
+    """Write CSV + SVG artifacts and the flat summary; returns written paths.
+
+    Each file is staged beside its path and moved onto it once complete, so a
+    failure part-way leaves every file either whole and new or untouched.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
 
-    def emit(name: str, text: str) -> None:
+    def emit(name: str, write) -> None:
+        """`write(file)` puts the artifact's text into its open staged file."""
         p = out / name
-        p.write_text(text)
+        with StagedFile(p, "x") as fh:
+            write(fh)
         paths.append(p)
 
+    def emit_text(name: str, make, *args, **kwargs) -> None:
+        """`make(*args, **kwargs)` returns the artifact's text."""
+        emit(name, lambda fh: fh.write(make(*args, **kwargs)))
+
+    wl1, wl2 = "detector 1 wavelength [nm]", "detector 2 wavelength [nm]"
     if "spectrum" in artifacts:
         for det in (0, 1):
             hist = analysis.spectra[det]
-            emit(f"spectrum_det{det + 1}.csv", _csv_text(hist))
-            emit(
-                f"spectrum_det{det + 1}.svg",
-                svg_histogram(hist, f"singles spectrum, detector {det + 1}", "wavelength [nm]"),
-            )
+            emit(f"spectrum_det{det + 1}.csv", hist.to_csv)
+            emit_text(f"spectrum_det{det + 1}.svg", svg_histogram,
+                      hist, f"singles spectrum, detector {det + 1}", "wavelength [nm]")
     if "g2" in artifacts:
-        emit("g2.csv", _csv_text(analysis.g2))
-        emit("g2.svg", svg_histogram(analysis.g2, "inter-detector delay histogram", "delay [ps]"))
+        emit("g2.csv", analysis.g2.to_csv)
+        emit_text("g2.svg", svg_histogram, analysis.g2, "inter-detector delay histogram", "delay [ps]")
         norm = _normalized_g2(analysis)
-        emit("g2_normalized.csv", _normalized_csv(analysis, norm))
-        emit("g2_normalized.svg", svg_histogram(
+        emit_text("g2_normalized.csv", _normalized_csv, analysis, norm)
+        emit_text(
+            "g2_normalized.svg",
+            svg_histogram,
             analysis.g2,
             "delay histogram, side-peak mean normalized to 1",
             "delay [ps]",
             y_label="g2",
             values=np.nan_to_num(norm, nan=0.0, posinf=0.0, neginf=0.0),
-        ))
+        )
     if "jsi" in artifacts:
         rep = analysis.jsi_report
-        emit("jsi.csv", _csv2_text(rep.jsi))
-        emit("jsi.svg", svg_heatmap(rep.jsi, "joint spectrum (coincidence window)",
-                                    "detector 1 wavelength [nm]", "detector 2 wavelength [nm]"))
-        emit("jsi_accidental.csv", _csv2_text(rep.accidental))
-        emit("jsi_accidental.svg", svg_heatmap(rep.accidental, "joint spectrum (accidental window)",
-                                               "detector 1 wavelength [nm]", "detector 2 wavelength [nm]"))
-        emit("jsi_subtracted.csv", _csv2_text(rep.jsi, matrix=rep.subtracted))
-        emit("jsi_subtracted.svg", svg_heatmap(rep.jsi, "joint spectrum, accidentals subtracted",
-                                               "detector 1 wavelength [nm]", "detector 2 wavelength [nm]",
-                                               matrix=rep.subtracted))
+        emit("jsi.csv", rep.jsi.to_csv)
+        emit_text("jsi.svg", svg_heatmap, rep.jsi, "joint spectrum (coincidence window)", wl1, wl2)
+        emit("jsi_accidental.csv", rep.accidental.to_csv)
+        emit_text("jsi_accidental.svg", svg_heatmap, rep.accidental, "joint spectrum (accidental window)", wl1, wl2)
+        emit("jsi_subtracted.csv", lambda fh: rep.jsi.to_csv(fh, matrix=rep.subtracted))
+        emit_text("jsi_subtracted.svg", svg_heatmap, rep.jsi, "joint spectrum, accidentals subtracted", wl1, wl2,
+                  matrix=rep.subtracted)
     if events_csv:
         for det in (0, 1):
-            p = out / f"events_det{det + 1}.csv"
-            write_events_csv(decode.events[det], p)
-            paths.append(p)
-    emit("summary.txt", "\n".join(summary_lines(decode, analysis)) + "\n")
+            emit(f"events_det{det + 1}.csv", lambda fh: write_events_csv(decode.events[det], fh))
+    emit("summary.txt", lambda fh: fh.write("\n".join(summary_lines(decode, analysis)) + "\n"))
     return paths
-
-
-def _csv_text(hist: Histogram1D) -> str:
-    buf = io.StringIO()
-    hist.to_csv(buf)
-    return buf.getvalue()
-
-
-def _csv2_text(hist, matrix=None) -> str:
-    buf = io.StringIO()
-    hist.to_csv(buf, matrix=matrix)
-    return buf.getvalue()

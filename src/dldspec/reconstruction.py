@@ -261,20 +261,13 @@ def groups_to_events(
 
 
 def write_events_csv(events: np.ndarray, sink) -> None:
-    """One `detector,t_ps,x_mm,y_mm,lambda_nm` line per event, 1-based detector."""
-    close = False
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        sink = open(sink, "w")
-        close = True
-    try:
-        sink.write(EVENTS_CSV_HEADER + "\n")
-        # Python scalars from .tolist() format much faster than numpy row fields;
-        # blocks bound the memory those lists take.
-        for b in range(0, events.size, _CSV_BLOCK_ROWS):
-            block = events[b : b + _CSV_BLOCK_ROWS]
-            columns = [block[name].tolist() for name in ("t_ps", "x_mm", "y_mm", "wavelength_nm")]
-            detector = (block["detector"].astype(np.int64) + 1).tolist()
-            sink.writelines(["%d,%d,%.6f,%.6f,%.6f\n" % row for row in zip(detector, *columns)])
-    finally:
-        if close:
-            sink.close()
+    """One `detector,t_ps,x_mm,y_mm,lambda_nm` line per event, 1-based detector,
+    to an open text file."""
+    sink.write(EVENTS_CSV_HEADER + "\n")
+    # Python scalars from .tolist() format much faster than numpy row fields;
+    # blocks bound the memory those lists take.
+    for b in range(0, events.size, _CSV_BLOCK_ROWS):
+        block = events[b : b + _CSV_BLOCK_ROWS]
+        columns = [block[name].tolist() for name in ("t_ps", "x_mm", "y_mm", "wavelength_nm")]
+        detector = (block["detector"].astype(np.int64) + 1).tolist()
+        sink.writelines(["%d,%d,%.6f,%.6f,%.6f\n" % row for row in zip(detector, *columns)])

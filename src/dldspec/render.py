@@ -26,8 +26,10 @@ def _color(frac: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _fmt(v) -> str:
+    """Report number format: 6 significant digits for floats (`nan`, `inf` and
+    `-inf` included), `str` for anything else."""
+    return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
 def _header(title: str) -> list[str]:
@@ -78,10 +80,11 @@ def svg_histogram(hist: Histogram1D, title: str, x_label: str, y_label: str = "c
             f'height="{h:.2f}" fill="#27608f"/>'
         )
     edges = hist.bin_edges()
+    # axis values are ints when the config gives ints; tick labels always print as floats
     for frac, value in ((0.0, edges[0]), (0.5, (edges[0] + edges[-1]) / 2), (1.0, edges[-1])):
         x = _ML + frac * plot_w
         parts.append(f'<line x1="{x:.1f}" y1="{_MT + plot_h}" x2="{x:.1f}" y2="{_MT + plot_h + 5}" stroke="black"/>')
-        parts.append(f'<text x="{x:.1f}" y="{_MT + plot_h + 18}" text-anchor="middle">{_fmt(value)}</text>')
+        parts.append(f'<text x="{x:.1f}" y="{_MT + plot_h + 18}" text-anchor="middle">{_fmt(float(value))}</text>')
     label_top = f"log10(1+n), max {_fmt(top)}" if log else f"max {_fmt(top)}"
     parts.append(f'<text x="{_ML}" y="{_MT - 6}">{label_top}</text>')
     parts.extend(_axis_labels(x_label, y_label))
@@ -122,10 +125,10 @@ def svg_heatmap(hist: Histogram2D, title: str, x_label: str, y_label: str,
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{side:.1f}" height="{side:.1f}" fill="none" stroke="black"/>')
     for frac, value in ((0.0, hist.x_lo), (1.0, hist.x_lo + hist.x_width * nx)):
         x = _ML + frac * side
-        parts.append(f'<text x="{x:.1f}" y="{_MT + side + 18}" text-anchor="middle">{_fmt(value)}</text>')
+        parts.append(f'<text x="{x:.1f}" y="{_MT + side + 18}" text-anchor="middle">{_fmt(float(value))}</text>')
     for frac, value in ((0.0, hist.y_lo), (1.0, hist.y_lo + hist.y_width * ny)):
         y = _MT + side - frac * side
-        parts.append(f'<text x="{_ML - 6:.1f}" y="{y:.1f}" text-anchor="end">{_fmt(value)}</text>')
+        parts.append(f'<text x="{_ML - 6:.1f}" y="{y:.1f}" text-anchor="end">{_fmt(float(value))}</text>')
     scale = "log10(1+n)" if log else "linear"
     parts.append(f'<text x="{_ML + side + 12:.1f}" y="{_MT + 10}">{scale}, max {_fmt(top)}</text>')
     parts.extend(_axis_labels(x_label, y_label))

@@ -1,4 +1,4 @@
-"""Ground-truth emission streams: pulse train, photon pairs, scatter and darks.
+"""Ground-truth emission streams: pulse count, photon pairs, scatter and darks.
 
 Everything here is pre-detector physics. Each emitted photon is a row of an
 EMISSION_DTYPE array: emission time, which collection path it entered (0 or 1,
@@ -11,6 +11,7 @@ both orderings occur with equal weight.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -33,16 +34,13 @@ class EventKind(enum.IntEnum):
     DARK = 3  # photocathode dark count, no wavelength
 
 
-def pulse_train(config: SimConfig) -> np.ndarray:
-    """Deterministic laser pulse times k / rep_rate for k = 0, 1, ... < duration."""
-    if config.rep_rate_hz <= 0:
-        raise ValueError("rep_rate_hz must be > 0")
-    if config.duration_ps <= 0:
-        raise ValueError("duration_ps must be > 0")
+def pulse_count(config: SimConfig) -> int:
+    """Number of laser pulses: one at k * period for every k >= 0 with k * period < duration."""
     period = config.pulse_period_ps
-    n = int(np.ceil(config.duration_ps / period))
-    times = np.arange(n, dtype=np.float64) * period
-    return times[times < config.duration_ps]
+    n = math.ceil(config.duration_ps / period)
+    while n > 1 and (n - 1) * period >= config.duration_ps:
+        n -= 1
+    return n
 
 
 def sample_pairs(config: SimConfig, pulse_times: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -77,6 +77,27 @@ def brute_match_hits(timestamps, channels, propagation_ticks, window_ticks, sum_
     return groups, claimed.count(False)
 
 
+def brute_dead_time(detectors, triggers, dead_time_ps, tick_ps=1):
+    """Dead-time survivors by comparing every pair of triggers.
+
+    Per detector, both detections of any pair whose MCP triggers are at most
+    floor(dead_time_ps / tick_ps) ticks apart are dropped. Returns (indices of
+    the kept detections in input order, per-detector discard counts for
+    detectors 0 and 1).
+    """
+    dead_ticks = math.floor(dead_time_ps / tick_ps)
+    dets = [int(d) for d in detectors]
+    ts = [int(t) for t in triggers]
+    dropped = [False] * len(ts)
+    for i in range(len(ts)):
+        for j in range(i + 1, len(ts)):
+            if dets[i] == dets[j] and abs(ts[i] - ts[j]) <= dead_ticks:
+                dropped[i] = dropped[j] = True
+    kept = [i for i in range(len(ts)) if not dropped[i]]
+    discards = tuple(sum(1 for i in range(len(ts)) if dropped[i] and dets[i] == d) for d in (0, 1))
+    return kept, discards
+
+
 def events_csv_text(events):
     """Events CSV formatted row by row from numpy fields, header included."""
     lines = ["detector,t_ps,x_mm,y_mm,lambda_nm\n"]

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dldspec.config import RunConfig, run_config_from_dict
+from dldspec.config import RunConfig, SimConfig, run_config_from_dict
+from dldspec.source_sim import pulse_count
 
 
 @pytest.fixture
@@ -32,3 +33,8 @@ def make_config(**sim_overrides) -> RunConfig:
     if correlation:
         doc["correlation"] = correlation
     return run_config_from_dict(doc)
+
+
+def pulse_times(sim: SimConfig) -> np.ndarray:
+    """The laser pulse times of a run: k * period for k < pulse_count(sim)."""
+    return np.arange(pulse_count(sim)) * sim.pulse_period_ps

@@ -146,3 +146,21 @@ def test_defaults_used_without_config(tmp_path):
     code = run_cli(["simulate", "--out", out, "--set", "simulation.duration_ps=5e7"])
     assert code == EXIT_OK
     assert out.exists()
+
+
+def test_missing_config_file_fails(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code = run_cli(["simulate", "--config", missing, "--out", tmp_path / "x.dlde"])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "absent.json" in err
+    assert not (tmp_path / "x.dlde").exists()
+
+
+def test_non_json_config_fails(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{not json")
+    code = run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x.dlde"])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not valid JSON" in err

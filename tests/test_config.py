@@ -89,6 +89,20 @@ def test_load_round_trip(tmp_path):
     assert loaded == cfg
 
 
+def test_load_rejects_a_missing_file(tmp_path):
+    with pytest.raises(ConfigError, match="absent.json"):
+        load_run_config(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("overrides", [[], ["simulation.seed=9", "correlation.g2_bin_width_ps=44"],
+                                       ["geometry.tick_ps=2"]])
+def test_overrides_on_empty_doc_equal_overrides_on_defaults(overrides):
+    defaults = run_config_to_dict(run_config_from_dict({}))
+    assert run_config_from_dict(apply_overrides({}, overrides)) == run_config_from_dict(
+        apply_overrides(defaults, overrides)
+    )
+
+
 def test_load_rejects_bad_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

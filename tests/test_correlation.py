@@ -57,7 +57,8 @@ class TestHistogram1D:
         h = Histogram1D(0.0, 2.0, 1.0)
         h.fill(np.array([0.5]))
         p = tmp_path / "h.csv"
-        h.to_csv(p)
+        with open(p, "w") as fh:
+            h.to_csv(fh)
         assert p.read_text().splitlines() == [
             "bin_lo,bin_hi,count",
             "0.000000,1.000000,1",

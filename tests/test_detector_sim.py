@@ -8,17 +8,15 @@ import pytest
 from dldspec.detector_sim import (
     DETECTION_DTYPE,
     DeadTimeFilter,
-    apply_dead_time,
     detect,
-    encode_anode,
     encode_groups,
     groups_to_pulses,
 )
 from dldspec.event_format import Channel
-from dldspec.source_sim import EventKind, generate_emissions, pulse_train
+from dldspec.source_sim import EventKind, generate_emissions
 
-from _oracles import gaussian_fwhm_from_samples, position_from_times
-from conftest import make_config
+from _oracles import brute_dead_time, gaussian_fwhm_from_samples, position_from_times
+from conftest import make_config, pulse_times
 
 
 def _emissions(n, wavelength=389.2, kind=EventKind.PUMP):
@@ -55,7 +53,7 @@ class TestDetect:
         out, tally = detect(ev, cfg, rng)
         sigma = math.sqrt(100_000 * 0.2 * 0.8)
         assert abs(out.size - 20_000) < 5 * sigma
-        assert tally.n_qe_lost + tally.n_detected + tally.n_off_sensor + tally.n_negative_time == 100_000
+        assert tally.n_qe_lost + out.size + tally.n_off_sensor + tally.n_negative_time == 100_000
 
     def test_jitter_fwhm_reproduced(self, rng):
         cfg = make_config(qe=1.0).simulation  # jitter 263 ps default
@@ -98,27 +96,25 @@ class TestDetect:
 
 
 class TestEncode:
+    def _encode_one(self, x, y, t, geometry):
+        return encode_groups(_detections([(0, t, x, y)]), geometry)[0]
+
     def test_center_position_symmetric(self, default_config):
-        g = default_config.geometry
-        mcp, xa, xb, ya, yb = encode_anode(20.0, 20.0, 5000.0, g)
-        assert xa.timestamp == xb.timestamp == 5000 + 20_000
-        assert ya.timestamp == yb.timestamp == 5000 + 20_000
-        assert mcp.timestamp == 5000
-        assert xa.timestamp - xb.timestamp == 0
+        g = self._encode_one(20.0, 20.0, 5000.0, default_config.geometry)
+        assert g["t_xa"] == g["t_xb"] == 5000 + 20_000
+        assert g["t_ya"] == g["t_yb"] == 5000 + 20_000
+        assert g["t_mcp"] == 5000
 
     def test_hand_evaluated_offset(self, default_config):
         # x = 25 mm with v = 1e-3 mm/ps, full propagation 4e4 ps
-        g = default_config.geometry
-        mcp, xa, xb, _, _ = encode_anode(25.0, 20.0, 0.0, g)
-        dt_x = xa.timestamp - xb.timestamp
-        assert dt_x == 10_000
-        assert position_from_times(xa.timestamp, xb.timestamp, 4e4, 1e-3) == pytest.approx(25.0)
+        g = self._encode_one(25.0, 20.0, 0.0, default_config.geometry)
+        assert g["t_xa"] - g["t_xb"] == 10_000
+        assert position_from_times(g["t_xa"], g["t_xb"], 4e4, 1e-3) == pytest.approx(25.0)
 
     def test_boundary_zero(self, default_config):
-        g = default_config.geometry
-        _, xa, xb, _, _ = encode_anode(0.0, 20.0, 0.0, g)
-        assert xa.timestamp - xb.timestamp == -40_000
-        assert position_from_times(xa.timestamp, xb.timestamp, 4e4, 1e-3) == pytest.approx(0.0)
+        g = self._encode_one(0.0, 20.0, 0.0, default_config.geometry)
+        assert g["t_xa"] - g["t_xb"] == -40_000
+        assert position_from_times(g["t_xa"], g["t_xb"], 4e4, 1e-3) == pytest.approx(0.0)
 
     def test_timing_sum_conservation(self, default_config, rng):
         g = default_config.geometry
@@ -144,7 +140,31 @@ class TestEncode:
 
     def test_rejects_out_of_bounds_position(self, default_config):
         with pytest.raises(ValueError, match="outside the anode"):
-            encode_anode(41.0, 20.0, 0.0, default_config.geometry)
+            self._encode_one(41.0, 20.0, 0.0, default_config.geometry)
+
+
+def filter_dead_time(groups, dead_time_ps, tick_ps=1, chunk=3):
+    """DeadTimeFilter output for time-sorted groups, fed whole and in chunks.
+
+    Both runs must agree exactly and match the all-pairs oracle. Returns
+    (kept groups, per-detector discards).
+    """
+    whole = DeadTimeFilter(dead_time_ps, tick_ps)
+    kept = whole.feed(groups, None)
+    stream = DeadTimeFilter(dead_time_ps, tick_ps)
+    parts = []
+    for lo in range(0, groups.size, chunk):
+        block = groups[lo : lo + chunk]
+        last = lo + chunk >= groups.size
+        parts.append(stream.feed(block, None if last else int(block["t_mcp"][-1])))
+    streamed = np.concatenate([*parts, stream.finish()])
+    assert np.array_equal(streamed, kept)
+    assert stream.discards == whole.discards
+    keep_idx, discards = brute_dead_time(groups["detector"], groups["t_mcp"], dead_time_ps, tick_ps)
+    order = ("t_mcp", "detector")
+    assert np.array_equal(np.sort(kept, order=order), np.sort(groups[keep_idx], order=order))
+    assert tuple(whole.discards) == discards
+    return kept, discards
 
 
 class TestDeadTime:
@@ -154,23 +174,23 @@ class TestDeadTime:
 
     def test_single_detection_untouched(self):
         g = self._groups([5000.0])
-        kept, discards = apply_dead_time(g, 10_000.0)
+        kept, discards = filter_dead_time(g, 10_000.0)
         assert kept.size == 1 and discards == (0, 0)
 
     def test_close_pair_both_dropped(self):
         g = self._groups([5000.0, 5001.0])  # 1 ps apart
-        kept, discards = apply_dead_time(g, 10_000.0)
+        kept, discards = filter_dead_time(g, 10_000.0)
         assert kept.size == 0
         assert discards == (2, 0)
 
     def test_far_pair_both_kept(self):
         g = self._groups([5000.0, 25_000.0])  # 20 ns apart
-        kept, discards = apply_dead_time(g, 10_000.0)
+        kept, discards = filter_dead_time(g, 10_000.0)
         assert kept.size == 2 and discards == (0, 0)
 
     def test_chain_collision_drops_all(self):
         g = self._groups([0.0, 9000.0, 18_000.0])
-        kept, discards = apply_dead_time(g, 10_000.0)
+        kept, discards = filter_dead_time(g, 10_000.0)
         assert kept.size == 0 and discards == (3, 0)
 
     def test_detectors_independent(self):
@@ -178,31 +198,32 @@ class TestDeadTime:
         b = self._groups([5000.0], detector=1)
         merged = np.concatenate([a, b])
         merged = merged[np.argsort(merged["t_mcp"], kind="stable")]
-        kept, discards = apply_dead_time(merged, 10_000.0)
+        kept, discards = filter_dead_time(merged, 10_000.0)
         assert kept.size == 1
         assert kept["detector"][0] == 1
         assert discards == (2, 0)
 
-    def test_streaming_filter_matches_batch(self):
+    def test_dead_time_boundary_in_ticks(self):
+        # tick 4 ps: 10 ns is 2500 ticks, and a 2500-tick gap still collides
+        geometry = make_config(geometry={"tick_ps": 4, "signal_speed_mm_per_ps": 1e-3,
+                                         "propagation_time_ps": 4e4}).geometry
+        det = _detections([(0, 0.0, 20.0, 20.0), (0, 10_000.0, 20.0, 20.0), (0, 20_004.0, 20.0, 20.0)])
+        kept, discards = filter_dead_time(encode_groups(det, geometry), 10_000.0, tick_ps=4)
+        assert kept.size == 1 and discards == (2, 0)
+
+    def test_streaming_filter_matches_oracle(self):
         rng = np.random.default_rng(5)
-        times = np.sort(rng.uniform(0, 5e6, 400))
-        groups = self._groups(times)
-        batch_kept, batch_disc = apply_dead_time(groups, 10_000.0)
-        stream = DeadTimeFilter(10_000.0)
-        out = []
-        for lo in range(0, 400, 37):
-            chunk = groups[lo : lo + 37]
-            floor = int(chunk["t_mcp"][-1]) if lo + 37 < 400 else None
-            out.append(stream.feed(chunk, floor))
-        out.append(stream.finish())
-        streamed = np.concatenate(out)
-        assert np.array_equal(streamed, batch_kept)
-        assert tuple(stream.discards) == batch_disc
+        det = _detections([(int(rng.integers(0, 2)), float(t), 20.0, 20.0)
+                           for t in np.sort(rng.uniform(0, 5e6, 400))])
+        groups = encode_groups(det, make_config().geometry)
+        for chunk in (1, 37, 400):
+            kept, discards = filter_dead_time(groups, 10_000.0, chunk=chunk)
+        assert 0 < kept.size < groups.size and discards[0] > 0 and discards[1] > 0
 
 
 def test_full_detector_chain_reproducible():
     cfg = make_config(seed=17, duration_ps=3e7).simulation
-    pulses = pulse_train(cfg)
+    pulses = pulse_times(cfg)
 
     def run():
         r = np.random.default_rng(17)

@@ -7,14 +7,14 @@ import pytest
 
 from dldspec import correlation, pipeline
 from dldspec.correlation import build_jsi, select_coincidences, spectrum_1d
-from dldspec.detector_sim import apply_dead_time, detect, encode_groups, groups_to_pulses
+from dldspec.detector_sim import DeadTimeFilter, detect, encode_groups, groups_to_pulses
 from dldspec.event_format import PULSE_DTYPE, EventFileHeader, FormatError, read_all_pulses, write_events
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
 from dldspec.reconstruction import PHOTON_DTYPE, match_hits, groups_to_events
-from dldspec.source_sim import generate_emissions, pulse_train
+from dldspec.source_sim import generate_emissions
 
-from _oracles import brute_coincidences, brute_delay_histogram
-from conftest import make_config
+from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram
+from conftest import make_config, pulse_times
 
 
 def test_simulate_deterministic(tmp_path, small_config):
@@ -67,10 +67,19 @@ def test_full_loop_fidelity_no_noise(tmp_path):
     )
     sim = cfg.simulation
     rng = np.random.default_rng(5)
-    emissions = generate_emissions(sim, pulse_train(sim), rng)
+    emissions = generate_emissions(sim, pulse_times(sim), rng)
     detections, _ = detect(emissions, sim, rng)
     groups = encode_groups(detections, sim.geometry)
-    kept, _ = apply_dead_time(groups, sim.dead_time_ps, sim.geometry.tick_ps)
+    kept = DeadTimeFilter(sim.dead_time_ps, sim.geometry.tick_ps).feed(groups, None)
+    chunked = DeadTimeFilter(sim.dead_time_ps, sim.geometry.tick_ps)
+    parts = [
+        chunked.feed(groups[lo : lo + 100], int(groups["t_mcp"][lo + 99]) if lo + 100 < groups.size else None)
+        for lo in range(0, groups.size, 100)
+    ]
+    assert np.array_equal(np.concatenate(parts), kept)
+    keep_idx, _ = brute_dead_time(groups["detector"], groups["t_mcp"], sim.dead_time_ps, sim.geometry.tick_ps)
+    order = ("t_mcp", "detector")  # the filter lists same-tick triggers detector by detector
+    assert np.array_equal(np.sort(kept, order=order), np.sort(groups[keep_idx], order=order))
     keep_mask = np.isin(groups["t_mcp"], kept["t_mcp"])
     bound = sim.calibration.dispersion_nm_per_mm * sim.geometry.signal_speed_mm_per_ps * sim.geometry.tick_ps / 2
     for det in (0, 1):
@@ -262,6 +271,45 @@ def test_report_bundle_written_and_deterministic(tmp_path, small_config):
         "events_det1.csv", "events_det2.csv", "summary.txt",
     }
     assert set(outs[0].keys()) == expected
+
+
+@pytest.mark.parametrize("failing", ["jsi_accidental.svg", "jsi_accidental.csv"])
+def test_failed_bundle_keeps_old_files_and_leaves_no_temporaries(tmp_path, small_config, monkeypatch, failing):
+    path = tmp_path / "r.dlde"
+    simulate_to_file(small_config, path)
+    decode, analysis = analyze_file(path, small_config)
+    out = tmp_path / "rep"
+    write_report_bundle(out, decode, analysis, events_csv=True)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    for name in ("jsi.svg", failing, "summary.txt"):
+        (out / name).write_text(f"an earlier {name}")
+    accidental = analysis.jsi_report.accidental
+    if failing.endswith(".svg"):  # fails while rendering
+        real_svg = pipeline.svg_heatmap
+
+        def svg_heatmap(hist, *args, **kwargs):
+            if hist is accidental:
+                raise RuntimeError("write failed")
+            return real_svg(hist, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "svg_heatmap", svg_heatmap)
+    else:  # fails with part of the file written
+        real_csv = correlation.Histogram2D.to_csv
+
+        def to_csv(self, sink, *args, **kwargs):
+            if self is accidental:
+                sink.write("x_bin,y_bin,count\n")
+                raise RuntimeError("write failed")
+            return real_csv(self, sink, *args, **kwargs)
+
+        monkeypatch.setattr(correlation.Histogram2D, "to_csv", to_csv)
+    with pytest.raises(RuntimeError, match="write failed"):
+        write_report_bundle(out, decode, analysis, events_csv=True)
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after.keys() == before.keys()  # no temporary file left behind
+    assert after["jsi.svg"] == before["jsi.svg"]  # written whole before the failure
+    assert after[failing] == f"an earlier {failing}".encode()
+    assert after["summary.txt"] == b"an earlier summary.txt"  # not reached
 
 
 def test_summary_contains_stable_keys(tmp_path, small_config):

@@ -211,7 +211,8 @@ class TestGroupsToEvents:
         groups = _encode_detections([(0, 1000.0, 20.0, 20.0)], g)
         events, _ = groups_to_events(groups, g, default_config.calibration)
         p = tmp_path / "events.csv"
-        write_events_csv(events, p)
+        with open(p, "w") as fh:
+            write_events_csv(events, fh)
         lines = p.read_text().splitlines()
         assert lines[0] == "detector,t_ps,x_mm,y_mm,lambda_nm"
         fields = lines[1].split(",")
@@ -231,5 +232,6 @@ class TestGroupsToEvents:
         events["x_mm"][:3] = (0.0, -0.0, 1e-7)  # signed zero and sub-resolution values
         for name, arr in (("some", events), ("none", events[:0])):
             p = tmp_path / f"{name}.csv"
-            write_events_csv(arr, p)
+            with open(p, "w") as fh:
+                write_events_csv(arr, fh)
             assert p.read_bytes() == events_csv_text(arr).encode()

@@ -8,17 +8,17 @@ import pytest
 from dldspec.source_sim import (
     EventKind,
     generate_emissions,
-    pulse_train,
+    pulse_count,
     sample_background,
     sample_pairs,
 )
 
-from conftest import make_config
+from conftest import make_config, pulse_times
 
 
 def test_pulse_spacing_matches_rep_rate():
     cfg = make_config(duration_ps=1e6).simulation
-    times = pulse_train(cfg)
+    times = pulse_times(cfg)
     spacing = times[1] - times[0]
     assert spacing == pytest.approx(1e12 / 76e6)
     # the laser period rounds to the 13.2 ns side-peak spacing
@@ -28,20 +28,19 @@ def test_pulse_spacing_matches_rep_rate():
 def test_pulse_train_hand_enumeration():
     # 1 GHz for 10 ns: pulses at 0, 1000, ..., 9000 ps
     cfg = make_config(rep_rate_hz=1e9, duration_ps=10000.0).simulation
-    assert np.array_equal(pulse_train(cfg), np.arange(10) * 1000.0)
+    assert pulse_count(cfg) == 10
+    assert np.array_equal(pulse_times(cfg), np.arange(10) * 1000.0)
+    # a pulse exactly at duration_ps is outside the half-open run [0, duration)
+    assert pulse_count(make_config(rep_rate_hz=1e9, duration_ps=10000.5).simulation) == 11
+    # 29 periods at 76 MHz: duration / period rounds to 29.000000000000004, but
+    # pulse 29 lands exactly on duration_ps and is out
+    assert pulse_count(make_config(duration_ps=29 * (1e12 / 76e6)).simulation) == 29
 
 
 def test_pulse_train_single_pulse_at_zero():
     cfg = make_config(duration_ps=1.0).simulation
-    assert np.array_equal(pulse_train(cfg), np.array([0.0]))
-
-
-def test_pulse_train_rejects_nonpositive():
-    cfg = make_config().simulation
-    with pytest.raises(ValueError):
-        pulse_train(_with(cfg, rep_rate_hz=-1.0))
-    with pytest.raises(ValueError):
-        pulse_train(_with(cfg, duration_ps=0.0))
+    assert pulse_count(cfg) == 1
+    assert np.array_equal(pulse_times(cfg), np.array([0.0]))
 
 
 def _with(cfg, **kw):
@@ -52,7 +51,7 @@ def _with(cfg, **kw):
 
 def test_zero_pair_rate_gives_no_pairs(rng):
     cfg = make_config(pair_rate_per_pulse=0.0).simulation
-    out = sample_pairs(cfg, pulse_train(_with(cfg, duration_ps=1e6)), rng)
+    out = sample_pairs(cfg, pulse_times(_with(cfg, duration_ps=1e6)), rng)
     assert out.size == 0
 
 
@@ -124,7 +123,7 @@ def test_pump_wavelength_mean(rng):
 
 def test_reproducible_and_sorted():
     cfg = make_config(seed=3).simulation
-    pulses = pulse_train(_with(cfg, duration_ps=5e7))
+    pulses = pulse_times(_with(cfg, duration_ps=5e7))
     a = generate_emissions(cfg, pulses, np.random.default_rng(3))
     b = generate_emissions(cfg, pulses, np.random.default_rng(3))
     assert a.tobytes() == b.tobytes()  # bit-identical, NaN wavelengths included
