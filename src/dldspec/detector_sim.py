@@ -133,78 +133,73 @@ class DeadTimeFilter:
     each other *both* detections are removed; `discards` counts them per
     detector.
 
-    Blocks arrive time-sorted per detector; `future_floor_ticks` promises that
-    every later trigger lands at or above that tick, which bounds how much must
-    be buffered before a detection's fate is decidable. `None` promises no
-    later trigger, so `feed(groups, None)` filters a whole stream at once.
+    Blocks may arrive in any order within themselves; `future_floor_ticks`
+    promises that every later trigger lands at or above that tick, which
+    bounds how much must be buffered before a detection's fate is decidable.
+    `None` promises no later trigger, so `feed(groups, None)` filters a whole
+    stream at once. Survivors come out sorted by (t_mcp, detector): two
+    triggers of one detector at the same tick always collide, so that order
+    has no ties.
     """
 
     def __init__(self, dead_time_ps: float, tick_ps: int = 1):
         self.dead_ticks = int(np.floor(dead_time_ps / tick_ps))
-        self._pending = [np.empty(0, dtype=HIT_GROUP_DTYPE) for _ in (0, 1)]
+        self._pending = np.empty(0, dtype=HIT_GROUP_DTYPE)  # sorted by (t_mcp, detector)
         self._last_trigger = [None, None]
         self.discards = [0, 0]
 
     def feed(self, groups: np.ndarray, future_floor_ticks: int | None) -> np.ndarray:
-        out = []
+        buf = np.concatenate([self._pending, groups])
+        # take/compress: indexing packed records with an index array or mask
+        # is several times slower than these whole-record copies
+        buf = buf.take(np.lexsort((buf["detector"], buf["t_mcp"])))
+        t = buf["t_mcp"]
+        if future_floor_ticks is None:
+            n_dec = t.size
+        else:
+            n_dec = int(np.searchsorted(t, future_floor_ticks - self.dead_ticks))
+        collide = np.zeros(t.size, dtype=bool)
         for det in (0, 1):
-            new = groups[groups["detector"] == det]
-            buf = np.concatenate([self._pending[det], new])
-            order = np.argsort(buf["t_mcp"], kind="stable")
-            buf = buf[order]
-            t = buf["t_mcp"]
-            if future_floor_ticks is None:
-                decidable = np.ones(t.size, dtype=bool)
-            else:
-                decidable = t <= future_floor_ticks - self.dead_ticks - 1
-            collide = _collision_mask(t, self.dead_ticks)
+            idx = np.flatnonzero(buf["detector"] == det)
+            t_det = t[idx]
+            hit = _collision_mask(t_det, self.dead_ticks)
             last = self._last_trigger[det]
-            if t.size and last is not None and t[0] - last <= self.dead_ticks:
-                collide[0] = True
-            emit = decidable & ~collide
-            self.discards[det] += int(np.count_nonzero(decidable & collide))
-            n_dec = int(np.count_nonzero(decidable))
-            if n_dec:
-                self._last_trigger[det] = int(t[n_dec - 1])
-            self._pending[det] = buf[~decidable]
-            out.append(buf[emit])
-        merged = np.concatenate(out)
-        order = np.argsort(merged["t_mcp"], kind="stable")
-        return merged[order]
+            if t_det.size and last is not None and t_det[0] - last <= self.dead_ticks:
+                hit[0] = True
+            collide[idx] = hit
+            n_det = int(np.searchsorted(idx, n_dec))
+            self.discards[det] += int(np.count_nonzero(hit[:n_det]))
+            if n_det:
+                self._last_trigger[det] = int(t_det[n_det - 1])
+        self._pending = buf[n_dec:]
+        return buf[:n_dec].compress(~collide[:n_dec])
 
     def finish(self) -> np.ndarray:
         return self.feed(np.empty(0, dtype=HIT_GROUP_DTYPE), None)
 
     def emitted_floor_ticks(self, future_floor_ticks: int) -> int:
         """Lower bound on any trigger tick this stage can still emit."""
-        pend = [p["t_mcp"][0] for p in self._pending if p.size]
         lo = future_floor_ticks - self.dead_ticks - 1
-        if pend:
-            lo = min(lo, int(min(pend)))
+        if self._pending.size:
+            lo = min(lo, int(self._pending["t_mcp"][0]))
         return lo
 
 
-def groups_to_pulses(groups: np.ndarray) -> np.ndarray:
+def groups_to_pulses(groups: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
     """Flatten groups to a timestamp-sorted pulse array (5 rows per group).
 
-    The sort is stable, so pulses with equal timestamps keep group order with
-    the MCP pulse first; serialization is deterministic.
+    `carry` is an already timestamp-sorted pulse array that is merged in
+    ahead of the groups. The single sort is stable, so equal timestamps keep
+    the order carry first, then group order with the MCP pulse first;
+    serialization is deterministic.
     """
-    n = groups.size
-    detectors = np.repeat(groups["detector"], 5)
-    channels = np.tile(
-        np.array([Channel.MCP, Channel.XA, Channel.XB, Channel.YA, Channel.YB], dtype=np.uint8), n
-    )
-    ts = np.empty((n, 5), dtype=np.int64)
-    ts[:, 0] = groups["t_mcp"]
-    ts[:, 1] = groups["t_xa"]
-    ts[:, 2] = groups["t_xb"]
-    ts[:, 3] = groups["t_ya"]
-    ts[:, 4] = groups["t_yb"]
-    flat = ts.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    out = np.empty(5 * n, dtype=PULSE_DTYPE)
-    out["detector"] = detectors[order]
-    out["channel"] = channels[order]
-    out["timestamp"] = flat[order].astype(np.uint64)
-    return out
+    m = 0 if carry is None else carry.size
+    out = np.empty(m + 5 * groups.size, dtype=PULSE_DTYPE)
+    if m:
+        out[:m] = carry
+    rows = out[m:].reshape(groups.size, 5)
+    rows["detector"] = groups["detector"][:, None]
+    rows["channel"] = [Channel.MCP, Channel.XA, Channel.XB, Channel.YA, Channel.YB]
+    for k, name in enumerate(("t_mcp", "t_xa", "t_xb", "t_ya", "t_yb")):
+        rows["timestamp"][:, k] = groups[name]
+    return out.take(np.argsort(out["timestamp"], kind="stable"))

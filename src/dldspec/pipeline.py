@@ -4,7 +4,10 @@ Simulation streams the laser pulse train through fixed-size blocks so memory
 stays bounded for arbitrarily long acquisitions; dead-time filtering and the
 globally sorted serialization carry small boundary buffers between blocks. The
 block size is a constant of the implementation, not configuration: it is part
-of the identity of the sampled random stream for a given seed.
+of the identity of the sampled random stream for a given seed. Each block
+sorts once per ordering decision: emission order (which fixes the random
+draws), detection time, surviving groups after dead time, and file order,
+where the writer's carry is merged into the block's pulses by the same sort.
 
 Decoding streams the file in fixed-size record chunks through one
 `HitMatcher` per detector, so memory is bounded by the chunk size plus the
@@ -47,11 +50,9 @@ from .event_format import (
     EventReader,
     EventWriter,
     FormatError,
-    PULSE_DTYPE,
     StagedFile,
 )
 from .reconstruction import (
-    DEFAULT_SUM_TOL_TICKS,
     HitMatcher,
     PHOTON_DTYPE,
     groups_to_events,
@@ -121,7 +122,7 @@ def simulate_to_file(
     dead_filter = DeadTimeFilter(sim.dead_time_ps, geometry.tick_ps)
     jitter_reach = JITTER_CLIP_SIGMAS * fwhm_to_sigma(sim.jitter_fwhm_ps)
     tally = DetectTally()
-    carry = np.empty(0, dtype=PULSE_DTYPE)
+    carry = None
     with EventWriter(path, header) as writer:
         for k0 in range(0, n_pulses, block_pulses):
             k1 = min(k0 + block_pulses, n_pulses)
@@ -145,17 +146,10 @@ def simulate_to_file(
                 flush_floor = None
             for det in (0, 1):
                 summary.groups_written[det] += int(np.count_nonzero(survivors["detector"] == det))
-            pulses = groups_to_pulses(survivors)
-            buf = np.concatenate([carry, pulses])
-            order = np.argsort(buf["timestamp"].astype(np.int64), kind="stable")
-            buf = buf[order]
-            if flush_floor is None:
-                writer.write_chunk(buf)
-                carry = np.empty(0, dtype=PULSE_DTYPE)
-            else:
-                emit = buf["timestamp"].astype(np.int64) < flush_floor
-                writer.write_chunk(buf[emit])
-                carry = buf[~emit]
+            buf = groups_to_pulses(survivors, carry)
+            n = buf.size if flush_floor is None else int(np.searchsorted(buf["timestamp"], flush_floor))
+            writer.write_chunk(buf[:n])
+            carry = buf[n:].copy()  # drop the reference to the block's buffer
         summary.bytes_written = writer.bytes_written
         summary.records_written = writer.records_written
     summary.qe_lost = tally.n_qe_lost
@@ -180,12 +174,10 @@ def decode_file(
     path,
     geometry,
     calibration,
-    window_ps: float | None = None,
-    sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
 ) -> DecodeResult:
     """Parse a `.dlde` file and reconstruct photon events per detector."""
-    matchers = [HitMatcher(geometry, window_ps, sum_tol_ticks, detector=d) for d in (0, 1)]
+    matchers = [HitMatcher(geometry, detector=d) for d in (0, 1)]
     buffers: list[list[np.ndarray]] = [[], []]
     malformed = [0, 0]
     per_det = [0, 0]

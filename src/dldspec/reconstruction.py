@@ -59,7 +59,6 @@ def default_window_ticks(geometry: AnodeGeometry, sum_tol_ticks: int = DEFAULT_S
 def match_hits(
     pulses: np.ndarray,
     geometry: AnodeGeometry,
-    window_ps: float | None = None,
     sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS,
 ) -> tuple[np.ndarray, int]:
     """Group a single detector's time-sorted pulses into hits.
@@ -81,7 +80,7 @@ def match_hits(
     if np.any(np.diff(ts) < 0):
         raise ValueError("pulses must be time-sorted")
     detector = int(pulses["detector"][0]) if pulses.size else 0
-    matcher = HitMatcher(geometry, window_ps, sum_tol_ticks, detector)
+    matcher = HitMatcher(geometry, sum_tol_ticks, detector)
     return matcher.feed(ts, pulses["channel"], final=True), matcher.orphans
 
 
@@ -134,17 +133,12 @@ class HitMatcher:
     def __init__(
         self,
         geometry: AnodeGeometry,
-        window_ps: float | None = None,
         sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS,
         detector: int = 0,
     ):
         self.geometry = geometry
         self.sum_tol_ticks = sum_tol_ticks
-        self.window_ticks = (
-            default_window_ticks(geometry, sum_tol_ticks)
-            if window_ps is None
-            else int(round(window_ps / geometry.tick_ps))
-        )
+        self.window_ticks = default_window_ticks(geometry, sum_tol_ticks)
         self.detector = detector
         self._carry_ts = np.empty(0, dtype=np.int64)
         self._carry_ch = np.empty(0, dtype=np.uint8)

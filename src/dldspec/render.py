@@ -50,8 +50,8 @@ def _axis_labels(x_label: str, y_label: str) -> list[str]:
 
 
 def svg_histogram(hist: Histogram1D, title: str, x_label: str, y_label: str = "counts",
-                  log: bool = False, values: np.ndarray | None = None) -> str:
-    """Bar chart of a 1D histogram; log=True plots log10(1 + count).
+                  values: np.ndarray | None = None) -> str:
+    """Bar chart of a 1D histogram on a linear scale.
 
     `values` substitutes an arbitrary per-bin array (e.g. a normalized curve)
     on the histogram's axis.
@@ -59,8 +59,6 @@ def svg_histogram(hist: Histogram1D, title: str, x_label: str, y_label: str = "c
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
     counts = (hist.counts if values is None else np.asarray(values)).astype(np.float64)
-    if log:
-        counts = np.log10(1.0 + np.maximum(counts, 0.0))
     top = float(counts.max()) if counts.size and counts.max() > 0 else 1.0
     parts = _header(title)
     parts.append(
@@ -85,24 +83,22 @@ def svg_histogram(hist: Histogram1D, title: str, x_label: str, y_label: str = "c
         x = _ML + frac * plot_w
         parts.append(f'<line x1="{x:.1f}" y1="{_MT + plot_h}" x2="{x:.1f}" y2="{_MT + plot_h + 5}" stroke="black"/>')
         parts.append(f'<text x="{x:.1f}" y="{_MT + plot_h + 18}" text-anchor="middle">{_fmt(float(value))}</text>')
-    label_top = f"log10(1+n), max {_fmt(top)}" if log else f"max {_fmt(top)}"
-    parts.append(f'<text x="{_ML}" y="{_MT - 6}">{label_top}</text>')
+    parts.append(f'<text x="{_ML}" y="{_MT - 6}">max {_fmt(top)}</text>')
     parts.extend(_axis_labels(x_label, y_label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def svg_heatmap(hist: Histogram2D, title: str, x_label: str, y_label: str,
-                log: bool = True, matrix: np.ndarray | None = None) -> str:
-    """Heatmap of a 2D histogram (or a supplied matrix on its axes).
+                matrix: np.ndarray | None = None) -> str:
+    """Log-scale heatmap, log10(1 + n), of a 2D histogram (or a supplied
+    matrix on its axes).
 
     Negative cells (possible after subtraction) are floored to zero for
     display, matching the log-scale plotting convention.
     """
     m = (hist.counts if matrix is None else matrix).astype(np.float64)
-    m = np.maximum(m, 0.0)
-    if log:
-        m = np.log10(1.0 + m)
+    m = np.log10(1.0 + np.maximum(m, 0.0))
     top = float(m.max()) if m.size and m.max() > 0 else 1.0
     side = min(_W - _ML - _MR, _H - _MT - _MB)
     nx, ny = m.shape
@@ -129,8 +125,7 @@ def svg_heatmap(hist: Histogram2D, title: str, x_label: str, y_label: str,
     for frac, value in ((0.0, hist.y_lo), (1.0, hist.y_lo + hist.y_width * ny)):
         y = _MT + side - frac * side
         parts.append(f'<text x="{_ML - 6:.1f}" y="{y:.1f}" text-anchor="end">{_fmt(float(value))}</text>')
-    scale = "log10(1+n)" if log else "linear"
-    parts.append(f'<text x="{_ML + side + 12:.1f}" y="{_MT + 10}">{scale}, max {_fmt(top)}</text>')
+    parts.append(f'<text x="{_ML + side + 12:.1f}" y="{_MT + 10}">log10(1+n), max {_fmt(top)}</text>')
     parts.extend(_axis_labels(x_label, y_label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -98,6 +98,21 @@ def brute_dead_time(detectors, triggers, dead_time_ps, tick_ps=1):
     return kept, discards
 
 
+def brute_serialize(carry_rows, group_rows):
+    """File order of pulses: a sorted carry merged with flattened hit groups.
+
+    `carry_rows` are (detector, channel, timestamp) tuples already in file
+    order; `group_rows` are (detector, t_mcp, t_xa, t_xb, t_ya, t_yb) tuples,
+    each giving channels 0-4 in that order. Pulses are listed by timestamp;
+    equal timestamps keep carry pulses first, then group order, then channel
+    order. Returns (detector, channel, timestamp) tuples.
+    """
+    keyed = [((int(t), 0, i, 0), (int(d), int(c), int(t))) for i, (d, c, t) in enumerate(carry_rows)]
+    for g, (d, *times) in enumerate(group_rows):
+        keyed += [((int(t), 1, g, c), (int(d), c, int(t))) for c, t in enumerate(times)]
+    return [row for _, row in sorted(keyed)]
+
+
 def events_csv_text(events):
     """Events CSV formatted row by row from numpy fields, header included."""
     lines = ["detector,t_ps,x_mm,y_mm,lambda_nm\n"]

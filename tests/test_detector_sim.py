@@ -12,10 +12,11 @@ from dldspec.detector_sim import (
     encode_groups,
     groups_to_pulses,
 )
-from dldspec.event_format import Channel
+from dldspec.event_format import PULSE_DTYPE, Channel
+from dldspec.reconstruction import HIT_GROUP_DTYPE
 from dldspec.source_sim import EventKind, generate_emissions
 
-from _oracles import brute_dead_time, gaussian_fwhm_from_samples, position_from_times
+from _oracles import brute_dead_time, brute_serialize, gaussian_fwhm_from_samples, position_from_times
 from conftest import make_config, pulse_times
 
 
@@ -143,26 +144,72 @@ class TestEncode:
             self._encode_one(41.0, 20.0, 0.0, default_config.geometry)
 
 
-def filter_dead_time(groups, dead_time_ps, tick_ps=1, chunk=3):
-    """DeadTimeFilter output for time-sorted groups, fed whole and in chunks.
+def _hit_groups(rows):
+    return np.array(rows, dtype=HIT_GROUP_DTYPE)
 
-    Both runs must agree exactly and match the all-pairs oracle. Returns
-    (kept groups, per-detector discards).
+
+def _pulse_rows(pulses):
+    return [(int(p["detector"]), int(p["channel"]), int(p["timestamp"])) for p in pulses]
+
+
+class TestSerialize:
+    # (detector, channel, timestamp), already in file order
+    CARRY = [(1, Channel.XB, 100), (0, Channel.MCP, 200), (1, Channel.YA, 230)]
+    GROUPS = [
+        (0, 200, 230, 260, 240, 250),  # MCP ties a carry pulse; XA ties another
+        (1, 200, 210, 290, 260, 270),  # same t_mcp on the other detector
+        (0, 260, 300, 320, 280, 330),  # MCP ties the XB and YA of earlier groups
+    ]
+
+    @pytest.mark.parametrize("with_carry", [False, True])
+    def test_ties_match_oracle(self, with_carry):
+        carry_rows = self.CARRY if with_carry else []
+        carry = np.array(carry_rows, dtype=PULSE_DTYPE) if with_carry else None
+        got = groups_to_pulses(_hit_groups(self.GROUPS), carry)
+        assert _pulse_rows(got) == brute_serialize(carry_rows, self.GROUPS)
+
+    def test_tie_order_by_hand(self):
+        got = _pulse_rows(groups_to_pulses(_hit_groups(self.GROUPS), np.array(self.CARRY, dtype=PULSE_DTYPE)))
+        at = {}
+        for d, c, t in got:
+            at.setdefault(t, []).append((d, c))
+        assert at[200] == [(0, Channel.MCP), (0, Channel.MCP), (1, Channel.MCP)]  # carry, group 0, group 1
+        assert at[230] == [(1, Channel.YA), (0, Channel.XA)]
+        assert at[260] == [(0, Channel.XB), (1, Channel.YA), (0, Channel.MCP)]
+
+    def test_random_groups_match_oracle(self, rng):
+        times = rng.integers(0, 50, size=(40, 5))
+        rows = [(int(rng.integers(0, 2)), *map(int, t)) for t in times]
+        carry_rows = sorted(((int(rng.integers(0, 2)), int(rng.integers(0, 5)), int(t))
+                             for t in rng.integers(0, 50, 30)), key=lambda r: r[2])
+        got = groups_to_pulses(_hit_groups(rows), np.array(carry_rows, dtype=PULSE_DTYPE))
+        assert _pulse_rows(got) == brute_serialize(carry_rows, rows)
+
+
+def filter_dead_time(groups, dead_time_ps, tick_ps=1, chunk=3):
+    """DeadTimeFilter output for time-sorted groups, fed whole, in chunks, and
+    in chunks each shuffled with detector 1 listed first.
+
+    Every run must agree exactly and list the all-pairs oracle's survivors by
+    (t_mcp, detector). Returns (kept groups, per-detector discards).
     """
     whole = DeadTimeFilter(dead_time_ps, tick_ps)
     kept = whole.feed(groups, None)
-    stream = DeadTimeFilter(dead_time_ps, tick_ps)
-    parts = []
-    for lo in range(0, groups.size, chunk):
-        block = groups[lo : lo + chunk]
-        last = lo + chunk >= groups.size
-        parts.append(stream.feed(block, None if last else int(block["t_mcp"][-1])))
-    streamed = np.concatenate([*parts, stream.finish()])
-    assert np.array_equal(streamed, kept)
-    assert stream.discards == whole.discards
+    rng = np.random.default_rng(chunk)
+    for scramble in (False, True):
+        stream = DeadTimeFilter(dead_time_ps, tick_ps)
+        parts = []
+        for lo in range(0, groups.size, chunk):
+            block = groups[lo : lo + chunk]
+            floor = None if lo + chunk >= groups.size else int(block["t_mcp"][-1])
+            if scramble:
+                block = block[np.lexsort((rng.random(block.size), block["detector"] == 0))]
+            parts.append(stream.feed(block, floor))
+        streamed = np.concatenate([*parts, stream.finish()])
+        assert np.array_equal(streamed, kept)
+        assert stream.discards == whole.discards
     keep_idx, discards = brute_dead_time(groups["detector"], groups["t_mcp"], dead_time_ps, tick_ps)
-    order = ("t_mcp", "detector")
-    assert np.array_equal(np.sort(kept, order=order), np.sort(groups[keep_idx], order=order))
+    assert np.array_equal(kept, np.sort(groups[keep_idx], order=("t_mcp", "detector")))
     assert tuple(whole.discards) == discards
     return kept, discards
 
@@ -202,6 +249,24 @@ class TestDeadTime:
         assert kept.size == 1
         assert kept["detector"][0] == 1
         assert discards == (2, 0)
+
+    def test_same_tick_on_both_detectors_lists_detector_0_first(self):
+        a = self._groups([5000.0, 30_000.0], detector=1)
+        b = self._groups([5000.0, 30_000.0], detector=0)
+        merged = np.concatenate([a, b])
+        merged = merged[np.argsort(merged["t_mcp"], kind="stable")]  # detector 1 first on each tick
+        for chunk in (1, 4):
+            kept, discards = filter_dead_time(merged, 10_000.0, chunk=chunk)
+        assert kept["detector"].tolist() == [0, 1, 0, 1] and discards == (0, 0)
+
+    def test_trigger_one_dead_time_below_the_floor_waits(self):
+        # a later trigger may still land on the floor tick itself, exactly
+        # dead_ticks after this one, so the detection is not yet decidable
+        g = self._groups([0.0, 10_000.0])
+        f = DeadTimeFilter(10_000.0)
+        assert f.feed(g[:1], future_floor_ticks=10_000).size == 0
+        assert f.feed(g[1:], None).size == 0
+        assert f.discards == [2, 0]
 
     def test_dead_time_boundary_in_ticks(self):
         # tick 4 ps: 10 ns is 2500 ticks, and a 2500-tick gap still collides

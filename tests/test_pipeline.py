@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from dldspec.detector_sim import DeadTimeFilter, detect, encode_groups, groups_t
 from dldspec.event_format import PULSE_DTYPE, EventFileHeader, FormatError, read_all_pulses, write_events
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
 from dldspec.reconstruction import PHOTON_DTYPE, match_hits, groups_to_events
-from dldspec.source_sim import generate_emissions
+from dldspec.source_sim import generate_emissions, pulse_count
 
 from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram
 from conftest import make_config, pulse_times
@@ -49,6 +50,47 @@ def test_small_block_stream_is_well_formed(tmp_path):
     s = simulate_to_file(cfg, out, block_pulses=500)
     header, arr = read_all_pulses(out)  # validation would raise on disorder
     assert arr.size == s.records_written > 0
+
+
+@pytest.mark.parametrize(
+    "overrides, block_pulses, digest",
+    [
+        # 92 blocks; 5 MCP pulses share a tick with a pulse of the other detector
+        ({"seed": 23, "duration_ps": 6e8}, 500,
+         "1db69f93021165d506886d02d998af774166f8f1f836c2fe6c3d08811e989cd4"),
+        # high occupancy: 53 cross-detector MCP ties
+        ({"seed": 7, "duration_ps": 1e9, "pair_rate_per_pulse": 0.5,
+          "pump_scatter_rate_per_pulse": 0.5, "qe": 0.4}, 2000,
+         "5a480f39d290458c87a9cbcd2661557b7d4e317e4aa1e2974249e61a87568c16"),
+        ({}, pipeline.SIM_BLOCK_PULSES,
+         "e71fcf9ccf1f4154318e9eb8ec8118500e2ebc0506dbc40283eaab87a759dff8"),
+    ],
+    ids=["seed23-blocks500", "dense-seed7-blocks2000", "default-seed1"],
+)
+def test_simulated_file_bytes_are_pinned(tmp_path, overrides, block_pulses, digest):
+    """The `.dlde` bytes for a seed are part of the behaviour contract: any
+    change to the random stream, the dead-time rule or the order of equal
+    timestamps in the file shows up here."""
+    out = tmp_path / "pinned.dlde"
+    simulate_to_file(make_config(**overrides), out, block_pulses=block_pulses)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_simulation_sorts_four_times_per_block(tmp_path, monkeypatch):
+    """One sort per ordering decision: emission order, detection time order,
+    group order after dead time and file order."""
+    calls = []
+    for name in ("argsort", "lexsort"):
+        def counting(*args, _original=getattr(np, name), **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    cfg = make_config(seed=23, duration_ps=6e8)
+    simulate_to_file(cfg, tmp_path / "s.dlde", block_pulses=500)
+    blocks = math.ceil(pulse_count(cfg.simulation) / 500)
+    assert blocks == 92
+    assert len(calls) == 4 * blocks
 
 
 def test_full_loop_fidelity_no_noise(tmp_path):
