@@ -73,6 +73,6 @@ from .reconstruction import (
     reconstruct_position,
     wavelength_to_position,
 )
-from .source_sim import EventKind, generate_emissions, pulse_count, sample_background, sample_pairs
+from .source_sim import Columns, EventKind, generate_emissions, pulse_count, sample_background, sample_pairs
 
 __version__ = "0.1.0"

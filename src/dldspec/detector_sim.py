@@ -6,9 +6,10 @@ The chain per emission event is
     -> split into MCP + four delay-line pulses -> quantise timestamps
     -> discard multi-hit collisions within the dead time.
 
-The five pulses of one detection are kept together as a HIT_GROUP_DTYPE row
-until serialization; the analysis side has to undo that bundling from
-timestamps alone. The anode encoding is exact by construction: before
+Detections are `Columns`, one plain array per field, from `detect` to
+`encode_groups`. From there the five pulses of one detection are kept
+together as a HIT_GROUP_DTYPE row until serialization; the analysis side has
+to undo that bundling from timestamps alone. The anode encoding is exact by construction: before
 quantisation, (t_xa - t0) + (t_xb - t0) equals the full propagation time and
 the time difference t_xa - t_xb inverts to the landing position.
 """
@@ -18,26 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured
 
 from .config import AnodeGeometry, SimConfig, fwhm_to_sigma
 from .event_format import Channel, PULSE_DTYPE
 from .reconstruction import HIT_GROUP_DTYPE, wavelength_to_position
-from .source_sim import EventKind
+from .source_sim import Columns, EventKind
 
 # Gaussian jitter is clipped here so that a detection time can be bounded by
 # its emission time; the clipped mass is ~2e-9 of draws.
 JITTER_CLIP_SIGMAS = 6.0
 
-DETECTION_DTYPE = np.dtype(
-    [
-        ("path", "u1"),
-        ("kind", "u1"),
-        ("time_ps", "<f8"),
-        ("x_mm", "<f8"),
-        ("y_mm", "<f8"),
-        ("wavelength_nm", "<f8"),
-    ]
-)
+# a group's five timestamps in pulse order, and the channel of each
+_GROUP_TIMES = ["t_mcp", "t_xa", "t_xb", "t_ya", "t_yb"]
+_GROUP_CHANNELS = (Channel.MCP, Channel.XA, Channel.XB, Channel.YA, Channel.YB)
+_GROUP_BYTES = np.dtype((np.void, HIT_GROUP_DTYPE.itemsize))
 
 
 @dataclass
@@ -53,9 +49,9 @@ class DetectTally:
 
 
 def detect(
-    events: np.ndarray, config: SimConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, DetectTally]:
-    """Turn emissions into anode landings.
+    events: Columns, config: SimConfig, rng: np.random.Generator
+) -> tuple[Columns, DetectTally]:
+    """Turn emissions into anode landings, sorted by detection time.
 
     Each event survives with probability qe. The detection time is the emission
     time plus Gaussian trigger jitter (FWHM jitter_fwhm_ps). The x coordinate
@@ -63,41 +59,50 @@ def detect(
     x. y is uniform over the anode height. Events whose wavelength images
     outside the anode fall off the sensor and are dropped (counted), as are
     detections jittered to negative times at the run start.
+
+    The result has columns path, kind, time_ps, x_mm, y_mm and wavelength_nm
+    (the emitted one). Only the survivors' emission columns are gathered.
     """
     tally = DetectTally()
     geometry = config.geometry
-    survive = rng.random(events.size) < config.qe
-    tally.n_qe_lost = int(events.size - np.count_nonzero(survive))
-    ev = events[survive]
+    survive = np.flatnonzero(rng.random(events.size) < config.qe)
+    n = survive.size
+    tally.n_qe_lost = events.size - n
     sigma = fwhm_to_sigma(config.jitter_fwhm_ps)
     if sigma > 0:
-        jitter = rng.normal(0.0, sigma, ev.size)
+        jitter = rng.normal(0.0, sigma, n)
         np.clip(jitter, -JITTER_CLIP_SIGMAS * sigma, JITTER_CLIP_SIGMAS * sigma, out=jitter)
     else:
-        jitter = np.zeros(ev.size)
-    t = ev["time_ps"] + jitter
-    dark_x = rng.random(ev.size) * geometry.size_x_mm
-    y = rng.random(ev.size) * geometry.size_y_mm
-    is_dark = ev["kind"] == EventKind.DARK
-    x = np.where(is_dark, dark_x, wavelength_to_position(ev["wavelength_nm"], config.calibration))
+        jitter = np.zeros(n)
+    t = events["time_ps"].take(survive) + jitter
+    dark_x = rng.random(n) * geometry.size_x_mm
+    y = rng.random(n) * geometry.size_y_mm
+    is_dark = events["kind"].take(survive) == EventKind.DARK
+    wavelength = events["wavelength_nm"].take(survive)
+    x = np.where(is_dark, dark_x, wavelength_to_position(wavelength, config.calibration))
     on_sensor = (x >= 0.0) & (x <= geometry.size_x_mm)
     on_sensor |= is_dark  # dark positions are uniform on-sensor by construction
-    tally.n_off_sensor = int(ev.size - np.count_nonzero(on_sensor))
+    tally.n_off_sensor = int(n - np.count_nonzero(on_sensor))
     keep = on_sensor & (t >= 0.0)
     tally.n_negative_time = int(np.count_nonzero(on_sensor & (t < 0.0)))
-    out = np.empty(int(np.count_nonzero(keep)), dtype=DETECTION_DTYPE)
-    out["path"] = ev["path"][keep]
-    out["kind"] = ev["kind"][keep]
-    out["time_ps"] = t[keep]
-    out["x_mm"] = x[keep]
-    out["y_mm"] = y[keep]
-    out["wavelength_nm"] = ev["wavelength_nm"][keep]
-    order = np.argsort(out["time_ps"], kind="stable")
-    return out[order], tally
+    kept = np.flatnonzero(keep)
+    time_ps = t.take(kept)
+    order = np.argsort(time_ps, kind="stable")
+    rows = kept.take(order)  # survivor index of each detection, in time order
+    source = survive.take(rows)  # emission index of each detection
+    detections = Columns({
+        "path": events["path"].take(source),
+        "kind": events["kind"].take(source),
+        "time_ps": time_ps.take(order),
+        "x_mm": x.take(rows),
+        "y_mm": y.take(rows),
+        "wavelength_nm": wavelength.take(rows),
+    })
+    return detections, tally
 
 
-def encode_groups(detections: np.ndarray, geometry: AnodeGeometry) -> np.ndarray:
-    """Vectorised anode encoding of detections into 5-timestamp groups (ticks)."""
+def encode_groups(detections: Columns, geometry: AnodeGeometry) -> np.ndarray:
+    """Vectorised anode encoding of detection columns into 5-timestamp groups (ticks)."""
     x = detections["x_mm"]
     y = detections["y_mm"]
     if np.any((x < 0) | (x > geometry.size_x_mm) | (y < 0) | (y > geometry.size_y_mm)):
@@ -105,13 +110,13 @@ def encode_groups(detections: np.ndarray, geometry: AnodeGeometry) -> np.ndarray
     v = geometry.signal_speed_mm_per_ps
     tick = geometry.tick_ps
     t = detections["time_ps"]
-    out = np.empty(detections.size, dtype=HIT_GROUP_DTYPE)
+    out = np.empty(t.size, dtype=HIT_GROUP_DTYPE)  # the field stores cast the rounded ticks to int64
     out["detector"] = detections["path"]
-    out["t_mcp"] = np.rint(t / tick).astype(np.int64)
-    out["t_xa"] = np.rint((t + x / v) / tick).astype(np.int64)
-    out["t_xb"] = np.rint((t + (geometry.size_x_mm - x) / v) / tick).astype(np.int64)
-    out["t_ya"] = np.rint((t + y / v) / tick).astype(np.int64)
-    out["t_yb"] = np.rint((t + (geometry.size_y_mm - y) / v) / tick).astype(np.int64)
+    out["t_mcp"] = np.rint(t / tick)
+    out["t_xa"] = np.rint((t + x / v) / tick)
+    out["t_xb"] = np.rint((t + (geometry.size_x_mm - x) / v) / tick)
+    out["t_ya"] = np.rint((t + y / v) / tick)
+    out["t_yb"] = np.rint((t + (geometry.size_y_mm - y) / v) / tick)
     return out
 
 
@@ -149,9 +154,10 @@ class DeadTimeFilter:
         self.discards = [0, 0]
 
     def feed(self, groups: np.ndarray, future_floor_ticks: int | None) -> np.ndarray:
-        buf = np.concatenate([self._pending, groups])
-        # take/compress: indexing packed records with an index array or mask
-        # is several times slower than these whole-record copies
+        # whole-record copies: joining packed records through a void view, and
+        # take/compress, are several times faster than the field-by-field
+        # copies of a plain concatenate or of indexing with an array or mask
+        buf = np.concatenate([self._pending.view(_GROUP_BYTES), groups.view(_GROUP_BYTES)]).view(HIT_GROUP_DTYPE)
         buf = buf.take(np.lexsort((buf["detector"], buf["t_mcp"])))
         t = buf["t_mcp"]
         if future_floor_ticks is None:
@@ -191,15 +197,26 @@ def groups_to_pulses(groups: np.ndarray, carry: np.ndarray | None = None) -> np.
     `carry` is an already timestamp-sorted pulse array that is merged in
     ahead of the groups. The single sort is stable, so equal timestamps keep
     the order carry first, then group order with the MCP pulse first;
-    serialization is deterministic.
+    serialization is deterministic. Timestamp, detector and channel are
+    filled as contiguous columns, sorted by timestamp, and packed once.
     """
     m = 0 if carry is None else carry.size
-    out = np.empty(m + 5 * groups.size, dtype=PULSE_DTYPE)
+    n = m + 5 * groups.size
+    timestamp = np.empty(n, dtype=np.uint64)
+    detector = np.empty(n, dtype=np.uint8)
+    channel = np.empty(n, dtype=np.uint8)
     if m:
-        out[:m] = carry
-    rows = out[m:].reshape(groups.size, 5)
-    rows["detector"] = groups["detector"][:, None]
-    rows["channel"] = [Channel.MCP, Channel.XA, Channel.XB, Channel.YA, Channel.YB]
-    for k, name in enumerate(("t_mcp", "t_xa", "t_xb", "t_ya", "t_yb")):
-        rows["timestamp"][:, k] = groups[name]
-    return out.take(np.argsort(out["timestamp"], kind="stable"))
+        timestamp[:m] = carry["timestamp"]
+        detector[:m] = carry["detector"]
+        channel[:m] = carry["channel"]
+    timestamp[m:].reshape(-1, 5)[...] = structured_to_unstructured(groups[_GROUP_TIMES], copy=False)
+    detector[m:] = np.repeat(groups["detector"], 5)
+    for k, ch in enumerate(_GROUP_CHANNELS):
+        channel[m + k :: 5] = ch
+    order = np.argsort(timestamp, kind="stable")
+    timestamp = timestamp.take(order)  # gathered before `out` exists: a lower peak
+    out = np.empty(n, dtype=PULSE_DTYPE)
+    out["timestamp"] = timestamp
+    out["detector"] = detector.take(order)
+    out["channel"] = channel.take(order)
+    return out

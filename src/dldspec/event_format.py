@@ -212,16 +212,16 @@ class EventWriter:
             raise ValueError("write_chunk takes a PULSE_DTYPE array")
         if pulses.size == 0:
             return
-        ts = pulses["timestamp"].astype(np.int64, copy=False)
-        if np.any(ts < 0):
+        ts = pulses["timestamp"]  # checked in place: no int64 or difference copies
+        if np.any(ts >= 2**63):
             raise ValueError("timestamp out of range (>= 2**63 ticks)")
-        if np.any(np.diff(ts) < 0) or (self._any and int(ts[0]) < self._last_ts):
+        if np.any(ts[1:] < ts[:-1]) or (self._any and int(ts[0]) < self._last_ts):
             raise ValueError("pulses must be sorted by timestamp before serialization")
         if np.any(pulses["channel"] > int(Channel.YB)):
             raise ValueError("channel out of range")
         if np.any(pulses["detector"] >= self.header.detector_count):
             raise ValueError("detector out of range")
-        self._f.write(pulses.tobytes())
+        self._f.write(np.ascontiguousarray(pulses).data)
         self._last_ts = int(ts[-1])
         self._any = True
         self.bytes_written += pulses.size * RECORD_SIZE

@@ -8,6 +8,10 @@ of the identity of the sampled random stream for a given seed. Each block
 sorts once per ordering decision: emission order (which fixes the random
 draws), detection time, surviving groups after dead time, and file order,
 where the writer's carry is merged into the block's pulses by the same sort.
+Emissions and detections travel through a block as `Columns`, one plain
+array per field; the emitted counts of the summary are the sizes the
+samplers drew. Groups are HIT_GROUP_DTYPE rows, and pulses are packed into
+PULSE_DTYPE records once, for the writer.
 
 Decoding streams the file in fixed-size record chunks through one
 `HitMatcher` per detector, so memory is bounded by the chunk size plus the
@@ -129,14 +133,18 @@ def simulate_to_file(
             times = np.arange(k0, k1, dtype=np.float64) * period
             t_hi = k1 * period if k1 < n_pulses else sim.duration_ps
             emissions = generate_emissions(sim, times, rng, (k0 * period, t_hi))
-            summary.emitted_pairs += int(np.count_nonzero(emissions["kind"] == EventKind.HEP))
-            summary.emitted_pump += int(np.count_nonzero(emissions["kind"] == EventKind.PUMP))
-            summary.emitted_dark += int(np.count_nonzero(emissions["kind"] == EventKind.DARK))
+            summary.emitted_pairs += emissions.drawn[EventKind.HEP]
+            summary.emitted_pump += emissions.drawn[EventKind.PUMP]
+            summary.emitted_dark += emissions.drawn[EventKind.DARK]
             detections, dtally = detect(emissions, sim, rng)
+            # each stage's input is dropped once used, so it is not live under
+            # the next stages' temporaries, which set the peak memory
+            del times, emissions
             tally.add(dtally)
             for det in (0, 1):
                 summary.detections[det] += int(np.count_nonzero(detections["path"] == det))
             groups = encode_groups(detections, geometry)
+            del detections
             if k1 < n_pulses:
                 future_floor = int(math.floor((k1 * period - jitter_reach) / geometry.tick_ps)) - 1
                 survivors = dead_filter.feed(groups, future_floor)
@@ -144,9 +152,11 @@ def simulate_to_file(
             else:
                 survivors = dead_filter.feed(groups, future_floor_ticks=None)
                 flush_floor = None
+            del groups
             for det in (0, 1):
                 summary.groups_written[det] += int(np.count_nonzero(survivors["detector"] == det))
             buf = groups_to_pulses(survivors, carry)
+            del survivors
             n = buf.size if flush_floor is None else int(np.searchsorted(buf["timestamp"], flush_floor))
             writer.write_chunk(buf[:n])
             carry = buf[n:].copy()  # drop the reference to the block's buffer

@@ -1,8 +1,8 @@
 """Ground-truth emission streams: pulse count, photon pairs, scatter and darks.
 
-Everything here is pre-detector physics. Each emitted photon is a row of an
-EMISSION_DTYPE array: emission time, which collection path it entered (0 or 1,
-one path per detector arm), what produced it, and its wavelength. Pair photons
+Everything here is pre-detector physics. Emitted photons are `Columns`, one
+row per photon: emission time, which collection path it entered (0 or 1, one
+path per detector arm), what produced it, and its wavelength. Pair photons
 are energy anti-correlated around the two polariton lines; the high-energy
 member is routed to a uniformly random path and its partner to the other, so
 both orderings occur with equal weight.
@@ -17,21 +17,32 @@ import numpy as np
 
 from .config import SimConfig, fwhm_to_sigma
 
-EMISSION_DTYPE = np.dtype(
-    [
-        ("time_ps", "<f8"),
-        ("path", "u1"),
-        ("kind", "u1"),
-        ("wavelength_nm", "<f8"),
-    ]
-)
-
 
 class EventKind(enum.IntEnum):
     HEP = 0  # high-energy pair member
     LEP = 1  # low-energy pair member
     PUMP = 2  # scattered excitation light
     DARK = 3  # photocathode dark count, no wavelength
+
+
+class Columns(dict):
+    """Equal-length 1-D arrays by name, one row per photon.
+
+    Emissions (`time_ps`, `path`, `kind`, `wavelength_nm`) and detections
+    pass between the simulate stages as these rather than as packed records:
+    gathering or joining a plain column is one contiguous copy, a packed
+    record is copied field by field. `size` is the row count. `drawn` maps
+    each EventKind a sampler drew to its row count; it is empty for derived
+    columns.
+    """
+
+    def __init__(self, columns, drawn: dict[EventKind, int] | None = None):
+        super().__init__(columns)
+        self.drawn = drawn or {}
+
+    @property
+    def size(self) -> int:
+        return len(next(iter(self.values()), ()))
 
 
 def pulse_count(config: SimConfig) -> int:
@@ -43,7 +54,7 @@ def pulse_count(config: SimConfig) -> int:
     return n
 
 
-def sample_pairs(config: SimConfig, pulse_times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_pairs(config: SimConfig, pulse_times: np.ndarray, rng: np.random.Generator) -> Columns:
     """Draw photon pairs, one Bernoulli trial per pulse.
 
     A pair detuned by delta carries wavelengths (hep + delta, lep - delta * r^2)
@@ -54,24 +65,29 @@ def sample_pairs(config: SimConfig, pulse_times: np.ndarray, rng: np.random.Gene
     """
     _check_sorted(pulse_times)
     emitted = rng.random(pulse_times.size) < config.pair_rate_per_pulse
-    m = int(np.count_nonzero(emitted))
-    out = np.empty(2 * m, dtype=EMISSION_DTYPE)
-    if m == 0:
-        return out
-    sigma = fwhm_to_sigma(config.detuning_fwhm_nm)
-    delta = rng.normal(0.0, sigma, m) if sigma > 0 else np.zeros(m)
-    hep_path = rng.integers(0, 2, m).astype(np.uint8)
-    ratio_sq = (config.lambda_lep_nm / config.lambda_hep_nm) ** 2
-    t = pulse_times[emitted]
-    out["time_ps"][0::2] = t
-    out["time_ps"][1::2] = t
-    out["kind"][0::2] = EventKind.HEP
-    out["kind"][1::2] = EventKind.LEP
-    out["path"][0::2] = hep_path
-    out["path"][1::2] = 1 - hep_path
-    out["wavelength_nm"][0::2] = config.lambda_hep_nm + delta
-    out["wavelength_nm"][1::2] = config.lambda_lep_nm - delta * ratio_sq
-    return out
+    t = pulse_times.take(np.flatnonzero(emitted))
+    m = t.size
+    time_ps = np.empty(2 * m)
+    path = np.empty(2 * m, dtype=np.uint8)
+    kind = np.empty(2 * m, dtype=np.uint8)
+    wavelength = np.empty(2 * m)
+    if m:
+        sigma = fwhm_to_sigma(config.detuning_fwhm_nm)
+        delta = rng.normal(0.0, sigma, m) if sigma > 0 else np.zeros(m)
+        hep_path = rng.integers(0, 2, m).astype(np.uint8)
+        ratio_sq = (config.lambda_lep_nm / config.lambda_hep_nm) ** 2
+        time_ps[0::2] = t
+        time_ps[1::2] = t
+        path[0::2] = hep_path
+        path[1::2] = 1 - hep_path
+        kind[0::2] = EventKind.HEP
+        kind[1::2] = EventKind.LEP
+        wavelength[0::2] = config.lambda_hep_nm + delta
+        wavelength[1::2] = config.lambda_lep_nm - delta * ratio_sq
+    return Columns(
+        {"time_ps": time_ps, "path": path, "kind": kind, "wavelength_nm": wavelength},
+        drawn={EventKind.HEP: m, EventKind.LEP: m},
+    )
 
 
 def sample_background(
@@ -79,40 +95,42 @@ def sample_background(
     pulse_times: np.ndarray,
     rng: np.random.Generator,
     time_range_ps: tuple[float, float] | None = None,
-) -> np.ndarray:
+) -> Columns:
     """Draw pump-scatter and dark-count events.
 
     Pump scatter is pulse-locked: per pulse and per path one Bernoulli trial at
     the pump line (Gaussian width line_fwhm_nm). Darks are a homogeneous
     Poisson process per detector path, uniform over time_range_ps (defaults to
     [0, duration)), with NaN wavelength: a dark count carries no spectral
-    information until the anode assigns it a position.
+    information until the anode assigns it a position. Rows come out as pump
+    path 0, pump path 1, dark path 0, dark path 1.
     """
     _check_sorted(pulse_times)
     lo, hi = time_range_ps if time_range_ps is not None else (0.0, config.duration_ps)
-    parts = []
+    times, wavelengths = [], []
     sigma = fwhm_to_sigma(config.line_fwhm_nm)
-    for path in (0, 1):
+    for _path in (0, 1):
         hit = rng.random(pulse_times.size) < config.pump_scatter_rate_per_pulse
-        k = int(np.count_nonzero(hit))
-        ev = np.empty(k, dtype=EMISSION_DTYPE)
-        ev["time_ps"] = pulse_times[hit]
-        ev["path"] = path
-        ev["kind"] = EventKind.PUMP
-        ev["wavelength_nm"] = (
-            rng.normal(config.lambda_pump_nm, sigma, k) if sigma > 0 else config.lambda_pump_nm
+        t = pulse_times.take(np.flatnonzero(hit))
+        times.append(t)
+        wavelengths.append(
+            rng.normal(config.lambda_pump_nm, sigma, t.size) if sigma > 0 else np.full(t.size, config.lambda_pump_nm)
         )
-        parts.append(ev)
     span_s = max(hi - lo, 0.0) * 1e-12
-    for path in (0, 1):
+    for _path in (0, 1):
         n_dark = int(rng.poisson(config.dark_rate_hz * span_s)) if config.dark_rate_hz > 0 else 0
-        ev = np.empty(n_dark, dtype=EMISSION_DTYPE)
-        ev["time_ps"] = rng.uniform(lo, hi, n_dark)
-        ev["path"] = path
-        ev["kind"] = EventKind.DARK
-        ev["wavelength_nm"] = np.nan
-        parts.append(ev)
-    return np.concatenate(parts) if parts else np.empty(0, dtype=EMISSION_DTYPE)
+        times.append(rng.uniform(lo, hi, n_dark))
+        wavelengths.append(np.full(n_dark, np.nan))
+    sizes = [t.size for t in times]
+    return Columns(
+        {
+            "time_ps": np.concatenate(times),
+            "path": np.repeat(np.array([0, 1, 0, 1], dtype=np.uint8), sizes),
+            "kind": np.repeat(np.array([EventKind.PUMP] * 2 + [EventKind.DARK] * 2, dtype=np.uint8), sizes),
+            "wavelength_nm": np.concatenate(wavelengths),
+        },
+        drawn={EventKind.PUMP: sizes[0] + sizes[1], EventKind.DARK: sizes[2] + sizes[3]},
+    )
 
 
 def generate_emissions(
@@ -120,15 +138,15 @@ def generate_emissions(
     pulse_times: np.ndarray,
     rng: np.random.Generator,
     time_range_ps: tuple[float, float] | None = None,
-) -> np.ndarray:
+) -> Columns:
     """Pairs plus background, merged and stably time-sorted."""
     pairs = sample_pairs(config, pulse_times, rng)
     background = sample_background(config, pulse_times, rng, time_range_ps)
-    events = np.concatenate([pairs, background])
-    order = np.argsort(events["time_ps"], kind="stable")
-    return events[order]
+    merged = {name: np.concatenate([pairs[name], background[name]]) for name in pairs}
+    order = np.argsort(merged["time_ps"], kind="stable")
+    return Columns({name: column.take(order) for name, column in merged.items()}, pairs.drawn | background.drawn)
 
 
 def _check_sorted(pulse_times: np.ndarray) -> None:
-    if pulse_times.size > 1 and np.any(np.diff(pulse_times) < 0):
+    if pulse_times.size > 1 and np.any(pulse_times[1:] < pulse_times[:-1]):
         raise ValueError("pulse_times must be sorted")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dldspec.config import RunConfig, SimConfig, run_config_from_dict
-from dldspec.source_sim import pulse_count
+from dldspec.source_sim import Columns, EventKind, pulse_count
 
 
 @pytest.fixture
@@ -38,3 +38,16 @@ def make_config(**sim_overrides) -> RunConfig:
 def pulse_times(sim: SimConfig) -> np.ndarray:
     """The laser pulse times of a run: k * period for k < pulse_count(sim)."""
     return np.arange(pulse_count(sim)) * sim.pulse_period_ps
+
+
+def detection_rows(rows) -> Columns:
+    """Detection columns from (path, time_ps, x_mm, y_mm) rows: pump photons at 389.2 nm."""
+    path, time_ps, x_mm, y_mm = zip(*rows)
+    return Columns({
+        "path": np.array(path, dtype=np.uint8),
+        "kind": np.full(len(rows), EventKind.PUMP, dtype=np.uint8),
+        "time_ps": np.array(time_ps, dtype=np.float64),
+        "x_mm": np.array(x_mm, dtype=np.float64),
+        "y_mm": np.array(y_mm, dtype=np.float64),
+        "wavelength_nm": np.full(len(rows), 389.2),
+    })

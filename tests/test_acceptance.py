@@ -24,7 +24,7 @@ from dldspec.correlation import (
     signal_region_mask,
     subtract_accidental,
 )
-from dldspec.detector_sim import DETECTION_DTYPE, encode_groups
+from dldspec.detector_sim import encode_groups
 from dldspec.event_format import (
     BadMagicError,
     ChannelRangeError,
@@ -37,7 +37,7 @@ from dldspec.event_format import (
 )
 from dldspec.pipeline import analyze_file, decode_file, simulate_to_file
 from dldspec.reconstruction import reconstruct_position
-from dldspec.source_sim import EventKind
+from dldspec.source_sim import Columns, EventKind
 
 from _oracles import brute_coincidences, brute_delay_histogram
 
@@ -81,12 +81,14 @@ def test_criterion_1_round_trip_fidelity(default_config):
     geometry = default_config.geometry
     rng = np.random.default_rng(2024)
     n = 10_000
-    det = np.zeros(n, dtype=DETECTION_DTYPE)
-    det["path"] = 0
-    det["kind"] = EventKind.PUMP
-    det["time_ps"] = np.sort(rng.uniform(0.0, 1e9, n))
-    det["x_mm"] = rng.uniform(0.0, geometry.size_x_mm, n)
-    det["y_mm"] = rng.uniform(0.0, geometry.size_y_mm, n)
+    det = Columns({
+        "path": np.zeros(n, dtype=np.uint8),
+        "kind": np.full(n, EventKind.PUMP, dtype=np.uint8),
+        "time_ps": np.sort(rng.uniform(0.0, 1e9, n)),
+        "x_mm": rng.uniform(0.0, geometry.size_x_mm, n),
+        "y_mm": rng.uniform(0.0, geometry.size_y_mm, n),
+        "wavelength_nm": np.zeros(n),
+    })
     t0 = time.perf_counter()
     hits = encode_groups(det, geometry)
     x, y = reconstruct_position(hits, geometry)

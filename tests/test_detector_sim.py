@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dldspec.detector_sim import (
-    DETECTION_DTYPE,
     DeadTimeFilter,
     detect,
     encode_groups,
@@ -14,28 +13,19 @@ from dldspec.detector_sim import (
 )
 from dldspec.event_format import PULSE_DTYPE, Channel
 from dldspec.reconstruction import HIT_GROUP_DTYPE
-from dldspec.source_sim import EventKind, generate_emissions
+from dldspec.source_sim import Columns, EventKind, generate_emissions
 
 from _oracles import brute_dead_time, brute_serialize, gaussian_fwhm_from_samples, position_from_times
-from conftest import make_config, pulse_times
+from conftest import detection_rows as _detections, make_config, pulse_times
 
 
 def _emissions(n, wavelength=389.2, kind=EventKind.PUMP):
-    from dldspec.source_sim import EMISSION_DTYPE
-
-    ev = np.zeros(n, dtype=EMISSION_DTYPE)
-    ev["time_ps"] = np.arange(n, dtype=np.float64) * 13157.9 + 1000.0
-    ev["path"] = np.arange(n) % 2
-    ev["kind"] = kind
-    ev["wavelength_nm"] = wavelength
-    return ev
-
-
-def _detections(rows):
-    det = np.zeros(len(rows), dtype=DETECTION_DTYPE)
-    for i, (path, t, x, y) in enumerate(rows):
-        det[i] = (path, EventKind.PUMP, t, x, y, 389.2)
-    return det
+    return Columns({
+        "time_ps": np.arange(n, dtype=np.float64) * 13157.9 + 1000.0,
+        "path": (np.arange(n) % 2).astype(np.uint8),
+        "kind": np.full(n, kind, dtype=np.uint8),
+        "wavelength_nm": np.full(n, wavelength, dtype=np.float64),
+    })
 
 
 class TestDetect:
@@ -77,7 +67,7 @@ class TestDetect:
     def test_dark_events_land_uniformly(self, rng):
         cfg = make_config(qe=1.0, jitter_fwhm_ps=0.0).simulation
         ev = _emissions(20_000, kind=EventKind.DARK)
-        ev["wavelength_nm"] = np.nan
+        ev["wavelength_nm"][:] = np.nan
         out, tally = detect(ev, cfg, rng)
         assert tally.n_off_sensor == 0
         assert out.size == 20_000
@@ -119,11 +109,9 @@ class TestEncode:
 
     def test_timing_sum_conservation(self, default_config, rng):
         g = default_config.geometry
-        det = _detections(
-            [(0, float(t), float(x), float(y))
-             for t, x, y in zip(rng.uniform(0, 1e6, 2000), rng.uniform(0, 40, 2000), rng.uniform(0, 40, 2000))]
-        )
-        det = det[np.argsort(det["time_ps"], kind="stable")]
+        rows = [(0, float(t), float(x), float(y))
+                for t, x, y in zip(rng.uniform(0, 1e6, 2000), rng.uniform(0, 40, 2000), rng.uniform(0, 40, 2000))]
+        det = _detections(sorted(rows, key=lambda row: row[1]))  # stable, as detect's time sort
         groups = encode_groups(det, g)
         sum_x = groups["t_xa"] + groups["t_xb"] - 2 * groups["t_mcp"]
         sum_y = groups["t_ya"] + groups["t_yb"] - 2 * groups["t_mcp"]

@@ -12,7 +12,7 @@ from dldspec.detector_sim import DeadTimeFilter, detect, encode_groups, groups_t
 from dldspec.event_format import PULSE_DTYPE, EventFileHeader, FormatError, read_all_pulses, write_events
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
 from dldspec.reconstruction import PHOTON_DTYPE, match_hits, groups_to_events
-from dldspec.source_sim import generate_emissions, pulse_count
+from dldspec.source_sim import EventKind, generate_emissions, pulse_count
 
 from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram
 from conftest import make_config, pulse_times
@@ -64,8 +64,17 @@ def test_small_block_stream_is_well_formed(tmp_path):
          "5a480f39d290458c87a9cbcd2661557b7d4e317e4aa1e2974249e61a87568c16"),
         ({}, pipeline.SIM_BLOCK_PULSES,
          "e71fcf9ccf1f4154318e9eb8ec8118500e2ebc0506dbc40283eaab87a759dff8"),
+        # zero line widths, zero jitter and zero dead time
+        ({"seed": 5, "duration_ps": 1e9, "line_fwhm_nm": 0.0, "detuning_fwhm_nm": 0.0,
+          "jitter_fwhm_ps": 0.0, "dead_time_ps": 0.0}, 5000,
+         "898379fbcfa44153d4609e78b55c913d89a7e403a657bd44dc64631ca9e2c9d4"),
+        # darks only: empty pair and pump columns in every block
+        ({"seed": 11, "duration_ps": 1e9, "pair_rate_per_pulse": 0.0, "pump_scatter_rate_per_pulse": 0.0,
+          "dark_rate_hz": 5e6, "qe": 1.0}, 5000,
+         "3acc511cdcde0d7d07128692c37eae9ddbd8b05fa99c18386a8f37d9e6919d79"),
     ],
-    ids=["seed23-blocks500", "dense-seed7-blocks2000", "default-seed1"],
+    ids=["seed23-blocks500", "dense-seed7-blocks2000", "default-seed1", "zero-widths-seed5-blocks5000",
+         "darks-only-seed11-blocks5000"],
 )
 def test_simulated_file_bytes_are_pinned(tmp_path, overrides, block_pulses, digest):
     """The `.dlde` bytes for a seed are part of the behaviour contract: any
@@ -91,6 +100,27 @@ def test_simulation_sorts_four_times_per_block(tmp_path, monkeypatch):
     blocks = math.ceil(pulse_count(cfg.simulation) / 500)
     assert blocks == 92
     assert len(calls) == 4 * blocks
+
+
+def test_emitted_counts_are_the_drawn_sizes(tmp_path, monkeypatch):
+    """The summary's emitted counts, taken from the sampled sizes, equal the
+    HEP, PUMP and DARK rows of the emissions of every block."""
+    real = pipeline.generate_emissions
+    kinds = []
+
+    def capture(*args, **kwargs):
+        emissions = real(*args, **kwargs)
+        kinds.append(emissions["kind"].copy())
+        return emissions
+
+    monkeypatch.setattr(pipeline, "generate_emissions", capture)
+    cfg = make_config(seed=23, duration_ps=6e8, dark_rate_hz=1e6)
+    s = simulate_to_file(cfg, tmp_path / "s.dlde", block_pulses=500)
+    assert len(kinds) == math.ceil(pulse_count(cfg.simulation) / 500) > 1
+    kind = np.concatenate(kinds)
+    assert s.emitted_pairs == np.count_nonzero(kind == EventKind.HEP) > 0
+    assert s.emitted_pump == np.count_nonzero(kind == EventKind.PUMP) > 0
+    assert s.emitted_dark == np.count_nonzero(kind == EventKind.DARK) > 0
 
 
 def test_full_loop_fidelity_no_noise(tmp_path):
@@ -125,16 +155,16 @@ def test_full_loop_fidelity_no_noise(tmp_path):
     keep_mask = np.isin(groups["t_mcp"], kept["t_mcp"])
     bound = sim.calibration.dispersion_nm_per_mm * sim.geometry.signal_speed_mm_per_ps * sim.geometry.tick_ps / 2
     for det in (0, 1):
-        truth = detections[(detections["path"] == det) & keep_mask]
+        truth = (detections["path"] == det) & keep_mask
         pulses = groups_to_pulses(kept[kept["detector"] == det])
         hits, orphans = match_hits(pulses, sim.geometry)
         assert orphans == 0
-        assert hits.size == truth.size  # exactly one group per surviving detection
+        assert hits.size == np.count_nonzero(truth)  # exactly one group per surviving detection
         events, bad = groups_to_events(hits, sim.geometry, sim.calibration)
         assert bad == 0
-        lam_err = np.abs(events["wavelength_nm"] - truth["wavelength_nm"])
+        lam_err = np.abs(events["wavelength_nm"] - detections["wavelength_nm"][truth])  # the emitted wavelength
         assert lam_err.max() <= bound + 1e-12
-        assert np.abs(events["x_mm"] - truth["x_mm"]).max() <= 0.0005 + 1e-12
+        assert np.abs(events["x_mm"] - detections["x_mm"][truth]).max() <= 0.0005 + 1e-12
 
 
 def test_decode_chunk_size_invariant(tmp_path, small_config):

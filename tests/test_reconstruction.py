@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dldspec import reconstruction
-from dldspec.detector_sim import DETECTION_DTYPE, encode_groups, groups_to_pulses
+from dldspec.detector_sim import encode_groups, groups_to_pulses
 from dldspec.event_format import Channel
 from dldspec.reconstruction import (
     DEFAULT_SUM_TOL_TICKS,
@@ -20,16 +20,13 @@ from dldspec.reconstruction import (
     wavelength_to_position,
     write_events_csv,
 )
-from dldspec.source_sim import EventKind
 
 from _oracles import brute_match_hits, events_csv_text, position_from_times
+from conftest import detection_rows
 
 
 def _encode_detections(rows, geometry):
-    det = np.zeros(len(rows), dtype=DETECTION_DTYPE)
-    for i, (path, t, x, y) in enumerate(rows):
-        det[i] = (path, EventKind.PUMP, t, x, y, 389.2)
-    return encode_groups(det, geometry)
+    return encode_groups(detection_rows(rows), geometry)
 
 
 def _hit(t_mcp, t_xa, t_xb, t_ya, t_yb, detector=0):
