@@ -157,8 +157,11 @@ class DeadTimeFilter:
         # whole-record copies: joining packed records through a void view, and
         # take/compress, are several times faster than the field-by-field
         # copies of a plain concatenate or of indexing with an array or mask
+        if groups.size and groups["t_mcp"].max() >= 2**62:
+            raise ValueError("trigger tick out of range (>= 2**62 ticks)")
         buf = np.concatenate([self._pending.view(_GROUP_BYTES), groups.view(_GROUP_BYTES)]).view(HIT_GROUP_DTYPE)
-        buf = buf.take(np.lexsort((buf["detector"], buf["t_mcp"])))
+        # one contiguous key orders by (t_mcp, detector); the range check keeps it from overflowing
+        buf = buf.take(np.argsort(buf["t_mcp"] * 2 + buf["detector"], kind="stable"))
         t = buf["t_mcp"]
         if future_floor_ticks is None:
             n_dec = t.size

@@ -42,7 +42,7 @@ MAGIC = b"DLDE"
 FORMAT_VERSION = 1
 HEADER_SIZE = 16
 RECORD_SIZE = 10
-DEFAULT_CHUNK_RECORDS = 1 << 19
+DEFAULT_CHUNK_RECORDS = 1 << 18
 
 _HEADER_STRUCT = struct.Struct("<4sHIB5s")
 
@@ -139,19 +139,25 @@ def _validate_chunk(
     start_index: int,
     prev_timestamp: int,
 ) -> None:
-    _raise_first(arr["channel"] > int(Channel.YB), ChannelRangeError, start_index,
-                 lambda i: f"channel {int(arr['channel'][i])} out of range")
-    _raise_first(arr["detector"] >= header.detector_count, DetectorRangeError, start_index,
-                 lambda i: f"detector {int(arr['detector'][i])} out of range")
-    if arr.size:
-        ts = arr["timestamp"].astype(np.int64, copy=False)
-        _raise_first(ts < 0, TimestampRangeError, start_index,
-                     lambda i: f"timestamp {int(arr['timestamp'][i])} out of range (>= 2**63 ticks)")
-        full = np.empty(arr.size, dtype=np.int64)
-        full[0] = ts[0] - prev_timestamp
-        if arr.size > 1:
-            np.subtract(ts[1:], ts[:-1], out=full[1:])
-        _raise_first(full < 0, TimestampRegressionError, start_index, lambda i: "timestamp goes backwards")
+    # reductions over the record fields decide; the masks that locate the
+    # first bad record are built only on a failure
+    if arr.size == 0:
+        return
+    channel = arr["channel"]
+    if channel.max() > int(Channel.YB):
+        _raise_first(channel > int(Channel.YB), ChannelRangeError, start_index,
+                     lambda i: f"channel {int(channel[i])} out of range")
+    detector = arr["detector"]
+    if detector.max() >= header.detector_count:
+        _raise_first(detector >= header.detector_count, DetectorRangeError, start_index,
+                     lambda i: f"detector {int(detector[i])} out of range")
+    ts = arr["timestamp"]
+    if ts.max() >= 2**63:
+        _raise_first(ts >= 2**63, TimestampRangeError, start_index,
+                     lambda i: f"timestamp {int(ts[i])} out of range (>= 2**63 ticks)")
+    if int(ts[0]) < prev_timestamp or np.any(ts[1:] < ts[:-1]):
+        backwards = np.concatenate([[int(ts[0]) < prev_timestamp], ts[1:] < ts[:-1]])
+        _raise_first(backwards, TimestampRegressionError, start_index, lambda i: "timestamp goes backwards")
 
 
 class StagedFile:

@@ -13,13 +13,16 @@ array per field; the emitted counts of the summary are the sizes the
 samplers drew. Groups are HIT_GROUP_DTYPE rows, and pulses are packed into
 PULSE_DTYPE records once, for the writer.
 
-Decoding streams the file in fixed-size record chunks through one
-`HitMatcher` per detector, so memory is bounded by the chunk size plus the
-reconstructed events, and the result does not depend on the chunk size.
+Decoding streams the file in fixed-size record chunks. Each chunk is split
+once, by one stable radix sort of its `detector * 5 + channel` key, into ten
+time-sorted int64 timestamp columns, and each detector's five go to its
+`HitMatcher`. Memory is bounded by the chunk size plus the reconstructed
+events, and the result does not depend on the chunk size.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,6 +62,7 @@ from .event_format import (
 from .reconstruction import (
     HitMatcher,
     PHOTON_DTYPE,
+    channel_columns,
     groups_to_events,
     write_events_csv,
 )
@@ -157,7 +161,9 @@ def simulate_to_file(
                 summary.groups_written[det] += int(np.count_nonzero(survivors["detector"] == det))
             buf = groups_to_pulses(survivors, carry)
             del survivors
-            n = buf.size if flush_floor is None else int(np.searchsorted(buf["timestamp"], flush_floor))
+            # a binary search that reads the record field in place: np.searchsorted
+            # would first copy the whole strided field; a negative floor flushes nothing
+            n = buf.size if flush_floor is None else bisect.bisect_left(buf["timestamp"], flush_floor)
             writer.write_chunk(buf[:n])
             carry = buf[n:].copy()  # drop the reference to the block's buffer
         summary.bytes_written = writer.bytes_written
@@ -210,12 +216,9 @@ def decode_file(
                 f"file tick_ps={header.tick_ps} does not match configured geometry tick_ps={geometry.tick_ps}"
             )
         for chunk in reader.iter_chunks():
-            for det in (0, 1):
-                mask = chunk["detector"] == det
-                per_det[det] += int(np.count_nonzero(mask))
-                consume(det, matchers[det].feed(
-                    chunk["timestamp"][mask].astype(np.int64), chunk["channel"][mask]
-                ))
+            for det, columns in enumerate(channel_columns(chunk)):
+                per_det[det] += sum(col.size for col in columns)
+                consume(det, matchers[det].feed(columns))
         for det in (0, 1):
             consume(det, matchers[det].finish())
         events_list = []

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .config import AnodeGeometry, Calibration
-from .event_format import Channel
 
 DEFAULT_SUM_TOL_TICKS = 3
 
@@ -56,6 +55,23 @@ def default_window_ticks(geometry: AnodeGeometry, sum_tol_ticks: int = DEFAULT_S
     return geometry.propagation_ticks + 4 * sum_tol_ticks
 
 
+def channel_columns(pulses: np.ndarray, detectors: int = 2) -> list[list[np.ndarray]]:
+    """Split time-sorted PULSE_DTYPE records into per-channel timestamp columns.
+
+    Returns, for each detector below `detectors` (at most 51), its five int64
+    columns in channel order (MCP, XA, XB, YA, YB), each time-sorted and in
+    file order on ties. One stable sort of the u1 key `detector * 5 + channel`
+    (a radix sort) and one gather of the timestamps make every column; they
+    are slices of that gather. Timestamps must be below 2**63, as the reader
+    checks.
+    """
+    key = pulses["detector"] * 5 + pulses["channel"]
+    order = np.argsort(key, kind="stable")
+    ts = pulses["timestamp"].take(order).view(np.int64)
+    bounds = np.searchsorted(key.take(order), np.arange(5 * detectors + 1, dtype=np.uint8)).tolist()
+    return [[ts[bounds[5 * d + c] : bounds[5 * d + c + 1]] for c in range(5)] for d in range(detectors)]
+
+
 def match_hits(
     pulses: np.ndarray,
     geometry: AnodeGeometry,
@@ -76,58 +92,57 @@ def match_hits(
     """
     if pulses.size and (pulses["detector"].min() != pulses["detector"].max()):
         raise ValueError("match_hits expects pulses from a single detector")
-    ts = pulses["timestamp"].astype(np.int64)
-    if np.any(np.diff(ts) < 0):
+    ts = pulses["timestamp"]
+    if np.any(ts[1:] < ts[:-1]):
         raise ValueError("pulses must be time-sorted")
     detector = int(pulses["detector"][0]) if pulses.size else 0
     matcher = HitMatcher(geometry, sum_tol_ticks, detector)
-    return matcher.feed(ts, pulses["channel"], final=True), matcher.orphans
+    return matcher.feed(channel_columns(pulses, detector + 1)[detector], final=True), matcher.orphans
 
 
 def _match_core(
-    ts: np.ndarray,
-    ch: np.ndarray,
+    mcp_t: np.ndarray,
+    anodes: list[np.ndarray],
     propagation_ticks: int,
     window_ticks: int,
     sum_tol_ticks: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate search + timing-sum gate. Returns per-MCP accept mask and
-    candidate times/indices (4 x n arrays, rows XA, XB, YA, YB)."""
-    mcp_idx = np.nonzero(ch == int(Channel.MCP))[0]
-    mcp_t = ts[mcp_idx]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate search + timing-sum gate for the triggers `mcp_t` over the
+    XA, XB, YA, YB columns. Returns the per-trigger accept mask and each
+    candidate's position in its column and time (4 x n arrays)."""
     n = mcp_t.size
+    cand_pos = np.zeros((4, n), dtype=np.intp)
     cand_t = np.zeros((4, n), dtype=np.int64)
-    cand_idx = np.zeros((4, n), dtype=np.intp)
     ok = np.ones(n, dtype=bool)
-    for k, c in enumerate((Channel.XA, Channel.XB, Channel.YA, Channel.YB)):
-        gidx = np.nonzero(ch == int(c))[0]
-        ct = ts[gidx]
-        if ct.size == 0:
+    for k, col in enumerate(anodes):
+        if col.size == 0:
             ok[:] = False
             continue
-        pos = np.searchsorted(ct, mcp_t, side="left")
-        have = pos < ct.size
-        safe = np.minimum(pos, ct.size - 1)
-        t_c = ct[safe]
-        have &= t_c <= mcp_t + window_ticks
-        ok &= have
-        cand_t[k] = np.where(have, t_c, 0)
-        cand_idx[k] = gidx[safe]
-    sum_x = cand_t[0] + cand_t[1] - 2 * mcp_t
-    sum_y = cand_t[2] + cand_t[3] - 2 * mcp_t
-    ok &= np.abs(sum_x - propagation_ticks) <= sum_tol_ticks
-    ok &= np.abs(sum_y - propagation_ticks) <= sum_tol_ticks
-    return ok, mcp_idx, cand_t, cand_idx
+        # np.searchsorted(col, mcp_t): a stable sort of the two sorted runs is a
+        # timsort merge, faster than binary searches; triggers sort first on ties
+        merged = np.argsort(np.concatenate([mcp_t, col]), kind="stable")
+        pos = np.flatnonzero(merged < n) - np.arange(n)
+        ok &= pos < col.size
+        np.minimum(pos, col.size - 1, out=cand_pos[k])
+        col.take(cand_pos[k], out=cand_t[k])
+        ok &= cand_t[k] <= mcp_t + window_ticks
+    ok &= np.abs(cand_t[0] + cand_t[1] - 2 * mcp_t - propagation_ticks) <= sum_tol_ticks
+    ok &= np.abs(cand_t[2] + cand_t[3] - 2 * mcp_t - propagation_ticks) <= sum_tol_ticks
+    return ok, cand_pos, cand_t
 
 
 class HitMatcher:
     """Streaming hit grouping for one detector's pulse stream.
 
-    Chunks of the time-sorted stream go in; hit groups come out. A trigger is
-    decided exactly once, as soon as its whole candidate window is known to be
-    buffered, so results do not depend on the chunking. Orphan accounting
-    survives chunk boundaries via carried claim flags: a pulse is counted when
-    it expires (no future trigger can reach it) still unclaimed.
+    Each `feed` takes the next stretch of the stream as five time-sorted int64
+    columns, one per channel (MCP, XA, XB, YA, YB; see `channel_columns`),
+    and returns hit groups. A trigger is decided exactly once, as soon as its
+    whole candidate window is known to be buffered (at or before the last
+    buffered tick minus the window), so results do not depend on the
+    chunking. Decided triggers and expired pulses, which no future trigger can
+    reach, are a prefix of each column; what follows is carried, per channel,
+    with a claimed flag for each pulse. A pulse is counted as an orphan when
+    it expires still unclaimed.
     """
 
     def __init__(
@@ -140,50 +155,46 @@ class HitMatcher:
         self.sum_tol_ticks = sum_tol_ticks
         self.window_ticks = default_window_ticks(geometry, sum_tol_ticks)
         self.detector = detector
-        self._carry_ts = np.empty(0, dtype=np.int64)
-        self._carry_ch = np.empty(0, dtype=np.uint8)
-        self._carry_claimed = np.empty(0, dtype=bool)
+        self._carry = [np.empty(0, dtype=np.int64)] * 5
+        self._carry_claimed = [np.empty(0, dtype=bool)] * 5
         self.orphans = 0
         self.n_groups = 0
 
-    def feed(self, ts: np.ndarray, ch: np.ndarray, final: bool = False) -> np.ndarray:
-        buf_ts = np.concatenate([self._carry_ts, ts.astype(np.int64, copy=False)])
-        buf_ch = np.concatenate([self._carry_ch, ch])
-        buf_claimed = np.concatenate([self._carry_claimed, np.zeros(ts.size, dtype=bool)])
-        if buf_ts.size == 0:
+    def feed(self, columns: list[np.ndarray], final: bool = False) -> np.ndarray:
+        buf = [np.concatenate([carry, col]) for carry, col in zip(self._carry, columns)]
+        claimed = [np.concatenate([flags, np.zeros(col.size, dtype=bool)])
+                   for flags, col in zip(self._carry_claimed, columns)]
+        ends = [int(col[-1]) for col in buf if col.size]
+        if not ends:
             return np.empty(0, dtype=HIT_GROUP_DTYPE)
-        ok, mcp_idx, cand_t, cand_idx = _match_core(
-            buf_ts, buf_ch, self.geometry.propagation_ticks, self.window_ticks, self.sum_tol_ticks
-        )
         if final:
-            decided = np.ones(mcp_idx.size, dtype=bool)
-            expire = np.ones(buf_ts.size, dtype=bool)
+            cuts = [col.size for col in buf]
         else:
-            cutoff = int(buf_ts[-1]) - self.window_ticks
-            decided = buf_ts[mcp_idx] <= cutoff
-            expire = buf_ts <= cutoff
-        accept = ok & decided
-        claimed_now = np.zeros(buf_ts.size, dtype=bool)
-        claimed_now[mcp_idx[accept]] = True
+            cutoff = max(ends) - self.window_ticks
+            cuts = [int(np.searchsorted(col, cutoff, side="right")) for col in buf]
+        mcp_t = buf[0][: cuts[0]]
+        ok, cand_pos, cand_t = _match_core(
+            mcp_t, buf[1:], self.geometry.propagation_ticks, self.window_ticks, self.sum_tol_ticks
+        )
+        accept = np.flatnonzero(ok)
+        claimed[0][accept] = True
         for k in range(4):
-            claimed_now[cand_idx[k][accept]] = True
-        buf_claimed |= claimed_now
-        self.orphans += int(np.count_nonzero(expire & ~buf_claimed))
-        groups = np.empty(int(np.count_nonzero(accept)), dtype=HIT_GROUP_DTYPE)
+            claimed[k + 1][cand_pos[k].take(accept)] = True
+        for flags, cut in zip(claimed, cuts):
+            self.orphans += cut - int(np.count_nonzero(flags[:cut]))
+        groups = np.empty(accept.size, dtype=HIT_GROUP_DTYPE)
         groups["detector"] = self.detector
-        groups["t_mcp"] = buf_ts[mcp_idx[accept]]
+        groups["t_mcp"] = mcp_t.take(accept)
         for k, name in enumerate(("t_xa", "t_xb", "t_ya", "t_yb")):
-            groups[name] = cand_t[k][accept]
+            groups[name] = cand_t[k].take(accept)
         self.n_groups += int(groups.size)
-        keep = ~expire
-        # Deferred triggers stay in the carry along with every still-live pulse.
-        self._carry_ts = buf_ts[keep]
-        self._carry_ch = buf_ch[keep]
-        self._carry_claimed = buf_claimed[keep]
+        # deferred triggers stay in the carry along with every still-live pulse
+        self._carry = [col[cut:] for col, cut in zip(buf, cuts)]
+        self._carry_claimed = [flags[cut:] for flags, cut in zip(claimed, cuts)]
         return groups
 
     def finish(self) -> np.ndarray:
-        return self.feed(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), final=True)
+        return self.feed([np.empty(0, dtype=np.int64)] * 5, final=True)
 
 
 def reconstruct_position(

@@ -264,6 +264,15 @@ class TestDeadTime:
         kept, discards = filter_dead_time(encode_groups(det, geometry), 10_000.0, tick_ps=4)
         assert kept.size == 1 and discards == (2, 0)
 
+    def test_trigger_beyond_the_sort_key_range_rejected(self):
+        # the sort key t_mcp * 2 + detector must not overflow int64
+        g = self._groups([5000.0, 30_000.0])
+        g["t_mcp"][1] = 2**62
+        f = DeadTimeFilter(10_000.0)
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            f.feed(g, None)
+        assert f.feed(g[:1], None).size == 1  # nothing was kept from the rejected call
+
     def test_streaming_filter_matches_oracle(self):
         rng = np.random.default_rng(5)
         det = _detections([(int(rng.integers(0, 2)), float(t), 20.0, 20.0)

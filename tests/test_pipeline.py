@@ -52,6 +52,16 @@ def test_small_block_stream_is_well_formed(tmp_path):
     assert arr.size == s.records_written > 0
 
 
+def test_negative_flush_floor_flushes_nothing(tmp_path):
+    # a dead time of three laser periods puts the first blocks' flush floor
+    # below tick 0; those blocks write nothing and carry every pulse
+    cfg = make_config(seed=3, duration_ps=2e7, dead_time_ps=4e4)
+    out = tmp_path / "carried.dlde"
+    s = simulate_to_file(cfg, out, block_pulses=1)
+    header, arr = read_all_pulses(out)  # validation would raise on disorder
+    assert arr.size == s.records_written == 5 * sum(s.groups_written) > 0
+
+
 @pytest.mark.parametrize(
     "overrides, block_pulses, digest",
     [
@@ -181,6 +191,51 @@ def test_decode_chunk_size_invariant(tmp_path, small_config):
         assert got.groups == ref.groups
         assert got.records_per_detector == ref.records_per_detector
         assert summary_lines(got, analyze_events(got.events, small_config.correlation)) == ref_lines
+
+
+def test_decode_matches_default_at_tiny_chunk_sizes(tmp_path):
+    # a high-occupancy run, so equal timestamps and carried triggers meet
+    # every chunk boundary
+    cfg = make_config(seed=7, duration_ps=2e7, pair_rate_per_pulse=0.5, pump_scatter_rate_per_pulse=0.5, qe=0.4)
+    path = tmp_path / "dense.dlde"
+    simulate_to_file(cfg, path)
+    ref = decode_file(path, cfg.geometry, cfg.calibration)
+    assert min(ref.groups) > 0 and min(ref.orphans) > 0
+    for chunk_records in (1, 2, 5):
+        got = decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
+        for det in (0, 1):
+            assert np.array_equal(got.events[det], ref.events[det])
+        assert (got.records, got.records_per_detector, got.groups, got.orphans, got.malformed) == (
+            ref.records, ref.records_per_detector, ref.groups, ref.orphans, ref.malformed)
+
+
+@pytest.mark.parametrize(
+    "overrides, chunk_records, digest",
+    [
+        ({"seed": 1}, None, "c2c18f6c5eb392e95d881e047e76145a4359e8c14d068acee6138b6ca882cfc1"),
+        ({"seed": 1}, 997, "c2c18f6c5eb392e95d881e047e76145a4359e8c14d068acee6138b6ca882cfc1"),
+        ({"seed": 7, "duration_ps": 1e9, "pair_rate_per_pulse": 0.5, "pump_scatter_rate_per_pulse": 0.5, "qe": 0.4},
+         None, "49d712674eed0cb770bb9c7053511226df3f5cc75dedea2b542d6968f1268bd3"),
+    ],
+    ids=["default-seed1", "default-seed1-chunks997", "dense-seed7"],
+)
+def test_report_bundle_bytes_are_pinned(tmp_path, overrides, chunk_records, digest):
+    """The report bundle for a seed is part of the behaviour contract: the
+    SHA-256 over `name + "\n" + bytes` of every written file, in name order,
+    events CSVs included. A decoder change that moves any decoded group,
+    orphan count or analysis figure shows up here. The sum-consistent matcher
+    and the Poisson pair source (ROADMAP items 1 and 2) change the bundle on
+    purpose and re-pin these digests."""
+    cfg = make_config(**overrides)
+    path = tmp_path / "run.dlde"
+    simulate_to_file(cfg, path)
+    kwargs = {} if chunk_records is None else {"chunk_records": chunk_records}
+    decode, analysis = analyze_file(path, cfg, **kwargs)
+    written = write_report_bundle(tmp_path / "bundle", decode, analysis, events_csv=True)
+    h = hashlib.sha256()
+    for p in sorted(written, key=lambda p: p.name):
+        h.update(p.name.encode() + b"\n" + p.read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_decode_rejects_other_detector_counts(tmp_path, small_config):

@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dldspec import reconstruction
 from dldspec.detector_sim import encode_groups, groups_to_pulses
-from dldspec.event_format import Channel
+from dldspec.config import run_config_from_dict
+from dldspec.event_format import PULSE_DTYPE, Channel
 from dldspec.reconstruction import (
     DEFAULT_SUM_TOL_TICKS,
     HIT_GROUP_DTYPE,
     HitMatcher,
     MalformedHitError,
     PHOTON_DTYPE,
+    channel_columns,
     default_window_ticks,
     groups_to_events,
     match_hits,
@@ -176,12 +180,62 @@ class TestMatchHits:
             got = []
             for lo in range(0, pulses.size, chunk_size):
                 c = pulses[lo : lo + chunk_size]
-                got.append(m.feed(c["timestamp"].astype(np.int64), c["channel"]))
+                got.append(m.feed(channel_columns(c, 1)[0]))
             got.append(m.finish())
             streamed = np.concatenate(got)
             assert np.array_equal(streamed, batch_hits)
             assert m.orphans == want_orphans
             assert m.n_groups == len(want_groups)
+
+
+_GEOMETRY = run_config_from_dict({}).geometry
+
+
+@st.composite
+def _single_detector_streams(draw):
+    """One detector's pulse stream: detections with timing-sum errors around
+    the gate, anode pulses on their trigger's tick, triggers on a coarse grid
+    (equal-timestamp runs), stray anode pulses, sometimes a channel with no
+    pulses at all, and a random file order among equal timestamps."""
+    p = _GEOMETRY.propagation_ticks
+    step = draw(st.sampled_from([3 * p, p, p // 3, 7, 1]))
+    offset = st.one_of(st.just(0), st.integers(0, p))
+    error = st.sampled_from([0, 0, 0, 3, -3, 4, -4])  # the gate passes |error| <= 3
+    rows = []
+    for slot in draw(st.lists(st.integers(0, 12), min_size=1, max_size=6)):
+        t = slot * step
+        dx, dy = draw(offset), draw(offset)
+        ex, ey = draw(error), draw(error)
+        rows += [(Channel.MCP, t), (Channel.XA, t + dx), (Channel.XB, max(t + p - dx + ex, 0)),
+                 (Channel.YA, t + dy), (Channel.YB, max(t + p - dy + ey, 0))]
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append((draw(st.integers(1, 4)), draw(st.integers(0, 12)) * step + draw(st.integers(0, p))))
+    if draw(st.integers(0, 3)) == 0:  # one stream in four loses a whole channel
+        missing = draw(st.integers(1, 4))
+        rows = [r for r in rows if r[0] != missing]
+    pulses = np.zeros(len(rows), dtype=PULSE_DTYPE)
+    if rows:
+        pulses["channel"], pulses["timestamp"] = zip(*rows)
+    pulses = pulses[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(pulses.size)]
+    return pulses[np.argsort(pulses["timestamp"], kind="stable")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_single_detector_streams())
+def test_streamed_matcher_equals_oracle_for_every_chunk_size(pulses):
+    want_groups, want_orphans = brute_match_hits(
+        pulses["timestamp"], pulses["channel"], _GEOMETRY.propagation_ticks,
+        default_window_ticks(_GEOMETRY), DEFAULT_SUM_TOL_TICKS,
+    )
+    for chunk_size in range(1, pulses.size + 2):
+        m = HitMatcher(_GEOMETRY)
+        got = [m.feed(channel_columns(pulses[lo : lo + chunk_size], 1)[0])
+               for lo in range(0, pulses.size, chunk_size)]
+        got.append(m.finish())
+        groups = np.concatenate(got)
+        assert groups[["t_mcp", "t_xa", "t_xb", "t_ya", "t_yb"]].tolist() == want_groups
+        assert m.orphans == want_orphans
+        assert m.n_groups == len(want_groups)
 
 
 class TestGroupsToEvents:
