@@ -180,10 +180,7 @@ class Histogram2D:
 
 
 def _event_times(events) -> np.ndarray:
-    arr = np.asarray(events)
-    if arr.dtype.names and "t_ps" in arr.dtype.names:
-        arr = arr["t_ps"]
-    arr = arr.astype(np.int64, copy=False)
+    arr = np.asarray(events).astype(np.int64, copy=False)
     if arr.size > 1 and np.any(np.diff(arr) < 0):
         raise ValueError("event times must be sorted")
     return arr

@@ -6,12 +6,13 @@ The chain per emission event is
     -> split into MCP + four delay-line pulses -> quantise timestamps
     -> discard multi-hit collisions within the dead time.
 
-Detections are `Columns`, one plain array per field, from `detect` to
-`encode_groups`. From there the five pulses of one detection are kept
-together as a HIT_GROUP_DTYPE row until serialization; the analysis side has
-to undo that bundling from timestamps alone. The anode encoding is exact by construction: before
-quantisation, (t_xa - t0) + (t_xb - t0) equals the full propagation time and
-the time difference t_xa - t_xb inverts to the landing position.
+Detections are `Columns`, one plain array per field. `encode_groups` turns
+them into hit-group `Columns`: a detector column and the five timestamp
+columns of each detection's pulses, which stay one row until serialization;
+the analysis side has to undo that bundling from timestamps alone. The anode
+encoding is exact by construction: before quantisation, (t_xa - t0) +
+(t_xb - t0) equals the full propagation time and the time difference
+t_xa - t_xb inverts to the landing position.
 """
 
 from __future__ import annotations
@@ -19,21 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.recfunctions import structured_to_unstructured
 
 from .config import AnodeGeometry, SimConfig, fwhm_to_sigma
 from .event_format import Channel, PULSE_DTYPE
-from .reconstruction import HIT_GROUP_DTYPE, wavelength_to_position
+from .reconstruction import GROUP_TIMES, wavelength_to_position
 from .source_sim import Columns, EventKind
 
 # Gaussian jitter is clipped here so that a detection time can be bounded by
 # its emission time; the clipped mass is ~2e-9 of draws.
 JITTER_CLIP_SIGMAS = 6.0
 
-# a group's five timestamps in pulse order, and the channel of each
-_GROUP_TIMES = ["t_mcp", "t_xa", "t_xb", "t_ya", "t_yb"]
+# the channel of each GROUP_TIMES column
 _GROUP_CHANNELS = (Channel.MCP, Channel.XA, Channel.XB, Channel.YA, Channel.YB)
-_GROUP_BYTES = np.dtype((np.void, HIT_GROUP_DTYPE.itemsize))
 
 
 @dataclass
@@ -101,8 +99,12 @@ def detect(
     return detections, tally
 
 
-def encode_groups(detections: Columns, geometry: AnodeGeometry) -> np.ndarray:
-    """Vectorised anode encoding of detection columns into 5-timestamp groups (ticks)."""
+def encode_groups(detections: Columns, geometry: AnodeGeometry) -> Columns:
+    """Vectorised anode encoding of detection columns into hit groups.
+
+    The groups have a `detector` column (u1, the detection's path) and the
+    int64 tick columns `t_mcp`, `t_xa`, `t_xb`, `t_ya` and `t_yb`.
+    """
     x = detections["x_mm"]
     y = detections["y_mm"]
     if np.any((x < 0) | (x > geometry.size_x_mm) | (y < 0) | (y > geometry.size_y_mm)):
@@ -110,14 +112,18 @@ def encode_groups(detections: Columns, geometry: AnodeGeometry) -> np.ndarray:
     v = geometry.signal_speed_mm_per_ps
     tick = geometry.tick_ps
     t = detections["time_ps"]
-    out = np.empty(t.size, dtype=HIT_GROUP_DTYPE)  # the field stores cast the rounded ticks to int64
-    out["detector"] = detections["path"]
-    out["t_mcp"] = np.rint(t / tick)
-    out["t_xa"] = np.rint((t + x / v) / tick)
-    out["t_xb"] = np.rint((t + (geometry.size_x_mm - x) / v) / tick)
-    out["t_ya"] = np.rint((t + y / v) / tick)
-    out["t_yb"] = np.rint((t + (geometry.size_y_mm - y) / v) / tick)
-    return out
+
+    def ticks(time_ps: np.ndarray) -> np.ndarray:
+        return np.rint(time_ps / tick).astype(np.int64)
+
+    return Columns({
+        "detector": detections["path"],
+        "t_mcp": ticks(t),
+        "t_xa": ticks(t + x / v),
+        "t_xb": ticks(t + (geometry.size_x_mm - x) / v),
+        "t_ya": ticks(t + y / v),
+        "t_yb": ticks(t + (geometry.size_y_mm - y) / v),
+    })
 
 
 def _collision_mask(t: np.ndarray, dead_ticks: int) -> np.ndarray:
@@ -149,19 +155,18 @@ class DeadTimeFilter:
 
     def __init__(self, dead_time_ps: float, tick_ps: int = 1):
         self.dead_ticks = int(np.floor(dead_time_ps / tick_ps))
-        self._pending = np.empty(0, dtype=HIT_GROUP_DTYPE)  # sorted by (t_mcp, detector)
+        # sorted by (t_mcp, detector)
+        self._pending = Columns({"detector": np.empty(0, dtype=np.uint8)}
+                                | {name: np.empty(0, dtype=np.int64) for name in GROUP_TIMES})
         self._last_trigger = [None, None]
         self.discards = [0, 0]
 
-    def feed(self, groups: np.ndarray, future_floor_ticks: int | None) -> np.ndarray:
-        # whole-record copies: joining packed records through a void view, and
-        # take/compress, are several times faster than the field-by-field
-        # copies of a plain concatenate or of indexing with an array or mask
+    def feed(self, groups: Columns, future_floor_ticks: int | None) -> Columns:
         if groups.size and groups["t_mcp"].max() >= 2**62:
             raise ValueError("trigger tick out of range (>= 2**62 ticks)")
-        buf = np.concatenate([self._pending.view(_GROUP_BYTES), groups.view(_GROUP_BYTES)]).view(HIT_GROUP_DTYPE)
-        # one contiguous key orders by (t_mcp, detector); the range check keeps it from overflowing
-        buf = buf.take(np.argsort(buf["t_mcp"] * 2 + buf["detector"], kind="stable"))
+        buf = Columns({name: np.concatenate([pending, groups[name]]) for name, pending in self._pending.items()})
+        # one key orders by (t_mcp, detector); the range check keeps it from overflowing
+        buf = buf[np.argsort(buf["t_mcp"] * 2 + buf["detector"], kind="stable")]
         t = buf["t_mcp"]
         if future_floor_ticks is None:
             n_dec = t.size
@@ -181,10 +186,10 @@ class DeadTimeFilter:
             if n_det:
                 self._last_trigger[det] = int(t_det[n_det - 1])
         self._pending = buf[n_dec:]
-        return buf[:n_dec].compress(~collide[:n_dec])
+        return buf[:n_dec][~collide[:n_dec]]
 
-    def finish(self) -> np.ndarray:
-        return self.feed(np.empty(0, dtype=HIT_GROUP_DTYPE), None)
+    def finish(self) -> Columns:
+        return self.feed(self._pending[:0], None)
 
     def emitted_floor_ticks(self, future_floor_ticks: int) -> int:
         """Lower bound on any trigger tick this stage can still emit."""
@@ -194,14 +199,15 @@ class DeadTimeFilter:
         return lo
 
 
-def groups_to_pulses(groups: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+def groups_to_pulses(groups: Columns, carry: np.ndarray | None = None) -> np.ndarray:
     """Flatten groups to a timestamp-sorted pulse array (5 rows per group).
 
     `carry` is an already timestamp-sorted pulse array that is merged in
     ahead of the groups. The single sort is stable, so equal timestamps keep
     the order carry first, then group order with the MCP pulse first;
     serialization is deterministic. Timestamp, detector and channel are
-    filled as contiguous columns, sorted by timestamp, and packed once.
+    filled as contiguous columns, each group timestamp column into its stride
+    of five, sorted by timestamp, and packed once into file records.
     """
     m = 0 if carry is None else carry.size
     n = m + 5 * groups.size
@@ -212,9 +218,9 @@ def groups_to_pulses(groups: np.ndarray, carry: np.ndarray | None = None) -> np.
         timestamp[:m] = carry["timestamp"]
         detector[:m] = carry["detector"]
         channel[:m] = carry["channel"]
-    timestamp[m:].reshape(-1, 5)[...] = structured_to_unstructured(groups[_GROUP_TIMES], copy=False)
     detector[m:] = np.repeat(groups["detector"], 5)
-    for k, ch in enumerate(_GROUP_CHANNELS):
+    for k, (name, ch) in enumerate(zip(GROUP_TIMES, _GROUP_CHANNELS)):
+        timestamp[m + k :: 5] = groups[name]
         channel[m + k :: 5] = ch
     order = np.argsort(timestamp, kind="stable")
     timestamp = timestamp.take(order)  # gathered before `out` exists: a lower peak

@@ -8,15 +8,16 @@ of the identity of the sampled random stream for a given seed. Each block
 sorts once per ordering decision: emission order (which fixes the random
 draws), detection time, surviving groups after dead time, and file order,
 where the writer's carry is merged into the block's pulses by the same sort.
-Emissions and detections travel through a block as `Columns`, one plain
-array per field; the emitted counts of the summary are the sizes the
-samplers drew. Groups are HIT_GROUP_DTYPE rows, and pulses are packed into
-PULSE_DTYPE records once, for the writer.
+Emissions, detections and hit groups travel through a block as `Columns`,
+one plain array per field; the emitted counts of the summary are the sizes
+the samplers drew. Pulses are packed into PULSE_DTYPE records once, for the
+writer: the file record is the only packed row.
 
 Decoding streams the file in fixed-size record chunks. Each chunk is split
 once, by one stable radix sort of its `detector * 5 + channel` key, into ten
 time-sorted int64 timestamp columns, and each detector's five go to its
-`HitMatcher`. Memory is bounded by the chunk size plus the reconstructed
+`HitMatcher`, which returns hit-group `Columns`; the decoded events are
+`Columns` too. Memory is bounded by the chunk size plus the reconstructed
 events, and the result does not depend on the chunk size.
 """
 
@@ -61,13 +62,12 @@ from .event_format import (
 )
 from .reconstruction import (
     HitMatcher,
-    PHOTON_DTYPE,
     channel_columns,
     groups_to_events,
     write_events_csv,
 )
 from .render import _fmt, svg_heatmap, svg_histogram
-from .source_sim import EventKind, generate_emissions, pulse_count
+from .source_sim import Columns, EventKind, generate_emissions, pulse_count
 
 SIM_BLOCK_PULSES = 1 << 20
 SIDE_PEAK_COUNT = 4
@@ -178,7 +178,8 @@ def simulate_to_file(
 @dataclass
 class DecodeResult:
     header: EventFileHeader
-    events: tuple[np.ndarray, np.ndarray]  # PHOTON_DTYPE arrays, detectors 0 and 1
+    # event Columns (detector, t_ps, x_mm, y_mm, wavelength_nm) of detectors 0 and 1
+    events: tuple[Columns, Columns]
     records: int
     records_per_detector: list[int]
     groups: list[int]
@@ -194,15 +195,14 @@ def decode_file(
 ) -> DecodeResult:
     """Parse a `.dlde` file and reconstruct photon events per detector."""
     matchers = [HitMatcher(geometry, detector=d) for d in (0, 1)]
-    buffers: list[list[np.ndarray]] = [[], []]
+    pieces: list[list[Columns]] = [[], []]
     malformed = [0, 0]
     per_det = [0, 0]
 
-    def consume(det: int, groups: np.ndarray) -> None:
-        if groups.size:
-            ev, bad = groups_to_events(groups, geometry, calibration)
-            malformed[det] += bad
-            buffers[det].append(ev)
+    def consume(det: int, groups: Columns) -> None:
+        ev, bad = groups_to_events(groups, geometry, calibration)
+        malformed[det] += bad
+        pieces[det].append(ev)
 
     with EventReader(path, chunk_records) as reader:
         header = reader.header
@@ -221,14 +221,15 @@ def decode_file(
                 consume(det, matchers[det].feed(columns))
         for det in (0, 1):
             consume(det, matchers[det].finish())
-        events_list = []
-        for det in (0, 1):
-            ev = np.concatenate(buffers[det]) if buffers[det] else np.empty(0, dtype=PHOTON_DTYPE)
-            buffers[det] = []  # release chunk pieces before concatenating the next detector
-            events_list.append(ev)
+        # joined a column at a time, each column's chunk pieces dropped as it
+        # is joined: the pieces and the result overlap by one column only
+        events = tuple(
+            Columns({name: np.concatenate([piece.pop(name) for piece in parts]) for name in list(parts[0])})
+            for parts in pieces
+        )
         return DecodeResult(
             header=header,
-            events=tuple(events_list),  # type: ignore[arg-type]
+            events=events,  # type: ignore[arg-type]
             records=reader.records_read,
             records_per_detector=per_det,
             groups=[m.n_groups for m in matchers],
@@ -254,7 +255,7 @@ class AnalysisResult:
     warnings: list[str]
 
 
-def analyze_events(events: tuple[np.ndarray, np.ndarray], corr: CorrelationConfig) -> AnalysisResult:
+def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> AnalysisResult:
     """Run the full analysis chain on reconstructed events of both detectors.
 
     Center/side-peak statistics are event counts in equal-width delay windows
@@ -272,7 +273,7 @@ def analyze_events(events: tuple[np.ndarray, np.ndarray], corr: CorrelationConfi
         spectrum_1d(ev0["wavelength_nm"], corr),
         spectrum_1d(ev1["wavelength_nm"], corr),
     )
-    g2 = g2_histogram(ev0, ev1, corr)
+    g2 = g2_histogram(ev0["t_ps"], ev1["t_ps"], corr)
     fit = None
     fit_error = ""
     try:

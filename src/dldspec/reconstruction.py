@@ -11,6 +11,10 @@ y. A clean hit also satisfies the timing sum t_xa + t_xb - 2 * t_mcp = T up to
 quantisation, which is the acceptance gate for grouping: pulse bundles whose
 sum statistic is off by more than sum_tol ticks are rejected rather than
 mis-localised.
+
+Hit groups and photon events are `Columns`. A group has a `detector` column
+(u1) and the int64 tick columns `t_mcp`, `t_xa`, `t_xb`, `t_ya`, `t_yb`; an
+event has `detector`, `t_ps` (int64), `x_mm`, `y_mm` and `wavelength_nm`.
 """
 
 from __future__ import annotations
@@ -18,29 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from .config import AnodeGeometry, Calibration
+from .source_sim import Columns
 
 DEFAULT_SUM_TOL_TICKS = 3
 
-HIT_GROUP_DTYPE = np.dtype(
-    [
-        ("detector", "u1"),
-        ("t_mcp", "<i8"),
-        ("t_xa", "<i8"),
-        ("t_xb", "<i8"),
-        ("t_ya", "<i8"),
-        ("t_yb", "<i8"),
-    ]
-)
-
-PHOTON_DTYPE = np.dtype(
-    [
-        ("detector", "u1"),
-        ("t_ps", "<i8"),
-        ("x_mm", "<f8"),
-        ("y_mm", "<f8"),
-        ("wavelength_nm", "<f8"),
-    ]
-)
+# a hit group's timestamp columns, in channel order (MCP, XA, XB, YA, YB)
+GROUP_TIMES = ("t_mcp", "t_xa", "t_xb", "t_ya", "t_yb")
 
 EVENTS_CSV_HEADER = "detector,t_ps,x_mm,y_mm,lambda_nm"
 _CSV_BLOCK_ROWS = 1 << 10
@@ -76,7 +63,7 @@ def match_hits(
     pulses: np.ndarray,
     geometry: AnodeGeometry,
     sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS,
-) -> tuple[np.ndarray, int]:
+) -> tuple[Columns, int]:
     """Group a single detector's time-sorted pulses into hits.
 
     For each MCP trigger the earliest pulse per anode channel in
@@ -136,9 +123,9 @@ class HitMatcher:
 
     Each `feed` takes the next stretch of the stream as five time-sorted int64
     columns, one per channel (MCP, XA, XB, YA, YB; see `channel_columns`),
-    and returns hit groups. A trigger is decided exactly once, as soon as its
-    whole candidate window is known to be buffered (at or before the last
-    buffered tick minus the window), so results do not depend on the
+    and returns hit-group `Columns`. A trigger is decided exactly once, as
+    soon as its whole candidate window is known to be buffered (at or before
+    the last buffered tick minus the window), so results do not depend on the
     chunking. Decided triggers and expired pulses, which no future trigger can
     reach, are a prefix of each column; what follows is carried, per channel,
     with a claimed flag for each pulse. A pulse is counted as an orphan when
@@ -160,17 +147,15 @@ class HitMatcher:
         self.orphans = 0
         self.n_groups = 0
 
-    def feed(self, columns: list[np.ndarray], final: bool = False) -> np.ndarray:
+    def feed(self, columns: list[np.ndarray], final: bool = False) -> Columns:
         buf = [np.concatenate([carry, col]) for carry, col in zip(self._carry, columns)]
         claimed = [np.concatenate([flags, np.zeros(col.size, dtype=bool)])
                    for flags, col in zip(self._carry_claimed, columns)]
-        ends = [int(col[-1]) for col in buf if col.size]
-        if not ends:
-            return np.empty(0, dtype=HIT_GROUP_DTYPE)
         if final:
             cuts = [col.size for col in buf]
         else:
-            cutoff = max(ends) - self.window_ticks
+            # with nothing buffered every cut is 0, whatever the cutoff
+            cutoff = max((int(col[-1]) for col in buf if col.size), default=0) - self.window_ticks
             cuts = [int(np.searchsorted(col, cutoff, side="right")) for col in buf]
         mcp_t = buf[0][: cuts[0]]
         ok, cand_pos, cand_t = _match_core(
@@ -182,24 +167,22 @@ class HitMatcher:
             claimed[k + 1][cand_pos[k].take(accept)] = True
         for flags, cut in zip(claimed, cuts):
             self.orphans += cut - int(np.count_nonzero(flags[:cut]))
-        groups = np.empty(accept.size, dtype=HIT_GROUP_DTYPE)
-        groups["detector"] = self.detector
-        groups["t_mcp"] = mcp_t.take(accept)
-        for k, name in enumerate(("t_xa", "t_xb", "t_ya", "t_yb")):
-            groups[name] = cand_t[k].take(accept)
-        self.n_groups += int(groups.size)
+        groups = Columns({
+            "detector": np.full(accept.size, self.detector, dtype=np.uint8),
+            "t_mcp": mcp_t.take(accept),
+            **{name: cand_t[k].take(accept) for k, name in enumerate(GROUP_TIMES[1:])},
+        })
+        self.n_groups += groups.size
         # deferred triggers stay in the carry along with every still-live pulse
         self._carry = [col[cut:] for col, cut in zip(buf, cuts)]
         self._carry_claimed = [flags[cut:] for flags, cut in zip(claimed, cuts)]
         return groups
 
-    def finish(self) -> np.ndarray:
+    def finish(self) -> Columns:
         return self.feed([np.empty(0, dtype=np.int64)] * 5, final=True)
 
 
-def reconstruct_position(
-    hits: np.ndarray, geometry: AnodeGeometry
-) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct_position(hits: Columns, geometry: AnodeGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Invert the delay-line timing of hit groups to (x, y) in mm.
 
     Positions up to one quantisation step outside the anode are clamped to the
@@ -209,23 +192,18 @@ def reconstruct_position(
     x, y, bad = _positions_with_validity(hits, geometry)
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
-        raise MalformedHitError(
-            f"hit at tick {int(np.atleast_1d(hits['t_mcp'])[i])} inverts outside the anode"
-        )
-    if hits.shape == ():
-        return float(x[0]), float(y[0])
+        raise MalformedHitError(f"hit at tick {int(hits['t_mcp'][i])} inverts outside the anode")
     return x, y
 
 
 def _positions_with_validity(
-    hits: np.ndarray, geometry: AnodeGeometry
+    hits: Columns, geometry: AnodeGeometry
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    h = np.atleast_1d(hits)
     v = geometry.signal_speed_mm_per_ps
     tick = geometry.tick_ps
     t_prop = geometry.propagation_time_ps
-    dx = (h["t_xa"] - h["t_xb"]).astype(np.float64) * tick
-    dy = (h["t_ya"] - h["t_yb"]).astype(np.float64) * tick
+    dx = (hits["t_xa"] - hits["t_xb"]).astype(np.float64) * tick
+    dy = (hits["t_ya"] - hits["t_yb"]).astype(np.float64) * tick
     x = (dx + t_prop) * v / 2.0
     y = (dy + t_prop) * v / 2.0
     margin = v * tick
@@ -249,23 +227,22 @@ def wavelength_to_position(wavelength_nm, calibration: Calibration):
     return calibration.x_center_mm + (wavelength_nm - calibration.lambda_center_nm) / calibration.dispersion_nm_per_mm
 
 
-def groups_to_events(
-    hits: np.ndarray, geometry: AnodeGeometry, calibration: Calibration
-) -> tuple[np.ndarray, int]:
+def groups_to_events(hits: Columns, geometry: AnodeGeometry, calibration: Calibration) -> tuple[Columns, int]:
     """Hit groups -> photon events; malformed groups are dropped and counted."""
     x, y, bad = _positions_with_validity(hits, geometry)
     good = ~bad
-    out = np.empty(int(np.count_nonzero(good)), dtype=PHOTON_DTYPE)
-    h = np.atleast_1d(hits)
-    out["detector"] = h["detector"][good]
-    out["t_ps"] = h["t_mcp"][good] * geometry.tick_ps
-    out["x_mm"] = x[good]
-    out["y_mm"] = y[good]
-    out["wavelength_nm"] = position_to_wavelength(x[good], calibration)
-    return out, int(np.count_nonzero(bad))
+    x = x[good]
+    events = Columns({
+        "detector": hits["detector"][good],
+        "t_ps": hits["t_mcp"][good] * geometry.tick_ps,
+        "x_mm": x,
+        "y_mm": y[good],
+        "wavelength_nm": position_to_wavelength(x, calibration),
+    })
+    return events, int(np.count_nonzero(bad))
 
 
-def write_events_csv(events: np.ndarray, sink) -> None:
+def write_events_csv(events: Columns, sink) -> None:
     """One `detector,t_ps,x_mm,y_mm,lambda_nm` line per event, 1-based detector,
     to an open text file."""
     sink.write(EVENTS_CSV_HEADER + "\n")

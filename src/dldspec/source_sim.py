@@ -1,11 +1,11 @@
 """Ground-truth emission streams: pulse count, photon pairs, scatter and darks.
 
-Everything here is pre-detector physics. Emitted photons are `Columns`, one
-row per photon: emission time, which collection path it entered (0 or 1, one
-path per detector arm), what produced it, and its wavelength. Pair photons
-are energy anti-correlated around the two polariton lines; the high-energy
-member is routed to a uniformly random path and its partner to the other, so
-both orderings occur with equal weight.
+Everything here is pre-detector physics. Emitted photons are `Columns`, the
+package's table type, one row per photon: emission time, which collection
+path it entered (0 or 1, one path per detector arm), what produced it, and
+its wavelength. Pair photons are energy anti-correlated around the two
+polariton lines; the high-energy member is routed to a uniformly random path
+and its partner to the other, so both orderings occur with equal weight.
 """
 
 from __future__ import annotations
@@ -26,19 +26,28 @@ class EventKind(enum.IntEnum):
 
 
 class Columns(dict):
-    """Equal-length 1-D arrays by name, one row per photon.
+    """A table: equal-length 1-D arrays by name, one row per entry.
 
-    Emissions (`time_ps`, `path`, `kind`, `wavelength_nm`) and detections
-    pass between the simulate stages as these rather than as packed records:
-    gathering or joining a plain column is one contiguous copy, a packed
-    record is copied field by field. `size` is the row count. `drawn` maps
-    each EventKind a sampler drew to its row count; it is empty for derived
-    columns.
+    Every in-memory table of the package is one: emissions and detections in
+    the simulate chain, hit groups on both sides of the file, and decoded
+    photon events. Packed records exist only at the `.dlde` boundary
+    (`event_format.PULSE_DTYPE`). Gathering or joining a plain column is one
+    contiguous copy, a packed record is copied field by field.
+
+    `table["name"]` is a column; any other index (a slice, an index array or
+    a mask) selects those rows of every column, as on a structured array.
+    `size` is the row count. `drawn` maps each EventKind a sampler drew to
+    its row count; it is empty for derived tables.
     """
 
     def __init__(self, columns, drawn: dict[EventKind, int] | None = None):
         super().__init__(columns)
         self.drawn = drawn or {}
+
+    def __getitem__(self, key):
+        if isinstance(key, str):
+            return super().__getitem__(key)
+        return Columns({name: column[key] for name, column in self.items()})
 
     @property
     def size(self) -> int:
@@ -142,9 +151,11 @@ def generate_emissions(
     """Pairs plus background, merged and stably time-sorted."""
     pairs = sample_pairs(config, pulse_times, rng)
     background = sample_background(config, pulse_times, rng, time_range_ps)
-    merged = {name: np.concatenate([pairs[name], background[name]]) for name in pairs}
+    # each part's column is dropped once merged, and each merged column once
+    # gathered, so at most one column is live twice
+    merged = {name: np.concatenate([pairs.pop(name), background.pop(name)]) for name in list(pairs)}
     order = np.argsort(merged["time_ps"], kind="stable")
-    return Columns({name: column.take(order) for name, column in merged.items()}, pairs.drawn | background.drawn)
+    return Columns({name: merged.pop(name).take(order) for name in list(merged)}, pairs.drawn | background.drawn)
 
 
 def _check_sorted(pulse_times: np.ndarray) -> None:

@@ -51,3 +51,13 @@ def detection_rows(rows) -> Columns:
         "y_mm": np.array(y_mm, dtype=np.float64),
         "wavelength_nm": np.full(len(rows), 389.2),
     })
+
+
+def packed(columns: Columns) -> np.ndarray:
+    """The rows of `columns` as one structured array, a field per column in
+    column order, so tables compare with `np.array_equal`, sort with
+    `np.sort(order=...)` and join with `np.concatenate`."""
+    out = np.empty(columns.size, dtype=[(name, column.dtype) for name, column in columns.items()])
+    for name, column in columns.items():
+        out[name] = column
+    return out

@@ -371,7 +371,7 @@ def test_criterion_9_throughput(big_file):
     tracemalloc.start()
     t0 = time.perf_counter()
     decoded = decode_file(path, cfg.geometry, cfg.calibration)
-    g2_histogram(decoded.events[0], decoded.events[1], cfg.correlation)
+    g2_histogram(decoded.events[0]["t_ps"], decoded.events[1]["t_ps"], cfg.correlation)
     elapsed = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

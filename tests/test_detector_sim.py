@@ -12,11 +12,10 @@ from dldspec.detector_sim import (
     groups_to_pulses,
 )
 from dldspec.event_format import PULSE_DTYPE, Channel
-from dldspec.reconstruction import HIT_GROUP_DTYPE
 from dldspec.source_sim import Columns, EventKind, generate_emissions
 
 from _oracles import brute_dead_time, brute_serialize, gaussian_fwhm_from_samples, position_from_times
-from conftest import detection_rows as _detections, make_config, pulse_times
+from conftest import detection_rows as _detections, make_config, packed, pulse_times
 
 
 def _emissions(n, wavelength=389.2, kind=EventKind.PUMP):
@@ -133,7 +132,11 @@ class TestEncode:
 
 
 def _hit_groups(rows):
-    return np.array(rows, dtype=HIT_GROUP_DTYPE)
+    """Hit-group columns from (detector, t_mcp, t_xa, t_xb, t_ya, t_yb) rows."""
+    detector, *times = zip(*rows)
+    names = ("t_mcp", "t_xa", "t_xb", "t_ya", "t_yb")
+    return Columns({"detector": np.array(detector, dtype=np.uint8)}
+                   | {name: np.array(t, dtype=np.int64) for name, t in zip(names, times)})
 
 
 def _pulse_rows(pulses):
@@ -182,7 +185,7 @@ def filter_dead_time(groups, dead_time_ps, tick_ps=1, chunk=3):
     (t_mcp, detector). Returns (kept groups, per-detector discards).
     """
     whole = DeadTimeFilter(dead_time_ps, tick_ps)
-    kept = whole.feed(groups, None)
+    kept = packed(whole.feed(groups, None))
     rng = np.random.default_rng(chunk)
     for scramble in (False, True):
         stream = DeadTimeFilter(dead_time_ps, tick_ps)
@@ -192,12 +195,12 @@ def filter_dead_time(groups, dead_time_ps, tick_ps=1, chunk=3):
             floor = None if lo + chunk >= groups.size else int(block["t_mcp"][-1])
             if scramble:
                 block = block[np.lexsort((rng.random(block.size), block["detector"] == 0))]
-            parts.append(stream.feed(block, floor))
-        streamed = np.concatenate([*parts, stream.finish()])
+            parts.append(packed(stream.feed(block, floor)))
+        streamed = np.concatenate([*parts, packed(stream.finish())])
         assert np.array_equal(streamed, kept)
         assert stream.discards == whole.discards
     keep_idx, discards = brute_dead_time(groups["detector"], groups["t_mcp"], dead_time_ps, tick_ps)
-    assert np.array_equal(kept, np.sort(groups[keep_idx], order=("t_mcp", "detector")))
+    assert np.array_equal(kept, np.sort(packed(groups)[keep_idx], order=("t_mcp", "detector")))
     assert tuple(whole.discards) == discards
     return kept, discards
 
@@ -231,7 +234,7 @@ class TestDeadTime:
     def test_detectors_independent(self):
         a = self._groups([5000.0, 5001.0], detector=0)
         b = self._groups([5000.0], detector=1)
-        merged = np.concatenate([a, b])
+        merged = Columns({name: np.concatenate([a[name], b[name]]) for name in a})
         merged = merged[np.argsort(merged["t_mcp"], kind="stable")]
         kept, discards = filter_dead_time(merged, 10_000.0)
         assert kept.size == 1
@@ -241,7 +244,7 @@ class TestDeadTime:
     def test_same_tick_on_both_detectors_lists_detector_0_first(self):
         a = self._groups([5000.0, 30_000.0], detector=1)
         b = self._groups([5000.0, 30_000.0], detector=0)
-        merged = np.concatenate([a, b])
+        merged = Columns({name: np.concatenate([a[name], b[name]]) for name in a})
         merged = merged[np.argsort(merged["t_mcp"], kind="stable")]  # detector 1 first on each tick
         for chunk in (1, 4):
             kept, discards = filter_dead_time(merged, 10_000.0, chunk=chunk)

@@ -1,4 +1,4 @@
-"""Guards on the test oracles and on the benchmark's tracing hooks."""
+"""Guards on the test oracles, the package's record types and the benchmark's tracing hooks."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from dldspec import pipeline
 
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
+SRC = TESTS.parent / "src" / "dldspec"
 
 
 def test_oracles_do_not_import_dldspec():
@@ -29,6 +30,32 @@ def test_oracles_do_not_import_dldspec():
     assert imported, "the import scan found nothing; it is not looking at the right file"
     offending = [m for m in imported if m.startswith(".") or m.split(".")[0] == "dldspec"]
     assert offending == []
+
+
+def _structured_dtype_lines(tree: ast.AST) -> list[int]:
+    """Lines that build a structured dtype: `dtype(...)` of a field list,
+    tuple or dict (a void view included), or a `dtype=` keyword given one."""
+    fields = (ast.List, ast.Tuple, ast.Dict)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", "")) == "dtype":
+            if node.args and isinstance(node.args[0], fields):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.keyword) and node.arg == "dtype" and isinstance(node.value, fields):
+            lines.append(node.value.lineno)
+    return lines
+
+
+def test_the_file_record_is_the_only_structured_dtype():
+    """Every in-memory table is a `Columns`; packed rows exist only at the
+    `.dlde` boundary, so the package builds exactly one structured dtype."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.lineno: node.targets[0].id for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+        found += [f"{path.stem}.{names.get(line, line)}" for line in _structured_dtype_lines(tree)]
+    assert found == ["event_format.PULSE_DTYPE"]
 
 
 @pytest.fixture

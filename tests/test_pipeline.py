@@ -11,11 +11,11 @@ from dldspec.correlation import build_jsi, select_coincidences, spectrum_1d
 from dldspec.detector_sim import DeadTimeFilter, detect, encode_groups, groups_to_pulses
 from dldspec.event_format import PULSE_DTYPE, EventFileHeader, FormatError, read_all_pulses, write_events
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
-from dldspec.reconstruction import PHOTON_DTYPE, match_hits, groups_to_events
-from dldspec.source_sim import EventKind, generate_emissions, pulse_count
+from dldspec.reconstruction import match_hits, groups_to_events
+from dldspec.source_sim import Columns, EventKind, generate_emissions, pulse_count
 
 from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram
-from conftest import make_config, pulse_times
+from conftest import make_config, packed, pulse_times
 
 
 def test_simulate_deterministic(tmp_path, small_config):
@@ -155,13 +155,13 @@ def test_full_loop_fidelity_no_noise(tmp_path):
     kept = DeadTimeFilter(sim.dead_time_ps, sim.geometry.tick_ps).feed(groups, None)
     chunked = DeadTimeFilter(sim.dead_time_ps, sim.geometry.tick_ps)
     parts = [
-        chunked.feed(groups[lo : lo + 100], int(groups["t_mcp"][lo + 99]) if lo + 100 < groups.size else None)
+        packed(chunked.feed(groups[lo : lo + 100], int(groups["t_mcp"][lo + 99]) if lo + 100 < groups.size else None))
         for lo in range(0, groups.size, 100)
     ]
-    assert np.array_equal(np.concatenate(parts), kept)
+    assert np.array_equal(np.concatenate(parts), packed(kept))
     keep_idx, _ = brute_dead_time(groups["detector"], groups["t_mcp"], sim.dead_time_ps, sim.geometry.tick_ps)
     order = ("t_mcp", "detector")  # the filter lists same-tick triggers detector by detector
-    assert np.array_equal(np.sort(kept, order=order), np.sort(groups[keep_idx], order=order))
+    assert np.array_equal(np.sort(packed(kept), order=order), np.sort(packed(groups)[keep_idx], order=order))
     keep_mask = np.isin(groups["t_mcp"], kept["t_mcp"])
     bound = sim.calibration.dispersion_nm_per_mm * sim.geometry.signal_speed_mm_per_ps * sim.geometry.tick_ps / 2
     for det in (0, 1):
@@ -186,7 +186,7 @@ def test_decode_chunk_size_invariant(tmp_path, small_config):
     for chunk_records in (5, 997):
         got = decode_file(path, small_config.geometry, small_config.calibration, chunk_records=chunk_records)
         for det in (0, 1):
-            assert np.array_equal(got.events[det], ref.events[det])
+            assert np.array_equal(packed(got.events[det]), packed(ref.events[det]))
         assert got.orphans == ref.orphans
         assert got.groups == ref.groups
         assert got.records_per_detector == ref.records_per_detector
@@ -204,7 +204,7 @@ def test_decode_matches_default_at_tiny_chunk_sizes(tmp_path):
     for chunk_records in (1, 2, 5):
         got = decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
         for det in (0, 1):
-            assert np.array_equal(got.events[det], ref.events[det])
+            assert np.array_equal(packed(got.events[det]), packed(ref.events[det]))
         assert (got.records, got.records_per_detector, got.groups, got.orphans, got.malformed) == (
             ref.records, ref.records_per_detector, ref.groups, ref.orphans, ref.malformed)
 
@@ -453,10 +453,15 @@ def test_summary_contains_stable_keys(tmp_path, small_config):
 
 
 def _photons(times, rng):
-    ev = np.zeros(len(times), dtype=PHOTON_DTYPE)
-    ev["t_ps"] = np.sort(np.asarray(times, dtype=np.int64))
-    ev["wavelength_nm"] = rng.uniform(388.5, 390.0, ev.size)
-    return ev
+    """Event columns at the sorted `times`, random wavelengths, zero positions."""
+    n = len(times)
+    return Columns({
+        "detector": np.zeros(n, dtype=np.uint8),
+        "t_ps": np.sort(np.asarray(times, dtype=np.int64)),
+        "x_mm": np.zeros(n),
+        "y_mm": np.zeros(n),
+        "wavelength_nm": rng.uniform(388.5, 390.0, n),
+    })
 
 
 def _side_windows(corr):

@@ -11,10 +11,8 @@ from dldspec.config import run_config_from_dict
 from dldspec.event_format import PULSE_DTYPE, Channel
 from dldspec.reconstruction import (
     DEFAULT_SUM_TOL_TICKS,
-    HIT_GROUP_DTYPE,
     HitMatcher,
     MalformedHitError,
-    PHOTON_DTYPE,
     channel_columns,
     default_window_ticks,
     groups_to_events,
@@ -24,9 +22,10 @@ from dldspec.reconstruction import (
     wavelength_to_position,
     write_events_csv,
 )
+from dldspec.source_sim import Columns
 
 from _oracles import brute_match_hits, events_csv_text, position_from_times
-from conftest import detection_rows
+from conftest import detection_rows, packed
 
 
 def _encode_detections(rows, geometry):
@@ -34,9 +33,10 @@ def _encode_detections(rows, geometry):
 
 
 def _hit(t_mcp, t_xa, t_xb, t_ya, t_yb, detector=0):
-    h = np.zeros(1, dtype=HIT_GROUP_DTYPE)
-    h[0] = (detector, t_mcp, t_xa, t_xb, t_ya, t_yb)
-    return h
+    """One hit group as columns of one row."""
+    times = {"t_mcp": t_mcp, "t_xa": t_xa, "t_xb": t_xb, "t_ya": t_ya, "t_yb": t_yb}
+    return Columns({"detector": np.array([detector], dtype=np.uint8)}
+                   | {name: np.array([t], dtype=np.int64) for name, t in times.items()})
 
 
 class TestPositionInversion:
@@ -93,7 +93,7 @@ class TestMatchHits:
         hits, orphans = match_hits(pulses, g)
         assert hits.size == 1
         assert orphans == 0
-        assert np.array_equal(hits, groups)
+        assert np.array_equal(packed(hits), packed(groups))
 
     def test_missing_channel_orphans_rest(self, default_config):
         g = default_config.geometry
@@ -144,7 +144,7 @@ class TestMatchHits:
         hits, orphans = match_hits(groups_to_pulses(groups), g)
         assert hits.size == n
         assert orphans == 0
-        assert np.array_equal(hits, groups)
+        assert np.array_equal(packed(hits), packed(groups))
 
     def test_rejects_mixed_detectors(self, default_config):
         g = default_config.geometry
@@ -173,6 +173,7 @@ class TestMatchHits:
         )
         assert 0 < len(want_groups) < n  # some detections are lost to stealing
         batch_hits, batch_orphans = match_hits(pulses, g)
+        batch_hits = packed(batch_hits)
         assert batch_hits[["t_mcp", "t_xa", "t_xb", "t_ya", "t_yb"]].tolist() == want_groups
         assert batch_orphans == want_orphans
         for chunk_size in (7, 97, 1000, pulses.size + 10):
@@ -180,8 +181,8 @@ class TestMatchHits:
             got = []
             for lo in range(0, pulses.size, chunk_size):
                 c = pulses[lo : lo + chunk_size]
-                got.append(m.feed(channel_columns(c, 1)[0]))
-            got.append(m.finish())
+                got.append(packed(m.feed(channel_columns(c, 1)[0])))
+            got.append(packed(m.finish()))
             streamed = np.concatenate(got)
             assert np.array_equal(streamed, batch_hits)
             assert m.orphans == want_orphans
@@ -229,9 +230,9 @@ def test_streamed_matcher_equals_oracle_for_every_chunk_size(pulses):
     )
     for chunk_size in range(1, pulses.size + 2):
         m = HitMatcher(_GEOMETRY)
-        got = [m.feed(channel_columns(pulses[lo : lo + chunk_size], 1)[0])
+        got = [packed(m.feed(channel_columns(pulses[lo : lo + chunk_size], 1)[0]))
                for lo in range(0, pulses.size, chunk_size)]
-        got.append(m.finish())
+        got.append(packed(m.finish()))
         groups = np.concatenate(got)
         assert groups[["t_mcp", "t_xa", "t_xb", "t_ya", "t_yb"]].tolist() == want_groups
         assert m.orphans == want_orphans
@@ -274,15 +275,16 @@ class TestGroupsToEvents:
     def test_csv_bytes_match_rowwise_formatter(self, tmp_path, rng, monkeypatch):
         monkeypatch.setattr(reconstruction, "_CSV_BLOCK_ROWS", 64)  # several blocks, one partial
         n = 500
-        events = np.zeros(n, dtype=PHOTON_DTYPE)
-        events["detector"] = rng.integers(0, 2, n)
-        events["t_ps"] = np.sort(rng.integers(0, 2**62, n))
-        events["x_mm"] = rng.uniform(-1.0, 41.0, n)
-        events["y_mm"] = rng.uniform(-1.0, 41.0, n)
-        events["wavelength_nm"] = rng.uniform(388.0, 390.5, n)
+        events = Columns({
+            "detector": rng.integers(0, 2, n).astype(np.uint8),
+            "t_ps": np.sort(rng.integers(0, 2**62, n)),
+            "x_mm": rng.uniform(-1.0, 41.0, n),
+            "y_mm": rng.uniform(-1.0, 41.0, n),
+            "wavelength_nm": rng.uniform(388.0, 390.5, n),
+        })
         events["x_mm"][:3] = (0.0, -0.0, 1e-7)  # signed zero and sub-resolution values
         for name, arr in (("some", events), ("none", events[:0])):
             p = tmp_path / f"{name}.csv"
             with open(p, "w") as fh:
                 write_events_csv(arr, fh)
-            assert p.read_bytes() == events_csv_text(arr).encode()
+            assert p.read_bytes() == events_csv_text(packed(arr)).encode()
