@@ -68,7 +68,6 @@ from .pipeline import (
 from .reconstruction import (
     HitMatcher,
     MalformedHitError,
-    match_hits,
     position_to_wavelength,
     reconstruct_position,
     wavelength_to_position,

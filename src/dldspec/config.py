@@ -225,35 +225,55 @@ _SECTION_TYPES = {
     "io": IoConfig,
 }
 
-_TUPLE_FIELDS = {
-    "coincidence_window_ps",
-    "accidental_window_ps",
-    "signal_regions_nm",
-}
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _coerce(name: str, value: Any) -> Any:
-    if name == "signal_regions_nm":
-        return tuple(tuple(float(x) for x in rect) for rect in value)
-    if name in _TUPLE_FIELDS:
+def _numbers(value: Any, n: int) -> tuple[float, ...] | None:
+    """`value` as a tuple of n floats, or None if it is not a list of n numbers."""
+    if isinstance(value, (list, tuple)) and len(value) == n and all(map(_is_number, value)):
         return tuple(float(x) for x in value)
-    return value
+    return None
+
+
+def _coerce(type_name: str, value: Any, where: str) -> Any:
+    """`value` checked against the field type `type_name` (as annotated) and
+    converted to it; ConfigError naming `where` if it does not fit."""
+    if type_name == "int":
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ConfigError(f"{where}: must be an integer")
+    if type_name == "float":
+        if _is_number(value):
+            return value
+        raise ConfigError(f"{where}: must be a number")
+    if type_name == "tuple[float, float]":
+        pair = _numbers(value, 2)
+        if pair is not None:
+            return pair
+        raise ConfigError(f"{where}: must be a (lo, hi) pair of numbers")
+    if type_name == "tuple[tuple[float, float, float, float], ...]":
+        if isinstance(value, (list, tuple)):
+            rects = tuple(_numbers(rect, 4) for rect in value)
+            if None not in rects:
+                return rects
+        raise ConfigError(f"{where}: must be a list of (x_lo, x_hi, y_lo, y_hi) rectangles of numbers")
+    if type_name == "str | None":
+        if value is None or isinstance(value, str):
+            return value
+        raise ConfigError(f"{where}: must be a string or null")
+    raise AssertionError(f"{where}: no type check for {type_name}")
 
 
 def _build_section(cls: type, doc: dict[str, Any], path: str) -> Any:
-    allowed = {f.name for f in dataclass_fields(cls)} - {"geometry", "calibration"}
-    unknown = set(doc) - allowed
+    types = {f.name: f.type for f in dataclass_fields(cls) if f.name not in ("geometry", "calibration")}
+    unknown = set(doc) - set(types)
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
-    kwargs = {}
-    for name, value in doc.items():
-        if name == "seed" or name == "tick_ps":
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if not isinstance(value, int):
-                raise ConfigError(f"{path}.{name}: must be an integer")
-        kwargs[name] = _coerce(name, value)
-    return cls(**kwargs)
+    return cls(**{name: _coerce(types[name], value, f"{path}.{name}") for name, value in doc.items()})
 
 
 def run_config_from_dict(doc: dict[str, Any]) -> RunConfig:

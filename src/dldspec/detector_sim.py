@@ -188,15 +188,11 @@ class DeadTimeFilter:
         self._pending = buf[n_dec:]
         return buf[:n_dec][~collide[:n_dec]]
 
-    def finish(self) -> Columns:
-        return self.feed(self._pending[:0], None)
-
     def emitted_floor_ticks(self, future_floor_ticks: int) -> int:
-        """Lower bound on any trigger tick this stage can still emit."""
-        lo = future_floor_ticks - self.dead_ticks - 1
-        if self._pending.size:
-            lo = min(lo, int(self._pending["t_mcp"][0]))
-        return lo
+        """Lower bound on any trigger tick this stage can still emit, right
+        after `feed(groups, future_floor_ticks)`: every pending trigger lies
+        at or above `future_floor_ticks - dead_ticks`."""
+        return future_floor_ticks - self.dead_ticks - 1
 
 
 def groups_to_pulses(groups: Columns, carry: np.ndarray | None = None) -> np.ndarray:

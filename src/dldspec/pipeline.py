@@ -9,16 +9,17 @@ sorts once per ordering decision: emission order (which fixes the random
 draws), detection time, surviving groups after dead time, and file order,
 where the writer's carry is merged into the block's pulses by the same sort.
 Emissions, detections and hit groups travel through a block as `Columns`,
-one plain array per field; the emitted counts of the summary are the sizes
-the samplers drew. Pulses are packed into PULSE_DTYPE records once, for the
-writer: the file record is the only packed row.
+one plain array per field; the emitted counts of the summary are counted off
+the emissions' `kind` column. Pulses are packed into PULSE_DTYPE records once,
+for the writer: the file record is the only packed row.
 
 Decoding streams the file in fixed-size record chunks. Each chunk is split
 once, by one stable radix sort of its `detector * 5 + channel` key, into ten
 time-sorted int64 timestamp columns, and each detector's five go to its
 `HitMatcher`, which returns hit-group `Columns`; the decoded events are
-`Columns` too. Memory is bounded by the chunk size plus the reconstructed
-events, and the result does not depend on the chunk size.
+`Columns` too. A decoded table's detector is the slot it sits in, never a
+column. Memory is bounded by the chunk size plus the reconstructed events,
+and the result does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -137,9 +138,10 @@ def simulate_to_file(
             times = np.arange(k0, k1, dtype=np.float64) * period
             t_hi = k1 * period if k1 < n_pulses else sim.duration_ps
             emissions = generate_emissions(sim, times, rng, (k0 * period, t_hi))
-            summary.emitted_pairs += emissions.drawn[EventKind.HEP]
-            summary.emitted_pump += emissions.drawn[EventKind.PUMP]
-            summary.emitted_dark += emissions.drawn[EventKind.DARK]
+            kinds = np.bincount(emissions["kind"], minlength=len(EventKind))
+            summary.emitted_pairs += int(kinds[EventKind.HEP])
+            summary.emitted_pump += int(kinds[EventKind.PUMP])
+            summary.emitted_dark += int(kinds[EventKind.DARK])
             detections, dtally = detect(emissions, sim, rng)
             # each stage's input is dropped once used, so it is not live under
             # the next stages' temporaries, which set the peak memory
@@ -178,7 +180,7 @@ def simulate_to_file(
 @dataclass
 class DecodeResult:
     header: EventFileHeader
-    # event Columns (detector, t_ps, x_mm, y_mm, wavelength_nm) of detectors 0 and 1
+    # event Columns (t_ps, x_mm, y_mm, wavelength_nm), detector 0's then detector 1's
     events: tuple[Columns, Columns]
     records: int
     records_per_detector: list[int]
@@ -194,7 +196,7 @@ def decode_file(
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
 ) -> DecodeResult:
     """Parse a `.dlde` file and reconstruct photon events per detector."""
-    matchers = [HitMatcher(geometry, detector=d) for d in (0, 1)]
+    matchers = [HitMatcher(geometry), HitMatcher(geometry)]
     pieces: list[list[Columns]] = [[], []]
     malformed = [0, 0]
     per_det = [0, 0]
@@ -232,7 +234,7 @@ def decode_file(
             events=events,  # type: ignore[arg-type]
             records=reader.records_read,
             records_per_detector=per_det,
-            groups=[m.n_groups for m in matchers],
+            groups=[ev.size + bad for ev, bad in zip(events, malformed)],
             orphans=[m.orphans for m in matchers],
             malformed=malformed,
         )
@@ -456,6 +458,6 @@ def write_report_bundle(
                   matrix=rep.subtracted)
     if events_csv:
         for det in (0, 1):
-            emit(f"events_det{det + 1}.csv", lambda fh: write_events_csv(decode.events[det], fh))
+            emit(f"events_det{det + 1}.csv", lambda fh: write_events_csv(decode.events[det], det, fh))
     emit("summary.txt", lambda fh: fh.write("\n".join(summary_lines(decode, analysis)) + "\n"))
     return paths

@@ -12,9 +12,10 @@ quantisation, which is the acceptance gate for grouping: pulse bundles whose
 sum statistic is off by more than sum_tol ticks are rejected rather than
 mis-localised.
 
-Hit groups and photon events are `Columns`. A group has a `detector` column
-(u1) and the int64 tick columns `t_mcp`, `t_xa`, `t_xb`, `t_ya`, `t_yb`; an
-event has `detector`, `t_ps` (int64), `x_mm`, `y_mm` and `wavelength_nm`.
+Decoding works on one detector at a time, so its tables carry no detector
+column: the caller keeps each detector's tables apart. Decoded hit groups are
+`Columns` of the int64 tick columns `GROUP_TIMES`; photon events have `t_ps`
+(int64), `x_mm`, `y_mm` and `wavelength_nm`.
 """
 
 from __future__ import annotations
@@ -42,49 +43,20 @@ def default_window_ticks(geometry: AnodeGeometry, sum_tol_ticks: int = DEFAULT_S
     return geometry.propagation_ticks + 4 * sum_tol_ticks
 
 
-def channel_columns(pulses: np.ndarray, detectors: int = 2) -> list[list[np.ndarray]]:
+def channel_columns(pulses: np.ndarray) -> list[list[np.ndarray]]:
     """Split time-sorted PULSE_DTYPE records into per-channel timestamp columns.
 
-    Returns, for each detector below `detectors` (at most 51), its five int64
-    columns in channel order (MCP, XA, XB, YA, YB), each time-sorted and in
-    file order on ties. One stable sort of the u1 key `detector * 5 + channel`
-    (a radix sort) and one gather of the timestamps make every column; they
-    are slices of that gather. Timestamps must be below 2**63, as the reader
-    checks.
+    Returns, for detectors 0 and 1, the five int64 columns in channel order
+    (MCP, XA, XB, YA, YB), each time-sorted and in file order on ties. One
+    stable sort of the u1 key `detector * 5 + channel` (a radix sort) and one
+    gather of the timestamps make every column; they are slices of that
+    gather. Timestamps must be below 2**63, as the reader checks.
     """
     key = pulses["detector"] * 5 + pulses["channel"]
     order = np.argsort(key, kind="stable")
     ts = pulses["timestamp"].take(order).view(np.int64)
-    bounds = np.searchsorted(key.take(order), np.arange(5 * detectors + 1, dtype=np.uint8)).tolist()
-    return [[ts[bounds[5 * d + c] : bounds[5 * d + c + 1]] for c in range(5)] for d in range(detectors)]
-
-
-def match_hits(
-    pulses: np.ndarray,
-    geometry: AnodeGeometry,
-    sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS,
-) -> tuple[Columns, int]:
-    """Group a single detector's time-sorted pulses into hits.
-
-    For each MCP trigger the earliest pulse per anode channel in
-    [t_mcp, t_mcp + window] is taken as candidate; the group is accepted only
-    if both timing sums match the propagation time within sum_tol ticks.
-    Matching is stateless per trigger (no candidate consumption), so two
-    detections closer than the window can steal each other's candidates, fail
-    the gate and be lost — the square-anode multi-hit blind spot. Pulses
-    absorbed by no accepted group are orphans.
-
-    The whole stream goes through one `HitMatcher` call. Returns (hit groups,
-    orphan count).
-    """
-    if pulses.size and (pulses["detector"].min() != pulses["detector"].max()):
-        raise ValueError("match_hits expects pulses from a single detector")
-    ts = pulses["timestamp"]
-    if np.any(ts[1:] < ts[:-1]):
-        raise ValueError("pulses must be time-sorted")
-    detector = int(pulses["detector"][0]) if pulses.size else 0
-    matcher = HitMatcher(geometry, sum_tol_ticks, detector)
-    return matcher.feed(channel_columns(pulses, detector + 1)[detector], final=True), matcher.orphans
+    bounds = np.searchsorted(key.take(order), np.arange(11, dtype=np.uint8)).tolist()
+    return [[ts[bounds[5 * d + c] : bounds[5 * d + c + 1]] for c in range(5)] for d in (0, 1)]
 
 
 def _match_core(
@@ -123,29 +95,28 @@ class HitMatcher:
 
     Each `feed` takes the next stretch of the stream as five time-sorted int64
     columns, one per channel (MCP, XA, XB, YA, YB; see `channel_columns`),
-    and returns hit-group `Columns`. A trigger is decided exactly once, as
-    soon as its whole candidate window is known to be buffered (at or before
-    the last buffered tick minus the window), so results do not depend on the
-    chunking. Decided triggers and expired pulses, which no future trigger can
-    reach, are a prefix of each column; what follows is carried, per channel,
-    with a claimed flag for each pulse. A pulse is counted as an orphan when
-    it expires still unclaimed.
+    and returns the hit groups it decided, as `Columns` of `GROUP_TIMES`.
+    For each MCP trigger the earliest pulse per anode channel in
+    [t_mcp, t_mcp + window] is its candidate; the group is accepted only if
+    both timing sums match the propagation time within sum_tol ticks.
+    Matching is stateless per trigger (no candidate consumption), so two
+    detections closer than the window can steal each other's candidates, fail
+    the gate and be lost: the square-anode multi-hit blind spot. A trigger is
+    decided exactly once, as soon as its whole candidate window is known to be
+    buffered (at or before the last buffered tick minus the window), so
+    results do not depend on the chunking. Decided triggers and expired
+    pulses, which no future trigger can reach, are a prefix of each column;
+    what follows is carried, per channel, with a claimed flag for each pulse.
+    A pulse is counted as an orphan when it expires still unclaimed.
     """
 
-    def __init__(
-        self,
-        geometry: AnodeGeometry,
-        sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS,
-        detector: int = 0,
-    ):
+    def __init__(self, geometry: AnodeGeometry, sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS):
         self.geometry = geometry
         self.sum_tol_ticks = sum_tol_ticks
         self.window_ticks = default_window_ticks(geometry, sum_tol_ticks)
-        self.detector = detector
         self._carry = [np.empty(0, dtype=np.int64)] * 5
         self._carry_claimed = [np.empty(0, dtype=bool)] * 5
         self.orphans = 0
-        self.n_groups = 0
 
     def feed(self, columns: list[np.ndarray], final: bool = False) -> Columns:
         buf = [np.concatenate([carry, col]) for carry, col in zip(self._carry, columns)]
@@ -168,11 +139,9 @@ class HitMatcher:
         for flags, cut in zip(claimed, cuts):
             self.orphans += cut - int(np.count_nonzero(flags[:cut]))
         groups = Columns({
-            "detector": np.full(accept.size, self.detector, dtype=np.uint8),
             "t_mcp": mcp_t.take(accept),
             **{name: cand_t[k].take(accept) for k, name in enumerate(GROUP_TIMES[1:])},
         })
-        self.n_groups += groups.size
         # deferred triggers stay in the carry along with every still-live pulse
         self._carry = [col[cut:] for col, cut in zip(buf, cuts)]
         self._carry_claimed = [flags[cut:] for flags, cut in zip(claimed, cuts)]
@@ -233,7 +202,6 @@ def groups_to_events(hits: Columns, geometry: AnodeGeometry, calibration: Calibr
     good = ~bad
     x = x[good]
     events = Columns({
-        "detector": hits["detector"][good],
         "t_ps": hits["t_mcp"][good] * geometry.tick_ps,
         "x_mm": x,
         "y_mm": y[good],
@@ -242,14 +210,14 @@ def groups_to_events(hits: Columns, geometry: AnodeGeometry, calibration: Calibr
     return events, int(np.count_nonzero(bad))
 
 
-def write_events_csv(events: Columns, sink) -> None:
-    """One `detector,t_ps,x_mm,y_mm,lambda_nm` line per event, 1-based detector,
-    to an open text file."""
+def write_events_csv(events: Columns, detector: int, sink) -> None:
+    """One `detector,t_ps,x_mm,y_mm,lambda_nm` line per event of `detector`,
+    written 1-based, to an open text file."""
     sink.write(EVENTS_CSV_HEADER + "\n")
+    row = "%d,%%d,%%.6f,%%.6f,%%.6f\n" % (detector + 1)
     # Python scalars from .tolist() format much faster than numpy row fields;
     # blocks bound the memory those lists take.
     for b in range(0, events.size, _CSV_BLOCK_ROWS):
         block = events[b : b + _CSV_BLOCK_ROWS]
         columns = [block[name].tolist() for name in ("t_ps", "x_mm", "y_mm", "wavelength_nm")]
-        detector = (block["detector"].astype(np.int64) + 1).tolist()
-        sink.writelines(["%d,%d,%.6f,%.6f,%.6f\n" % row for row in zip(detector, *columns)])
+        sink.writelines([row % values for values in zip(*columns)])

@@ -2,10 +2,11 @@
 
 Everything here is pre-detector physics. Emitted photons are `Columns`, the
 package's table type, one row per photon: emission time, which collection
-path it entered (0 or 1, one path per detector arm), what produced it, and
-its wavelength. Pair photons are energy anti-correlated around the two
-polariton lines; the high-energy member is routed to a uniformly random path
-and its partner to the other, so both orderings occur with equal weight.
+path it entered (0 or 1, one path per detector arm), what produced it (its
+`kind`, which is also how emitted photons are counted), and its wavelength.
+Pair photons are energy anti-correlated around the two polariton lines; the
+high-energy member is routed to a uniformly random path and its partner to
+the other, so both orderings occur with equal weight.
 """
 
 from __future__ import annotations
@@ -30,19 +31,17 @@ class Columns(dict):
 
     Every in-memory table of the package is one: emissions and detections in
     the simulate chain, hit groups on both sides of the file, and decoded
-    photon events. Packed records exist only at the `.dlde` boundary
-    (`event_format.PULSE_DTYPE`). Gathering or joining a plain column is one
-    contiguous copy, a packed record is copied field by field.
+    photon events. Simulated groups of both detectors share one table with a
+    `detector` column; a decoded table holds one detector's rows and has no
+    such column. A table holds its columns and nothing else, so a row
+    selection keeps all of it. Packed records exist only at the `.dlde`
+    boundary (`event_format.PULSE_DTYPE`). Gathering or joining a plain
+    column is one contiguous copy, a packed record is copied field by field.
 
     `table["name"]` is a column; any other index (a slice, an index array or
     a mask) selects those rows of every column, as on a structured array.
-    `size` is the row count. `drawn` maps each EventKind a sampler drew to
-    its row count; it is empty for derived tables.
+    `size` is the row count.
     """
-
-    def __init__(self, columns, drawn: dict[EventKind, int] | None = None):
-        super().__init__(columns)
-        self.drawn = drawn or {}
 
     def __getitem__(self, key):
         if isinstance(key, str):
@@ -93,10 +92,7 @@ def sample_pairs(config: SimConfig, pulse_times: np.ndarray, rng: np.random.Gene
         kind[1::2] = EventKind.LEP
         wavelength[0::2] = config.lambda_hep_nm + delta
         wavelength[1::2] = config.lambda_lep_nm - delta * ratio_sq
-    return Columns(
-        {"time_ps": time_ps, "path": path, "kind": kind, "wavelength_nm": wavelength},
-        drawn={EventKind.HEP: m, EventKind.LEP: m},
-    )
+    return Columns({"time_ps": time_ps, "path": path, "kind": kind, "wavelength_nm": wavelength})
 
 
 def sample_background(
@@ -131,15 +127,12 @@ def sample_background(
         times.append(rng.uniform(lo, hi, n_dark))
         wavelengths.append(np.full(n_dark, np.nan))
     sizes = [t.size for t in times]
-    return Columns(
-        {
-            "time_ps": np.concatenate(times),
-            "path": np.repeat(np.array([0, 1, 0, 1], dtype=np.uint8), sizes),
-            "kind": np.repeat(np.array([EventKind.PUMP] * 2 + [EventKind.DARK] * 2, dtype=np.uint8), sizes),
-            "wavelength_nm": np.concatenate(wavelengths),
-        },
-        drawn={EventKind.PUMP: sizes[0] + sizes[1], EventKind.DARK: sizes[2] + sizes[3]},
-    )
+    return Columns({
+        "time_ps": np.concatenate(times),
+        "path": np.repeat(np.array([0, 1, 0, 1], dtype=np.uint8), sizes),
+        "kind": np.repeat(np.array([EventKind.PUMP] * 2 + [EventKind.DARK] * 2, dtype=np.uint8), sizes),
+        "wavelength_nm": np.concatenate(wavelengths),
+    })
 
 
 def generate_emissions(
@@ -155,7 +148,7 @@ def generate_emissions(
     # gathered, so at most one column is live twice
     merged = {name: np.concatenate([pairs.pop(name), background.pop(name)]) for name in list(pairs)}
     order = np.argsort(merged["time_ps"], kind="stable")
-    return Columns({name: merged.pop(name).take(order) for name in list(merged)}, pairs.drawn | background.drawn)
+    return Columns({name: merged.pop(name).take(order) for name in list(merged)})
 
 
 def _check_sorted(pulse_times: np.ndarray) -> None:

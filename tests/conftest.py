@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dldspec.config import RunConfig, SimConfig, run_config_from_dict
+from dldspec.reconstruction import DEFAULT_SUM_TOL_TICKS, GROUP_TIMES, HitMatcher, channel_columns
 from dldspec.source_sim import Columns, EventKind, pulse_count
 
 
@@ -61,3 +62,22 @@ def packed(columns: Columns) -> np.ndarray:
     for name, column in columns.items():
         out[name] = column
     return out
+
+
+def group_times(groups: Columns) -> Columns:
+    """The `GROUP_TIMES` columns of hit groups: what the decoder recovers of
+    simulated groups, which also carry their detector."""
+    return Columns({name: groups[name] for name in GROUP_TIMES})
+
+
+def match_hits(pulses: np.ndarray, geometry, sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS) -> tuple[Columns, int]:
+    """One detector's time-sorted PULSE_DTYPE records through a single final
+    `HitMatcher.feed`: (hit groups, orphan count)."""
+    if pulses.size and (pulses["detector"].min() != pulses["detector"].max()):
+        raise ValueError("match_hits expects pulses from a single detector")
+    ts = pulses["timestamp"]
+    if np.any(ts[1:] < ts[:-1]):
+        raise ValueError("pulses must be time-sorted")
+    detector = int(pulses["detector"][0]) if pulses.size else 0
+    matcher = HitMatcher(geometry, sum_tol_ticks)
+    return matcher.feed(channel_columns(pulses)[detector], final=True), matcher.orphans

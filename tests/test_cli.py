@@ -164,3 +164,27 @@ def test_non_json_config_fails(tmp_path, capsys):
     assert code == EXIT_FAILURE
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "simulation.duration_ps=abc",
+        "simulation.qe=true",
+        "simulation.seed=true",
+        "simulation.seed=1.5",
+        "geometry.tick_ps=false",
+        "calibration.x_center_mm=[20]",
+        "correlation.coincidence_window_ps=[-500]",
+        "correlation.accidental_window_ps=[\"12658\", \"13658\"]",
+        "correlation.signal_regions_nm=5",
+        "correlation.signal_regions_nm=[[388.55, 389.05, 389.55]]",
+        "io.out_dir=5",
+    ],
+)
+def test_value_of_the_wrong_type_fails_with_field_path(tmp_path, capsys, override):
+    out = tmp_path / "r.dlde"
+    assert run_cli(["simulate", "--set", override, "--out", out]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {override.split('=')[0]}:")
+    assert not out.exists()

@@ -196,7 +196,7 @@ def filter_dead_time(groups, dead_time_ps, tick_ps=1, chunk=3):
             if scramble:
                 block = block[np.lexsort((rng.random(block.size), block["detector"] == 0))]
             parts.append(packed(stream.feed(block, floor)))
-        streamed = np.concatenate([*parts, packed(stream.finish())])
+        streamed = np.concatenate([*parts, packed(stream.feed(groups[:0], None))])
         assert np.array_equal(streamed, kept)
         assert stream.discards == whole.discards
     keep_idx, discards = brute_dead_time(groups["detector"], groups["t_mcp"], dead_time_ps, tick_ps)

@@ -11,11 +11,11 @@ from dldspec.correlation import build_jsi, select_coincidences, spectrum_1d
 from dldspec.detector_sim import DeadTimeFilter, detect, encode_groups, groups_to_pulses
 from dldspec.event_format import PULSE_DTYPE, EventFileHeader, FormatError, read_all_pulses, write_events
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
-from dldspec.reconstruction import match_hits, groups_to_events
+from dldspec.reconstruction import GROUP_TIMES, HitMatcher, channel_columns, groups_to_events
 from dldspec.source_sim import Columns, EventKind, generate_emissions, pulse_count
 
 from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram
-from conftest import make_config, packed, pulse_times
+from conftest import make_config, match_hits, packed, pulse_times
 
 
 def test_simulate_deterministic(tmp_path, small_config):
@@ -113,8 +113,8 @@ def test_simulation_sorts_four_times_per_block(tmp_path, monkeypatch):
 
 
 def test_emitted_counts_are_the_drawn_sizes(tmp_path, monkeypatch):
-    """The summary's emitted counts, taken from the sampled sizes, equal the
-    HEP, PUMP and DARK rows of the emissions of every block."""
+    """The summary's emitted counts equal the HEP, PUMP and DARK rows of the
+    emissions of every block."""
     real = pipeline.generate_emissions
     kinds = []
 
@@ -187,10 +187,23 @@ def test_decode_chunk_size_invariant(tmp_path, small_config):
         got = decode_file(path, small_config.geometry, small_config.calibration, chunk_records=chunk_records)
         for det in (0, 1):
             assert np.array_equal(packed(got.events[det]), packed(ref.events[det]))
+            assert got.groups[det] == got.events[det].size + got.malformed[det]
         assert got.orphans == ref.orphans
         assert got.groups == ref.groups
         assert got.records_per_detector == ref.records_per_detector
         assert summary_lines(got, analyze_events(got.events, small_config.correlation)) == ref_lines
+
+
+def test_decoded_tables_carry_no_detector_column(tmp_path, small_config):
+    """A decoded table belongs to one detector, its slot in the result: groups
+    hold exactly the GROUP_TIMES columns and events exactly four columns."""
+    path = tmp_path / "r.dlde"
+    simulate_to_file(small_config, path)
+    dec = decode_file(path, small_config.geometry, small_config.calibration)
+    for det, columns in enumerate(channel_columns(read_all_pulses(path)[1])):
+        groups = HitMatcher(small_config.geometry).feed(columns, final=True)
+        assert groups.size > 0 and list(groups) == list(GROUP_TIMES)
+        assert dec.events[det].size > 0 and list(dec.events[det]) == ["t_ps", "x_mm", "y_mm", "wavelength_nm"]
 
 
 def test_decode_matches_default_at_tiny_chunk_sizes(tmp_path):
@@ -456,7 +469,6 @@ def _photons(times, rng):
     """Event columns at the sorted `times`, random wavelengths, zero positions."""
     n = len(times)
     return Columns({
-        "detector": np.zeros(n, dtype=np.uint8),
         "t_ps": np.sort(np.asarray(times, dtype=np.int64)),
         "x_mm": np.zeros(n),
         "y_mm": np.zeros(n),

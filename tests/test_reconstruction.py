@@ -16,7 +16,6 @@ from dldspec.reconstruction import (
     channel_columns,
     default_window_ticks,
     groups_to_events,
-    match_hits,
     position_to_wavelength,
     reconstruct_position,
     wavelength_to_position,
@@ -25,18 +24,17 @@ from dldspec.reconstruction import (
 from dldspec.source_sim import Columns
 
 from _oracles import brute_match_hits, events_csv_text, position_from_times
-from conftest import detection_rows, packed
+from conftest import detection_rows, group_times, match_hits, packed
 
 
 def _encode_detections(rows, geometry):
     return encode_groups(detection_rows(rows), geometry)
 
 
-def _hit(t_mcp, t_xa, t_xb, t_ya, t_yb, detector=0):
+def _hit(t_mcp, t_xa, t_xb, t_ya, t_yb):
     """One hit group as columns of one row."""
     times = {"t_mcp": t_mcp, "t_xa": t_xa, "t_xb": t_xb, "t_ya": t_ya, "t_yb": t_yb}
-    return Columns({"detector": np.array([detector], dtype=np.uint8)}
-                   | {name: np.array([t], dtype=np.int64) for name, t in times.items()})
+    return Columns({name: np.array([t], dtype=np.int64) for name, t in times.items()})
 
 
 class TestPositionInversion:
@@ -93,7 +91,7 @@ class TestMatchHits:
         hits, orphans = match_hits(pulses, g)
         assert hits.size == 1
         assert orphans == 0
-        assert np.array_equal(packed(hits), packed(groups))
+        assert np.array_equal(packed(hits), packed(group_times(groups)))
 
     def test_missing_channel_orphans_rest(self, default_config):
         g = default_config.geometry
@@ -144,7 +142,7 @@ class TestMatchHits:
         hits, orphans = match_hits(groups_to_pulses(groups), g)
         assert hits.size == n
         assert orphans == 0
-        assert np.array_equal(packed(hits), packed(groups))
+        assert np.array_equal(packed(hits), packed(group_times(groups)))
 
     def test_rejects_mixed_detectors(self, default_config):
         g = default_config.geometry
@@ -181,12 +179,11 @@ class TestMatchHits:
             got = []
             for lo in range(0, pulses.size, chunk_size):
                 c = pulses[lo : lo + chunk_size]
-                got.append(packed(m.feed(channel_columns(c, 1)[0])))
+                got.append(packed(m.feed(channel_columns(c)[0])))
             got.append(packed(m.finish()))
             streamed = np.concatenate(got)
             assert np.array_equal(streamed, batch_hits)
             assert m.orphans == want_orphans
-            assert m.n_groups == len(want_groups)
 
 
 _GEOMETRY = run_config_from_dict({}).geometry
@@ -230,13 +227,12 @@ def test_streamed_matcher_equals_oracle_for_every_chunk_size(pulses):
     )
     for chunk_size in range(1, pulses.size + 2):
         m = HitMatcher(_GEOMETRY)
-        got = [packed(m.feed(channel_columns(pulses[lo : lo + chunk_size], 1)[0]))
+        got = [packed(m.feed(channel_columns(pulses[lo : lo + chunk_size])[0]))
                for lo in range(0, pulses.size, chunk_size)]
         got.append(packed(m.finish()))
         groups = np.concatenate(got)
         assert groups[["t_mcp", "t_xa", "t_xb", "t_ya", "t_yb"]].tolist() == want_groups
         assert m.orphans == want_orphans
-        assert m.n_groups == len(want_groups)
 
 
 class TestGroupsToEvents:
@@ -246,7 +242,6 @@ class TestGroupsToEvents:
         groups = _encode_detections([(1, 1000.0, 8.0, 5.0)], g)
         events, bad = groups_to_events(groups, g, cal)
         assert bad == 0
-        assert events["detector"][0] == 1
         assert events["wavelength_nm"][0] == pytest.approx(
             position_to_wavelength(events["x_mm"][0], cal)
         )
@@ -264,7 +259,7 @@ class TestGroupsToEvents:
         events, _ = groups_to_events(groups, g, default_config.calibration)
         p = tmp_path / "events.csv"
         with open(p, "w") as fh:
-            write_events_csv(events, fh)
+            write_events_csv(events, 0, fh)
         lines = p.read_text().splitlines()
         assert lines[0] == "detector,t_ps,x_mm,y_mm,lambda_nm"
         fields = lines[1].split(",")
@@ -276,7 +271,6 @@ class TestGroupsToEvents:
         monkeypatch.setattr(reconstruction, "_CSV_BLOCK_ROWS", 64)  # several blocks, one partial
         n = 500
         events = Columns({
-            "detector": rng.integers(0, 2, n).astype(np.uint8),
             "t_ps": np.sort(rng.integers(0, 2**62, n)),
             "x_mm": rng.uniform(-1.0, 41.0, n),
             "y_mm": rng.uniform(-1.0, 41.0, n),
@@ -284,7 +278,9 @@ class TestGroupsToEvents:
         })
         events["x_mm"][:3] = (0.0, -0.0, 1e-7)  # signed zero and sub-resolution values
         for name, arr in (("some", events), ("none", events[:0])):
-            p = tmp_path / f"{name}.csv"
-            with open(p, "w") as fh:
-                write_events_csv(arr, fh)
-            assert p.read_bytes() == events_csv_text(packed(arr)).encode()
+            for detector in (0, 1):
+                p = tmp_path / f"{name}{detector}.csv"
+                with open(p, "w") as fh:
+                    write_events_csv(arr, detector, fh)
+                labelled = Columns({"detector": np.full(arr.size, detector, dtype=np.uint8)} | arr)
+                assert p.read_bytes() == events_csv_text(packed(labelled)).encode()
