@@ -3,7 +3,10 @@
 All times are picoseconds, lengths millimetres, wavelengths nanometres unless a
 field name says otherwise. A run is fully described by one RunConfig; the same
 document drives simulation and analysis so a report is reproducible from the
-config file plus the seed alone.
+config file plus the seed alone. The tree mirrors the JSON document: RunConfig
+has one field per document section (simulation, geometry, calibration,
+correlation, io), each a flat record of that section's keys, so
+`dataclasses.asdict` gives the document back.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class AnodeGeometry:
     propagation_time_ps: float = 4e4
     tick_ps: int = 1
 
-    def validate(self, path: str = "geometry") -> None:
+    def validate(self, path: str) -> None:
         for name in ("size_x_mm", "size_y_mm", "signal_speed_mm_per_ps", "propagation_time_ps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{path}.{name}: must be > 0")
@@ -68,18 +71,19 @@ class Calibration:
     dispersion_nm_per_mm: float = 0.0375
     x_center_mm: float = 20.0
 
-    def validate(self, path: str = "calibration") -> None:
+    def validate(self, path: str) -> None:
         if self.dispersion_nm_per_mm == 0:
             raise ConfigError(f"{path}.dispersion_nm_per_mm: must be nonzero")
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Physical and geometric parameters of one simulated acquisition.
+    """Source and detector-response parameters of one simulated acquisition.
 
     Rates named *_per_pulse are Bernoulli probabilities per laser pulse, valid
     in the low-occupancy counting regime. dark_rate_hz is a homogeneous Poisson
-    rate per detector.
+    rate per detector. The anode geometry and the wavelength calibration are
+    sections of their own (RunConfig.geometry, RunConfig.calibration).
     """
 
     seed: int = 1
@@ -96,10 +100,8 @@ class SimConfig:
     qe: float = 0.20
     jitter_fwhm_ps: float = 263.0
     dead_time_ps: float = 10000.0
-    geometry: AnodeGeometry = field(default_factory=AnodeGeometry)
-    calibration: Calibration = field(default_factory=Calibration)
 
-    def validate(self, path: str = "simulation") -> None:
+    def validate(self, path: str) -> None:
         if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
             raise ConfigError(f"{path}.seed: must be an unsigned 64-bit integer")
         if self.duration_ps <= 0:
@@ -121,8 +123,6 @@ class SimConfig:
         for name in ("lambda_hep_nm", "lambda_lep_nm", "lambda_pump_nm"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{path}.{name}: must be > 0")
-        self.geometry.validate("geometry")
-        self.calibration.validate("calibration")
 
     @property
     def pulse_period_ps(self) -> float:
@@ -153,7 +153,7 @@ class CorrelationConfig:
         (389.55, 390.05, 388.55, 389.05),
     )
 
-    def validate(self, path: str = "correlation") -> None:
+    def validate(self, path: str) -> None:
         if self.g2_bin_width_ps <= 0:
             raise ConfigError(f"{path}.g2_bin_width_ps: must be > 0")
         if self.g2_range_ps <= 0:
@@ -193,47 +193,46 @@ class IoConfig:
     events_path: str | None = None
     out_dir: str | None = None
 
-    def validate(self, path: str = "io") -> None:
+    def validate(self, path: str) -> None:
         return None
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One field per section of the JSON document, in document order."""
+
     simulation: SimConfig = field(default_factory=SimConfig)
+    geometry: AnodeGeometry = field(default_factory=AnodeGeometry)
+    calibration: Calibration = field(default_factory=Calibration)
     correlation: CorrelationConfig = field(default_factory=CorrelationConfig)
     io: IoConfig = field(default_factory=IoConfig)
 
     def validate(self) -> None:
-        self.simulation.validate("simulation")
-        self.correlation.validate("correlation")
-        self.io.validate("io")
-
-    @property
-    def geometry(self) -> AnodeGeometry:
-        return self.simulation.geometry
-
-    @property
-    def calibration(self) -> Calibration:
-        return self.simulation.calibration
-
-
-_SECTION_TYPES = {
-    "simulation": SimConfig,
-    "geometry": AnodeGeometry,
-    "calibration": Calibration,
-    "correlation": CorrelationConfig,
-    "io": IoConfig,
-}
+        for f in dataclass_fields(self):
+            getattr(self, f.name).validate(f.name)
 
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _numbers(value: Any, n: int) -> tuple[float, ...] | None:
-    """`value` as a tuple of n floats, or None if it is not a list of n numbers."""
+def _finite(value: int | float, where: str) -> int | float:
+    """`value` unchanged; ConfigError naming `where` if it is NaN, infinite or
+    an integer beyond the float range."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where}: must be a finite number")
+    return value
+
+
+def _numbers(value: Any, n: int, where: str) -> tuple[float, ...] | None:
+    """`value` as a tuple of n finite floats, or None if it is not a list of n
+    numbers; ConfigError naming `where` if one of them is NaN or infinite."""
     if isinstance(value, (list, tuple)) and len(value) == n and all(map(_is_number, value)):
-        return tuple(float(x) for x in value)
+        return tuple(float(_finite(x, where)) for x in value)
     return None
 
 
@@ -248,16 +247,16 @@ def _coerce(type_name: str, value: Any, where: str) -> Any:
         raise ConfigError(f"{where}: must be an integer")
     if type_name == "float":
         if _is_number(value):
-            return value
+            return _finite(value, where)
         raise ConfigError(f"{where}: must be a number")
     if type_name == "tuple[float, float]":
-        pair = _numbers(value, 2)
+        pair = _numbers(value, 2, where)
         if pair is not None:
             return pair
         raise ConfigError(f"{where}: must be a (lo, hi) pair of numbers")
     if type_name == "tuple[tuple[float, float, float, float], ...]":
         if isinstance(value, (list, tuple)):
-            rects = tuple(_numbers(rect, 4) for rect in value)
+            rects = tuple(_numbers(rect, 4, where) for rect in value)
             if None not in rects:
                 return rects
         raise ConfigError(f"{where}: must be a list of (x_lo, x_hi, y_lo, y_hi) rectangles of numbers")
@@ -268,8 +267,10 @@ def _coerce(type_name: str, value: Any, where: str) -> Any:
     raise AssertionError(f"{where}: no type check for {type_name}")
 
 
-def _build_section(cls: type, doc: dict[str, Any], path: str) -> Any:
-    types = {f.name: f.type for f in dataclass_fields(cls) if f.name not in ("geometry", "calibration")}
+def _build_section(cls: type, doc: Any, path: str) -> Any:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object")
+    types = {f.name: f.type for f in dataclass_fields(cls)}
     unknown = set(doc) - set(types)
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
@@ -284,27 +285,11 @@ def run_config_from_dict(doc: dict[str, Any]) -> RunConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected an object of sections")
-    unknown = set(doc) - set(_SECTION_TYPES)
+    sections = {f.name: f.default_factory for f in dataclass_fields(RunConfig)}
+    unknown = set(doc) - set(sections)
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown section")
-    sections: dict[str, Any] = {}
-    for name, cls in _SECTION_TYPES.items():
-        sub = doc.get(name, {})
-        if not isinstance(sub, dict):
-            raise ConfigError(f"{name}: expected an object")
-        sections[name] = _build_section(cls, sub, name)
-    sim = sections["simulation"]
-    if "geometry" in doc or "calibration" in doc:
-        sim = SimConfig(
-            **{
-                f.name: getattr(sim, f.name)
-                for f in dataclass_fields(SimConfig)
-                if f.name not in ("geometry", "calibration")
-            },
-            geometry=sections["geometry"],
-            calibration=sections["calibration"],
-        )
-    cfg = RunConfig(simulation=sim, correlation=sections["correlation"], io=sections["io"])
+    cfg = RunConfig(**{name: _build_section(cls, doc.get(name, {}), name) for name, cls in sections.items()})
     cfg.validate()
     return cfg
 
@@ -351,26 +336,3 @@ def apply_overrides(doc: dict[str, Any], overrides: list[str]) -> dict[str, Any]
                 raise ConfigError(f"override '{item}': {p} is not a section")
         node[parts[-1]] = value
     return out
-
-
-def run_config_to_dict(cfg: RunConfig) -> dict[str, Any]:
-    """Flatten a RunConfig back to the JSON document shape."""
-
-    def section(obj: Any, skip: tuple[str, ...] = ()) -> dict[str, Any]:
-        out = {}
-        for f in dataclass_fields(obj):
-            if f.name in skip:
-                continue
-            v = getattr(obj, f.name)
-            if isinstance(v, tuple):
-                v = [list(x) if isinstance(x, tuple) else x for x in v]
-            out[f.name] = v
-        return out
-
-    return {
-        "simulation": section(cfg.simulation, skip=("geometry", "calibration")),
-        "geometry": section(cfg.simulation.geometry),
-        "calibration": section(cfg.simulation.calibration),
-        "correlation": section(cfg.correlation),
-        "io": section(cfg.io),
-    }

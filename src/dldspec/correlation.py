@@ -34,6 +34,8 @@ from scipy import optimize
 from .config import CorrelationConfig, GAUSSIAN_FWHM_OVER_SIGMA
 
 _PAIR_BLOCK = 1 << 17
+# fit_fwhm fits the bins within this many bin widths of the peak center
+_FIT_HALFWIDTH_BINS = 5
 
 
 class FitError(RuntimeError):
@@ -203,12 +205,12 @@ def iter_window_pairs(
     lo: float,
     hi: float,
     closed: bool = True,
-    block: int = _PAIR_BLOCK,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (i, j) index blocks of all pairs with t2[j] - t1[i] in the window.
 
-    Cost is O(n1 log n2 + pairs); memory is bounded by the block size. The
-    window is [lo, hi] when closed else [lo, hi).
+    Cost is O(n1 log n2 + pairs); memory is bounded by the block size,
+    _PAIR_BLOCK first-detector events. The window is [lo, hi] when closed
+    else [lo, hi).
     """
     first, last = _closed_bounds(lo, hi)
     starts = np.searchsorted(t2, t1 + first, side="left")
@@ -216,9 +218,9 @@ def iter_window_pairs(
     bound = last if closed else int(math.ceil(hi))
     ends = np.searchsorted(t2, t1 + bound, side=side)
     ends = np.maximum(ends, starts)
-    for b in range(0, t1.size, block):
-        s = starts[b : b + block]
-        e = ends[b : b + block]
+    for b in range(0, t1.size, _PAIR_BLOCK):
+        s = starts[b : b + _PAIR_BLOCK]
+        e = ends[b : b + _PAIR_BLOCK]
         counts = e - s
         total = int(counts.sum())
         if total == 0:
@@ -289,15 +291,15 @@ class FwhmFit:
     fwhm: float
 
 
-def fit_fwhm(hist: Histogram1D, peak_center: float, halfwidth_bins: int = 5) -> FwhmFit:
+def fit_fwhm(hist: Histogram1D, peak_center: float) -> FwhmFit:
     """Least-squares Gaussian-plus-offset fit around peak_center.
 
-    Uses the bins whose centers lie within halfwidth_bins * bin_width of
+    Uses the bins whose centers lie within _FIT_HALFWIDTH_BINS * bin_width of
     peak_center; needs at least 5 populated bins there. FWHM = 2 sqrt(2 ln 2)
     * sigma.
     """
     centers = hist.bin_centers()
-    half = halfwidth_bins * hist.bin_width
+    half = _FIT_HALFWIDTH_BINS * hist.bin_width
     m = np.abs(centers - peak_center) <= half * (1 + 1e-12)
     xs = centers[m]
     ys = hist.counts[m].astype(np.float64)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AnodeGeometry, SimConfig, fwhm_to_sigma
+from .config import AnodeGeometry, RunConfig, fwhm_to_sigma
 from .event_format import Channel, PULSE_DTYPE
 from .reconstruction import GROUP_TIMES, wavelength_to_position
 from .source_sim import Columns, EventKind
@@ -47,26 +47,28 @@ class DetectTally:
 
 
 def detect(
-    events: Columns, config: SimConfig, rng: np.random.Generator
+    events: Columns, cfg: RunConfig, rng: np.random.Generator
 ) -> tuple[Columns, DetectTally]:
     """Turn emissions into anode landings, sorted by detection time.
 
-    Each event survives with probability qe. The detection time is the emission
-    time plus Gaussian trigger jitter (FWHM jitter_fwhm_ps). The x coordinate
-    is the spectrometer image of the wavelength; dark counts land uniformly in
-    x. y is uniform over the anode height. Events whose wavelength images
-    outside the anode fall off the sensor and are dropped (counted), as are
-    detections jittered to negative times at the run start.
+    Reads three sections of `cfg`: simulation (qe, jitter), geometry (anode
+    size) and calibration (wavelength to x). Each event survives with
+    probability qe. The detection time is the emission time plus Gaussian
+    trigger jitter (FWHM jitter_fwhm_ps). The x coordinate is the spectrometer
+    image of the wavelength; dark counts land uniformly in x. y is uniform over
+    the anode height. Events whose wavelength images outside the anode fall off
+    the sensor and are dropped (counted), as are detections jittered to
+    negative times at the run start.
 
     The result has columns path, kind, time_ps, x_mm, y_mm and wavelength_nm
     (the emitted one). Only the survivors' emission columns are gathered.
     """
     tally = DetectTally()
-    geometry = config.geometry
-    survive = np.flatnonzero(rng.random(events.size) < config.qe)
+    sim, geometry = cfg.simulation, cfg.geometry
+    survive = np.flatnonzero(rng.random(events.size) < sim.qe)
     n = survive.size
     tally.n_qe_lost = events.size - n
-    sigma = fwhm_to_sigma(config.jitter_fwhm_ps)
+    sigma = fwhm_to_sigma(sim.jitter_fwhm_ps)
     if sigma > 0:
         jitter = rng.normal(0.0, sigma, n)
         np.clip(jitter, -JITTER_CLIP_SIGMAS * sigma, JITTER_CLIP_SIGMAS * sigma, out=jitter)
@@ -77,7 +79,7 @@ def detect(
     y = rng.random(n) * geometry.size_y_mm
     is_dark = events["kind"].take(survive) == EventKind.DARK
     wavelength = events["wavelength_nm"].take(survive)
-    x = np.where(is_dark, dark_x, wavelength_to_position(wavelength, config.calibration))
+    x = np.where(is_dark, dark_x, wavelength_to_position(wavelength, cfg.calibration))
     on_sensor = (x >= 0.0) & (x <= geometry.size_x_mm)
     on_sensor |= is_dark  # dark positions are uniform on-sensor by construction
     tally.n_off_sensor = int(n - np.count_nonzero(on_sensor))

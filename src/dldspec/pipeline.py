@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CorrelationConfig, RunConfig, SimConfig, fwhm_to_sigma
+from .config import CorrelationConfig, RunConfig, fwhm_to_sigma
 from .correlation import (
     FitError,
     FwhmFit,
@@ -113,16 +113,13 @@ class SimulationSummary:
         ]
 
 
-def simulate_to_file(
-    cfg: RunConfig | SimConfig, path, block_pulses: int = SIM_BLOCK_PULSES
-) -> SimulationSummary:
+def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES) -> SimulationSummary:
     """Run one seeded acquisition and serialize its raw pulse stream.
 
     Deterministic: the same (config, seed) yields a byte-identical file.
     """
-    sim = cfg.simulation if isinstance(cfg, RunConfig) else cfg
-    sim.validate()
-    geometry = sim.geometry
+    cfg.validate()
+    sim, geometry = cfg.simulation, cfg.geometry
     period = sim.pulse_period_ps
     n_pulses = pulse_count(sim)
     rng = np.random.default_rng(np.random.SeedSequence(sim.seed))
@@ -142,7 +139,7 @@ def simulate_to_file(
             summary.emitted_pairs += int(kinds[EventKind.HEP])
             summary.emitted_pump += int(kinds[EventKind.PUMP])
             summary.emitted_dark += int(kinds[EventKind.DARK])
-            detections, dtally = detect(emissions, sim, rng)
+            detections, dtally = detect(emissions, cfg, rng)
             # each stage's input is dropped once used, so it is not live under
             # the next stages' temporaries, which set the peak memory
             del times, emissions
@@ -247,7 +244,6 @@ class AnalysisResult:
     g2: Histogram1D
     fit: FwhmFit | None
     fit_error: str
-    center_window_counts: int
     side_window_counts: list[int]
     side_window_mean: float
     center_to_side_ratio: float
@@ -314,7 +310,6 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
         g2=g2,
         fit=fit,
         fit_error=fit_error,
-        center_window_counts=center,
         side_window_counts=side_counts,
         side_window_mean=side_mean,
         center_to_side_ratio=ratio,
@@ -355,7 +350,7 @@ def summary_lines(decode: DecodeResult, analysis: AnalysisResult) -> list[str]:
         ]
     lines += [
         f"g2_total_pairs={int(analysis.g2.counts.sum())}",
-        f"g2_center_counts={analysis.center_window_counts}",
+        f"g2_center_counts={analysis.coincidence_count}",
         f"g2_side_mean={_fmt(analysis.side_window_mean)}",
         f"g2_center_side_ratio={_fmt(analysis.center_to_side_ratio)}",
         f"g2_fit_ok={int(f is not None)}",

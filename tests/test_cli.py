@@ -180,6 +180,13 @@ def test_non_json_config_fails(tmp_path, capsys):
         "correlation.signal_regions_nm=5",
         "correlation.signal_regions_nm=[[388.55, 389.05, 389.55]]",
         "io.out_dir=5",
+        "simulation.jitter_fwhm_ps=NaN",
+        "simulation.dead_time_ps=NaN",
+        "simulation.dark_rate_hz=Infinity",
+        "simulation.duration_ps=NaN",
+        "correlation.g2_bin_width_ps=NaN",
+        "correlation.coincidence_window_ps=[-Infinity, 500]",
+        "simulation.duration_ps=1" + "0" * 400,  # an int beyond the float range
     ],
 )
 def test_value_of_the_wrong_type_fails_with_field_path(tmp_path, capsys, override):

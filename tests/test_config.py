@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from dldspec.config import (
     ConfigError,
+    RunConfig,
     apply_overrides,
     load_run_config,
     run_config_from_dict,
-    run_config_to_dict,
 )
 
 
@@ -84,7 +86,7 @@ def test_override_requires_section_and_key():
 def test_load_round_trip(tmp_path):
     cfg = run_config_from_dict({"simulation": {"seed": 5, "pair_rate_per_pulse": 0.3}})
     p = tmp_path / "run.json"
-    p.write_text(json.dumps(run_config_to_dict(cfg)))
+    p.write_text(json.dumps(asdict(cfg)))
     loaded = load_run_config(p)
     assert loaded == cfg
 
@@ -97,7 +99,7 @@ def test_load_rejects_a_missing_file(tmp_path):
 @pytest.mark.parametrize("overrides", [[], ["simulation.seed=9", "correlation.g2_bin_width_ps=44"],
                                        ["geometry.tick_ps=2"]])
 def test_overrides_on_empty_doc_equal_overrides_on_defaults(overrides):
-    defaults = run_config_to_dict(run_config_from_dict({}))
+    defaults = asdict(run_config_from_dict({}))
     assert run_config_from_dict(apply_overrides({}, overrides)) == run_config_from_dict(
         apply_overrides(defaults, overrides)
     )
@@ -108,3 +110,8 @@ def test_load_rejects_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_run_config(p)
+
+
+def test_example_config_is_the_whole_default_document():
+    example = Path(__file__).resolve().parents[1] / "example_config.json"
+    assert json.loads(example.read_text()) == json.loads(json.dumps(asdict(RunConfig())))

@@ -29,7 +29,7 @@ def _emissions(n, wavelength=389.2, kind=EventKind.PUMP):
 
 class TestDetect:
     def test_identity_response_at_unit_qe_zero_jitter(self, rng):
-        cfg = make_config(qe=1.0, jitter_fwhm_ps=0.0).simulation
+        cfg = make_config(qe=1.0, jitter_fwhm_ps=0.0)
         ev = _emissions(1000)
         out, tally = detect(ev, cfg, rng)
         assert out.size == 1000
@@ -38,7 +38,7 @@ class TestDetect:
         assert np.array_equal(np.sort(out["time_ps"]), np.sort(ev["time_ps"]))
 
     def test_qe_survival_binomial(self, rng):
-        cfg = make_config(qe=0.2, jitter_fwhm_ps=0.0).simulation
+        cfg = make_config(qe=0.2, jitter_fwhm_ps=0.0)
         ev = _emissions(100_000)
         out, tally = detect(ev, cfg, rng)
         sigma = math.sqrt(100_000 * 0.2 * 0.8)
@@ -46,7 +46,7 @@ class TestDetect:
         assert tally.n_qe_lost + out.size + tally.n_off_sensor + tally.n_negative_time == 100_000
 
     def test_jitter_fwhm_reproduced(self, rng):
-        cfg = make_config(qe=1.0).simulation  # jitter 263 ps default
+        cfg = make_config(qe=1.0)  # jitter 263 ps default
         ev = _emissions(100_000)
         ev["time_ps"] += 1e7  # keep far from t=0 so nothing is dropped
         out, _ = detect(ev, cfg, rng)
@@ -57,14 +57,14 @@ class TestDetect:
         assert abs(fwhm - 263.0) < 5.0
 
     def test_off_sensor_wavelengths_dropped_and_counted(self, rng):
-        cfg = make_config(qe=1.0, jitter_fwhm_ps=0.0).simulation
+        cfg = make_config(qe=1.0, jitter_fwhm_ps=0.0)
         ev = _emissions(100, wavelength=400.0)  # maps far off the anode
         out, tally = detect(ev, cfg, rng)
         assert out.size == 0
         assert tally.n_off_sensor == 100
 
     def test_dark_events_land_uniformly(self, rng):
-        cfg = make_config(qe=1.0, jitter_fwhm_ps=0.0).simulation
+        cfg = make_config(qe=1.0, jitter_fwhm_ps=0.0)
         ev = _emissions(20_000, kind=EventKind.DARK)
         ev["wavelength_nm"][:] = np.nan
         out, tally = detect(ev, cfg, rng)
@@ -79,7 +79,7 @@ class TestDetect:
         ev = _emissions(50_000)
         counts = []
         for qe in (0.05, 0.2, 0.5, 0.9):
-            cfg = make_config(qe=qe, jitter_fwhm_ps=0.0).simulation
+            cfg = make_config(qe=qe, jitter_fwhm_ps=0.0)
             out, _ = detect(ev, cfg, np.random.default_rng(99))
             counts.append(out.size)
         assert counts == sorted(counts)
@@ -287,12 +287,12 @@ class TestDeadTime:
 
 
 def test_full_detector_chain_reproducible():
-    cfg = make_config(seed=17, duration_ps=3e7).simulation
-    pulses = pulse_times(cfg)
+    cfg = make_config(seed=17, duration_ps=3e7)
+    pulses = pulse_times(cfg.simulation)
 
     def run():
         r = np.random.default_rng(17)
-        em = generate_emissions(cfg, pulses, r)
+        em = generate_emissions(cfg.simulation, pulses, r)
         det, _ = detect(em, cfg, r)
         return groups_to_pulses(encode_groups(det, cfg.geometry))
 
