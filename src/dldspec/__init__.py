@@ -53,7 +53,6 @@ from .event_format import (
     TimestampRangeError,
     TimestampRegressionError,
     TruncatedRecordError,
-    write_events,
 )
 from .pipeline import (
     AnalysisResult,
@@ -67,9 +66,7 @@ from .pipeline import (
 )
 from .reconstruction import (
     HitMatcher,
-    MalformedHitError,
     position_to_wavelength,
-    reconstruct_position,
     wavelength_to_position,
 )
 from .source_sim import Columns, EventKind, generate_emissions, pulse_count, sample_background, sample_pairs

@@ -4,18 +4,19 @@ Conventions, shared by every operation and by the brute-force test oracles:
 
 * Delays are always t2 - t1 (detector 2 minus detector 1).
 * Histograms bin the half-open domain [lo, lo + nbins * width); nbins =
-  ceil((hi - lo) / width). A value exactly at the upper domain edge is out.
+  ceil((hi - lo) / width). A value exactly at the upper domain edge is out:
+  `fill` drops it, whatever its bin index rounds to.
 * Coincidence selection windows are closed, [lo, hi] inclusive on both ends.
   Delays are integer picoseconds, so a delay d is inside [lo, hi] exactly when
   ceil(lo) <= d <= floor(hi) (`in_window`).
 * Pair search never materialises the all-pairs product: both streams are
   time-sorted, so for each left event the partner range is found with two
   binary searches and only in-window pairs are expanded, block by block.
-* Closed windows that are analysed together need one pair search, not one
-  each: select the pairs of the hull [min lo, max hi] once, then filter its
-  delays with `in_window` per window. `pipeline.analyze_events` does this for
-  the coincidence, accidental and side-peak windows; the half-open g2
-  histogram keeps its own pass.
+* An analysis makes one pair search: `pipeline.analyze_events` selects the
+  pairs of one closed window spanning the g2 domain and every closed window,
+  and derives everything from their delays. The g2 histogram bins them (its
+  half-open upper edge is enforced by `fill`, not by the search), and
+  `in_window` filters them per closed window.
 
 Merging chunk-partial histograms with identical axes is exact, so histograms
 accumulated over chunks or separate runs add up to the single-pass result.
@@ -79,6 +80,11 @@ class Histogram1D:
     def nbins(self) -> int:
         return self.counts.size
 
+    @property
+    def upper(self) -> float:
+        """The excluded upper domain edge, lo + nbins * bin_width."""
+        return self.lo + self.nbins * self.bin_width
+
     def bin_edges(self) -> np.ndarray:
         return self.lo + self.bin_width * np.arange(self.nbins + 1)
 
@@ -93,9 +99,19 @@ class Histogram1D:
             and self.nbins == other.nbins
         )
 
+    def bin_index(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each value's bin index and the mask of the values inside the domain.
+
+        A value at or above `upper` is out even where its index rounds below
+        nbins; an index that rounds up to nbins is out too.
+        """
+        v = np.asarray(values, dtype=np.float64)
+        idx = (v - self.lo) / self.bin_width
+        np.floor(idx, out=idx)
+        return idx, (v >= self.lo) & (v < self.upper) & (idx < self.nbins)
+
     def fill(self, values: np.ndarray) -> None:
-        idx = np.floor((np.asarray(values, dtype=np.float64) - self.lo) / self.bin_width)
-        ok = (idx >= 0) & (idx < self.nbins)
+        idx, ok = self.bin_index(values)
         if np.any(ok):
             self.counts += np.bincount(idx[ok].astype(np.int64), minlength=self.nbins)
 
@@ -125,10 +141,7 @@ class Histogram2D:
     counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        shape = (
-            _nbins(self.x_lo, self.x_hi, self.x_width),
-            _nbins(self.y_lo, self.y_hi, self.y_width),
-        )
+        shape = (self.x_axis.nbins, self.y_axis.nbins)
         if self.counts is None:
             self.counts = np.zeros(shape, dtype=np.int64)
         else:
@@ -140,11 +153,19 @@ class Histogram2D:
     def shape(self) -> tuple[int, int]:
         return self.counts.shape
 
+    @property
+    def x_axis(self) -> Histogram1D:
+        return Histogram1D(self.x_lo, self.x_hi, self.x_width)
+
+    @property
+    def y_axis(self) -> Histogram1D:
+        return Histogram1D(self.y_lo, self.y_hi, self.y_width)
+
     def x_centers(self) -> np.ndarray:
-        return self.x_lo + self.x_width * (np.arange(self.shape[0]) + 0.5)
+        return self.x_axis.bin_centers()
 
     def y_centers(self) -> np.ndarray:
-        return self.y_lo + self.y_width * (np.arange(self.shape[1]) + 0.5)
+        return self.y_axis.bin_centers()
 
     def same_axes(self, other: "Histogram2D") -> bool:
         return (
@@ -154,10 +175,10 @@ class Histogram2D:
         )
 
     def fill(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        xi = np.floor((np.asarray(xs, dtype=np.float64) - self.x_lo) / self.x_width)
-        yi = np.floor((np.asarray(ys, dtype=np.float64) - self.y_lo) / self.y_width)
+        xi, x_ok = self.x_axis.bin_index(xs)
+        yi, y_ok = self.y_axis.bin_index(ys)
         nx, ny = self.shape
-        ok = (xi >= 0) & (xi < nx) & (yi >= 0) & (yi < ny)
+        ok = x_ok & y_ok
         if np.any(ok):
             flat = xi[ok].astype(np.int64) * ny + yi[ok].astype(np.int64)
             self.counts += np.bincount(flat, minlength=nx * ny).reshape(nx, ny)
@@ -199,24 +220,16 @@ def in_window(delays: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     return (delays >= first) & (delays <= last)
 
 
-def iter_window_pairs(
-    t1: np.ndarray,
-    t2: np.ndarray,
-    lo: float,
-    hi: float,
-    closed: bool = True,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (i, j) index blocks of all pairs with t2[j] - t1[i] in the window.
+def iter_window_pairs(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (i, j) index blocks of all pairs with t2[j] - t1[i] in the closed
+    window [lo, hi].
 
     Cost is O(n1 log n2 + pairs); memory is bounded by the block size,
-    _PAIR_BLOCK first-detector events. The window is [lo, hi] when closed
-    else [lo, hi).
+    _PAIR_BLOCK first-detector events.
     """
     first, last = _closed_bounds(lo, hi)
     starts = np.searchsorted(t2, t1 + first, side="left")
-    side = "right" if closed else "left"
-    bound = last if closed else int(math.ceil(hi))
-    ends = np.searchsorted(t2, t1 + bound, side=side)
+    ends = np.searchsorted(t2, t1 + last, side="right")
     ends = np.maximum(ends, starts)
     for b in range(0, t1.size, _PAIR_BLOCK):
         s = starts[b : b + _PAIR_BLOCK]
@@ -231,20 +244,18 @@ def iter_window_pairs(
         yield i, j
 
 
-def delay_histogram(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float, width: float) -> Histogram1D:
-    """Histogram of pairwise delays t2 - t1 over [lo, lo + nbins * width)."""
-    hist = Histogram1D(lo, hi, width)
-    upper = lo + hist.nbins * width
-    for i, j in iter_window_pairs(t1, t2, lo, upper, closed=False):
-        hist.fill((t2[j] - t1[i]).astype(np.float64))
+def g2_axis(config: CorrelationConfig) -> Histogram1D:
+    """The empty g2 histogram: [-g2_range_ps, g2_range_ps) in g2_bin_width_ps bins."""
+    return Histogram1D(-config.g2_range_ps, config.g2_range_ps, config.g2_bin_width_ps)
+
+
+def g2_histogram(delays: np.ndarray, config: CorrelationConfig) -> Histogram1D:
+    """Second-order correlation histogram: pair delays t2 - t1 binned on the
+    g2 axis. Delays outside its half-open domain are not counted, so the
+    delays of any window search that covers the domain give the same result."""
+    hist = g2_axis(config)
+    hist.fill(delays)
     return hist
-
-
-def g2_histogram(events1, events2, config: CorrelationConfig) -> Histogram1D:
-    """Second-order correlation histogram between the two detectors' triggers."""
-    t1 = _event_times(events1)
-    t2 = _event_times(events2)
-    return delay_histogram(t1, t2, -config.g2_range_ps, config.g2_range_ps, config.g2_bin_width_ps)
 
 
 def select_coincidences(events1, events2, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +266,7 @@ def select_coincidences(events1, events2, window: tuple[float, float]) -> tuple[
     """
     t1 = _event_times(events1)
     t2 = _event_times(events2)
-    blocks = list(iter_window_pairs(t1, t2, window[0], window[1], closed=True))
+    blocks = list(iter_window_pairs(t1, t2, window[0], window[1]))
     if not blocks:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])

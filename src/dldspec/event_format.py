@@ -246,13 +246,6 @@ class EventWriter:
             self._staged.close(publish=exc_type is None)
 
 
-def write_events(pulses, header: EventFileHeader, sink) -> int:
-    """Serialize header + records; returns byte count (16 + 10 * N)."""
-    with EventWriter(sink, header) as w:
-        w.write_chunk(pulses)
-        return w.bytes_written
-
-
 class EventReader:
     """Streaming reader over a `.dlde` source.
 
@@ -299,11 +292,3 @@ class EventReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def read_all_pulses(source) -> tuple[EventFileHeader, np.ndarray]:
-    """Convenience eager read; intended for tests and small files."""
-    with EventReader(source) as r:
-        chunks = list(r.iter_chunks())
-        arr = np.concatenate(chunks) if chunks else np.empty(0, dtype=PULSE_DTYPE)
-        return r.header, arr

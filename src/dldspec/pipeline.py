@@ -39,6 +39,7 @@ from .correlation import (
     JsiReport,
     build_jsi,
     fit_fwhm,
+    g2_axis,
     g2_histogram,
     in_window,
     select_coincidences,
@@ -260,10 +261,12 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     (the coincidence window and its images at multiples of the accidental-
     window center), not histogram-bin sums, so they carry no binning bias.
 
-    The g2 histogram is one half-open pair pass. All closed windows share one
-    more: `select_coincidences` over their hull, whose delays are filtered per
-    window with `in_window`. The coincidence and accidental windows keep their
-    index pairs for the joint spectra; the side windows only count.
+    One pair search serves every figure: `select_coincidences` over the closed
+    window spanning the g2 domain and every closed window. Its delays are
+    binned into the g2 histogram, whose `fill` drops those outside the
+    half-open domain, and filtered per closed window with `in_window`. The
+    coincidence and accidental windows keep their index pairs for the joint
+    spectra; the side windows only count.
     """
     warnings: list[str] = []
     ev0, ev1 = events
@@ -271,14 +274,6 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
         spectrum_1d(ev0["wavelength_nm"], corr),
         spectrum_1d(ev1["wavelength_nm"], corr),
     )
-    g2 = g2_histogram(ev0["t_ps"], ev1["t_ps"], corr)
-    fit = None
-    fit_error = ""
-    try:
-        fit = fit_fwhm(g2, 0.0)
-    except FitError as exc:
-        fit_error = str(exc)
-        warnings.append(f"g2 peak fit unavailable: {exc}")
     t0 = ev0["t_ps"]
     t1 = ev1["t_ps"]
     half = (corr.coincidence_window_ps[1] - corr.coincidence_window_ps[0]) / 2.0
@@ -288,13 +283,24 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
         for k in range(1, SIDE_PEAK_COUNT + 1)
         for c in (k * side_center, -k * side_center)
     ]
-    windows = [corr.coincidence_window_ps, corr.accidental_window_ps, *side_windows]
+    g2_domain = g2_axis(corr)
+    windows = [(g2_domain.lo, g2_domain.upper), corr.coincidence_window_ps, corr.accidental_window_ps, *side_windows]
     pair_i, pair_j = select_coincidences(t0, t1, (min(w[0] for w in windows), max(w[1] for w in windows)))
     delays = t1[pair_j] - t0[pair_i]
     c_mask = in_window(delays, corr.coincidence_window_ps)
     a_mask = in_window(delays, corr.accidental_window_ps)
     ci, cj = pair_i[c_mask], pair_j[c_mask]
     ai, aj = pair_i[a_mask], pair_j[a_mask]
+    # the pairs are not live under the g2 fill's temporaries, which set the peak memory
+    del pair_i, pair_j
+    g2 = g2_histogram(delays, corr)
+    fit = None
+    fit_error = ""
+    try:
+        fit = fit_fwhm(g2, 0.0)
+    except FitError as exc:
+        fit_error = str(exc)
+        warnings.append(f"g2 peak fit unavailable: {exc}")
     if ci.size == 0:
         warnings.append("no coincidences inside the coincidence window")
     center = int(ci.size)

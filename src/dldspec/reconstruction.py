@@ -34,10 +34,6 @@ EVENTS_CSV_HEADER = "detector,t_ps,x_mm,y_mm,lambda_nm"
 _CSV_BLOCK_ROWS = 1 << 10
 
 
-class MalformedHitError(ValueError):
-    """Hit group whose inverted position lies beyond the clamp margin."""
-
-
 def default_window_ticks(geometry: AnodeGeometry, sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS) -> int:
     """Collection window after an MCP trigger: full propagation plus slack."""
     return geometry.propagation_ticks + 4 * sum_tol_ticks
@@ -151,23 +147,14 @@ class HitMatcher:
         return self.feed([np.empty(0, dtype=np.int64)] * 5, final=True)
 
 
-def reconstruct_position(hits: Columns, geometry: AnodeGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the delay-line timing of hit groups to (x, y) in mm.
+def hit_positions(hits: Columns, geometry: AnodeGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert the delay-line timing of hit groups to (x, y) in mm, with the
+    mask of malformed groups.
 
     Positions up to one quantisation step outside the anode are clamped to the
-    edge (rounding can push an edge hit out by half a step); anything further
-    out raises MalformedHitError.
+    edge (rounding can push an edge hit out by half a step); a group further
+    out is malformed.
     """
-    x, y, bad = _positions_with_validity(hits, geometry)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        raise MalformedHitError(f"hit at tick {int(hits['t_mcp'][i])} inverts outside the anode")
-    return x, y
-
-
-def _positions_with_validity(
-    hits: Columns, geometry: AnodeGeometry
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v = geometry.signal_speed_mm_per_ps
     tick = geometry.tick_ps
     t_prop = geometry.propagation_time_ps
@@ -198,7 +185,7 @@ def wavelength_to_position(wavelength_nm, calibration: Calibration):
 
 def groups_to_events(hits: Columns, geometry: AnodeGeometry, calibration: Calibration) -> tuple[Columns, int]:
     """Hit groups -> photon events; malformed groups are dropped and counted."""
-    x, y, bad = _positions_with_validity(hits, geometry)
+    x, y, bad = hit_positions(hits, geometry)
     good = ~bad
     x = x[good]
     events = Columns({

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dldspec.config import RunConfig, SimConfig, run_config_from_dict
+from dldspec.correlation import Histogram1D, select_coincidences
+from dldspec.event_format import PULSE_DTYPE, EventFileHeader, EventReader, EventWriter
 from dldspec.reconstruction import DEFAULT_SUM_TOL_TICKS, GROUP_TIMES, HitMatcher, channel_columns
 from dldspec.source_sim import Columns, EventKind, pulse_count
 
@@ -81,3 +83,30 @@ def match_hits(pulses: np.ndarray, geometry, sum_tol_ticks: int = DEFAULT_SUM_TO
     detector = int(pulses["detector"][0]) if pulses.size else 0
     matcher = HitMatcher(geometry, sum_tol_ticks)
     return matcher.feed(channel_columns(pulses)[detector], final=True), matcher.orphans
+
+
+def write_events(pulses: np.ndarray, header: EventFileHeader, sink) -> int:
+    """Serialize header + PULSE_DTYPE records as one `EventWriter` chunk;
+    returns the byte count (16 + 10 * N)."""
+    with EventWriter(sink, header) as w:
+        w.write_chunk(pulses)
+        return w.bytes_written
+
+
+def read_all_pulses(source) -> tuple[EventFileHeader, np.ndarray]:
+    """Every record of a `.dlde` source, read eagerly through `EventReader`."""
+    with EventReader(source) as r:
+        chunks = list(r.iter_chunks())
+        arr = np.concatenate(chunks) if chunks else np.empty(0, dtype=PULSE_DTYPE)
+        return r.header, arr
+
+
+def delay_histogram(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float, width: float) -> Histogram1D:
+    """Pairwise delays t2 - t1 binned on [lo, lo + nbins * width), the way the
+    analysis bins its g2: one `select_coincidences` over the closed window
+    [lo, upper], whose delays at the excluded upper edge `fill` drops. A
+    helper over the library, not an oracle."""
+    hist = Histogram1D(lo, hi, width)
+    i, j = select_coincidences(t1, t2, (lo, hist.upper))
+    hist.fill(t2[j] - t1[i])
+    return hist

@@ -18,8 +18,6 @@ from scipy import ndimage
 from dldspec.config import run_config_from_dict
 from dldspec.correlation import (
     build_jsi,
-    delay_histogram,
-    g2_histogram,
     select_coincidences,
     signal_region_mask,
     subtract_accidental,
@@ -32,14 +30,13 @@ from dldspec.event_format import (
     PULSE_DTYPE,
     TimestampRegressionError,
     TruncatedRecordError,
-    read_all_pulses,
-    write_events,
 )
 from dldspec.pipeline import analyze_file, decode_file, simulate_to_file
-from dldspec.reconstruction import reconstruct_position
+from dldspec.reconstruction import hit_positions
 from dldspec.source_sim import Columns, EventKind
 
 from _oracles import brute_coincidences, brute_delay_histogram
+from conftest import delay_histogram, read_all_pulses, write_events
 
 PULSE_PERIOD_PS = 1e12 / 76e6
 
@@ -91,8 +88,9 @@ def test_criterion_1_round_trip_fidelity(default_config):
     })
     t0 = time.perf_counter()
     hits = encode_groups(det, geometry)
-    x, y = reconstruct_position(hits, geometry)
+    x, y, bad = hit_positions(hits, geometry)
     elapsed = time.perf_counter() - t0
+    assert not np.any(bad), "a hit inverts outside the anode"
     err_x = float(np.max(np.abs(x - det["x_mm"])))
     err_y = float(np.max(np.abs(y - det["y_mm"])))
     bound = geometry.signal_speed_mm_per_ps * geometry.tick_ps / 2  # 0.0005 mm
@@ -371,7 +369,9 @@ def test_criterion_9_throughput(big_file):
     tracemalloc.start()
     t0 = time.perf_counter()
     decoded = decode_file(path, cfg.geometry, cfg.calibration)
-    g2_histogram(decoded.events[0]["t_ps"], decoded.events[1]["t_ps"], cfg.correlation)
+    corr = cfg.correlation
+    delay_histogram(decoded.events[0]["t_ps"], decoded.events[1]["t_ps"],
+                    -corr.g2_range_ps, corr.g2_range_ps, corr.g2_bin_width_ps)
     elapsed = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from dldspec.cli import EXIT_FAILURE, EXIT_OK, EXIT_WARNINGS, main
-from dldspec.event_format import PULSE_DTYPE, EventFileHeader, write_events
+from dldspec.event_format import PULSE_DTYPE, EventFileHeader
+
+from conftest import write_events
 
 
 def run_cli(args):

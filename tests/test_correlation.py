@@ -12,8 +12,8 @@ from dldspec.correlation import (
     DegeneratePeakError,
     FitError,
     Histogram1D,
+    Histogram2D,
     build_jsi,
-    delay_histogram,
     fit_fwhm,
     g2_histogram,
     select_coincidences,
@@ -23,11 +23,16 @@ from dldspec.correlation import (
 )
 
 from _oracles import brute_coincidences, brute_delay_histogram
-from conftest import make_config
+from conftest import delay_histogram, make_config
 
 
 def corr_cfg(**kw):
     return make_config(correlation=kw).correlation
+
+
+def g2_of(t1, t2, cfg):
+    """The delay histogram of two event-time streams on the g2 axis of `cfg`."""
+    return delay_histogram(t1, t2, -cfg.g2_range_ps, cfg.g2_range_ps, cfg.g2_bin_width_ps)
 
 
 class TestHistogram1D:
@@ -40,6 +45,21 @@ class TestHistogram1D:
         h.fill(np.array([0.0, 9.999, 10.0, -0.001]))
         assert h.counts.sum() == 2
         assert h.counts[0] == 1 and h.counts[9] == 1
+
+    def test_value_on_upper_edge_is_out_where_its_index_rounds_below_nbins(self):
+        # (17 - -17) / 0.34 rounds to 99.999..., so bin 99 is where 17.0 would land
+        h = Histogram1D(-17.0, 17.0, 0.34)
+        h.fill(np.array([17.0, 16.9]))
+        assert h.counts.sum() == 1 and h.counts[99] == 1
+        assert h.nbins == 100 and h.upper == 17.0
+
+    def test_2d_value_on_upper_edge_is_out_on_either_axis(self):
+        for xs, ys in (([17.0], [0.0]), ([0.0], [17.0])):
+            h = Histogram2D(-17.0, 17.0, 0.34, -17.0, 17.0, 0.34)
+            h.fill(np.array(xs), np.array(ys))
+            assert h.counts.sum() == 0
+        h.fill(np.array([16.9]), np.array([16.9]))
+        assert h.counts[99, 99] == 1
 
     def test_merge_elementwise(self):
         a = Histogram1D(0.0, 10.0, 1.0)
@@ -70,7 +90,7 @@ class TestDelayHistogram:
     def test_shifted_clone_fills_single_bin(self):
         t = np.arange(50, dtype=np.int64) * 100_000
         cfg = corr_cfg()
-        hist = g2_histogram(t, t + 5000, cfg)
+        hist = g2_of(t, t + 5000, cfg)
         nonzero = np.nonzero(hist.counts)[0]
         assert nonzero.size == 1
         lo_edge = hist.bin_edges()[nonzero[0]]
@@ -86,6 +106,13 @@ class TestDelayHistogram:
         assert hist.counts.sum() == 4
         for delay in (3_000, 12_000, -7_000, 2_000):
             assert hist.counts[int((delay + 15_000) // 1000)] == 1
+
+    def test_g2_histogram_bins_the_given_delays_on_the_half_open_axis(self):
+        cfg = corr_cfg(g2_range_ps=17.0, g2_bin_width_ps=0.34)
+        delays = np.array([-18, -17, 16, 17], dtype=np.int64)
+        hist = g2_histogram(delays, cfg)
+        assert np.array_equal(hist.counts, brute_delay_histogram([0], delays, -17.0, 17.0, 0.34))
+        assert hist.counts.sum() == 2  # -17 and 16; 17 is the excluded upper edge
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_all_pairs_oracle(self, seed):
@@ -104,10 +131,10 @@ class TestDelayHistogram:
         t1 = np.sort(r.integers(0, 1_000_000, 500)).astype(np.int64)
         t2 = np.sort(r.integers(0, 1_000_000, 500)).astype(np.int64)
         cfg = corr_cfg()
-        whole = g2_histogram(t1, t2, cfg)
+        whole = g2_of(t1, t2, cfg)
         parts = None
         for lo in range(0, 500, 117):
-            part = g2_histogram(t1[lo : lo + 117], t2, cfg)
+            part = g2_of(t1[lo : lo + 117], t2, cfg)
             parts = part if parts is None else parts.merge(part)
         assert np.array_equal(parts.counts, whole.counts)
 

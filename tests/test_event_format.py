@@ -22,9 +22,9 @@ from dldspec.event_format import (
     TimestampRangeError,
     TimestampRegressionError,
     TruncatedRecordError,
-    read_all_pulses,
-    write_events,
 )
+
+from conftest import read_all_pulses, write_events
 
 
 def make_pulses(rows):

@@ -85,4 +85,4 @@ def test_benchmark_tracing_installs_and_restores(tracing, tmp_path, small_config
     names = {s.name for s in tracer.spans}
     assert {name for _, _, name in tracing.FUNCTIONS} <= names
     assert "event_format.read" in names
-    assert tracer.counts[""]["correlation.window_passes"] == 2
+    assert tracer.counts[""]["correlation.window_passes"] == 1

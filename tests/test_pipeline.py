@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from dldspec import correlation, pipeline
-from dldspec.correlation import build_jsi, select_coincidences, spectrum_1d
+from dldspec.correlation import build_jsi, g2_axis, select_coincidences, spectrum_1d
 from dldspec.detector_sim import DeadTimeFilter, detect, encode_groups, groups_to_pulses
-from dldspec.event_format import PULSE_DTYPE, EventFileHeader, FormatError, read_all_pulses, write_events
+from dldspec.event_format import PULSE_DTYPE, EventFileHeader, FormatError
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
 from dldspec.reconstruction import GROUP_TIMES, HitMatcher, channel_columns, groups_to_events
 from dldspec.source_sim import Columns, EventKind, generate_emissions, pulse_count
 
 from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram
-from conftest import make_config, match_hits, packed, pulse_times
+from conftest import make_config, match_hits, packed, pulse_times, read_all_pulses, write_events
 
 
 def test_simulate_deterministic(tmp_path, small_config):
@@ -484,19 +484,34 @@ def _side_windows(corr):
     return [(s * k * step - half, s * k * step + half) for k in range(1, 5) for s in (1, -1)]
 
 
-def _edge_delays(corr):
+def _window_edge_delays(corr):
     """Integer delays on, just inside and just outside every window edge."""
     out = set()
     for lo, hi in [corr.coincidence_window_ps, corr.accidental_window_ps, *_side_windows(corr)]:
         for edge in (lo, hi):
             out |= {math.floor(edge) - 1, math.floor(edge), math.ceil(edge), math.ceil(edge) + 1}
-    return sorted(out)
+    return out
+
+
+def _g2_edge_delays(corr):
+    """Integer delays at the g2 domain edges: on and just below -R, the last
+    in-domain integer and the first integer at or past the upper edge."""
+    axis = g2_axis(corr)
+    lo, upper = axis.lo, axis.upper
+    return {math.floor(lo) - 1, math.floor(lo), math.ceil(lo), math.ceil(upper) - 1, math.ceil(upper)}
+
+
+def _edge_delays(corr):
+    return sorted(_window_edge_delays(corr) | _g2_edge_delays(corr))
 
 
 def _check_windows_against_brute(ev0, ev1, corr):
-    """analyze_events window statistics equal the all-pairs oracle, window by window."""
+    """analyze_events window statistics and g2 histogram equal the all-pairs
+    oracle, window by window."""
     a = analyze_events((ev0, ev1), corr)
     t0, t1 = ev0["t_ps"], ev1["t_ps"]
+    r = corr.g2_range_ps
+    assert np.array_equal(a.g2.counts, brute_delay_histogram(t0, t1, -r, r, corr.g2_bin_width_ps))
     coinc = brute_coincidences(t0, t1, corr.coincidence_window_ps)
     acc = brute_coincidences(t0, t1, corr.accidental_window_ps)
     assert a.coincidence_count == len(coinc)
@@ -511,17 +526,25 @@ def _check_windows_against_brute(ev0, ev1, corr):
 
 
 NON_INTEGER_WINDOWS = {"coincidence_window_ps": [-250.5, 250.25], "accidental_window_ps": [1000.25, 1501.0]}
+# the g2 upper edge lo + nbins * width is exactly 17.0, where (17 - lo) / width
+# rounds to bin 99 of 100
+NARROW_G2 = {"g2_range_ps": 17.0, "g2_bin_width_ps": 0.34}
 
 
-@pytest.mark.parametrize("corr_overrides", [{}, NON_INTEGER_WINDOWS], ids=["integer", "non-integer"])
+@pytest.mark.parametrize("corr_overrides", [{}, NON_INTEGER_WINDOWS, NARROW_G2],
+                         ids=["integer", "non-integer", "narrow-g2"])
 def test_window_counts_on_edges_match_brute_force(corr_overrides, rng):
     corr = make_config(correlation=corr_overrides).correlation
     bases = [0, 1_000_000]  # far enough apart that only same-base pairs fall in any window
     t1 = [b + d for b in bases for d in _edge_delays(corr)]
     a = _check_windows_against_brute(_photons(bases, rng), _photons(t1, rng), corr)
-    # per base and window: two edge delays each side land inside, the rest outside
-    assert a.coincidence_count == a.accidental_count == 4 * len(bases)
-    assert a.side_window_counts == [4 * len(bases)] * 8
+    # per base and window: two window-edge delays each side land inside, the
+    # rest outside; a g2-edge delay adds to the window it falls in
+    g2_only = _g2_edge_delays(corr) - _window_edge_delays(corr)
+    windows = [corr.coincidence_window_ps, corr.accidental_window_ps, *_side_windows(corr)]
+    expected = [len(bases) * (4 + sum(lo <= d <= hi for d in g2_only)) for lo, hi in windows]
+    assert [a.coincidence_count, a.accidental_count, *a.side_window_counts] == expected
+    assert a.g2.counts.sum() > 0
 
 
 @pytest.mark.parametrize("corr_overrides", [{}, NON_INTEGER_WINDOWS], ids=["integer", "non-integer"])
@@ -541,12 +564,9 @@ def test_side_windows_beyond_g2_range(rng):
     assert max(w[1] for w in _side_windows(corr)) > corr.g2_range_ps
     ev0 = _photons([100_000], rng)
     ev1 = _photons([d + 100_000 for d in _edge_delays(corr)], rng)
+    # the check also holds the g2 histogram to its range
     a = _check_windows_against_brute(ev0, ev1, corr)
     assert a.side_window_counts == [4] * 8
-    # the g2 histogram still stops at its range
-    r = corr.g2_range_ps
-    expected = brute_delay_histogram(ev0["t_ps"], ev1["t_ps"], -r, r, corr.g2_bin_width_ps)
-    assert np.array_equal(a.g2.counts, expected)
 
 
 @pytest.mark.parametrize("sizes", [(0, 5), (5, 0), (0, 0)])
@@ -559,8 +579,8 @@ def test_window_counts_with_empty_streams(sizes, rng):
     assert "no coincidences inside the coincidence window" in a.warnings
 
 
-def test_analyze_makes_two_pair_passes(monkeypatch, rng):
-    """One half-open pass for g2 and one closed pass shared by every window."""
+def test_analyze_makes_one_pair_pass(monkeypatch, rng):
+    """One closed pair search covers the g2 domain and every closed window."""
     passes = []
     original = correlation.iter_window_pairs
 
@@ -571,5 +591,11 @@ def test_analyze_makes_two_pair_passes(monkeypatch, rng):
     monkeypatch.setattr(correlation, "iter_window_pairs", counting)
     ev0 = _photons(rng.integers(0, 200_000, 200), rng)
     ev1 = _photons(rng.integers(0, 200_000, 200), rng)
-    analyze_events((ev0, ev1), make_config().correlation)
-    assert len(passes) == 2
+    corr = make_config().correlation
+    analyze_events((ev0, ev1), corr)
+    assert len(passes) == 1
+    (lo, hi), = passes
+    g2 = g2_axis(corr)
+    for w_lo, w_hi in [(g2.lo, g2.upper), corr.coincidence_window_ps, corr.accidental_window_ps,
+                       *_side_windows(corr)]:
+        assert lo <= w_lo and w_hi <= hi

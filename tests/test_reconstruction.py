@@ -12,12 +12,11 @@ from dldspec.event_format import PULSE_DTYPE, Channel
 from dldspec.reconstruction import (
     DEFAULT_SUM_TOL_TICKS,
     HitMatcher,
-    MalformedHitError,
     channel_columns,
     default_window_ticks,
     groups_to_events,
+    hit_positions,
     position_to_wavelength,
-    reconstruct_position,
     wavelength_to_position,
     write_events_csv,
 )
@@ -39,28 +38,30 @@ def _hit(t_mcp, t_xa, t_xb, t_ya, t_yb):
 
 class TestPositionInversion:
     def test_zero_difference_is_center(self, default_config):
-        x, y = reconstruct_position(_hit(0, 20_000, 20_000, 20_000, 20_000), default_config.geometry)
+        x, y, bad = hit_positions(_hit(0, 20_000, 20_000, 20_000, 20_000), default_config.geometry)
         assert x[0] == pytest.approx(20.0)
         assert y[0] == pytest.approx(20.0)
+        assert not bad[0]
 
     def test_hand_evaluated_offset(self, default_config):
         # dt_x = 1e4 ps -> 25 mm for v = 1e-3, full propagation 4e4
-        x, _ = reconstruct_position(_hit(0, 25_000, 15_000, 20_000, 20_000), default_config.geometry)
+        x, _, _ = hit_positions(_hit(0, 25_000, 15_000, 20_000, 20_000), default_config.geometry)
         assert x[0] == pytest.approx(25.0)
         assert x[0] == pytest.approx(position_from_times(25_000, 15_000, 4e4, 1e-3))
 
     def test_boundary_difference(self, default_config):
-        x, _ = reconstruct_position(_hit(0, 0, 40_000, 20_000, 20_000), default_config.geometry)
+        x, _, _ = hit_positions(_hit(0, 0, 40_000, 20_000, 20_000), default_config.geometry)
         assert x[0] == pytest.approx(0.0)
 
     def test_clamp_within_one_tick(self, default_config):
         # half-tick rounding overshoot is clamped to the anode edge
-        x, _ = reconstruct_position(_hit(0, 0, 40_001, 20_000, 20_000), default_config.geometry)
+        x, _, bad = hit_positions(_hit(0, 0, 40_001, 20_000, 20_000), default_config.geometry)
         assert x[0] == 0.0
+        assert not bad[0]
 
     def test_malformed_beyond_margin(self, default_config):
-        with pytest.raises(MalformedHitError):
-            reconstruct_position(_hit(0, 0, 40_010, 20_000, 20_000), default_config.geometry)
+        _, _, bad = hit_positions(_hit(0, 0, 40_010, 20_000, 20_000), default_config.geometry)
+        assert bad.tolist() == [True]
 
 
 class TestCalibration:
