@@ -196,8 +196,8 @@ class Histogram2D:
         file; zeros skipped."""
         m = self.counts if matrix is None else matrix
         sink.write("x_bin,y_bin,count\n")
-        xs = self.x_lo + self.x_width * np.arange(self.shape[0])
-        ys = self.y_lo + self.y_width * np.arange(self.shape[1])
+        xs = self.x_axis.bin_edges()[:-1]
+        ys = self.y_axis.bin_edges()[:-1]
         for i, j in zip(*np.nonzero(m)):
             sink.write(f"{xs[i]:.6f},{ys[j]:.6f},{int(m[i, j])}\n")
 

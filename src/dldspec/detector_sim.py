@@ -13,6 +13,10 @@ the analysis side has to undo that bundling from timestamps alone. The anode
 encoding is exact by construction: before quantisation, (t_xa - t0) +
 (t_xb - t0) equals the full propagation time and the time difference
 t_xa - t_xb inverts to the landing position.
+
+Detections keep emission order. `DeadTimeFilter` makes the one decision of
+group order, a sort by (t_mcp, detector), and `groups_to_pulses` sorts the
+surviving groups' pulses into file order.
 """
 
 from __future__ import annotations
@@ -40,16 +44,11 @@ class DetectTally:
     n_off_sensor: int = 0
     n_negative_time: int = 0
 
-    def add(self, other: "DetectTally") -> None:
-        self.n_qe_lost += other.n_qe_lost
-        self.n_off_sensor += other.n_off_sensor
-        self.n_negative_time += other.n_negative_time
-
 
 def detect(
     events: Columns, cfg: RunConfig, rng: np.random.Generator
 ) -> tuple[Columns, DetectTally]:
-    """Turn emissions into anode landings, sorted by detection time.
+    """Turn emissions into anode landings, in emission order.
 
     Reads three sections of `cfg`: simulation (qe, jitter), geometry (anode
     size) and calibration (wavelength to x). Each event survives with
@@ -62,6 +61,8 @@ def detect(
 
     The result has columns path, kind, time_ps, x_mm, y_mm and wavelength_nm
     (the emitted one). Only the survivors' emission columns are gathered.
+    Nothing downstream depends on the row order: the dead-time stage decides
+    group order.
     """
     tally = DetectTally()
     sim, geometry = cfg.simulation, cfg.geometry
@@ -85,15 +86,12 @@ def detect(
     tally.n_off_sensor = int(n - np.count_nonzero(on_sensor))
     keep = on_sensor & (t >= 0.0)
     tally.n_negative_time = int(np.count_nonzero(on_sensor & (t < 0.0)))
-    kept = np.flatnonzero(keep)
-    time_ps = t.take(kept)
-    order = np.argsort(time_ps, kind="stable")
-    rows = kept.take(order)  # survivor index of each detection, in time order
+    rows = np.flatnonzero(keep)  # survivor index of each detection
     source = survive.take(rows)  # emission index of each detection
     detections = Columns({
         "path": events["path"].take(source),
         "kind": events["kind"].take(source),
-        "time_ps": time_ps.take(order),
+        "time_ps": t.take(rows),
         "x_mm": x.take(rows),
         "y_mm": y.take(rows),
         "wavelength_nm": wavelength.take(rows),

@@ -18,7 +18,8 @@ magic, version, channel and detector ranges, the timestamp range (a u64 tick
 >= 2**63 is rejected), timestamp monotonicity and record completeness as it
 streams; every failure mode has a distinct exception type carrying the byte
 offset (and record index where meaningful). Memory is bounded by the chunk
-size regardless of file size.
+size regardless of file size. The writer checks its records with the same
+validator (`_validate_chunk`), so every record it writes passes the reader.
 
 Writing to a path goes through a temporary file beside it that replaces the
 path only when the writer closes cleanly, so an interrupted run never leaves a
@@ -154,10 +155,11 @@ def _validate_chunk(
     ts = arr["timestamp"]
     if ts.max() >= 2**63:
         _raise_first(ts >= 2**63, TimestampRangeError, start_index,
-                     lambda i: f"timestamp {int(ts[i])} out of range (>= 2**63 ticks)")
+                     lambda i: f"timestamp out of range (>= 2**63 ticks): {int(ts[i])}")
     if int(ts[0]) < prev_timestamp or np.any(ts[1:] < ts[:-1]):
         backwards = np.concatenate([[int(ts[0]) < prev_timestamp], ts[1:] < ts[:-1]])
-        _raise_first(backwards, TimestampRegressionError, start_index, lambda i: "timestamp goes backwards")
+        _raise_first(backwards, TimestampRegressionError, start_index,
+                     lambda i: "timestamp goes backwards (records must be sorted)")
 
 
 class StagedFile:
@@ -192,6 +194,10 @@ class StagedFile:
 class EventWriter:
     """Incremental writer; chunks must arrive globally timestamp-sorted.
 
+    Each chunk is checked by the reader's record validator, so a bad record
+    raises the reader's `FormatError` subclass for it, located where it would
+    land in the file, and nothing of its chunk is written.
+
     A path sink is written through a `StagedFile`, published by `close()`.
     Leaving the `with` block on an exception discards it instead, and a file
     already at the path keeps its bytes. File-object sinks are written
@@ -209,7 +215,6 @@ class EventWriter:
         self._f.write(packed)
         self.header = header
         self._last_ts = 0
-        self._any = False
         self.bytes_written = len(packed)
         self.records_written = 0
 
@@ -218,18 +223,9 @@ class EventWriter:
             raise ValueError("write_chunk takes a PULSE_DTYPE array")
         if pulses.size == 0:
             return
-        ts = pulses["timestamp"]  # checked in place: no int64 or difference copies
-        if np.any(ts >= 2**63):
-            raise ValueError("timestamp out of range (>= 2**63 ticks)")
-        if np.any(ts[1:] < ts[:-1]) or (self._any and int(ts[0]) < self._last_ts):
-            raise ValueError("pulses must be sorted by timestamp before serialization")
-        if np.any(pulses["channel"] > int(Channel.YB)):
-            raise ValueError("channel out of range")
-        if np.any(pulses["detector"] >= self.header.detector_count):
-            raise ValueError("detector out of range")
+        _validate_chunk(pulses, self.header, self.records_written, self._last_ts)
         self._f.write(np.ascontiguousarray(pulses).data)
-        self._last_ts = int(ts[-1])
-        self._any = True
+        self._last_ts = int(pulses["timestamp"][-1])
         self.bytes_written += pulses.size * RECORD_SIZE
         self.records_written += int(pulses.size)
 

@@ -5,13 +5,16 @@ stays bounded for arbitrarily long acquisitions; dead-time filtering and the
 globally sorted serialization carry small boundary buffers between blocks. The
 block size is a constant of the implementation, not configuration: it is part
 of the identity of the sampled random stream for a given seed. Each block
-sorts once per ordering decision: emission order (which fixes the random
-draws), detection time, surviving groups after dead time, and file order,
-where the writer's carry is merged into the block's pulses by the same sort.
-Emissions, detections and hit groups travel through a block as `Columns`,
-one plain array per field; the emitted counts of the summary are counted off
-the emissions' `kind` column. Pulses are packed into PULSE_DTYPE records once,
-for the writer: the file record is the only packed row.
+sorts once per ordering decision, three times in all: emission order (which
+fixes the random draws), group order after dead time, by (t_mcp, detector),
+and file order, where the writer's carry is merged into the block's pulses by
+the same sort. Detections keep emission order: two groups with equal
+(t_mcp, detector) keys always collide, so the dead-time survivors and their
+order depend only on the set of groups. Emissions, detections and hit groups
+travel through a block as `Columns`, one plain array per field; the emitted
+counts of the summary are counted off the emissions' `kind` column. Pulses
+are packed into PULSE_DTYPE records once, for the writer: the file record is
+the only packed row, and the writer checks it with the reader's validator.
 
 Decoding streams the file in fixed-size record chunks. Each chunk is split
 once, by one stable radix sort of its `detector * 5 + channel` key, into ten
@@ -48,7 +51,6 @@ from .correlation import (
 )
 from .detector_sim import (
     DeadTimeFilter,
-    DetectTally,
     JITTER_CLIP_SIGMAS,
     detect,
     encode_groups,
@@ -128,7 +130,6 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
     summary = SimulationSummary(seed=sim.seed, duration_ps=sim.duration_ps, laser_pulses=n_pulses)
     dead_filter = DeadTimeFilter(sim.dead_time_ps, geometry.tick_ps)
     jitter_reach = JITTER_CLIP_SIGMAS * fwhm_to_sigma(sim.jitter_fwhm_ps)
-    tally = DetectTally()
     carry = None
     with EventWriter(path, header) as writer:
         for k0 in range(0, n_pulses, block_pulses):
@@ -140,11 +141,13 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
             summary.emitted_pairs += int(kinds[EventKind.HEP])
             summary.emitted_pump += int(kinds[EventKind.PUMP])
             summary.emitted_dark += int(kinds[EventKind.DARK])
-            detections, dtally = detect(emissions, cfg, rng)
+            detections, tally = detect(emissions, cfg, rng)
             # each stage's input is dropped once used, so it is not live under
             # the next stages' temporaries, which set the peak memory
             del times, emissions
-            tally.add(dtally)
+            summary.qe_lost += tally.n_qe_lost
+            summary.off_sensor += tally.n_off_sensor
+            summary.negative_time_dropped += tally.n_negative_time
             for det in (0, 1):
                 summary.detections[det] += int(np.count_nonzero(detections["path"] == det))
             groups = encode_groups(detections, geometry)
@@ -168,9 +171,6 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
             carry = buf[n:].copy()  # drop the reference to the block's buffer
         summary.bytes_written = writer.bytes_written
         summary.records_written = writer.records_written
-    summary.qe_lost = tally.n_qe_lost
-    summary.off_sensor = tally.n_off_sensor
-    summary.negative_time_dropped = tally.n_negative_time
     summary.dead_time_discarded = list(dead_filter.discards)
     return summary
 

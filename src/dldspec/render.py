@@ -119,10 +119,11 @@ def svg_heatmap(hist: Histogram2D, title: str, x_label: str, y_label: str,
                 f'fill="{_color(v / top)}"/>'
             )
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{side:.1f}" height="{side:.1f}" fill="none" stroke="black"/>')
-    for frac, value in ((0.0, hist.x_lo), (1.0, hist.x_lo + hist.x_width * nx)):
+    x_axis, y_axis = hist.x_axis, hist.y_axis
+    for frac, value in ((0.0, x_axis.lo), (1.0, x_axis.upper)):
         x = _ML + frac * side
         parts.append(f'<text x="{x:.1f}" y="{_MT + side + 18}" text-anchor="middle">{_fmt(float(value))}</text>')
-    for frac, value in ((0.0, hist.y_lo), (1.0, hist.y_lo + hist.y_width * ny)):
+    for frac, value in ((0.0, y_axis.lo), (1.0, y_axis.upper)):
         y = _MT + side - frac * side
         parts.append(f'<text x="{_ML - 6:.1f}" y="{y:.1f}" text-anchor="end">{_fmt(float(value))}</text>')
     parts.append(f'<text x="{_ML + side + 12:.1f}" y="{_MT + 10}">log10(1+n), max {_fmt(top)}</text>')

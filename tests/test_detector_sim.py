@@ -110,7 +110,7 @@ class TestEncode:
         g = default_config.geometry
         rows = [(0, float(t), float(x), float(y))
                 for t, x, y in zip(rng.uniform(0, 1e6, 2000), rng.uniform(0, 40, 2000), rng.uniform(0, 40, 2000))]
-        det = _detections(sorted(rows, key=lambda row: row[1]))  # stable, as detect's time sort
+        det = _detections(rows)  # encoding is row-wise: no order needed
         groups = encode_groups(det, g)
         sum_x = groups["t_xa"] + groups["t_xb"] - 2 * groups["t_mcp"]
         sum_y = groups["t_ya"] + groups["t_yb"] - 2 * groups["t_mcp"]

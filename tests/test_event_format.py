@@ -60,14 +60,26 @@ class TestWrite:
 
     def test_rejects_unsorted(self):
         pulses = make_pulses([(0, 0, 10), (0, 0, 5)])
-        with pytest.raises(ValueError, match="sorted"):
+        with pytest.raises(ValueError, match="sorted") as e:
             write_events(pulses, EventFileHeader(), io.BytesIO())
+        assert e.value.record_index == 1
+
+    def test_rejects_a_chunk_behind_the_last_one(self):
+        with EventWriter(io.BytesIO(), EventFileHeader()) as w:
+            w.write_chunk(make_pulses([(0, 0, 5), (0, 0, 10)]))
+            with pytest.raises(TimestampRegressionError) as e:
+                w.write_chunk(make_pulses([(0, 0, 9)]))
+            assert (e.value.record_index, e.value.offset) == (2, HEADER_SIZE + 2 * RECORD_SIZE)
+            w.write_chunk(make_pulses([(0, 0, 10)]))  # the rejected chunk left no trace
+            assert w.records_written == 3
 
     def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError, match="channel"):
+        with pytest.raises(ValueError, match="channel") as e:
             write_events(make_pulses([(0, 5, 1)]), EventFileHeader(), io.BytesIO())
-        with pytest.raises(ValueError, match="detector"):
+        assert e.value.record_index == 0
+        with pytest.raises(ValueError, match="detector") as e:
             write_events(make_pulses([(2, 0, 1)]), EventFileHeader(), io.BytesIO())
+        assert e.value.record_index == 0
 
     def test_rejects_timestamp_beyond_int64(self):
         pulses = make_pulses([(0, 0, 5), (0, 0, 2**63 + 5)])

@@ -95,9 +95,9 @@ def test_simulated_file_bytes_are_pinned(tmp_path, overrides, block_pulses, dige
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_simulation_sorts_four_times_per_block(tmp_path, monkeypatch):
-    """One sort per ordering decision: emission order, detection time order,
-    group order after dead time and file order."""
+def test_simulation_sorts_three_times_per_block(tmp_path, monkeypatch):
+    """One sort per ordering decision: emission order, group order after dead
+    time and file order."""
     calls = []
     for name in ("argsort", "lexsort"):
         def counting(*args, _original=getattr(np, name), **kwargs):
@@ -109,7 +109,30 @@ def test_simulation_sorts_four_times_per_block(tmp_path, monkeypatch):
     simulate_to_file(cfg, tmp_path / "s.dlde", block_pulses=500)
     blocks = math.ceil(pulse_count(cfg.simulation) / 500)
     assert blocks == 92
-    assert len(calls) == 4 * blocks
+    assert len(calls) == 3 * blocks
+
+
+def test_detection_order_does_not_reach_the_file(tmp_path, monkeypatch):
+    """Group order is decided downstream of `detect`: permuting its rows
+    leaves the file's bytes unchanged."""
+    cfg = make_config(seed=23, duration_ps=6e8)
+    plain = tmp_path / "plain.dlde"
+    simulate_to_file(cfg, plain, block_pulses=500)
+    real = pipeline.detect
+    shuffle = np.random.default_rng(5)
+    permuted = []
+
+    def permuting(*args, **kwargs):
+        detections, tally = real(*args, **kwargs)
+        order = shuffle.permutation(detections.size)
+        permuted.append(not np.array_equal(order, np.arange(order.size)))
+        return detections[order], tally
+
+    monkeypatch.setattr(pipeline, "detect", permuting)
+    shuffled = tmp_path / "shuffled.dlde"
+    simulate_to_file(cfg, shuffled, block_pulses=500)
+    assert any(permuted)
+    assert shuffled.read_bytes() == plain.read_bytes()
 
 
 def test_emitted_counts_are_the_drawn_sizes(tmp_path, monkeypatch):
