@@ -81,9 +81,12 @@ class SimConfig:
     """Source and detector-response parameters of one simulated acquisition.
 
     Rates named *_per_pulse are Bernoulli probabilities per laser pulse, valid
-    in the low-occupancy counting regime. dark_rate_hz is a homogeneous Poisson
-    rate per detector. The anode geometry and the wavelength calibration are
-    sections of their own (RunConfig.geometry, RunConfig.calibration).
+    in the low-occupancy counting regime. dark_rate_hz is the homogeneous
+    Poisson rate of dark events drawn per detector; `detect` applies qe to
+    them as to photons, so the dark rate at the anode is qe * dark_rate_hz
+    (ROADMAP item 2 changes this). The anode geometry and the wavelength
+    calibration are sections of their own (RunConfig.geometry,
+    RunConfig.calibration).
     """
 
     seed: int = 1
@@ -208,8 +211,12 @@ class RunConfig:
     io: IoConfig = field(default_factory=IoConfig)
 
     def validate(self) -> None:
+        """Per section: every value's type check, as a loaded document gets it, then the range checks."""
         for f in dataclass_fields(self):
-            getattr(self, f.name).validate(f.name)
+            section = getattr(self, f.name)
+            for key in dataclass_fields(section):
+                _coerce(key.type, getattr(section, key.name), f"{f.name}.{key.name}")
+            section.validate(f.name)
 
 
 def _is_number(value: Any) -> bool:

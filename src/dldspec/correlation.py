@@ -6,6 +6,8 @@ Conventions, shared by every operation and by the brute-force test oracles:
 * Histograms bin the half-open domain [lo, lo + nbins * width); nbins =
   ceil((hi - lo) / width). A value exactly at the upper domain edge is out:
   `fill` drops it, whatever its bin index rounds to.
+* `Histogram1D` is the one axis type: a `Histogram2D` (a joint spectrum, its
+  accidental estimate or their signed difference) bins on two of them.
 * Coincidence selection windows are closed, [lo, hi] inclusive on both ends.
   Delays are integer picoseconds, so a delay d is inside [lo, hi] exactly when
   ceil(lo) <= d <= floor(hi) (`in_window`).
@@ -58,6 +60,16 @@ def _nbins(lo: float, hi: float, width: float) -> int:
     return n
 
 
+def _counts(counts, shape: tuple[int, ...]) -> np.ndarray:
+    """`counts` as an int64 array of `shape` (zeros when None)."""
+    if counts is None:
+        return np.zeros(shape, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape != shape:
+        raise ValueError(f"counts shape {counts.shape} != {shape}")
+    return counts
+
+
 @dataclass
 class Histogram1D:
     """Fixed-width binned counter on [lo, lo + nbins * bin_width)."""
@@ -68,13 +80,7 @@ class Histogram1D:
     counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        n = _nbins(self.lo, self.hi, self.bin_width)
-        if self.counts is None:
-            self.counts = np.zeros(n, dtype=np.int64)
-        else:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
-            if self.counts.shape != (n,):
-                raise ValueError(f"counts shape {self.counts.shape} != ({n},)")
+        self.counts = _counts(self.counts, (_nbins(self.lo, self.hi, self.bin_width),))
 
     @property
     def nbins(self) -> int:
@@ -130,54 +136,23 @@ class Histogram1D:
 
 @dataclass
 class Histogram2D:
-    """2D binned counter; axes follow the 1D half-open convention."""
+    """Counts[i, j] of x bin i and y bin j, on `Histogram1D` axes whose own
+    counts are unused, so histograms may share them."""
 
-    x_lo: float
-    x_hi: float
-    x_width: float
-    y_lo: float
-    y_hi: float
-    y_width: float
+    x: Histogram1D
+    y: Histogram1D
     counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        shape = (self.x_axis.nbins, self.y_axis.nbins)
-        if self.counts is None:
-            self.counts = np.zeros(shape, dtype=np.int64)
-        else:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
-            if self.counts.shape != shape:
-                raise ValueError(f"counts shape {self.counts.shape} != {shape}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.counts.shape
-
-    @property
-    def x_axis(self) -> Histogram1D:
-        return Histogram1D(self.x_lo, self.x_hi, self.x_width)
-
-    @property
-    def y_axis(self) -> Histogram1D:
-        return Histogram1D(self.y_lo, self.y_hi, self.y_width)
-
-    def x_centers(self) -> np.ndarray:
-        return self.x_axis.bin_centers()
-
-    def y_centers(self) -> np.ndarray:
-        return self.y_axis.bin_centers()
+        self.counts = _counts(self.counts, (self.x.nbins, self.y.nbins))
 
     def same_axes(self, other: "Histogram2D") -> bool:
-        return (
-            (self.x_lo, self.x_hi, self.x_width, self.y_lo, self.y_hi, self.y_width)
-            == (other.x_lo, other.x_hi, other.x_width, other.y_lo, other.y_hi, other.y_width)
-            and self.shape == other.shape
-        )
+        return self.x.same_axis(other.x) and self.y.same_axis(other.y)
 
     def fill(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        xi, x_ok = self.x_axis.bin_index(xs)
-        yi, y_ok = self.y_axis.bin_index(ys)
-        nx, ny = self.shape
+        xi, x_ok = self.x.bin_index(xs)
+        yi, y_ok = self.y.bin_index(ys)
+        nx, ny = self.counts.shape
         ok = x_ok & y_ok
         if np.any(ok):
             flat = xi[ok].astype(np.int64) * ny + yi[ok].astype(np.int64)
@@ -186,20 +161,16 @@ class Histogram2D:
     def merge(self, other: "Histogram2D") -> "Histogram2D":
         if not self.same_axes(other):
             raise AxisMismatchError("2D histogram axes differ")
-        return Histogram2D(
-            self.x_lo, self.x_hi, self.x_width, self.y_lo, self.y_hi, self.y_width,
-            self.counts + other.counts,
-        )
+        return Histogram2D(self.x, self.y, self.counts + other.counts)
 
-    def to_csv(self, sink, matrix: np.ndarray | None = None) -> None:
+    def to_csv(self, sink) -> None:
         """Sparse `x_bin,y_bin,count` triplets (bin lower edges) to an open text
         file; zeros skipped."""
-        m = self.counts if matrix is None else matrix
         sink.write("x_bin,y_bin,count\n")
-        xs = self.x_axis.bin_edges()[:-1]
-        ys = self.y_axis.bin_edges()[:-1]
-        for i, j in zip(*np.nonzero(m)):
-            sink.write(f"{xs[i]:.6f},{ys[j]:.6f},{int(m[i, j])}\n")
+        xs = self.x.bin_edges()[:-1]
+        ys = self.y.bin_edges()[:-1]
+        for i, j in zip(*np.nonzero(self.counts)):
+            sink.write(f"{xs[i]:.6f},{ys[j]:.6f},{int(self.counts[i, j])}\n")
 
 
 def _event_times(events) -> np.ndarray:
@@ -279,16 +250,11 @@ def spectrum_1d(wavelengths: np.ndarray, config: CorrelationConfig) -> Histogram
     return hist
 
 
-def jsi_axes(config: CorrelationConfig) -> Histogram2D:
-    return Histogram2D(
-        config.jsi_lo_nm, config.jsi_hi_nm, config.jsi_bin_nm,
-        config.jsi_lo_nm, config.jsi_hi_nm, config.jsi_bin_nm,
-    )
-
-
 def build_jsi(lambda1: np.ndarray, lambda2: np.ndarray, config: CorrelationConfig) -> Histogram2D:
-    """Joint spectrum: detector-1 wavelength on axis 0, detector-2 on axis 1."""
-    hist = jsi_axes(config)
+    """Joint spectrum: detector-1 wavelength on x, detector-2 on y, both on
+    the same jsi axis."""
+    axis = Histogram1D(config.jsi_lo_nm, config.jsi_hi_nm, config.jsi_bin_nm)
+    hist = Histogram2D(axis, axis)
     hist.fill(np.asarray(lambda1, dtype=np.float64), np.asarray(lambda2, dtype=np.float64))
     return hist
 
@@ -347,9 +313,9 @@ def signal_region_mask(hist: Histogram2D, regions: tuple[tuple[float, float, flo
     a rectangle edge is not excluded by floating-point representation.
     """
     eps = 1e-9
-    xc = hist.x_centers()
-    yc = hist.y_centers()
-    mask = np.zeros(hist.shape, dtype=bool)
+    xc = hist.x.bin_centers()
+    yc = hist.y.bin_centers()
+    mask = np.zeros(hist.counts.shape, dtype=bool)
     for x_lo, x_hi, y_lo, y_hi in regions:
         in_x = (xc >= x_lo - eps) & (xc <= x_hi + eps)
         in_y = (yc >= y_lo - eps) & (yc <= y_hi + eps)
@@ -406,8 +372,8 @@ def subtract_accidental(
     mask = signal_region_mask(jsi, regions)
     car_raw, raw_def = car_ratio(jsi.counts, mask)
     car_sub, sub_def = car_ratio(subtracted, mask)
-    xc = jsi.x_centers()
-    yc = jsi.y_centers()
+    xc = jsi.x.bin_centers()
+    yc = jsi.y.bin_centers()
     peaks = []
     for rect in regions:
         rmask = signal_region_mask(jsi, (rect,))

@@ -26,16 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AnodeGeometry, RunConfig, fwhm_to_sigma
-from .event_format import Channel, PULSE_DTYPE
+from .event_format import PULSE_DTYPE
 from .reconstruction import GROUP_TIMES, wavelength_to_position
 from .source_sim import Columns, EventKind
 
 # Gaussian jitter is clipped here so that a detection time can be bounded by
 # its emission time; the clipped mass is ~2e-9 of draws.
 JITTER_CLIP_SIGMAS = 6.0
-
-# the channel of each GROUP_TIMES column
-_GROUP_CHANNELS = (Channel.MCP, Channel.XA, Channel.XB, Channel.YA, Channel.YB)
 
 
 @dataclass
@@ -215,9 +212,9 @@ def groups_to_pulses(groups: Columns, carry: np.ndarray | None = None) -> np.nda
         detector[:m] = carry["detector"]
         channel[:m] = carry["channel"]
     detector[m:] = np.repeat(groups["detector"], 5)
-    for k, (name, ch) in enumerate(zip(GROUP_TIMES, _GROUP_CHANNELS)):
+    for k, name in enumerate(GROUP_TIMES):  # GROUP_TIMES[k] is channel k
         timestamp[m + k :: 5] = groups[name]
-        channel[m + k :: 5] = ch
+        channel[m + k :: 5] = k
     order = np.argsort(timestamp, kind="stable")
     timestamp = timestamp.take(order)  # gathered before `out` exists: a lower peak
     out = np.empty(n, dtype=PULSE_DTYPE)

@@ -39,6 +39,7 @@ from .correlation import (
     FitError,
     FwhmFit,
     Histogram1D,
+    Histogram2D,
     JsiReport,
     build_jsi,
     fit_fwhm,
@@ -450,13 +451,13 @@ def write_report_bundle(
         )
     if "jsi" in artifacts:
         rep = analysis.jsi_report
+        subtracted = Histogram2D(rep.jsi.x, rep.jsi.y, rep.subtracted)
         emit("jsi.csv", rep.jsi.to_csv)
         emit_text("jsi.svg", svg_heatmap, rep.jsi, "joint spectrum (coincidence window)", wl1, wl2)
         emit("jsi_accidental.csv", rep.accidental.to_csv)
         emit_text("jsi_accidental.svg", svg_heatmap, rep.accidental, "joint spectrum (accidental window)", wl1, wl2)
-        emit("jsi_subtracted.csv", lambda fh: rep.jsi.to_csv(fh, matrix=rep.subtracted))
-        emit_text("jsi_subtracted.svg", svg_heatmap, rep.jsi, "joint spectrum, accidentals subtracted", wl1, wl2,
-                  matrix=rep.subtracted)
+        emit("jsi_subtracted.csv", subtracted.to_csv)
+        emit_text("jsi_subtracted.svg", svg_heatmap, subtracted, "joint spectrum, accidentals subtracted", wl1, wl2)
     if events_csv:
         for det in (0, 1):
             emit(f"events_det{det + 1}.csv", lambda fh: write_events_csv(decode.events[det], det, fh))

@@ -9,8 +9,8 @@ landing position comes from the arrival-time differences:
 with v the wire signal speed and T the full propagation time, and likewise for
 y. A clean hit also satisfies the timing sum t_xa + t_xb - 2 * t_mcp = T up to
 quantisation, which is the acceptance gate for grouping: pulse bundles whose
-sum statistic is off by more than sum_tol ticks are rejected rather than
-mis-localised.
+sum statistic is off by more than DEFAULT_SUM_TOL_TICKS ticks are rejected
+rather than mis-localised.
 
 Decoding works on one detector at a time, so its tables carry no detector
 column: the caller keeps each detector's tables apart. Decoded hit groups are
@@ -34,9 +34,9 @@ EVENTS_CSV_HEADER = "detector,t_ps,x_mm,y_mm,lambda_nm"
 _CSV_BLOCK_ROWS = 1 << 10
 
 
-def default_window_ticks(geometry: AnodeGeometry, sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS) -> int:
+def default_window_ticks(geometry: AnodeGeometry) -> int:
     """Collection window after an MCP trigger: full propagation plus slack."""
-    return geometry.propagation_ticks + 4 * sum_tol_ticks
+    return geometry.propagation_ticks + 4 * DEFAULT_SUM_TOL_TICKS
 
 
 def channel_columns(pulses: np.ndarray) -> list[list[np.ndarray]]:
@@ -60,7 +60,6 @@ def _match_core(
     anodes: list[np.ndarray],
     propagation_ticks: int,
     window_ticks: int,
-    sum_tol_ticks: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate search + timing-sum gate for the triggers `mcp_t` over the
     XA, XB, YA, YB columns. Returns the per-trigger accept mask and each
@@ -81,8 +80,8 @@ def _match_core(
         np.minimum(pos, col.size - 1, out=cand_pos[k])
         col.take(cand_pos[k], out=cand_t[k])
         ok &= cand_t[k] <= mcp_t + window_ticks
-    ok &= np.abs(cand_t[0] + cand_t[1] - 2 * mcp_t - propagation_ticks) <= sum_tol_ticks
-    ok &= np.abs(cand_t[2] + cand_t[3] - 2 * mcp_t - propagation_ticks) <= sum_tol_ticks
+    ok &= np.abs(cand_t[0] + cand_t[1] - 2 * mcp_t - propagation_ticks) <= DEFAULT_SUM_TOL_TICKS
+    ok &= np.abs(cand_t[2] + cand_t[3] - 2 * mcp_t - propagation_ticks) <= DEFAULT_SUM_TOL_TICKS
     return ok, cand_pos, cand_t
 
 
@@ -94,7 +93,8 @@ class HitMatcher:
     and returns the hit groups it decided, as `Columns` of `GROUP_TIMES`.
     For each MCP trigger the earliest pulse per anode channel in
     [t_mcp, t_mcp + window] is its candidate; the group is accepted only if
-    both timing sums match the propagation time within sum_tol ticks.
+    both timing sums match the propagation time within DEFAULT_SUM_TOL_TICKS
+    ticks.
     Matching is stateless per trigger (no candidate consumption), so two
     detections closer than the window can steal each other's candidates, fail
     the gate and be lost: the square-anode multi-hit blind spot. A trigger is
@@ -106,10 +106,9 @@ class HitMatcher:
     A pulse is counted as an orphan when it expires still unclaimed.
     """
 
-    def __init__(self, geometry: AnodeGeometry, sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS):
+    def __init__(self, geometry: AnodeGeometry):
         self.geometry = geometry
-        self.sum_tol_ticks = sum_tol_ticks
-        self.window_ticks = default_window_ticks(geometry, sum_tol_ticks)
+        self.window_ticks = default_window_ticks(geometry)
         self._carry = [np.empty(0, dtype=np.int64)] * 5
         self._carry_claimed = [np.empty(0, dtype=bool)] * 5
         self.orphans = 0
@@ -125,9 +124,7 @@ class HitMatcher:
             cutoff = max((int(col[-1]) for col in buf if col.size), default=0) - self.window_ticks
             cuts = [int(np.searchsorted(col, cutoff, side="right")) for col in buf]
         mcp_t = buf[0][: cuts[0]]
-        ok, cand_pos, cand_t = _match_core(
-            mcp_t, buf[1:], self.geometry.propagation_ticks, self.window_ticks, self.sum_tol_ticks
-        )
+        ok, cand_pos, cand_t = _match_core(mcp_t, buf[1:], self.geometry.propagation_ticks, self.window_ticks)
         accept = np.flatnonzero(ok)
         claimed[0][accept] = True
         for k in range(4):

@@ -89,16 +89,14 @@ def svg_histogram(hist: Histogram1D, title: str, x_label: str, y_label: str = "c
     return "\n".join(parts) + "\n"
 
 
-def svg_heatmap(hist: Histogram2D, title: str, x_label: str, y_label: str,
-                matrix: np.ndarray | None = None) -> str:
-    """Log-scale heatmap, log10(1 + n), of a 2D histogram (or a supplied
-    matrix on its axes).
+def svg_heatmap(hist: Histogram2D, title: str, x_label: str, y_label: str) -> str:
+    """Log-scale heatmap, log10(1 + n), of a 2D histogram, ticked at the lower
+    and upper edges of its axes.
 
     Negative cells (possible after subtraction) are floored to zero for
     display, matching the log-scale plotting convention.
     """
-    m = (hist.counts if matrix is None else matrix).astype(np.float64)
-    m = np.log10(1.0 + np.maximum(m, 0.0))
+    m = np.log10(1.0 + np.maximum(hist.counts.astype(np.float64), 0.0))
     top = float(m.max()) if m.size and m.max() > 0 else 1.0
     side = min(_W - _ML - _MR, _H - _MT - _MB)
     nx, ny = m.shape
@@ -119,11 +117,10 @@ def svg_heatmap(hist: Histogram2D, title: str, x_label: str, y_label: str,
                 f'fill="{_color(v / top)}"/>'
             )
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{side:.1f}" height="{side:.1f}" fill="none" stroke="black"/>')
-    x_axis, y_axis = hist.x_axis, hist.y_axis
-    for frac, value in ((0.0, x_axis.lo), (1.0, x_axis.upper)):
+    for frac, value in ((0.0, hist.x.lo), (1.0, hist.x.upper)):
         x = _ML + frac * side
         parts.append(f'<text x="{x:.1f}" y="{_MT + side + 18}" text-anchor="middle">{_fmt(float(value))}</text>')
-    for frac, value in ((0.0, y_axis.lo), (1.0, y_axis.upper)):
+    for frac, value in ((0.0, hist.y.lo), (1.0, hist.y.upper)):
         y = _MT + side - frac * side
         parts.append(f'<text x="{_ML - 6:.1f}" y="{y:.1f}" text-anchor="end">{_fmt(float(value))}</text>')
     parts.append(f'<text x="{_ML + side + 12:.1f}" y="{_MT + 10}">log10(1+n), max {_fmt(top)}</text>')

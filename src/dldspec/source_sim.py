@@ -105,10 +105,12 @@ def sample_background(
 
     Pump scatter is pulse-locked: per pulse and per path one Bernoulli trial at
     the pump line (Gaussian width line_fwhm_nm). Darks are a homogeneous
-    Poisson process per detector path, uniform over time_range_ps (defaults to
-    [0, duration)), with NaN wavelength: a dark count carries no spectral
-    information until the anode assigns it a position. Rows come out as pump
-    path 0, pump path 1, dark path 0, dark path 1.
+    Poisson process of rate dark_rate_hz per detector path, uniform over
+    time_range_ps (defaults to [0, duration)), with NaN wavelength: a dark
+    count carries no spectral information until the anode assigns it a
+    position. `detect` then applies qe to darks as to photons, so the dark
+    rate at the anode is qe * dark_rate_hz (ROADMAP item 2 changes this). Rows
+    come out as pump path 0, pump path 1, dark path 0, dark path 1.
     """
     _check_sorted(pulse_times)
     lo, hi = time_range_ps if time_range_ps is not None else (0.0, config.duration_ps)

@@ -6,7 +6,7 @@ import pytest
 from dldspec.config import RunConfig, SimConfig, run_config_from_dict
 from dldspec.correlation import Histogram1D, select_coincidences
 from dldspec.event_format import PULSE_DTYPE, EventFileHeader, EventReader, EventWriter
-from dldspec.reconstruction import DEFAULT_SUM_TOL_TICKS, GROUP_TIMES, HitMatcher, channel_columns
+from dldspec.reconstruction import GROUP_TIMES, HitMatcher, channel_columns
 from dldspec.source_sim import Columns, EventKind, pulse_count
 
 
@@ -72,7 +72,7 @@ def group_times(groups: Columns) -> Columns:
     return Columns({name: groups[name] for name in GROUP_TIMES})
 
 
-def match_hits(pulses: np.ndarray, geometry, sum_tol_ticks: int = DEFAULT_SUM_TOL_TICKS) -> tuple[Columns, int]:
+def match_hits(pulses: np.ndarray, geometry) -> tuple[Columns, int]:
     """One detector's time-sorted PULSE_DTYPE records through a single final
     `HitMatcher.feed`: (hit groups, orphan count)."""
     if pulses.size and (pulses["detector"].min() != pulses["detector"].max()):
@@ -81,7 +81,7 @@ def match_hits(pulses: np.ndarray, geometry, sum_tol_ticks: int = DEFAULT_SUM_TO
     if np.any(ts[1:] < ts[:-1]):
         raise ValueError("pulses must be time-sorted")
     detector = int(pulses["detector"][0]) if pulses.size else 0
-    matcher = HitMatcher(geometry, sum_tol_ticks)
+    matcher = HitMatcher(geometry)
     return matcher.feed(channel_columns(pulses)[detector], final=True), matcher.orphans
 
 

@@ -189,7 +189,7 @@ def test_criterion_5_jsi_topology(default_reports):
     # pair blobs are anti-diagonal ridges: diagonal cells touch at corners,
     # so connectivity is 8-neighbour
     labels, n_regions = ndimage.label(sub > 5 * background, structure=np.ones((3, 3)))
-    xc, yc = rep.jsi.x_centers(), rep.jsi.y_centers()
+    xc, yc = rep.jsi.x.bin_centers(), rep.jsi.y.bin_centers()
     centroids = []
     for r in range(1, n_regions + 1):
         ii, jj = np.nonzero(labels == r)

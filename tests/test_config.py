@@ -9,10 +9,12 @@ import pytest
 from dldspec.config import (
     ConfigError,
     RunConfig,
+    SimConfig,
     apply_overrides,
     load_run_config,
     run_config_from_dict,
 )
+from dldspec.pipeline import simulate_to_file
 
 
 def test_defaults_validate():
@@ -48,6 +50,19 @@ def test_unknown_key_rejected_with_path():
 def test_invariant_violations_rejected(section, key, value, fragment):
     with pytest.raises(ConfigError, match=fragment):
         run_config_from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize(
+    "sim,where",
+    [(SimConfig(seed=True), "simulation.seed"), (SimConfig(qe="0.2"), "simulation.qe")],
+    ids=["bool-seed", "string-qe"],
+)
+def test_config_built_in_code_gets_the_document_type_checks(tmp_path, sim, where):
+    cfg = RunConfig(simulation=sim)
+    with pytest.raises(ConfigError, match=where):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=where):
+        simulate_to_file(cfg, tmp_path / "r.dlde")
 
 
 def test_geometry_speed_size_consistency_enforced():

@@ -55,7 +55,7 @@ class TestHistogram1D:
 
     def test_2d_value_on_upper_edge_is_out_on_either_axis(self):
         for xs, ys in (([17.0], [0.0]), ([0.0], [17.0])):
-            h = Histogram2D(-17.0, 17.0, 0.34, -17.0, 17.0, 0.34)
+            h = Histogram2D(Histogram1D(-17.0, 17.0, 0.34), Histogram1D(-17.0, 17.0, 0.34))
             h.fill(np.array(xs), np.array(ys))
             assert h.counts.sum() == 0
         h.fill(np.array([16.9]), np.array([16.9]))
@@ -261,6 +261,24 @@ class TestSubtractAccidental:
                 build_jsi(np.empty(0), np.empty(0), other),
                 cfg.signal_regions_nm,
             )
+
+    @pytest.mark.parametrize("shifted", ["x", "y"])
+    def test_mismatch_on_one_axis_rejected(self, shifted):
+        # the other histogram differs on one axis only, by half a bin, with
+        # the same bin count: counts of equal shape on different bins
+        cfg = corr_cfg()
+        jsi = build_jsi(np.full(5, 388.8), np.full(5, 389.8), cfg)
+        half = cfg.jsi_bin_nm / 2
+        axes = {"x": jsi.x, "y": jsi.y}
+        axes[shifted] = Histogram1D(cfg.jsi_lo_nm + half, cfg.jsi_hi_nm + half, cfg.jsi_bin_nm)
+        other = Histogram2D(axes["x"], axes["y"])
+        assert other.counts.shape == jsi.counts.shape
+        assert not jsi.same_axes(other) and not other.same_axes(jsi)
+        assert jsi.same_axes(Histogram2D(jsi.x, jsi.y))
+        with pytest.raises(AxisMismatchError):
+            jsi.merge(other)
+        with pytest.raises(AxisMismatchError):
+            subtract_accidental(jsi, other, cfg.signal_regions_nm)
 
     def test_peak_coordinates_reported(self):
         cfg = corr_cfg()

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from dldspec import pipeline
+from dldspec.event_format import Channel
+from dldspec.reconstruction import GROUP_TIMES
 
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
@@ -56,6 +58,11 @@ def test_the_file_record_is_the_only_structured_dtype():
                  if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
         found += [f"{path.stem}.{names.get(line, line)}" for line in _structured_dtype_lines(tree)]
     assert found == ["event_format.PULSE_DTYPE"]
+
+
+def test_group_times_are_in_channel_order():
+    """`groups_to_pulses` writes the column GROUP_TIMES[k] as channel k."""
+    assert [Channel[n[2:].upper()] for n in GROUP_TIMES] == list(Channel)
 
 
 @pytest.fixture

@@ -401,7 +401,7 @@ def test_accidental_window_dominated_by_background_combinations(tmp_path, defaul
     total = acc.counts.sum()
     assert total > 0
     near_grid = 0
-    xc, yc = acc.x_centers(), acc.y_centers()
+    xc, yc = acc.x.bin_centers(), acc.y.bin_centers()
     for lx in lines:
         for ly in lines:
             cell = (np.abs(xc[:, None] - lx) <= 0.25) & (np.abs(yc[None, :] - ly) <= 0.25)

@@ -104,13 +104,13 @@ class TestMatchHits:
 
     def test_timing_sum_violation_rejected(self, default_config):
         g = default_config.geometry
-        tol = 3
+        tol = DEFAULT_SUM_TOL_TICKS
         pulses = groups_to_pulses(_encode_detections([(0, 1000.0, 20.0, 20.0)], g))
         shifted = pulses.copy()
         xa = shifted["channel"] == int(Channel.XA)
         shifted["timestamp"][xa] += 10 * tol
         order = np.argsort(shifted["timestamp"].astype(np.int64), kind="stable")
-        hits, orphans = match_hits(shifted[order], g, sum_tol_ticks=tol)
+        hits, orphans = match_hits(shifted[order], g)
         assert hits.size == 0
         assert orphans == 5
 
