@@ -69,6 +69,7 @@ from .reconstruction import (
     position_to_wavelength,
     wavelength_to_position,
 )
-from .source_sim import Columns, EventKind, generate_emissions, pulse_count, sample_background, sample_pairs
+from .source_sim import (Columns, EmissionTally, EventKind, generate_emissions, pulse_count, sample_background,
+                         sample_pairs)
 
 __version__ = "0.1.0"

@@ -81,12 +81,12 @@ class SimConfig:
     """Source and detector-response parameters of one simulated acquisition.
 
     Rates named *_per_pulse are Bernoulli probabilities per laser pulse, valid
-    in the low-occupancy counting regime. dark_rate_hz is the homogeneous
-    Poisson rate of dark events drawn per detector; `detect` applies qe to
-    them as to photons, so the dark rate at the anode is qe * dark_rate_hz
-    (ROADMAP item 2 changes this). The anode geometry and the wavelength
-    calibration are sections of their own (RunConfig.geometry,
-    RunConfig.calibration).
+    in the low-occupancy counting regime. qe converts each photon independently;
+    `source_sim` draws only the converted ones. dark_rate_hz is the homogeneous
+    Poisson rate of dark events per detector, which qe thins as it thins
+    photons: the dark rate at the anode is qe * dark_rate_hz (ROADMAP item 2
+    changes this). The anode geometry and the wavelength calibration are
+    sections of their own (RunConfig.geometry, RunConfig.calibration).
     """
 
     seed: int = 1

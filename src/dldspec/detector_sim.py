@@ -1,8 +1,9 @@
-"""Detector response: efficiency, spectral mapping, jitter, anode encoding.
+"""Detector response: spectral mapping, jitter, anode encoding, dead time.
 
-The chain per emission event is
+Quantum efficiency is drawn upstream: `source_sim` samples only the photons
+it converts. The chain per converted photon is
 
-    survive QE -> add trigger jitter -> land at (x, y) on the anode
+    add trigger jitter -> land at (x, y) on the anode
     -> split into MCP + four delay-line pulses -> quantise timestamps
     -> discard multi-hit collisions within the dead time.
 
@@ -14,9 +15,10 @@ encoding is exact by construction: before quantisation, (t_xa - t0) +
 (t_xb - t0) equals the full propagation time and the time difference
 t_xa - t_xb inverts to the landing position.
 
-Detections keep emission order. `DeadTimeFilter` makes the one decision of
-group order, a sort by (t_mcp, detector), and `groups_to_pulses` sorts the
-surviving groups' pulses into file order.
+Detections keep the sampler's row order, which is not time order.
+`DeadTimeFilter` makes the one decision of group order, a sort by (t_mcp,
+detector), and `groups_to_pulses` sorts the surviving groups' pulses into
+file order.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ JITTER_CLIP_SIGMAS = 6.0
 
 @dataclass
 class DetectTally:
-    n_qe_lost: int = 0
     n_off_sensor: int = 0
     n_negative_time: int = 0
 
@@ -45,55 +46,39 @@ class DetectTally:
 def detect(
     events: Columns, cfg: RunConfig, rng: np.random.Generator
 ) -> tuple[Columns, DetectTally]:
-    """Turn emissions into anode landings, in emission order.
+    """Turn converted photons into anode landings, row for row.
 
-    Reads three sections of `cfg`: simulation (qe, jitter), geometry (anode
-    size) and calibration (wavelength to x). Each event survives with
-    probability qe. The detection time is the emission time plus Gaussian
-    trigger jitter (FWHM jitter_fwhm_ps). The x coordinate is the spectrometer
-    image of the wavelength; dark counts land uniformly in x. y is uniform over
-    the anode height. Events whose wavelength images outside the anode fall off
-    the sensor and are dropped (counted), as are detections jittered to
-    negative times at the run start.
+    Reads three sections of `cfg`: simulation (jitter), geometry (anode size)
+    and calibration (wavelength to x). qe is applied upstream: the events are
+    the photons it converts. The detection time is the emission time plus
+    Gaussian trigger jitter (FWHM jitter_fwhm_ps). The x coordinate is the
+    spectrometer image of the wavelength; dark counts land uniformly in x. y
+    is uniform over the anode height. Events whose wavelength images outside
+    the anode fall off the sensor and are dropped (counted), as are
+    detections jittered to negative times at the run start.
 
     The result has columns path, kind, time_ps, x_mm, y_mm and wavelength_nm
-    (the emitted one). Only the survivors' emission columns are gathered.
-    Nothing downstream depends on the row order: the dead-time stage decides
-    group order.
+    (the emitted one). Nothing downstream depends on the row order: the
+    dead-time stage decides group order.
     """
     tally = DetectTally()
     sim, geometry = cfg.simulation, cfg.geometry
-    survive = np.flatnonzero(rng.random(events.size) < sim.qe)
-    n = survive.size
-    tally.n_qe_lost = events.size - n
+    n = events.size
     sigma = fwhm_to_sigma(sim.jitter_fwhm_ps)
-    if sigma > 0:
-        jitter = rng.normal(0.0, sigma, n)
-        np.clip(jitter, -JITTER_CLIP_SIGMAS * sigma, JITTER_CLIP_SIGMAS * sigma, out=jitter)
-    else:
-        jitter = np.zeros(n)
-    t = events["time_ps"].take(survive) + jitter
+    t = np.clip(rng.normal(0.0, sigma, n), -JITTER_CLIP_SIGMAS * sigma, JITTER_CLIP_SIGMAS * sigma)
+    t += events["time_ps"]
     dark_x = rng.random(n) * geometry.size_x_mm
     y = rng.random(n) * geometry.size_y_mm
-    is_dark = events["kind"].take(survive) == EventKind.DARK
-    wavelength = events["wavelength_nm"].take(survive)
+    is_dark = events["kind"] == EventKind.DARK
+    wavelength = events["wavelength_nm"]
     x = np.where(is_dark, dark_x, wavelength_to_position(wavelength, cfg.calibration))
     on_sensor = (x >= 0.0) & (x <= geometry.size_x_mm)
     on_sensor |= is_dark  # dark positions are uniform on-sensor by construction
     tally.n_off_sensor = int(n - np.count_nonzero(on_sensor))
     keep = on_sensor & (t >= 0.0)
     tally.n_negative_time = int(np.count_nonzero(on_sensor & (t < 0.0)))
-    rows = np.flatnonzero(keep)  # survivor index of each detection
-    source = survive.take(rows)  # emission index of each detection
-    detections = Columns({
-        "path": events["path"].take(source),
-        "kind": events["kind"].take(source),
-        "time_ps": t.take(rows),
-        "x_mm": x.take(rows),
-        "y_mm": y.take(rows),
-        "wavelength_nm": wavelength.take(rows),
-    })
-    return detections, tally
+    detections = Columns(path=events["path"], kind=events["kind"], time_ps=t, x_mm=x, y_mm=y, wavelength_nm=wavelength)
+    return detections[keep], tally
 
 
 def encode_groups(detections: Columns, geometry: AnodeGeometry) -> Columns:

@@ -4,17 +4,17 @@ Simulation streams the laser pulse train through fixed-size blocks so memory
 stays bounded for arbitrarily long acquisitions; dead-time filtering and the
 globally sorted serialization carry small boundary buffers between blocks. The
 block size is a constant of the implementation, not configuration: it is part
-of the identity of the sampled random stream for a given seed. Each block
-sorts once per ordering decision, three times in all: emission order (which
-fixes the random draws), group order after dead time, by (t_mcp, detector),
-and file order, where the writer's carry is merged into the block's pulses by
-the same sort. Detections keep emission order: two groups with equal
-(t_mcp, detector) keys always collide, so the dead-time survivors and their
-order depend only on the set of groups. Emissions, detections and hit groups
-travel through a block as `Columns`, one plain array per field; the emitted
-counts of the summary are counted off the emissions' `kind` column. Pulses
-are packed into PULSE_DTYPE records once, for the writer: the file record is
-the only packed row, and the writer checks it with the reader's validator.
+of the identity of the sampled random stream for a given seed. A block draws
+only the photons qe converts, and its emitted and qe-lost counts go into an
+`EmissionTally`. Each block sorts once per ordering decision, twice in all:
+group order after dead time, by (t_mcp, detector), and file order, where the
+writer's carry is merged into the block's pulses by the same sort. Emissions
+and detections are in no time order: two groups with equal (t_mcp, detector)
+keys always collide, so the dead-time survivors and their order depend only
+on the set of groups. Emissions, detections and hit groups travel through a
+block as `Columns`, one plain array per field. Pulses are packed into
+PULSE_DTYPE records once, for the writer: the file record is the only packed
+row, and the writer checks it with the reader's validator.
 
 Decoding streams the file in fixed-size record chunks. Each chunk is split
 once, by one stable radix sort of its `detector * 5 + channel` key, into ten
@@ -72,7 +72,7 @@ from .reconstruction import (
     write_events_csv,
 )
 from .render import _fmt, svg_heatmap, svg_histogram
-from .source_sim import Columns, EventKind, generate_emissions, pulse_count
+from .source_sim import Columns, EmissionTally, generate_emissions, pulse_count
 
 SIM_BLOCK_PULSES = 1 << 20
 SIDE_PEAK_COUNT = 4
@@ -131,22 +131,16 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
     summary = SimulationSummary(seed=sim.seed, duration_ps=sim.duration_ps, laser_pulses=n_pulses)
     dead_filter = DeadTimeFilter(sim.dead_time_ps, geometry.tick_ps)
     jitter_reach = JITTER_CLIP_SIGMAS * fwhm_to_sigma(sim.jitter_fwhm_ps)
+    emitted = EmissionTally()
     carry = None
     with EventWriter(path, header) as writer:
         for k0 in range(0, n_pulses, block_pulses):
             k1 = min(k0 + block_pulses, n_pulses)
-            times = np.arange(k0, k1, dtype=np.float64) * period
-            t_hi = k1 * period if k1 < n_pulses else sim.duration_ps
-            emissions = generate_emissions(sim, times, rng, (k0 * period, t_hi))
-            kinds = np.bincount(emissions["kind"], minlength=len(EventKind))
-            summary.emitted_pairs += int(kinds[EventKind.HEP])
-            summary.emitted_pump += int(kinds[EventKind.PUMP])
-            summary.emitted_dark += int(kinds[EventKind.DARK])
+            emissions = generate_emissions(sim, range(k0, k1), rng, emitted)
             detections, tally = detect(emissions, cfg, rng)
             # each stage's input is dropped once used, so it is not live under
             # the next stages' temporaries, which set the peak memory
-            del times, emissions
-            summary.qe_lost += tally.n_qe_lost
+            del emissions
             summary.off_sensor += tally.n_off_sensor
             summary.negative_time_dropped += tally.n_negative_time
             for det in (0, 1):
@@ -173,6 +167,8 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
         summary.bytes_written = writer.bytes_written
         summary.records_written = writer.records_written
     summary.dead_time_discarded = list(dead_filter.discards)
+    summary.emitted_pairs, summary.emitted_pump, summary.emitted_dark = emitted.pairs, emitted.pump, emitted.dark
+    summary.qe_lost = emitted.qe_lost
     return summary
 
 

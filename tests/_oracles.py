@@ -132,3 +132,53 @@ def position_from_times(t_xa, t_xb, propagation_time_ps, speed_mm_per_ps):
 def gaussian_fwhm_from_samples(samples):
     """Sample-standard-deviation estimate of a Gaussian FWHM."""
     return 2.0 * math.sqrt(2.0 * math.log(2.0)) * float(np.std(samples))
+
+
+def per_photon_qe_emissions(config, n_pulses, rng):
+    """Every photon of pulses [0, n_pulses), then one qe coin per photon.
+
+    `config` is a simulation config read by attribute. Each pulse makes one
+    Bernoulli pair trial (a HEP row then its LEP row at the pulse time, the
+    HEP on a uniformly random path, wavelengths detuned by a Gaussian delta as
+    (hep + delta, lep - delta * (lep / hep)^2)) and, per path, one Bernoulli
+    pump-scatter trial at a Gaussian pump line. Darks are a Poisson count per
+    path, uniform over [0, n_pulses * period), with NaN wavelength. Each row
+    then survives with probability qe. Kinds are 0 HEP, 1 LEP, 2 pump, 3 dark.
+
+    Returns (the surviving rows as a dict of time_ps, path, kind and
+    wavelength_nm columns, a dict of the emitted pair, pump and dark counts
+    and the qe-lost photons).
+    """
+    def sigma(fwhm):
+        return fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+    period = 1e12 / config.rep_rate_hz
+    times = np.arange(n_pulses) * period
+    t_pair = times[rng.random(n_pulses) < config.pair_rate_per_pulse]
+    m = t_pair.size
+    delta = rng.normal(0.0, sigma(config.detuning_fwhm_nm), m)
+    hep_path = rng.integers(0, 2, m)
+    lep_shift = delta * (config.lambda_lep_nm / config.lambda_hep_nm) ** 2
+    time_ps = [np.repeat(t_pair, 2)]
+    path = [np.column_stack([hep_path, 1 - hep_path]).ravel()]
+    kind = [np.tile([0, 1], m)]
+    wavelength = [np.column_stack([config.lambda_hep_nm + delta, config.lambda_lep_nm - lep_shift]).ravel()]
+    for p in (0, 1):
+        t_pump = times[rng.random(n_pulses) < config.pump_scatter_rate_per_pulse]
+        time_ps.append(t_pump)
+        path.append(np.full(t_pump.size, p))
+        kind.append(np.full(t_pump.size, 2))
+        wavelength.append(rng.normal(config.lambda_pump_nm, sigma(config.line_fwhm_nm), t_pump.size))
+    span = n_pulses * period
+    n_dark = [int(rng.poisson(config.dark_rate_hz * span * 1e-12)) for _ in (0, 1)]
+    for p in (0, 1):
+        time_ps.append(rng.uniform(0.0, span, n_dark[p]))
+        path.append(np.full(n_dark[p], p))
+        kind.append(np.full(n_dark[p], 3))
+        wavelength.append(np.full(n_dark[p], np.nan))
+    rows = {"time_ps": time_ps, "path": path, "kind": kind, "wavelength_nm": wavelength}
+    rows = {name: np.concatenate(parts) for name, parts in rows.items()}
+    survive = rng.random(rows["kind"].size) < config.qe
+    emitted = {"pairs": m, "pump": int(np.count_nonzero(rows["kind"] == 2)), "dark": sum(n_dark),
+               "qe_lost": int(survive.size - np.count_nonzero(survive))}
+    return {name: column[survive] for name, column in rows.items()}, emitted

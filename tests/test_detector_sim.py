@@ -12,10 +12,10 @@ from dldspec.detector_sim import (
     groups_to_pulses,
 )
 from dldspec.event_format import PULSE_DTYPE, Channel
-from dldspec.source_sim import Columns, EventKind, generate_emissions
+from dldspec.source_sim import Columns, EmissionTally, EventKind, generate_emissions, pulse_count, sample_background
 
 from _oracles import brute_dead_time, brute_serialize, gaussian_fwhm_from_samples, position_from_times
-from conftest import detection_rows as _detections, make_config, packed, pulse_times
+from conftest import detection_rows as _detections, make_config, packed
 
 
 def _emissions(n, wavelength=389.2, kind=EventKind.PUMP):
@@ -33,17 +33,19 @@ class TestDetect:
         ev = _emissions(1000)
         out, tally = detect(ev, cfg, rng)
         assert out.size == 1000
-        assert tally.n_qe_lost == 0
+        assert tally.n_off_sensor == tally.n_negative_time == 0
         # detection time equals emission time exactly
         assert np.array_equal(np.sort(out["time_ps"]), np.sort(ev["time_ps"]))
 
     def test_qe_survival_binomial(self, rng):
-        cfg = make_config(qe=0.2, jitter_fwhm_ps=0.0)
-        ev = _emissions(100_000)
-        out, tally = detect(ev, cfg, rng)
+        # qe is drawn by the sampler: 100,000 pump photons are emitted, one per
+        # pulse and path, and about qe of them reach the anode
+        cfg = make_config(qe=0.2, jitter_fwhm_ps=0.0, pump_scatter_rate_per_pulse=1.0, dark_rate_hz=0.0)
+        emitted = EmissionTally()
+        out, tally = detect(sample_background(cfg.simulation, range(50_000), rng, emitted), cfg, rng)
         sigma = math.sqrt(100_000 * 0.2 * 0.8)
         assert abs(out.size - 20_000) < 5 * sigma
-        assert tally.n_qe_lost + out.size + tally.n_off_sensor + tally.n_negative_time == 100_000
+        assert emitted.qe_lost + out.size + tally.n_off_sensor + tally.n_negative_time == emitted.pump == 100_000
 
     def test_jitter_fwhm_reproduced(self, rng):
         cfg = make_config(qe=1.0)  # jitter 263 ps default
@@ -75,12 +77,13 @@ class TestDetect:
         assert abs(x.mean() - 20.0) < 5 * 40.0 / math.sqrt(12 * out.size)
 
     def test_raising_qe_never_loses_survivors(self):
-        # paired seeds: the survival draw couples runs at different qe
-        ev = _emissions(50_000)
+        # 100,000 emitted pump photons: the expected survivors 5,000, 20,000,
+        # 50,000 and 90,000 lie hundreds of standard deviations apart
         counts = []
         for qe in (0.05, 0.2, 0.5, 0.9):
-            cfg = make_config(qe=qe, jitter_fwhm_ps=0.0)
-            out, _ = detect(ev, cfg, np.random.default_rng(99))
+            cfg = make_config(qe=qe, jitter_fwhm_ps=0.0, pump_scatter_rate_per_pulse=1.0, dark_rate_hz=0.0)
+            r = np.random.default_rng(99)
+            out, _ = detect(sample_background(cfg.simulation, range(50_000), r, EmissionTally()), cfg, r)
             counts.append(out.size)
         assert counts == sorted(counts)
 
@@ -288,11 +291,11 @@ class TestDeadTime:
 
 def test_full_detector_chain_reproducible():
     cfg = make_config(seed=17, duration_ps=3e7)
-    pulses = pulse_times(cfg.simulation)
+    pulses = range(pulse_count(cfg.simulation))
 
     def run():
         r = np.random.default_rng(17)
-        em = generate_emissions(cfg.simulation, pulses, r)
+        em = generate_emissions(cfg.simulation, pulses, r, EmissionTally())
         det, _ = detect(em, cfg, r)
         return groups_to_pulses(encode_groups(det, cfg.geometry))
 
