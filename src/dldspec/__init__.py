@@ -26,6 +26,7 @@ from .config import (
     run_config_from_dict,
 )
 from .correlation import (
+    Axis,
     AxisMismatchError,
     DegeneratePeakError,
     FitError,

@@ -3,11 +3,13 @@
 Conventions, shared by every operation and by the brute-force test oracles:
 
 * Delays are always t2 - t1 (detector 2 minus detector 1).
-* Histograms bin the half-open domain [lo, lo + nbins * width); nbins =
-  ceil((hi - lo) / width). A value exactly at the upper domain edge is out:
-  `fill` drops it, whatever its bin index rounds to.
-* `Histogram1D` is the one axis type: a `Histogram2D` (a joint spectrum, its
-  accidental estimate or their signed difference) bins on two of them.
+* `Axis` is the one binning type: an immutable value of nbins fixed-width
+  bins on the half-open domain [lo, lo + nbins * width), built from a config's
+  (lo, hi, width) with nbins = ceil((hi - lo) / width). A value exactly at the
+  upper domain edge is out: `fill` drops it, whatever its bin index rounds to.
+* A histogram is axes plus counts: `Histogram1D` counts on one `Axis`, and
+  `Histogram2D` (a joint spectrum, its accidental estimate or their signed
+  difference) on two. Histograms share axes freely and never share counts.
 * Coincidence selection windows are closed, [lo, hi] inclusive on both ends.
   Delays are integer picoseconds, so a delay d is inside [lo, hi] exactly when
   ceil(lo) <= d <= floor(hi) (`in_window`).
@@ -20,7 +22,7 @@ Conventions, shared by every operation and by the brute-force test oracles:
   half-open upper edge is enforced by `fill`, not by the search), and
   `in_window` filters them per closed window.
 
-Merging chunk-partial histograms with identical axes is exact, so histograms
+Merging chunk-partial histograms on equal axes is exact, so histograms
 accumulated over chunks or separate runs add up to the single-pass result.
 """
 
@@ -53,105 +55,98 @@ class AxisMismatchError(ValueError):
     """Histograms with different axes cannot be merged or subtracted."""
 
 
-def _nbins(lo: float, hi: float, width: float) -> int:
-    n = int(math.ceil((hi - lo) / width - 1e-12))
-    if n <= 0:
-        raise ValueError("histogram axis must span at least one bin")
-    return n
-
-
 def _counts(counts, shape: tuple[int, ...]) -> np.ndarray:
-    """`counts` as an int64 array of `shape` (zeros when None)."""
-    if counts is None:
-        return np.zeros(shape, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
+    """A fresh int64 array of `shape`: zeros when `counts` is None, else a copy
+    of `counts`, so no histogram shares another's counts."""
+    counts = np.zeros(shape, dtype=np.int64) if counts is None else np.array(counts, dtype=np.int64)
     if counts.shape != shape:
         raise ValueError(f"counts shape {counts.shape} != {shape}")
     return counts
 
 
-@dataclass
-class Histogram1D:
-    """Fixed-width binned counter on [lo, lo + nbins * bin_width)."""
+@dataclass(frozen=True)
+class Axis:
+    """`nbins` bins of `width` on the half-open domain [lo, upper); a value,
+    equal to every axis with the same bins."""
 
     lo: float
-    hi: float
-    bin_width: float
-    counts: np.ndarray = field(default=None)  # type: ignore[assignment]
+    width: float
+    nbins: int
 
     def __post_init__(self):
-        self.counts = _counts(self.counts, (_nbins(self.lo, self.hi, self.bin_width),))
+        if self.nbins <= 0:
+            raise ValueError("histogram axis must span at least one bin")
 
-    @property
-    def nbins(self) -> int:
-        return self.counts.size
+    @classmethod
+    def spanning(cls, lo: float, hi: float, width: float) -> "Axis":
+        """The axis from `lo` in bins of `width`, ceil((hi - lo) / width) of them."""
+        return cls(lo, width, int(math.ceil((hi - lo) / width - 1e-12)))
 
     @property
     def upper(self) -> float:
-        """The excluded upper domain edge, lo + nbins * bin_width."""
-        return self.lo + self.nbins * self.bin_width
+        """The excluded upper domain edge, lo + nbins * width."""
+        return self.lo + self.nbins * self.width
 
-    def bin_edges(self) -> np.ndarray:
-        return self.lo + self.bin_width * np.arange(self.nbins + 1)
+    def edges(self) -> np.ndarray:
+        return self.lo + self.width * np.arange(self.nbins + 1)
 
-    def bin_centers(self) -> np.ndarray:
-        return self.lo + self.bin_width * (np.arange(self.nbins) + 0.5)
+    def centers(self) -> np.ndarray:
+        return self.lo + self.width * (np.arange(self.nbins) + 0.5)
 
-    def same_axis(self, other: "Histogram1D") -> bool:
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.bin_width == other.bin_width
-            and self.nbins == other.nbins
-        )
-
-    def bin_index(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def index(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each value's bin index and the mask of the values inside the domain.
 
         A value at or above `upper` is out even where its index rounds below
         nbins; an index that rounds up to nbins is out too.
         """
         v = np.asarray(values, dtype=np.float64)
-        idx = (v - self.lo) / self.bin_width
+        idx = (v - self.lo) / self.width
         np.floor(idx, out=idx)
         return idx, (v >= self.lo) & (v < self.upper) & (idx < self.nbins)
 
+
+@dataclass
+class Histogram1D:
+    """Counts per bin of `axis`."""
+
+    axis: Axis
+    counts: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        self.counts = _counts(self.counts, (self.axis.nbins,))
+
     def fill(self, values: np.ndarray) -> None:
-        idx, ok = self.bin_index(values)
+        idx, ok = self.axis.index(values)
         if np.any(ok):
-            self.counts += np.bincount(idx[ok].astype(np.int64), minlength=self.nbins)
+            self.counts += np.bincount(idx[ok].astype(np.int64), minlength=self.axis.nbins)
 
     def merge(self, other: "Histogram1D") -> "Histogram1D":
-        if not self.same_axis(other):
+        if self.axis != other.axis:
             raise AxisMismatchError("1D histogram axes differ")
-        return Histogram1D(self.lo, self.hi, self.bin_width, self.counts + other.counts)
+        return Histogram1D(self.axis, self.counts + other.counts)
 
     def to_csv(self, sink) -> None:
         """`bin_lo,bin_hi,count` lines to an open text file."""
         sink.write("bin_lo,bin_hi,count\n")
-        edges = self.bin_edges()
-        for i in range(self.nbins):
+        edges = self.axis.edges()
+        for i in range(self.axis.nbins):
             sink.write(f"{edges[i]:.6f},{edges[i + 1]:.6f},{int(self.counts[i])}\n")
 
 
 @dataclass
 class Histogram2D:
-    """Counts[i, j] of x bin i and y bin j, on `Histogram1D` axes whose own
-    counts are unused, so histograms may share them."""
+    """Counts[i, j] of bin i of axis `x` and bin j of axis `y`."""
 
-    x: Histogram1D
-    y: Histogram1D
+    x: Axis
+    y: Axis
     counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.counts = _counts(self.counts, (self.x.nbins, self.y.nbins))
 
-    def same_axes(self, other: "Histogram2D") -> bool:
-        return self.x.same_axis(other.x) and self.y.same_axis(other.y)
-
     def fill(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        xi, x_ok = self.x.bin_index(xs)
-        yi, y_ok = self.y.bin_index(ys)
+        xi, x_ok = self.x.index(xs)
+        yi, y_ok = self.y.index(ys)
         nx, ny = self.counts.shape
         ok = x_ok & y_ok
         if np.any(ok):
@@ -159,7 +154,7 @@ class Histogram2D:
             self.counts += np.bincount(flat, minlength=nx * ny).reshape(nx, ny)
 
     def merge(self, other: "Histogram2D") -> "Histogram2D":
-        if not self.same_axes(other):
+        if (self.x, self.y) != (other.x, other.y):
             raise AxisMismatchError("2D histogram axes differ")
         return Histogram2D(self.x, self.y, self.counts + other.counts)
 
@@ -167,8 +162,8 @@ class Histogram2D:
         """Sparse `x_bin,y_bin,count` triplets (bin lower edges) to an open text
         file; zeros skipped."""
         sink.write("x_bin,y_bin,count\n")
-        xs = self.x.bin_edges()[:-1]
-        ys = self.y.bin_edges()[:-1]
+        xs = self.x.edges()[:-1]
+        ys = self.y.edges()[:-1]
         for i, j in zip(*np.nonzero(self.counts)):
             sink.write(f"{xs[i]:.6f},{ys[j]:.6f},{int(self.counts[i, j])}\n")
 
@@ -215,16 +210,16 @@ def iter_window_pairs(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float) -> I
         yield i, j
 
 
-def g2_axis(config: CorrelationConfig) -> Histogram1D:
-    """The empty g2 histogram: [-g2_range_ps, g2_range_ps) in g2_bin_width_ps bins."""
-    return Histogram1D(-config.g2_range_ps, config.g2_range_ps, config.g2_bin_width_ps)
+def g2_axis(config: CorrelationConfig) -> Axis:
+    """The g2 delay axis: g2_bin_width_ps bins from -g2_range_ps, enough to reach g2_range_ps."""
+    return Axis.spanning(-config.g2_range_ps, config.g2_range_ps, config.g2_bin_width_ps)
 
 
 def g2_histogram(delays: np.ndarray, config: CorrelationConfig) -> Histogram1D:
     """Second-order correlation histogram: pair delays t2 - t1 binned on the
     g2 axis. Delays outside its half-open domain are not counted, so the
     delays of any window search that covers the domain give the same result."""
-    hist = g2_axis(config)
+    hist = Histogram1D(g2_axis(config))
     hist.fill(delays)
     return hist
 
@@ -245,7 +240,7 @@ def select_coincidences(events1, events2, window: tuple[float, float]) -> tuple[
 
 def spectrum_1d(wavelengths: np.ndarray, config: CorrelationConfig) -> Histogram1D:
     """Singles wavelength spectrum; no coincidence filtering."""
-    hist = Histogram1D(config.spectrum_lo_nm, config.spectrum_hi_nm, config.spectrum_bin_nm)
+    hist = Histogram1D(Axis.spanning(config.spectrum_lo_nm, config.spectrum_hi_nm, config.spectrum_bin_nm))
     hist.fill(np.asarray(wavelengths, dtype=np.float64))
     return hist
 
@@ -253,7 +248,7 @@ def spectrum_1d(wavelengths: np.ndarray, config: CorrelationConfig) -> Histogram
 def build_jsi(lambda1: np.ndarray, lambda2: np.ndarray, config: CorrelationConfig) -> Histogram2D:
     """Joint spectrum: detector-1 wavelength on x, detector-2 on y, both on
     the same jsi axis."""
-    axis = Histogram1D(config.jsi_lo_nm, config.jsi_hi_nm, config.jsi_bin_nm)
+    axis = Axis.spanning(config.jsi_lo_nm, config.jsi_hi_nm, config.jsi_bin_nm)
     hist = Histogram2D(axis, axis)
     hist.fill(np.asarray(lambda1, dtype=np.float64), np.asarray(lambda2, dtype=np.float64))
     return hist
@@ -271,12 +266,12 @@ class FwhmFit:
 def fit_fwhm(hist: Histogram1D, peak_center: float) -> FwhmFit:
     """Least-squares Gaussian-plus-offset fit around peak_center.
 
-    Uses the bins whose centers lie within _FIT_HALFWIDTH_BINS * bin_width of
+    Uses the bins whose centers lie within _FIT_HALFWIDTH_BINS bin widths of
     peak_center; needs at least 5 populated bins there. FWHM = 2 sqrt(2 ln 2)
     * sigma.
     """
-    centers = hist.bin_centers()
-    half = _FIT_HALFWIDTH_BINS * hist.bin_width
+    centers = hist.axis.centers()
+    half = _FIT_HALFWIDTH_BINS * hist.axis.width
     m = np.abs(centers - peak_center) <= half * (1 + 1e-12)
     xs = centers[m]
     ys = hist.counts[m].astype(np.float64)
@@ -291,7 +286,7 @@ def fit_fwhm(hist: Histogram1D, peak_center: float) -> FwhmFit:
 
     amp0 = float(ys.max() - ys.min())
     mu0 = float(xs[int(np.argmax(ys))])
-    p0 = (max(amp0, 1.0), mu0, 2.0 * hist.bin_width, float(ys.min()))
+    p0 = (max(amp0, 1.0), mu0, 2.0 * hist.axis.width, float(ys.min()))
     try:
         # curve_fit only warns when it cannot estimate the covariance; make that fail too
         with warnings.catch_warnings():
@@ -313,8 +308,8 @@ def signal_region_mask(hist: Histogram2D, regions: tuple[tuple[float, float, flo
     a rectangle edge is not excluded by floating-point representation.
     """
     eps = 1e-9
-    xc = hist.x.bin_centers()
-    yc = hist.y.bin_centers()
+    xc = hist.x.centers()
+    yc = hist.y.centers()
     mask = np.zeros(hist.counts.shape, dtype=bool)
     for x_lo, x_hi, y_lo, y_hi in regions:
         in_x = (xc >= x_lo - eps) & (xc <= x_hi + eps)
@@ -344,7 +339,7 @@ class JsiReport:
 
     jsi: Histogram2D
     accidental: Histogram2D
-    subtracted: np.ndarray  # signed; floor at zero only for display
+    subtracted: Histogram2D  # signed; floored at zero only for display
     car_raw: float
     car_raw_defined: bool
     car_subtracted: float
@@ -366,18 +361,16 @@ def subtract_accidental(
     CAR is computed on the raw and on the subtracted matrix against the
     complement of the configured signal rectangles.
     """
-    if not jsi.same_axes(accidental):
-        raise AxisMismatchError("joint spectra have different axes")
-    subtracted = jsi.counts - accidental.counts
+    subtracted = jsi.merge(Histogram2D(accidental.x, accidental.y, -accidental.counts))
     mask = signal_region_mask(jsi, regions)
     car_raw, raw_def = car_ratio(jsi.counts, mask)
-    car_sub, sub_def = car_ratio(subtracted, mask)
-    xc = jsi.x.bin_centers()
-    yc = jsi.y.bin_centers()
+    car_sub, sub_def = car_ratio(subtracted.counts, mask)
+    xc = jsi.x.centers()
+    yc = jsi.y.centers()
     peaks = []
     for rect in regions:
         rmask = signal_region_mask(jsi, (rect,))
-        vals = np.where(rmask, subtracted, np.iinfo(np.int64).min)
+        vals = np.where(rmask, subtracted.counts, np.iinfo(np.int64).min)
         i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
         peaks.append((float(xc[i]), float(yc[j])))
     return JsiReport(

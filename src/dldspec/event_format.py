@@ -4,7 +4,7 @@ Layout, all little-endian:
 
     header, 16 bytes:
         magic          4 bytes  b"DLDE"
-        version        u16      1
+        version        u16      FORMAT_VERSION (1), the only version read or written
         tick_ps        u32      picoseconds per timestamp tick, >= 1
         detector_count u8
         reserved       5 bytes  zero
@@ -94,14 +94,17 @@ class DetectorRangeError(FormatError):
 
 @dataclass(frozen=True)
 class EventFileHeader:
-    version: int = FORMAT_VERSION
+    """The per-file header fields; the version is always FORMAT_VERSION."""
+
     tick_ps: int = 1
     detector_count: int = 2
 
     def pack(self) -> bytes:
         if self.tick_ps < 1 or self.tick_ps > 0xFFFFFFFF:
             raise ValueError("tick_ps must fit an unsigned 32-bit integer and be >= 1")
-        return _HEADER_STRUCT.pack(MAGIC, self.version, self.tick_ps, self.detector_count, b"\x00" * 5)
+        if not 0 <= self.detector_count <= 0xFF:
+            raise ValueError("detector_count must fit an unsigned 8-bit integer")
+        return _HEADER_STRUCT.pack(MAGIC, FORMAT_VERSION, self.tick_ps, self.detector_count, b"\x00" * 5)
 
     @classmethod
     def unpack(cls, buf: bytes) -> "EventFileHeader":
@@ -116,7 +119,7 @@ class EventFileHeader:
             raise FormatError(f"unsupported format version {version}", offset=4)
         if tick_ps < 1:
             raise FormatError("tick_ps must be >= 1", offset=6)
-        return cls(version=version, tick_ps=tick_ps, detector_count=detector_count)
+        return cls(tick_ps=tick_ps, detector_count=detector_count)
 
 
 def _open_source(source) -> tuple[BinaryIO, bool]:

@@ -39,7 +39,6 @@ from .correlation import (
     FitError,
     FwhmFit,
     Histogram1D,
-    Histogram2D,
     JsiReport,
     build_jsi,
     fit_fwhm,
@@ -381,7 +380,7 @@ def _normalized_g2(analysis: AnalysisResult) -> np.ndarray:
     g2 = analysis.g2
     corr = analysis.corr
     window_width = corr.coincidence_window_ps[1] - corr.coincidence_window_ps[0]
-    bins_per_window = max(window_width / g2.bin_width, 1e-300)
+    bins_per_window = max(window_width / g2.axis.width, 1e-300)
     if analysis.side_window_mean and analysis.side_window_mean > 0:
         scale = bins_per_window / analysis.side_window_mean
     else:
@@ -391,8 +390,8 @@ def _normalized_g2(analysis: AnalysisResult) -> np.ndarray:
 
 def _normalized_csv(analysis: AnalysisResult, norm: np.ndarray) -> str:
     lines = ["bin_lo,bin_hi,g2\n"]
-    edges = analysis.g2.bin_edges()
-    for i in range(analysis.g2.nbins):
+    edges = analysis.g2.axis.edges()
+    for i in range(analysis.g2.axis.nbins):
         lines.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{_fmt(float(norm[i]))}\n")
     return "".join(lines)
 
@@ -447,13 +446,12 @@ def write_report_bundle(
         )
     if "jsi" in artifacts:
         rep = analysis.jsi_report
-        subtracted = Histogram2D(rep.jsi.x, rep.jsi.y, rep.subtracted)
         emit("jsi.csv", rep.jsi.to_csv)
         emit_text("jsi.svg", svg_heatmap, rep.jsi, "joint spectrum (coincidence window)", wl1, wl2)
         emit("jsi_accidental.csv", rep.accidental.to_csv)
         emit_text("jsi_accidental.svg", svg_heatmap, rep.accidental, "joint spectrum (accidental window)", wl1, wl2)
-        emit("jsi_subtracted.csv", subtracted.to_csv)
-        emit_text("jsi_subtracted.svg", svg_heatmap, subtracted, "joint spectrum, accidentals subtracted", wl1, wl2)
+        emit("jsi_subtracted.csv", rep.subtracted.to_csv)
+        emit_text("jsi_subtracted.svg", svg_heatmap, rep.subtracted, "joint spectrum, accidentals subtracted", wl1, wl2)
     if events_csv:
         for det in (0, 1):
             emit(f"events_det{det + 1}.csv", lambda fh: write_events_csv(decode.events[det], det, fh))

@@ -65,7 +65,7 @@ def svg_histogram(hist: Histogram1D, title: str, x_label: str, y_label: str = "c
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black"/>'
     )
-    n = hist.nbins
+    n = hist.axis.nbins
     bw = plot_w / n
     for i in range(n):
         c = counts[i]
@@ -77,7 +77,7 @@ def svg_histogram(hist: Histogram1D, title: str, x_label: str, y_label: str = "c
             f'<rect x="{x:.2f}" y="{_MT + plot_h - h:.2f}" width="{max(bw, 0.5):.2f}" '
             f'height="{h:.2f}" fill="#27608f"/>'
         )
-    edges = hist.bin_edges()
+    edges = hist.axis.edges()
     # axis values are ints when the config gives ints; tick labels always print as floats
     for frac, value in ((0.0, edges[0]), (0.5, (edges[0] + edges[-1]) / 2), (1.0, edges[-1])):
         x = _ML + frac * plot_w
@@ -90,8 +90,8 @@ def svg_histogram(hist: Histogram1D, title: str, x_label: str, y_label: str = "c
 
 
 def svg_heatmap(hist: Histogram2D, title: str, x_label: str, y_label: str) -> str:
-    """Log-scale heatmap, log10(1 + n), of a 2D histogram, ticked at the lower
-    and upper edges of its axes.
+    """Log-scale heatmap, log10(1 + n), of a 2D histogram, ticked at `lo` and
+    `upper` of its `x` and `y` axes.
 
     Negative cells (possible after subtraction) are floored to zero for
     display, matching the log-scale plotting convention.

@@ -61,6 +61,8 @@ def pulse_count(config: SimConfig) -> int:
     n = math.ceil(config.duration_ps / period)
     while n > 1 and (n - 1) * period >= config.duration_ps:
         n -= 1
+    while n * period < config.duration_ps:
+        n += 1
     return n
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dldspec.config import RunConfig, SimConfig, run_config_from_dict
-from dldspec.correlation import Histogram1D, select_coincidences
+from dldspec.correlation import Axis, Histogram1D, select_coincidences
 from dldspec.event_format import PULSE_DTYPE, EventFileHeader, EventReader, EventWriter
 from dldspec.reconstruction import GROUP_TIMES, HitMatcher, channel_columns
 from dldspec.source_sim import Columns, EventKind, pulse_count
@@ -106,7 +106,7 @@ def delay_histogram(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float, width:
     analysis bins its g2: one `select_coincidences` over the closed window
     [lo, upper], whose delays at the excluded upper edge `fill` drops. A
     helper over the library, not an oracle."""
-    hist = Histogram1D(lo, hi, width)
-    i, j = select_coincidences(t1, t2, (lo, hist.upper))
+    hist = Histogram1D(Axis.spanning(lo, hi, width))
+    i, j = select_coincidences(t1, t2, (lo, hist.axis.upper))
     hist.fill(t2[j] - t1[i])
     return hist

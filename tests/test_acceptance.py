@@ -143,7 +143,7 @@ def test_criterion_3_side_peak_structure(default_reports):
     multiple of the 13158 ps laser period, located to within one 88 ps bin."""
     _, _, analysis = default_reports[0]
     hist = analysis.g2
-    centers = hist.bin_centers()
+    centers = hist.axis.centers()
     worst = 0.0
     for k in list(range(-4, 0)) + list(range(1, 5)):
         target = k * 13_158.0
@@ -183,13 +183,13 @@ def test_criterion_5_jsi_topology(default_reports):
     cfg, decode, analysis = default_reports[0]
     corr = cfg.correlation
     rep = analysis.jsi_report
-    sub = rep.subtracted
+    sub = rep.subtracted.counts
     mask = signal_region_mask(rep.jsi, rep.signal_regions_nm)
     background = max(int(sub[~mask].max()), 1)
     # pair blobs are anti-diagonal ridges: diagonal cells touch at corners,
     # so connectivity is 8-neighbour
     labels, n_regions = ndimage.label(sub > 5 * background, structure=np.ones((3, 3)))
-    xc, yc = rep.jsi.x.bin_centers(), rep.jsi.y.bin_centers()
+    xc, yc = rep.jsi.x.centers(), rep.jsi.y.centers()
     centroids = []
     for r in range(1, n_regions + 1):
         ii, jj = np.nonzero(labels == r)
@@ -214,7 +214,7 @@ def test_criterion_5_jsi_topology(default_reports):
         build_jsi(ev1["wavelength_nm"][bj], ev0["wavelength_nm"][bi], corr),
         tuple((r[2], r[3], r[0], r[1]) for r in corr.signal_regions_nm),
     )
-    sym_ok = np.array_equal(swapped.subtracted, sub.T)
+    sym_ok = np.array_equal(swapped.subtracted.counts, sub.T)
     ok = cen_ok and sym_ok
     verdict(5, "jsi topology", ok,
             f"{n_regions} regions above 5x background ({5 * background}), centroids "

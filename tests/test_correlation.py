@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dldspec.correlation import (
+    Axis,
     AxisMismatchError,
     DegeneratePeakError,
     FitError,
@@ -35,46 +37,85 @@ def g2_of(t1, t2, cfg):
     return delay_histogram(t1, t2, -cfg.g2_range_ps, cfg.g2_range_ps, cfg.g2_bin_width_ps)
 
 
-class TestHistogram1D:
+class TestAxis:
     def test_bin_count_is_ceil(self):
-        h = Histogram1D(-60000.0, 60000.0, 88.0)
-        assert h.nbins == math.ceil(120000 / 88)
+        assert Axis.spanning(-60000.0, 60000.0, 88.0).nbins == math.ceil(120000 / 88)
 
+    def test_empty_axis_rejected(self):
+        with pytest.raises(ValueError, match="at least one bin"):
+            Axis.spanning(1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="at least one bin"):
+            Axis(0.0, 1.0, 0)
+
+    def test_axis_cannot_be_assigned_to(self):
+        axis = Axis.spanning(0.0, 10.0, 1.0)
+        for name, value in (("lo", 1.0), ("width", 2.0), ("nbins", 3)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(axis, name, value)
+        assert axis == Axis(0.0, 1.0, 10)
+
+    def test_axes_are_equal_when_their_bins_are(self):
+        # hi only sets nbins: 10.0 and 9.5 both give ten unit bins
+        assert Axis.spanning(0.0, 10.0, 1.0) == Axis.spanning(0.0, 9.5, 1.0) == Axis(0.0, 1.0, 10)
+        assert Axis.spanning(0.0, 10.0, 1.0) != Axis.spanning(0.0, 10.5, 1.0)
+        assert Axis.spanning(0.0, 10.0, 1.0) != Axis.spanning(0.5, 10.5, 1.0)
+        assert Axis.spanning(0.0, 10.0, 1.0) != Axis.spanning(0.0, 10.0, 2.0)
+
+
+class TestHistogram1D:
     def test_fill_half_open_domain(self):
-        h = Histogram1D(0.0, 10.0, 1.0)
+        h = Histogram1D(Axis.spanning(0.0, 10.0, 1.0))
         h.fill(np.array([0.0, 9.999, 10.0, -0.001]))
         assert h.counts.sum() == 2
         assert h.counts[0] == 1 and h.counts[9] == 1
 
     def test_value_on_upper_edge_is_out_where_its_index_rounds_below_nbins(self):
         # (17 - -17) / 0.34 rounds to 99.999..., so bin 99 is where 17.0 would land
-        h = Histogram1D(-17.0, 17.0, 0.34)
+        h = Histogram1D(Axis.spanning(-17.0, 17.0, 0.34))
         h.fill(np.array([17.0, 16.9]))
         assert h.counts.sum() == 1 and h.counts[99] == 1
-        assert h.nbins == 100 and h.upper == 17.0
+        assert h.axis.nbins == 100 and h.axis.upper == 17.0
 
     def test_2d_value_on_upper_edge_is_out_on_either_axis(self):
+        axis = Axis.spanning(-17.0, 17.0, 0.34)
         for xs, ys in (([17.0], [0.0]), ([0.0], [17.0])):
-            h = Histogram2D(Histogram1D(-17.0, 17.0, 0.34), Histogram1D(-17.0, 17.0, 0.34))
+            h = Histogram2D(axis, axis)
             h.fill(np.array(xs), np.array(ys))
             assert h.counts.sum() == 0
         h.fill(np.array([16.9]), np.array([16.9]))
         assert h.counts[99, 99] == 1
 
     def test_merge_elementwise(self):
-        a = Histogram1D(0.0, 10.0, 1.0)
-        b = Histogram1D(0.0, 10.0, 1.0)
+        a = Histogram1D(Axis.spanning(0.0, 10.0, 1.0))
+        b = Histogram1D(Axis.spanning(0.0, 10.0, 1.0))
         a.fill(np.array([1.5, 2.5]))
         b.fill(np.array([2.5]))
         m = a.merge(b)
         assert m.counts[1] == 1 and m.counts[2] == 2
 
-    def test_merge_rejects_axis_mismatch(self):
+    def test_merge_accepts_separately_built_axes_with_equal_bins(self):
+        a = Histogram1D(Axis.spanning(0.0, 10.0, 1.0))
+        b = Histogram1D(Axis.spanning(0.0, 9.5, 1.0))
+        a.fill(np.array([1.5]))
+        b.fill(np.array([1.5, 8.5]))
+        m = a.merge(b)
+        assert m.axis == a.axis == b.axis
+        assert m.counts[1] == 2 and m.counts[8] == 1
+
+    @pytest.mark.parametrize("other", [Axis(0.0, 2.0, 10), Axis(0.0, 1.0, 11), Axis(0.5, 1.0, 10)])
+    def test_merge_rejects_axis_mismatch(self, other):
         with pytest.raises(AxisMismatchError):
-            Histogram1D(0.0, 10.0, 1.0).merge(Histogram1D(0.0, 10.0, 2.0))
+            Histogram1D(Axis(0.0, 1.0, 10)).merge(Histogram1D(other))
+
+    def test_histograms_never_share_counts(self):
+        a = Histogram1D(Axis(0.0, 1.0, 10))
+        b = Histogram1D(a.axis, a.counts)
+        m = a.merge(b)
+        a.fill(np.array([0.5]))
+        assert b.counts.sum() == 0 and m.counts.sum() == 0
 
     def test_csv_lines(self, tmp_path):
-        h = Histogram1D(0.0, 2.0, 1.0)
+        h = Histogram1D(Axis.spanning(0.0, 2.0, 1.0))
         h.fill(np.array([0.5]))
         p = tmp_path / "h.csv"
         with open(p, "w") as fh:
@@ -93,7 +134,7 @@ class TestDelayHistogram:
         hist = g2_of(t, t + 5000, cfg)
         nonzero = np.nonzero(hist.counts)[0]
         assert nonzero.size == 1
-        lo_edge = hist.bin_edges()[nonzero[0]]
+        lo_edge = hist.axis.edges()[nonzero[0]]
         assert lo_edge <= 5000 < lo_edge + cfg.g2_bin_width_ps
 
     def test_hand_enumerated_four_event_case(self):
@@ -203,6 +244,19 @@ class TestJsi:
         b = build_jsi(l2, l1, cfg)
         assert np.array_equal(a.counts, b.counts.T)
 
+    def test_filling_one_jsi_leaves_every_other_untouched(self):
+        cfg = corr_cfg()
+        axis = Axis.spanning(cfg.jsi_lo_nm, cfg.jsi_hi_nm, cfg.jsi_bin_nm)
+        a = build_jsi(np.full(3, 388.8), np.full(3, 389.8), cfg)
+        b = build_jsi(np.full(2, 389.8), np.full(2, 388.8), cfg)
+        others = [b, a.merge(b), Histogram2D(a.x, a.y, a.counts)]
+        before = [h.counts.copy() for h in others]
+        a.fill(np.full(4, 389.2), np.full(4, 389.2))
+        assert a.counts.sum() == 7
+        for h, counts in zip(others, before):
+            assert np.array_equal(h.counts, counts)
+            assert h.x == h.y == a.x == a.y == axis
+
 
 class TestSubtractAccidental:
     def _hist_pair(self, cfg, signal, background):
@@ -234,7 +288,7 @@ class TestSubtractAccidental:
         cfg = corr_cfg()
         jsi, _ = self._hist_pair(cfg, 100, 10)
         rep = subtract_accidental(jsi, jsi, cfg.signal_regions_nm)
-        assert np.all(rep.subtracted == 0)
+        assert np.all(rep.subtracted.counts == 0)
         assert not rep.car_subtracted_defined
         assert math.isnan(rep.car_subtracted)
 
@@ -250,7 +304,7 @@ class TestSubtractAccidental:
         jsi, acc = self._hist_pair(cfg, 10, 0)
         acc.counts[0, 0] = 5
         rep = subtract_accidental(jsi, acc, cfg.signal_regions_nm)
-        assert rep.subtracted[0, 0] == -5
+        assert rep.subtracted.counts[0, 0] == -5
 
     def test_axis_mismatch_rejected(self):
         cfg = corr_cfg()
@@ -270,11 +324,10 @@ class TestSubtractAccidental:
         jsi = build_jsi(np.full(5, 388.8), np.full(5, 389.8), cfg)
         half = cfg.jsi_bin_nm / 2
         axes = {"x": jsi.x, "y": jsi.y}
-        axes[shifted] = Histogram1D(cfg.jsi_lo_nm + half, cfg.jsi_hi_nm + half, cfg.jsi_bin_nm)
+        axes[shifted] = Axis.spanning(cfg.jsi_lo_nm + half, cfg.jsi_hi_nm + half, cfg.jsi_bin_nm)
         other = Histogram2D(axes["x"], axes["y"])
         assert other.counts.shape == jsi.counts.shape
-        assert not jsi.same_axes(other) and not other.same_axes(jsi)
-        assert jsi.same_axes(Histogram2D(jsi.x, jsi.y))
+        assert jsi.merge(Histogram2D(jsi.x, jsi.y)).counts.sum() == 5
         with pytest.raises(AxisMismatchError):
             jsi.merge(other)
         with pytest.raises(AxisMismatchError):
@@ -295,31 +348,31 @@ class TestFitFwhm:
     def test_noiseless_gaussian_recovered(self):
         # sigma = 158.4 ps sampled exactly at bin centers: FWHM = 373 +- 1
         sigma = 158.4
-        h = Histogram1D(-60060.0, 60060.0, 88.0)
-        c = h.bin_centers()
+        h = Histogram1D(Axis.spanning(-60060.0, 60060.0, 88.0))
+        c = h.axis.centers()
         h.counts = np.rint(1e4 * np.exp(-0.5 * (c / sigma) ** 2)).astype(np.int64)
         fit = fit_fwhm(h, 0.0)
         assert fit.fwhm == pytest.approx(2.3548 * sigma, abs=1.0)
         assert fit.fwhm == pytest.approx(373.0, abs=1.0)
 
     def test_single_bin_spike_degenerate(self):
-        h = Histogram1D(-1000.0, 1000.0, 88.0)
-        h.counts[h.nbins // 2] = 500
+        h = Histogram1D(Axis.spanning(-1000.0, 1000.0, 88.0))
+        h.counts[h.axis.nbins // 2] = 500
         with pytest.raises(DegeneratePeakError):
             fit_fwhm(h, 0.0)
 
     def test_unestimable_covariance_fails(self):
         # a flat histogram leaves center and width unconstrained: curve_fit
         # only warns that it cannot estimate the covariance
-        h = Histogram1D(-1000.0, 1000.0, 88.0)
+        h = Histogram1D(Axis.spanning(-1000.0, 1000.0, 88.0))
         h.counts[:] = 100
         with pytest.raises(FitError, match="Covariance"):
             fit_fwhm(h, 0.0)
 
     def test_offset_absorbed(self):
         sigma = 158.4
-        h = Histogram1D(-3000.0, 3000.0, 88.0)
-        c = h.bin_centers()
+        h = Histogram1D(Axis.spanning(-3000.0, 3000.0, 88.0))
+        c = h.axis.centers()
         h.counts = np.rint(5000 * np.exp(-0.5 * (c / sigma) ** 2) + 250).astype(np.int64)
         fit = fit_fwhm(h, 0.0)
         assert fit.fwhm == pytest.approx(373.0, abs=2.0)
@@ -329,7 +382,7 @@ class TestFitFwhm:
         # two 263 ps FWHM detectors in coincidence: expect 263 * sqrt(2)
         sigma1 = 263.0 / 2.3548
         taus = rng.normal(0.0, sigma1 * math.sqrt(2.0), 200_000)
-        h = Histogram1D(-60060.0, 60060.0, 88.0)
+        h = Histogram1D(Axis.spanning(-60060.0, 60060.0, 88.0))
         h.fill(taus)
         fit = fit_fwhm(h, 0.0)
         # binned sampling widens the apparent sigma by w^2/12
@@ -345,9 +398,8 @@ class TestFitFwhm:
 @settings(max_examples=60, deadline=None)
 def test_histogram_merge_property(vals_a, vals_b):
     """Chunked accumulation is exactly a merge of partial histograms."""
-    a = Histogram1D(0.0, 10_000.0, 97.0)
-    b = Histogram1D(0.0, 10_000.0, 97.0)
-    whole = Histogram1D(0.0, 10_000.0, 97.0)
+    axis = Axis.spanning(0.0, 10_000.0, 97.0)
+    a, b, whole = Histogram1D(axis), Histogram1D(axis), Histogram1D(axis)
     a.fill(np.asarray(vals_a, dtype=np.float64))
     b.fill(np.asarray(vals_b, dtype=np.float64))
     whole.fill(np.asarray(vals_a + vals_b, dtype=np.float64))

@@ -19,6 +19,7 @@ from dldspec.event_format import (
     PULSE_DTYPE,
     RECORD_SIZE,
     EventWriter,
+    FORMAT_VERSION,
     TimestampRangeError,
     TimestampRegressionError,
     TruncatedRecordError,
@@ -110,6 +111,19 @@ class TestWrite:
             EventWriter(path, EventFileHeader(tick_ps=0))
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == b"earlier"
+
+
+    def test_header_always_writes_the_version_it_reads(self):
+        hdr = EventFileHeader(tick_ps=7, detector_count=255).pack()
+        assert int.from_bytes(hdr[4:6], "little") == FORMAT_VERSION
+        assert EventFileHeader.unpack(hdr) == EventFileHeader(tick_ps=7, detector_count=255)
+        with pytest.raises(TypeError):
+            EventFileHeader(version=2)
+
+    @pytest.mark.parametrize("count", [-1, 256])
+    def test_rejects_a_detector_count_beyond_u8(self, count):
+        with pytest.raises(ValueError, match="detector_count"):
+            EventFileHeader(detector_count=count).pack()
 
 
 class TestParse:

@@ -386,7 +386,7 @@ def test_spectrum_shows_three_lines(tmp_path, default_config):
     corr = default_config.correlation
     for det in (0, 1):
         hist = spectrum_1d(dec.events[det]["wavelength_nm"], corr)
-        centers = hist.bin_centers()
+        centers = hist.axis.centers()
         valley = (np.abs(centers - 389.0) <= 0.05) | (np.abs(centers - 389.5) <= 0.05)
         floor = max(int(hist.counts[valley].max()), 1)
         for line in (388.8, 389.2, 389.8):
@@ -414,7 +414,7 @@ def test_accidental_window_dominated_by_background_combinations(tmp_path, defaul
     total = acc.counts.sum()
     assert total > 0
     near_grid = 0
-    xc, yc = acc.x.bin_centers(), acc.y.bin_centers()
+    xc, yc = acc.x.centers(), acc.y.centers()
     for lx in lines:
         for ly in lines:
             cell = (np.abs(xc[:, None] - lx) <= 0.25) & (np.abs(yc[None, :] - ly) <= 0.25)

@@ -41,6 +41,15 @@ def test_pulse_train_hand_enumeration():
     assert pulse_count(make_config(duration_ps=29 * (1e12 / 76e6)).simulation) == 29
 
 
+def test_pulse_count_keeps_a_pulse_that_the_quotient_rounds_away():
+    # duration_ps is the next float above 163205 periods at 76 MHz, so pulse
+    # 163205 is inside the run, but duration / period rounds to exactly 163205
+    period = 1e12 / 76e6
+    duration = float(np.nextafter(163205 * period, np.inf))
+    assert math.ceil(duration / period) == 163205 and 163205 * period < duration
+    assert pulse_count(make_config(duration_ps=duration).simulation) == 163206
+
+
 def test_pulse_train_single_pulse_at_zero():
     cfg = make_config(duration_ps=1.0).simulation
     assert pulse_count(cfg) == 1
