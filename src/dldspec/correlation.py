@@ -10,6 +10,8 @@ Conventions, shared by every operation and by the brute-force test oracles:
 * A histogram is axes plus counts: `Histogram1D` counts on one `Axis`, and
   `Histogram2D` (a joint spectrum, its accidental estimate or their signed
   difference) on two. Histograms share axes freely and never share counts.
+* `write_bin_rows` writes every `bin_lo,bin_hi,<column>` CSV: a histogram's
+  counts (`Histogram1D.to_csv`) or any other curve on an axis's bins.
 * Coincidence selection windows are closed, [lo, hi] inclusive on both ends.
   Delays are integer picoseconds, so a delay d is inside [lo, hi] exactly when
   ceil(lo) <= d <= floor(hi) (`in_window`).
@@ -53,6 +55,12 @@ class DegeneratePeakError(FitError):
 
 class AxisMismatchError(ValueError):
     """Histograms with different axes cannot be merged or subtracted."""
+
+
+def fmt_number(v) -> str:
+    """Report number format: 6 significant digits for floats (`nan`, `inf` and
+    `-inf` included), `str` for anything else."""
+    return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
 def _counts(counts, shape: tuple[int, ...]) -> np.ndarray:
@@ -105,6 +113,15 @@ class Axis:
         return idx, (v >= self.lo) & (v < self.upper) & (idx < self.nbins)
 
 
+def write_bin_rows(sink, axis: Axis, column: str, values: np.ndarray) -> None:
+    """`bin_lo,bin_hi,<column>` lines, one per bin of `axis`, to an open text
+    file; `values` holds one number per bin, in `fmt_number`'s format."""
+    sink.write(f"bin_lo,bin_hi,{column}\n")
+    edges = axis.edges().tolist()
+    for lo, hi, v in zip(edges[:-1], edges[1:], values.tolist(), strict=True):
+        sink.write(f"{lo:.6f},{hi:.6f},{fmt_number(v)}\n")
+
+
 @dataclass
 class Histogram1D:
     """Counts per bin of `axis`."""
@@ -127,10 +144,7 @@ class Histogram1D:
 
     def to_csv(self, sink) -> None:
         """`bin_lo,bin_hi,count` lines to an open text file."""
-        sink.write("bin_lo,bin_hi,count\n")
-        edges = self.axis.edges()
-        for i in range(self.axis.nbins):
-            sink.write(f"{edges[i]:.6f},{edges[i + 1]:.6f},{int(self.counts[i])}\n")
+        write_bin_rows(sink, self.axis, "count", self.counts)
 
 
 @dataclass

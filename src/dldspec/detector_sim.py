@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AnodeGeometry, RunConfig, fwhm_to_sigma
+from .config import AnodeGeometry, RunConfig, SimConfig, fwhm_to_sigma
 from .event_format import PULSE_DTYPE
 from .reconstruction import GROUP_TIMES, wavelength_to_position
 from .source_sim import Columns, EventKind
@@ -35,6 +35,12 @@ from .source_sim import Columns, EventKind
 # Gaussian jitter is clipped here so that a detection time can be bounded by
 # its emission time; the clipped mass is ~2e-9 of draws.
 JITTER_CLIP_SIGMAS = 6.0
+
+
+def jitter_reach_ps(sim: SimConfig) -> float:
+    """The largest jitter `detect` adds or subtracts: its Gaussian clipped
+    at JITTER_CLIP_SIGMAS sigma."""
+    return JITTER_CLIP_SIGMAS * fwhm_to_sigma(sim.jitter_fwhm_ps)
 
 
 @dataclass
@@ -64,8 +70,8 @@ def detect(
     tally = DetectTally()
     sim, geometry = cfg.simulation, cfg.geometry
     n = events.size
-    sigma = fwhm_to_sigma(sim.jitter_fwhm_ps)
-    t = np.clip(rng.normal(0.0, sigma, n), -JITTER_CLIP_SIGMAS * sigma, JITTER_CLIP_SIGMAS * sigma)
+    reach = jitter_reach_ps(sim)
+    t = np.clip(rng.normal(0.0, fwhm_to_sigma(sim.jitter_fwhm_ps), n), -reach, reach)
     t += events["time_ps"]
     dark_x = rng.random(n) * geometry.size_x_mm
     y = rng.random(n) * geometry.size_y_mm

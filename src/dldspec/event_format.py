@@ -201,10 +201,10 @@ class EventWriter:
     raises the reader's `FormatError` subclass for it, located where it would
     land in the file, and nothing of its chunk is written.
 
-    A path sink is written through a `StagedFile`, published by `close()`.
-    Leaving the `with` block on an exception discards it instead, and a file
-    already at the path keeps its bytes. File-object sinks are written
-    directly.
+    A path sink is written through a `StagedFile`, published when the `with`
+    block exits cleanly. Leaving it on an exception discards the file instead,
+    and a file already at the path keeps its bytes. File-object sinks are
+    written directly.
     """
 
     def __init__(self, sink, header: EventFileHeader):
@@ -231,11 +231,6 @@ class EventWriter:
         self._last_ts = int(pulses["timestamp"][-1])
         self.bytes_written += pulses.size * RECORD_SIZE
         self.records_written += int(pulses.size)
-
-    def close(self) -> int:
-        if self._staged is not None:
-            self._staged.close(publish=True)
-        return self.bytes_written
 
     def __enter__(self) -> "EventWriter":
         return self

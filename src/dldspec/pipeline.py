@@ -2,8 +2,12 @@
 
 Simulation streams the laser pulse train through fixed-size blocks so memory
 stays bounded for arbitrarily long acquisitions; dead-time filtering and the
-globally sorted serialization carry small boundary buffers between blocks. The
-block size is a constant of the implementation, not configuration: it is part
+globally sorted serialization carry small boundary buffers between blocks.
+Every block takes one path: it tells the dead-time stage that every later
+trigger lies at or above the next block's first pulse time less the jitter
+reach, and the writer flushes the pulses below the lowest trigger the stage
+can still emit. The last block promises no later trigger and flushes
+everything. The block size is a constant of the implementation, not configuration: it is part
 of the identity of the sampled random stream for a given seed. A block draws
 only the photons qe converts, and its emitted and qe-lost counts go into an
 `EmissionTally`. Each block sorts once per ordering decision, twice in all:
@@ -23,6 +27,9 @@ time-sorted int64 timestamp columns, and each detector's five go to its
 `Columns` too. A decoded table's detector is the slot it sits in, never a
 column. Memory is bounded by the chunk size plus the reconstructed events,
 and the result does not depend on the chunk size.
+
+Analysis puts every figure of the report, the side-peak-normalized g2
+included, in an `AnalysisResult`; the report only writes them out.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CorrelationConfig, RunConfig, fwhm_to_sigma
+from .config import CorrelationConfig, RunConfig
 from .correlation import (
     FitError,
     FwhmFit,
@@ -42,19 +49,21 @@ from .correlation import (
     JsiReport,
     build_jsi,
     fit_fwhm,
+    fmt_number,
     g2_axis,
     g2_histogram,
     in_window,
     select_coincidences,
     spectrum_1d,
     subtract_accidental,
+    write_bin_rows,
 )
 from .detector_sim import (
     DeadTimeFilter,
-    JITTER_CLIP_SIGMAS,
     detect,
     encode_groups,
     groups_to_pulses,
+    jitter_reach_ps,
 )
 from .event_format import (
     DEFAULT_CHUNK_RECORDS,
@@ -70,7 +79,7 @@ from .reconstruction import (
     groups_to_events,
     write_events_csv,
 )
-from .render import _fmt, svg_heatmap, svg_histogram
+from .render import svg_heatmap, svg_histogram
 from .source_sim import Columns, EmissionTally, generate_emissions, pulse_count
 
 SIM_BLOCK_PULSES = 1 << 20
@@ -97,7 +106,7 @@ class SimulationSummary:
     def lines(self) -> list[str]:
         return [
             f"seed={self.seed}",
-            f"duration_ps={_fmt(self.duration_ps)}",
+            f"duration_ps={fmt_number(self.duration_ps)}",
             f"laser_pulses={self.laser_pulses}",
             f"emitted_pairs={self.emitted_pairs}",
             f"emitted_pump={self.emitted_pump}",
@@ -129,7 +138,7 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
     header = EventFileHeader(tick_ps=geometry.tick_ps, detector_count=2)
     summary = SimulationSummary(seed=sim.seed, duration_ps=sim.duration_ps, laser_pulses=n_pulses)
     dead_filter = DeadTimeFilter(sim.dead_time_ps, geometry.tick_ps)
-    jitter_reach = JITTER_CLIP_SIGMAS * fwhm_to_sigma(sim.jitter_fwhm_ps)
+    jitter_reach = jitter_reach_ps(sim)
     emitted = EmissionTally()
     carry = None
     with EventWriter(path, header) as writer:
@@ -146,13 +155,10 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
                 summary.detections[det] += int(np.count_nonzero(detections["path"] == det))
             groups = encode_groups(detections, geometry)
             del detections
-            if k1 < n_pulses:
-                future_floor = int(math.floor((k1 * period - jitter_reach) / geometry.tick_ps)) - 1
-                survivors = dead_filter.feed(groups, future_floor)
-                flush_floor = dead_filter.emitted_floor_ticks(future_floor)
-            else:
-                survivors = dead_filter.feed(groups, future_floor_ticks=None)
-                flush_floor = None
+            # the last block promises no later trigger and flushes everything
+            future_floor = (None if k1 == n_pulses
+                            else int(math.floor((k1 * period - jitter_reach) / geometry.tick_ps)) - 1)
+            survivors = dead_filter.feed(groups, future_floor)
             del groups
             for det in (0, 1):
                 summary.groups_written[det] += int(np.count_nonzero(survivors["detector"] == det))
@@ -160,7 +166,8 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
             del survivors
             # a binary search that reads the record field in place: np.searchsorted
             # would first copy the whole strided field; a negative floor flushes nothing
-            n = buf.size if flush_floor is None else bisect.bisect_left(buf["timestamp"], flush_floor)
+            n = buf.size if future_floor is None else bisect.bisect_left(
+                buf["timestamp"], dead_filter.emitted_floor_ticks(future_floor))
             writer.write_chunk(buf[:n])
             carry = buf[n:].copy()  # drop the reference to the block's buffer
         summary.bytes_written = writer.bytes_written
@@ -236,9 +243,11 @@ def decode_file(
 
 @dataclass
 class AnalysisResult:
-    corr: CorrelationConfig
     spectra: tuple[Histogram1D, Histogram1D]
     g2: Histogram1D
+    # g2.counts rescaled so a side-peak window averages 1.0 per bin; NaN
+    # when the side windows are empty
+    g2_normalized: np.ndarray
     fit: FwhmFit | None
     fit_error: str
     side_window_counts: list[int]
@@ -262,7 +271,8 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     binned into the g2 histogram, whose `fill` drops those outside the
     half-open domain, and filtered per closed window with `in_window`. The
     coincidence and accidental windows keep their index pairs for the joint
-    spectra; the side windows only count.
+    spectra; the side windows only count. Their mean, per bin of the g2 axis,
+    normalizes the g2 curve.
     """
     warnings: list[str] = []
     ev0, ev1 = events
@@ -272,7 +282,8 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     )
     t0 = ev0["t_ps"]
     t1 = ev1["t_ps"]
-    half = (corr.coincidence_window_ps[1] - corr.coincidence_window_ps[0]) / 2.0
+    window_width = corr.coincidence_window_ps[1] - corr.coincidence_window_ps[0]
+    half = window_width / 2.0
     side_center = (corr.accidental_window_ps[0] + corr.accidental_window_ps[1]) / 2.0
     side_windows = [
         (c - half, c + half)
@@ -301,15 +312,17 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
         warnings.append("no coincidences inside the coincidence window")
     center = int(ci.size)
     side_counts = [int(np.count_nonzero(in_window(delays, w))) for w in side_windows]
-    side_mean = float(np.mean(side_counts)) if side_counts else math.nan
+    side_mean = float(np.mean(side_counts))
     ratio = center / side_mean if side_mean > 0 else math.nan
+    bins_per_window = window_width / g2.axis.width
+    g2_normalized = g2.counts * (bins_per_window / side_mean if side_mean > 0 else math.nan)
     jsi = build_jsi(ev0["wavelength_nm"][ci], ev1["wavelength_nm"][cj], corr)
     accidental = build_jsi(ev0["wavelength_nm"][ai], ev1["wavelength_nm"][aj], corr)
     report = subtract_accidental(jsi, accidental, corr.signal_regions_nm)
     return AnalysisResult(
-        corr=corr,
         spectra=spectra,
         g2=g2,
+        g2_normalized=g2_normalized,
         fit=fit,
         fit_error=fit_error,
         side_window_counts=side_counts,
@@ -353,47 +366,26 @@ def summary_lines(decode: DecodeResult, analysis: AnalysisResult) -> list[str]:
     lines += [
         f"g2_total_pairs={int(analysis.g2.counts.sum())}",
         f"g2_center_counts={analysis.coincidence_count}",
-        f"g2_side_mean={_fmt(analysis.side_window_mean)}",
-        f"g2_center_side_ratio={_fmt(analysis.center_to_side_ratio)}",
+        f"g2_side_mean={fmt_number(analysis.side_window_mean)}",
+        f"g2_center_side_ratio={fmt_number(analysis.center_to_side_ratio)}",
         f"g2_fit_ok={int(f is not None)}",
-        f"g2_fit_fwhm_ps={_fmt(f.fwhm) if f else 'nan'}",
-        f"g2_fit_center_ps={_fmt(f.center) if f else 'nan'}",
-        f"g2_fit_sigma_ps={_fmt(f.sigma) if f else 'nan'}",
-        f"g2_fit_amplitude={_fmt(f.amplitude) if f else 'nan'}",
-        f"g2_fit_offset={_fmt(f.offset) if f else 'nan'}",
+        f"g2_fit_fwhm_ps={fmt_number(f.fwhm) if f else 'nan'}",
+        f"g2_fit_center_ps={fmt_number(f.center) if f else 'nan'}",
+        f"g2_fit_sigma_ps={fmt_number(f.sigma) if f else 'nan'}",
+        f"g2_fit_amplitude={fmt_number(f.amplitude) if f else 'nan'}",
+        f"g2_fit_offset={fmt_number(f.offset) if f else 'nan'}",
         f"coincidences={analysis.coincidence_count}",
         f"accidentals={analysis.accidental_count}",
-        f"car_raw={_fmt(rep.car_raw)}",
+        f"car_raw={fmt_number(rep.car_raw)}",
         f"car_raw_defined={int(rep.car_raw_defined)}",
-        f"car_subtracted={_fmt(rep.car_subtracted)}",
+        f"car_subtracted={fmt_number(rep.car_subtracted)}",
         f"car_subtracted_defined={int(rep.car_subtracted_defined)}",
     ]
     for i, (px, py) in enumerate(rep.peaks_nm, start=1):
-        lines.append(f"jsi_peak{i}_det1_nm={_fmt(px)}")
-        lines.append(f"jsi_peak{i}_det2_nm={_fmt(py)}")
+        lines.append(f"jsi_peak{i}_det1_nm={fmt_number(px)}")
+        lines.append(f"jsi_peak{i}_det2_nm={fmt_number(py)}")
     lines.append(f"warnings={';'.join(analysis.warnings)}")
     return lines
-
-
-def _normalized_g2(analysis: AnalysisResult) -> np.ndarray:
-    """Delay curve rescaled so the mean side-peak window averages 1.0 per bin."""
-    g2 = analysis.g2
-    corr = analysis.corr
-    window_width = corr.coincidence_window_ps[1] - corr.coincidence_window_ps[0]
-    bins_per_window = max(window_width / g2.axis.width, 1e-300)
-    if analysis.side_window_mean and analysis.side_window_mean > 0:
-        scale = bins_per_window / analysis.side_window_mean
-    else:
-        scale = math.nan
-    return g2.counts.astype(np.float64) * scale
-
-
-def _normalized_csv(analysis: AnalysisResult, norm: np.ndarray) -> str:
-    lines = ["bin_lo,bin_hi,g2\n"]
-    edges = analysis.g2.axis.edges()
-    for i in range(analysis.g2.axis.nbins):
-        lines.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{_fmt(float(norm[i]))}\n")
-    return "".join(lines)
 
 
 def write_report_bundle(
@@ -429,21 +421,14 @@ def write_report_bundle(
             hist = analysis.spectra[det]
             emit(f"spectrum_det{det + 1}.csv", hist.to_csv)
             emit_text(f"spectrum_det{det + 1}.svg", svg_histogram,
-                      hist, f"singles spectrum, detector {det + 1}", "wavelength [nm]")
+                      hist.axis, hist.counts, f"singles spectrum, detector {det + 1}", "wavelength [nm]")
     if "g2" in artifacts:
         emit("g2.csv", analysis.g2.to_csv)
-        emit_text("g2.svg", svg_histogram, analysis.g2, "inter-detector delay histogram", "delay [ps]")
-        norm = _normalized_g2(analysis)
-        emit_text("g2_normalized.csv", _normalized_csv, analysis, norm)
-        emit_text(
-            "g2_normalized.svg",
-            svg_histogram,
-            analysis.g2,
-            "delay histogram, side-peak mean normalized to 1",
-            "delay [ps]",
-            y_label="g2",
-            values=np.nan_to_num(norm, nan=0.0, posinf=0.0, neginf=0.0),
-        )
+        axis = analysis.g2.axis
+        emit_text("g2.svg", svg_histogram, axis, analysis.g2.counts, "inter-detector delay histogram", "delay [ps]")
+        emit("g2_normalized.csv", lambda fh: write_bin_rows(fh, axis, "g2", analysis.g2_normalized))
+        emit_text("g2_normalized.svg", svg_histogram, axis, analysis.g2_normalized,
+                  "delay histogram, side-peak mean normalized to 1", "delay [ps]", y_label="g2")
     if "jsi" in artifacts:
         rep = analysis.jsi_report
         emit("jsi.csv", rep.jsi.to_csv)

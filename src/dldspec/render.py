@@ -1,15 +1,18 @@
-"""Dependency-free SVG rendering of histograms and joint-spectrum heatmaps.
+"""Dependency-free SVG rendering of bar charts and joint-spectrum heatmaps.
 
-Hand-rolled on purpose: the generated markup is a pure function of the data,
-so report bundles are byte-identical across reruns, which the plotting
-libraries do not guarantee. Figures are diagnostic, not publication art.
+A bar chart draws one height per bin of an `Axis`: a histogram's counts or
+a curve derived from them, such as the normalized g2. A heatmap draws a
+`Histogram2D`. Hand-rolled on purpose: the generated markup is a pure
+function of the data, so report bundles are byte-identical across reruns,
+which the plotting libraries do not guarantee. Figures are diagnostic, not
+publication art.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .correlation import Histogram1D, Histogram2D
+from .correlation import Axis, Histogram2D, fmt_number
 
 _W, _H = 900, 420
 _ML, _MR, _MT, _MB = 70, 20, 34, 48
@@ -24,12 +27,6 @@ def _color(frac: float) -> str:
     t = f - i
     r, g, b = (round(a + (b_ - a) * t) for a, b_ in zip(_RAMP[i], _RAMP[i + 1]))
     return f"#{r:02x}{g:02x}{b:02x}"
-
-
-def _fmt(v) -> str:
-    """Report number format: 6 significant digits for floats (`nan`, `inf` and
-    `-inf` included), `str` for anything else."""
-    return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
 def _header(title: str) -> list[str]:
@@ -49,23 +46,20 @@ def _axis_labels(x_label: str, y_label: str) -> list[str]:
     ]
 
 
-def svg_histogram(hist: Histogram1D, title: str, x_label: str, y_label: str = "counts",
-                  values: np.ndarray | None = None) -> str:
-    """Bar chart of a 1D histogram on a linear scale.
-
-    `values` substitutes an arbitrary per-bin array (e.g. a normalized curve)
-    on the histogram's axis.
+def svg_histogram(axis: Axis, heights: np.ndarray, title: str, x_label: str, y_label: str = "counts") -> str:
+    """Bar chart on a linear scale, one bar per bin of `axis`: a histogram's
+    counts or any other curve on its bins. A non-finite height draws no bar.
     """
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
-    counts = (hist.counts if values is None else np.asarray(values)).astype(np.float64)
+    counts = np.nan_to_num(np.asarray(heights, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
     top = float(counts.max()) if counts.size and counts.max() > 0 else 1.0
     parts = _header(title)
     parts.append(
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black"/>'
     )
-    n = hist.axis.nbins
+    n = axis.nbins
     bw = plot_w / n
     for i in range(n):
         c = counts[i]
@@ -77,13 +71,13 @@ def svg_histogram(hist: Histogram1D, title: str, x_label: str, y_label: str = "c
             f'<rect x="{x:.2f}" y="{_MT + plot_h - h:.2f}" width="{max(bw, 0.5):.2f}" '
             f'height="{h:.2f}" fill="#27608f"/>'
         )
-    edges = hist.axis.edges()
+    edges = axis.edges()
     # axis values are ints when the config gives ints; tick labels always print as floats
     for frac, value in ((0.0, edges[0]), (0.5, (edges[0] + edges[-1]) / 2), (1.0, edges[-1])):
         x = _ML + frac * plot_w
         parts.append(f'<line x1="{x:.1f}" y1="{_MT + plot_h}" x2="{x:.1f}" y2="{_MT + plot_h + 5}" stroke="black"/>')
-        parts.append(f'<text x="{x:.1f}" y="{_MT + plot_h + 18}" text-anchor="middle">{_fmt(float(value))}</text>')
-    parts.append(f'<text x="{_ML}" y="{_MT - 6}">max {_fmt(top)}</text>')
+        parts.append(f'<text x="{x:.1f}" y="{_MT + plot_h + 18}" text-anchor="middle">{fmt_number(float(value))}</text>')
+    parts.append(f'<text x="{_ML}" y="{_MT - 6}">max {fmt_number(top)}</text>')
     parts.extend(_axis_labels(x_label, y_label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -119,11 +113,11 @@ def svg_heatmap(hist: Histogram2D, title: str, x_label: str, y_label: str) -> st
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{side:.1f}" height="{side:.1f}" fill="none" stroke="black"/>')
     for frac, value in ((0.0, hist.x.lo), (1.0, hist.x.upper)):
         x = _ML + frac * side
-        parts.append(f'<text x="{x:.1f}" y="{_MT + side + 18}" text-anchor="middle">{_fmt(float(value))}</text>')
+        parts.append(f'<text x="{x:.1f}" y="{_MT + side + 18}" text-anchor="middle">{fmt_number(float(value))}</text>')
     for frac, value in ((0.0, hist.y.lo), (1.0, hist.y.upper)):
         y = _MT + side - frac * side
-        parts.append(f'<text x="{_ML - 6:.1f}" y="{y:.1f}" text-anchor="end">{_fmt(float(value))}</text>')
-    parts.append(f'<text x="{_ML + side + 12:.1f}" y="{_MT + 10}">log10(1+n), max {_fmt(top)}</text>')
+        parts.append(f'<text x="{_ML - 6:.1f}" y="{y:.1f}" text-anchor="end">{fmt_number(float(value))}</text>')
+    parts.append(f'<text x="{_ML + side + 12:.1f}" y="{_MT + 10}">log10(1+n), max {fmt_number(top)}</text>')
     parts.extend(_axis_labels(x_label, y_label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

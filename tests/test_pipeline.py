@@ -8,13 +8,13 @@ import pytest
 
 from dldspec import correlation, pipeline
 from dldspec.correlation import build_jsi, g2_axis, select_coincidences, spectrum_1d
-from dldspec.detector_sim import DeadTimeFilter, detect, encode_groups, groups_to_pulses
+from dldspec.detector_sim import DeadTimeFilter, DetectTally, detect, encode_groups, groups_to_pulses, jitter_reach_ps
 from dldspec.event_format import PULSE_DTYPE, EventFileHeader, FormatError
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
 from dldspec.reconstruction import GROUP_TIMES, HitMatcher, channel_columns, groups_to_events
 from dldspec.source_sim import Columns, EmissionTally, EventKind, generate_emissions, pulse_count
 
-from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram
+from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram, brute_serialize
 from conftest import make_config, match_hits, packed, read_all_pulses, write_events
 
 
@@ -42,24 +42,51 @@ def test_default_run_counts_on_both_detectors(tmp_path, default_config):
     assert s.bytes_written == 16 + 10 * s.records_written
 
 
-def test_small_block_stream_is_well_formed(tmp_path):
-    # tiny blocks force the dead-time and writer carries across boundaries;
-    # the produced file must still be globally sorted and parseable
-    cfg = make_config(seed=23, duration_ps=6e8)
-    out = tmp_path / "blocks.dlde"
-    s = simulate_to_file(cfg, out, block_pulses=500)
-    header, arr = read_all_pulses(out)  # validation would raise on disorder
-    assert arr.size == s.records_written > 0
+def _detection_table(cfg, n_rows, seed) -> Columns:
+    """Detections at `n_rows` random (pulse, path) draws, uniform on the
+    anode, each timed at its pulse plus a jitter clipped at the reach `detect`
+    clips to. The jitter is drawn at half the reach, so a few rows sit exactly
+    on it; rows at negative times are dropped, as `detect` drops them."""
+    sim, geometry = cfg.simulation, cfg.geometry
+    rng = np.random.default_rng(seed)
+    reach = jitter_reach_ps(sim)
+    pulse = rng.integers(0, pulse_count(sim), n_rows)
+    table = Columns(
+        pulse=pulse,
+        path=rng.integers(0, 2, n_rows).astype(np.uint8),
+        time_ps=pulse * sim.pulse_period_ps + np.clip(rng.normal(0.0, reach / 2, n_rows), -reach, reach),
+        x_mm=rng.random(n_rows) * geometry.size_x_mm,
+        y_mm=rng.random(n_rows) * geometry.size_y_mm,
+    )
+    return table[table["time_ps"] >= 0.0]
 
 
-def test_negative_flush_floor_flushes_nothing(tmp_path):
-    # a dead time of three laser periods puts the first blocks' flush floor
-    # below tick 0; those blocks write nothing and carry every pulse
-    cfg = make_config(seed=3, duration_ps=2e7, dead_time_ps=4e4)
-    out = tmp_path / "carried.dlde"
-    s = simulate_to_file(cfg, out, block_pulses=1)
-    header, arr = read_all_pulses(out)  # validation would raise on disorder
-    assert arr.size == s.records_written == 5 * sum(s.groups_written) > 0
+@pytest.mark.parametrize("block_pulses", [1, 2, 7, 50, 500, pipeline.SIM_BLOCK_PULSES])
+@pytest.mark.parametrize("dead_time_ps", [0.0, 1e4, 4e4])
+def test_block_carries_match_whole_table_referee(tmp_path, monkeypatch, dead_time_ps, block_pulses):
+    """The dead-time and writer carries between blocks lose no group, keep no
+    colliding one and reorder nothing: with `generate_emissions` and `detect` replaced by one fixed
+    detection table, the file equals the brute-force dead time and
+    serialization of the whole table, record for record. At 4e4 ps, three
+    laser periods, the first blocks' flush floor is below tick 0."""
+    cfg = make_config(seed=3, duration_ps=2e7, dead_time_ps=dead_time_ps)
+    table = _detection_table(cfg, 300, seed=11)
+
+    def emissions(sim, pulses, rng, tally):
+        return table[(table["pulse"] >= pulses.start) & (table["pulse"] < pulses.stop)]
+
+    monkeypatch.setattr(pipeline, "generate_emissions", emissions)
+    monkeypatch.setattr(pipeline, "detect", lambda events, cfg, rng: (events, DetectTally()))
+    out = tmp_path / "referee.dlde"
+    s = simulate_to_file(cfg, out, block_pulses=block_pulses)
+    groups = encode_groups(table, cfg.geometry)
+    kept, discards = brute_dead_time(groups["detector"], groups["t_mcp"], dead_time_ps, cfg.geometry.tick_ps)
+    kept.sort(key=lambda i: (groups["t_mcp"][i], groups["detector"][i]))  # the dead-time stage's group order
+    rows = [(groups["detector"][i], *(groups[name][i] for name in GROUP_TIMES)) for i in kept]
+    pulses = read_all_pulses(out)[1]
+    assert [(int(p["detector"]), int(p["channel"]), int(p["timestamp"])) for p in pulses] == brute_serialize([], rows)
+    assert s.dead_time_discarded == list(discards)
+    assert sum(discards) > 0 or dead_time_ps == 0.0  # the table exercises the dead time
 
 
 @pytest.mark.parametrize(
