@@ -39,6 +39,7 @@ import numpy as np
 from scipy import optimize
 
 from .config import CorrelationConfig, GAUSSIAN_FWHM_OVER_SIGMA
+from .csvtext import csv_rows
 
 _PAIR_BLOCK = 1 << 17
 # fit_fwhm fits the bins within this many bin widths of the peak center
@@ -174,12 +175,11 @@ class Histogram2D:
 
     def to_csv(self, sink) -> None:
         """Sparse `x_bin,y_bin,count` triplets (bin lower edges) to an open text
-        file; zeros skipped."""
+        file, edges as `%.6f` and counts as `%d` (`csvtext.csv_rows`); zeros
+        skipped."""
+        i, j = np.nonzero(self.counts)
         sink.write("x_bin,y_bin,count\n")
-        xs = self.x.edges()[:-1]
-        ys = self.y.edges()[:-1]
-        for i, j in zip(*np.nonzero(self.counts)):
-            sink.write(f"{xs[i]:.6f},{ys[j]:.6f},{int(self.counts[i, j])}\n")
+        sink.write(csv_rows([self.x.edges()[i], self.y.edges()[j], self.counts[i, j]]))
 
 
 def _event_times(events) -> np.ndarray:

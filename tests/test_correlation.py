@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -258,6 +259,16 @@ class TestJsi:
         for h, counts in zip(others, before):
             assert np.array_equal(h.counts, counts)
             assert h.x == h.y == a.x == a.y == axis
+
+    def test_csv_triplets_match_rowwise_format(self):
+        # edges that are not exact in binary, negative edges, negative counts
+        counts = np.random.default_rng(5).integers(-3, 4, (7, 9))
+        h = Histogram2D(Axis(387.5, 0.1, 7), Axis(-1.3, 0.3, 9), counts)
+        sink = io.StringIO()
+        h.to_csv(sink)
+        xs, ys = h.x.edges(), h.y.edges()
+        rows = [f"{xs[i]:.6f},{ys[j]:.6f},{counts[i, j]}\n" for i, j in zip(*np.nonzero(counts))]
+        assert sink.getvalue() == "x_bin,y_bin,count\n" + "".join(rows)
 
 
 class TestSubtractAccidental:

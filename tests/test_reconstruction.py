@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import io
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,3 +289,44 @@ class TestGroupsToEvents:
                     write_events_csv(arr, detector, fh)
                 labelled = Columns({"detector": np.full(arr.size, detector, dtype=np.uint8)} | arr)
                 assert p.read_bytes() == events_csv_text(packed(labelled)).encode()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**53 / 1e6, -1e300])
+    def test_csv_block_with_unformattable_value_writes_nothing(self, bad, monkeypatch):
+        monkeypatch.setattr(reconstruction, "_CSV_BLOCK_ROWS", 4)
+        n = 12
+        events = Columns({
+            "t_ps": np.arange(n, dtype=np.int64) * 1000,
+            "x_mm": np.full(n, 20.0),
+            "y_mm": np.full(n, 20.0),
+            "wavelength_nm": np.full(n, 389.25),
+        })
+        events["wavelength_nm"][6] = bad  # in the second block
+        sink = io.StringIO()
+        with pytest.raises(ValueError):
+            write_events_csv(events, 0, sink)
+        first_block = Columns({"detector": np.zeros(4, dtype=np.uint8)} | events[:4])
+        assert sink.getvalue() == events_csv_text(packed(first_block))
+
+    def test_csv_writer_memory_is_bounded_by_the_block(self):
+        class Discard:
+            def write(self, text):
+                pass
+
+        def peak_bytes(blocks):
+            n = blocks * reconstruction._CSV_BLOCK_ROWS
+            r = np.random.default_rng(blocks)
+            events = Columns({
+                "t_ps": np.sort(r.integers(10**10, 10**11, n)),
+                "x_mm": r.uniform(0.0, 40.0, n),
+                "y_mm": r.uniform(0.0, 40.0, n),
+                "wavelength_nm": r.uniform(388.0, 390.5, n),
+            })
+            tracemalloc.start()
+            try:
+                write_events_csv(events, 0, Discard())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, eight = peak_bytes(1), peak_bytes(8)
+        assert abs(eight - one) <= 0.1 * one, (one, eight)
