@@ -31,32 +31,27 @@ def fwhm_to_sigma(fwhm: float) -> float:
 
 @dataclass(frozen=True)
 class AnodeGeometry:
-    """Square delay-line anode: size, signal speed and timestamp quantisation.
+    """Square delay-line anode: side length, signal speed and timestamp quantisation.
 
-    The decode arithmetic assumes signal_speed * propagation_time equals the
-    anode side length, so that the per-axis timing sum of a clean hit is the
-    full propagation time. Enforced at validation.
+    The decode arithmetic assumes that the per-axis timing sum of a clean hit
+    is the full propagation time, size_mm / signal_speed_mm_per_ps. This holds
+    by construction: the propagation time is derived, not set.
     """
 
-    size_x_mm: float = 40.0
-    size_y_mm: float = 40.0
+    size_mm: float = 40.0
     signal_speed_mm_per_ps: float = 1e-3
-    propagation_time_ps: float = 4e4
     tick_ps: int = 1
 
     def validate(self, path: str) -> None:
-        for name in ("size_x_mm", "size_y_mm", "signal_speed_mm_per_ps", "propagation_time_ps"):
+        for name in ("size_mm", "signal_speed_mm_per_ps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{path}.{name}: must be > 0")
         if not isinstance(self.tick_ps, int) or self.tick_ps < 1:
             raise ConfigError(f"{path}.tick_ps: must be an integer >= 1")
-        for name, size in (("size_x_mm", self.size_x_mm), ("size_y_mm", self.size_y_mm)):
-            span = self.signal_speed_mm_per_ps * self.propagation_time_ps
-            if not math.isclose(span, size, rel_tol=1e-9, abs_tol=0.0):
-                raise ConfigError(
-                    f"{path}.{name}: signal_speed * propagation_time = {span} mm "
-                    f"does not match the anode size {size} mm"
-                )
+
+    @property
+    def propagation_time_ps(self) -> float:
+        return self.size_mm / self.signal_speed_mm_per_ps
 
     @property
     def propagation_ticks(self) -> int:
@@ -134,12 +129,17 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CorrelationConfig:
-    """Delay histogram, coincidence window and spectral binning parameters."""
+    """Delay histogram, coincidence window and spectral binning parameters.
+
+    The accidental window is the coincidence window moved to the side peak at
+    accidental_center_ps, so equal widths, which an unbiased accidental
+    subtraction needs, hold by construction.
+    """
 
     g2_bin_width_ps: float = 88.0
     g2_range_ps: float = 60000.0
     coincidence_window_ps: tuple[float, float] = (-500.0, 500.0)
-    accidental_window_ps: tuple[float, float] = (12658.0, 13658.0)
+    accidental_center_ps: float = 13158.0
     # 1D spectrum axis; bin centres land on the nominal 388.8/389.2/389.8 peaks
     spectrum_lo_nm: float = 388.4875
     spectrum_hi_nm: float = 390.0125
@@ -161,17 +161,9 @@ class CorrelationConfig:
             raise ConfigError(f"{path}.g2_bin_width_ps: must be > 0")
         if self.g2_range_ps <= 0:
             raise ConfigError(f"{path}.g2_range_ps: must be > 0")
-        for name in ("coincidence_window_ps", "accidental_window_ps"):
-            w = getattr(self, name)
-            if len(w) != 2 or not w[0] < w[1]:
-                raise ConfigError(f"{path}.{name}: must be an increasing (lo, hi) pair")
-        cw = self.coincidence_window_ps[1] - self.coincidence_window_ps[0]
-        aw = self.accidental_window_ps[1] - self.accidental_window_ps[0]
-        # Unequal windows would bias the accidental subtraction.
-        if not math.isclose(cw, aw, rel_tol=1e-9, abs_tol=1e-9):
-            raise ConfigError(
-                f"{path}: coincidence window width {cw} ps != accidental window width {aw} ps"
-            )
+        w = self.coincidence_window_ps
+        if len(w) != 2 or not w[0] < w[1]:
+            raise ConfigError(f"{path}.coincidence_window_ps: must be an increasing (lo, hi) pair")
         for lo, hi, width, label in (
             (self.spectrum_lo_nm, self.spectrum_hi_nm, self.spectrum_bin_nm, "spectrum"),
             (self.jsi_lo_nm, self.jsi_hi_nm, self.jsi_bin_nm, "jsi"),
@@ -187,6 +179,11 @@ class CorrelationConfig:
                 raise ConfigError(
                     f"{path}.signal_regions_nm[{i}]: expected (x_lo, x_hi, y_lo, y_hi) with lo < hi"
                 )
+
+    @property
+    def accidental_window_ps(self) -> tuple[float, float]:
+        half = (self.coincidence_window_ps[1] - self.coincidence_window_ps[0]) / 2.0
+        return (self.accidental_center_ps - half, self.accidental_center_ps + half)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ Conventions, shared by every operation and by the brute-force test oracles:
 * A histogram is axes plus counts: `Histogram1D` counts on one `Axis`, and
   `Histogram2D` (a joint spectrum, its accidental estimate or their signed
   difference) on two. Histograms share axes freely and never share counts.
-* `write_bin_rows` writes every `bin_lo,bin_hi,<column>` CSV: a histogram's
-  counts (`Histogram1D.to_csv`) or any other curve on an axis's bins.
+* A histogram's `to_csv` formats whole columns (`csvtext.csv_rows`); any other
+  curve on an axis's bins is a `bin_lo,bin_hi,<column>` CSV (`write_bin_rows`).
 * Coincidence selection windows are closed, [lo, hi] inclusive on both ends.
   Delays are integer picoseconds, so a delay d is inside [lo, hi] exactly when
   ceil(lo) <= d <= floor(hi) (`in_window`).
@@ -83,6 +83,9 @@ class Axis:
     nbins: int
 
     def __post_init__(self):
+        # floats even when a config spells them as integers, so edges print as floats
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "width", float(self.width))
         if self.nbins <= 0:
             raise ValueError("histogram axis must span at least one bin")
 
@@ -144,8 +147,10 @@ class Histogram1D:
         return Histogram1D(self.axis, self.counts + other.counts)
 
     def to_csv(self, sink) -> None:
-        """`bin_lo,bin_hi,count` lines to an open text file."""
-        write_bin_rows(sink, self.axis, "count", self.counts)
+        """`bin_lo,bin_hi,count` lines to an open text file (`csvtext.csv_rows`)."""
+        edges = self.axis.edges()
+        sink.write("bin_lo,bin_hi,count\n")
+        sink.write(csv_rows([edges[:-1], edges[1:], self.counts]))
 
 
 @dataclass

@@ -73,12 +73,12 @@ def detect(
     reach = jitter_reach_ps(sim)
     t = np.clip(rng.normal(0.0, fwhm_to_sigma(sim.jitter_fwhm_ps), n), -reach, reach)
     t += events["time_ps"]
-    dark_x = rng.random(n) * geometry.size_x_mm
-    y = rng.random(n) * geometry.size_y_mm
+    dark_x = rng.random(n) * geometry.size_mm
+    y = rng.random(n) * geometry.size_mm
     is_dark = events["kind"] == EventKind.DARK
     wavelength = events["wavelength_nm"]
     x = np.where(is_dark, dark_x, wavelength_to_position(wavelength, cfg.calibration))
-    on_sensor = (x >= 0.0) & (x <= geometry.size_x_mm)
+    on_sensor = (x >= 0.0) & (x <= geometry.size_mm)
     on_sensor |= is_dark  # dark positions are uniform on-sensor by construction
     tally.n_off_sensor = int(n - np.count_nonzero(on_sensor))
     keep = on_sensor & (t >= 0.0)
@@ -95,7 +95,8 @@ def encode_groups(detections: Columns, geometry: AnodeGeometry) -> Columns:
     """
     x = detections["x_mm"]
     y = detections["y_mm"]
-    if np.any((x < 0) | (x > geometry.size_x_mm) | (y < 0) | (y > geometry.size_y_mm)):
+    size = geometry.size_mm
+    if np.any((x < 0) | (x > size) | (y < 0) | (y > size)):
         raise ValueError("landing position outside the anode")
     v = geometry.signal_speed_mm_per_ps
     tick = geometry.tick_ps
@@ -108,9 +109,9 @@ def encode_groups(detections: Columns, geometry: AnodeGeometry) -> Columns:
         "detector": detections["path"],
         "t_mcp": ticks(t),
         "t_xa": ticks(t + x / v),
-        "t_xb": ticks(t + (geometry.size_x_mm - x) / v),
+        "t_xb": ticks(t + (size - x) / v),
         "t_ya": ticks(t + y / v),
-        "t_yb": ticks(t + (geometry.size_y_mm - y) / v),
+        "t_yb": ticks(t + (size - y) / v),
     })
 
 

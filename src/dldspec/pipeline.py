@@ -284,14 +284,14 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     t1 = ev1["t_ps"]
     window_width = corr.coincidence_window_ps[1] - corr.coincidence_window_ps[0]
     half = window_width / 2.0
-    side_center = (corr.accidental_window_ps[0] + corr.accidental_window_ps[1]) / 2.0
+    # side_windows[0], at +accidental_center_ps, is the accidental window
     side_windows = [
         (c - half, c + half)
         for k in range(1, SIDE_PEAK_COUNT + 1)
-        for c in (k * side_center, -k * side_center)
+        for c in (k * corr.accidental_center_ps, -k * corr.accidental_center_ps)
     ]
     g2_domain = g2_axis(corr)
-    windows = [(g2_domain.lo, g2_domain.upper), corr.coincidence_window_ps, corr.accidental_window_ps, *side_windows]
+    windows = [(g2_domain.lo, g2_domain.upper), corr.coincidence_window_ps, *side_windows]
     pair_i, pair_j = select_coincidences(t0, t1, (min(w[0] for w in windows), max(w[1] for w in windows)))
     delays = t1[pair_j] - t0[pair_i]
     c_mask = in_window(delays, corr.coincidence_window_ps)

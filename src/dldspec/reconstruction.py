@@ -165,14 +165,10 @@ def hit_positions(hits: Columns, geometry: AnodeGeometry) -> tuple[np.ndarray, n
     x = (dx + t_prop) * v / 2.0
     y = (dy + t_prop) * v / 2.0
     margin = v * tick
-    bad = (
-        (x < -margin)
-        | (x > geometry.size_x_mm + margin)
-        | (y < -margin)
-        | (y > geometry.size_y_mm + margin)
-    )
-    np.clip(x, 0.0, geometry.size_x_mm, out=x)
-    np.clip(y, 0.0, geometry.size_y_mm, out=y)
+    size = geometry.size_mm
+    bad = (x < -margin) | (x > size + margin) | (y < -margin) | (y > size + margin)
+    np.clip(x, 0.0, size, out=x)
+    np.clip(y, 0.0, size, out=y)
     return x, y, bad
 
 

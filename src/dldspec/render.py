@@ -72,11 +72,10 @@ def svg_histogram(axis: Axis, heights: np.ndarray, title: str, x_label: str, y_l
             f'height="{h:.2f}" fill="#27608f"/>'
         )
     edges = axis.edges()
-    # axis values are ints when the config gives ints; tick labels always print as floats
     for frac, value in ((0.0, edges[0]), (0.5, (edges[0] + edges[-1]) / 2), (1.0, edges[-1])):
         x = _ML + frac * plot_w
         parts.append(f'<line x1="{x:.1f}" y1="{_MT + plot_h}" x2="{x:.1f}" y2="{_MT + plot_h + 5}" stroke="black"/>')
-        parts.append(f'<text x="{x:.1f}" y="{_MT + plot_h + 18}" text-anchor="middle">{fmt_number(float(value))}</text>')
+        parts.append(f'<text x="{x:.1f}" y="{_MT + plot_h + 18}" text-anchor="middle">{fmt_number(value)}</text>')
     parts.append(f'<text x="{_ML}" y="{_MT - 6}">max {fmt_number(top)}</text>')
     parts.extend(_axis_labels(x_label, y_label))
     parts.append("</svg>")
@@ -113,10 +112,10 @@ def svg_heatmap(hist: Histogram2D, title: str, x_label: str, y_label: str) -> st
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{side:.1f}" height="{side:.1f}" fill="none" stroke="black"/>')
     for frac, value in ((0.0, hist.x.lo), (1.0, hist.x.upper)):
         x = _ML + frac * side
-        parts.append(f'<text x="{x:.1f}" y="{_MT + side + 18}" text-anchor="middle">{fmt_number(float(value))}</text>')
+        parts.append(f'<text x="{x:.1f}" y="{_MT + side + 18}" text-anchor="middle">{fmt_number(value)}</text>')
     for frac, value in ((0.0, hist.y.lo), (1.0, hist.y.upper)):
         y = _MT + side - frac * side
-        parts.append(f'<text x="{_ML - 6:.1f}" y="{y:.1f}" text-anchor="end">{fmt_number(float(value))}</text>')
+        parts.append(f'<text x="{_ML - 6:.1f}" y="{y:.1f}" text-anchor="end">{fmt_number(value)}</text>')
     parts.append(f'<text x="{_ML + side + 12:.1f}" y="{_MT + 10}">log10(1+n), max {fmt_number(top)}</text>')
     parts.extend(_axis_labels(x_label, y_label))
     parts.append("</svg>")

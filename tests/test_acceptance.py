@@ -82,8 +82,8 @@ def test_criterion_1_round_trip_fidelity(default_config):
         "path": np.zeros(n, dtype=np.uint8),
         "kind": np.full(n, EventKind.PUMP, dtype=np.uint8),
         "time_ps": np.sort(rng.uniform(0.0, 1e9, n)),
-        "x_mm": rng.uniform(0.0, geometry.size_x_mm, n),
-        "y_mm": rng.uniform(0.0, geometry.size_y_mm, n),
+        "x_mm": rng.uniform(0.0, geometry.size_mm, n),
+        "y_mm": rng.uniform(0.0, geometry.size_mm, n),
         "wavelength_nm": np.zeros(n),
     })
     t0 = time.perf_counter()
@@ -120,7 +120,7 @@ def test_criterion_2_timing_resolution(tmp_path):
             "qe": 0.9,
             "jitter_fwhm_ps": 263.0,
         },
-        "geometry": {"signal_speed_mm_per_ps": 1e-2, "propagation_time_ps": 4000.0},
+        "geometry": {"signal_speed_mm_per_ps": 1e-2, "size_mm": 40.0},
     })
     path = tmp_path / "timing.dlde"
     t0 = time.perf_counter()

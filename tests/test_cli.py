@@ -178,7 +178,7 @@ def test_non_json_config_fails(tmp_path, capsys):
         "geometry.tick_ps=false",
         "calibration.x_center_mm=[20]",
         "correlation.coincidence_window_ps=[-500]",
-        "correlation.accidental_window_ps=[\"12658\", \"13658\"]",
+        "correlation.accidental_center_ps=\"13158\"",
         "correlation.signal_regions_nm=5",
         "correlation.signal_regions_nm=[[388.55, 389.05, 389.55]]",
         "io.out_dir=5",

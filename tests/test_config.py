@@ -22,16 +22,27 @@ def test_defaults_validate():
     assert cfg.simulation.rep_rate_hz == 76e6
     assert cfg.simulation.lambda_hep_nm == 388.8
     assert cfg.simulation.qe == 0.2
-    assert cfg.geometry.size_x_mm == 40.0
+    assert cfg.geometry.size_mm == 40.0
     assert cfg.calibration.dispersion_nm_per_mm == 0.0375
     assert cfg.correlation.g2_bin_width_ps == 88.0
 
 
-def test_unknown_key_rejected_with_path():
-    with pytest.raises(ConfigError, match="simulation.pari_rate"):
-        run_config_from_dict({"simulation": {"pari_rate": 0.1}})
-    with pytest.raises(ConfigError, match="unknown section"):
-        run_config_from_dict({"simulatoin": {}})
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"simulation": {"pari_rate": 0.1}}, "simulation.pari_rate: unknown key"),
+        ({"simulatoin": {}}, "simulatoin: unknown section"),
+        # values derived from other keys are not keys
+        ({"geometry": {"size_x_mm": 40.0}}, "geometry.size_x_mm: unknown key"),
+        ({"geometry": {"size_y_mm": 40.0}}, "geometry.size_y_mm: unknown key"),
+        ({"geometry": {"propagation_time_ps": 4e4}}, "geometry.propagation_time_ps: unknown key"),
+        ({"correlation": {"accidental_window_ps": [12658.0, 13658.0]}}, "correlation.accidental_window_ps: unknown key"),
+    ],
+    ids=["pari_rate", "simulatoin", "size_x_mm", "size_y_mm", "propagation_time_ps", "accidental_window_ps"],
+)
+def test_unknown_key_rejected_with_path(doc, message):
+    with pytest.raises(ConfigError, match=message):
+        run_config_from_dict(doc)
 
 
 @pytest.mark.parametrize(
@@ -65,22 +76,27 @@ def test_config_built_in_code_gets_the_document_type_checks(tmp_path, sim, where
         simulate_to_file(cfg, tmp_path / "r.dlde")
 
 
-def test_geometry_speed_size_consistency_enforced():
-    # signal_speed * propagation_time must equal the anode side
-    with pytest.raises(ConfigError, match="does not match the anode size"):
-        run_config_from_dict({"geometry": {"signal_speed_mm_per_ps": 2e-3}})
-    # consistent rescale passes
-    cfg = run_config_from_dict(
-        {"geometry": {"signal_speed_mm_per_ps": 1e-2, "propagation_time_ps": 4000.0}}
-    )
+def test_propagation_time_derived_from_size_and_speed():
+    cfg = run_config_from_dict({"geometry": {"signal_speed_mm_per_ps": 1e-2}})
+    assert cfg.geometry.propagation_time_ps == 4000.0
     assert cfg.geometry.propagation_ticks == 4000
+    assert run_config_from_dict({}).geometry.propagation_time_ps == 4e4
 
 
-def test_window_width_equality_enforced():
-    with pytest.raises(ConfigError, match="window width"):
-        run_config_from_dict(
-            {"correlation": {"coincidence_window_ps": [-400.0, 500.0]}}
-        )
+@pytest.mark.parametrize(
+    "corr,window",
+    [
+        ({}, (12658.0, 13658.0)),
+        ({"coincidence_window_ps": [-400.0, 500.0]}, (12708.0, 13608.0)),
+        ({"coincidence_window_ps": [-250.5, 250.25], "accidental_center_ps": 1250.625}, (1000.25, 1501.0)),
+    ],
+    ids=["default", "asymmetric", "non-integer"],
+)
+def test_accidental_window_is_the_coincidence_width_at_the_centre(corr, window):
+    cfg = run_config_from_dict({"correlation": corr}).correlation
+    assert cfg.accidental_window_ps == window
+    lo, hi = cfg.coincidence_window_ps
+    assert window[1] - window[0] == hi - lo
 
 
 def test_overrides_dotted_paths():

@@ -264,8 +264,7 @@ class TestDeadTime:
 
     def test_dead_time_boundary_in_ticks(self):
         # tick 4 ps: 10 ns is 2500 ticks, and a 2500-tick gap still collides
-        geometry = make_config(geometry={"tick_ps": 4, "signal_speed_mm_per_ps": 1e-3,
-                                         "propagation_time_ps": 4e4}).geometry
+        geometry = make_config(geometry={"tick_ps": 4, "signal_speed_mm_per_ps": 1e-3, "size_mm": 40.0}).geometry
         det = _detections([(0, 0.0, 20.0, 20.0), (0, 10_000.0, 20.0, 20.0), (0, 20_004.0, 20.0, 20.0)])
         kept, discards = filter_dead_time(encode_groups(det, geometry), 10_000.0, tick_ps=4)
         assert kept.size == 1 and discards == (2, 0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -55,8 +56,8 @@ def _detection_table(cfg, n_rows, seed) -> Columns:
         pulse=pulse,
         path=rng.integers(0, 2, n_rows).astype(np.uint8),
         time_ps=pulse * sim.pulse_period_ps + np.clip(rng.normal(0.0, reach / 2, n_rows), -reach, reach),
-        x_mm=rng.random(n_rows) * geometry.size_x_mm,
-        y_mm=rng.random(n_rows) * geometry.size_y_mm,
+        x_mm=rng.random(n_rows) * geometry.size_mm,
+        y_mm=rng.random(n_rows) * geometry.size_mm,
     )
     return table[table["time_ps"] >= 0.0]
 
@@ -312,6 +313,34 @@ def test_report_bundle_bytes_are_pinned(tmp_path, overrides, chunk_records, dige
     assert h.hexdigest() == digest
 
 
+# every float key of the correlation section, integer-valued
+INTEGER_VALUED_CORRELATION = {
+    "g2_bin_width_ps": 88, "g2_range_ps": 60000, "coincidence_window_ps": [-500, 500],
+    "accidental_center_ps": 13158, "spectrum_lo_nm": 388, "spectrum_hi_nm": 391, "spectrum_bin_nm": 1,
+    "jsi_lo_nm": 388, "jsi_hi_nm": 391, "jsi_bin_nm": 1,
+    "signal_regions_nm": [[388, 389, 389, 390], [389, 390, 388, 389]],
+}
+
+
+def test_integer_spelled_config_values_give_the_float_spelled_bundle(tmp_path, small_config):
+    """A config value written as a JSON integer is the same number as its
+    float spelling, and the report bundle cannot tell them apart."""
+    path = tmp_path / "r.dlde"
+    simulate_to_file(small_config, path)
+    text = json.dumps(INTEGER_VALUED_CORRELATION)
+    bundles = []
+    for name, doc in (("ints", json.loads(text)), ("floats", json.loads(text, parse_int=float))):
+        cfg = make_config(duration_ps=small_config.simulation.duration_ps, seed=small_config.simulation.seed,
+                          correlation=doc)
+        decode, analysis = analyze_file(path, cfg)
+        written = write_report_bundle(tmp_path / name, decode, analysis)
+        bundles.append({p.name: p.read_bytes() for p in written})
+    assert bundles[0].keys() == bundles[1].keys()
+    for name in bundles[0]:
+        assert bundles[0][name] == bundles[1][name], name
+    assert bundles[0]["jsi.csv"].splitlines()[1].startswith(b"388.000000,")
+
+
 def test_decode_rejects_other_detector_counts(tmp_path, small_config):
     # The decoder reads detectors 0 and 1 only; a third detector's records
     # must not vanish silently.
@@ -353,8 +382,7 @@ def test_interrupted_simulation_leaves_no_file(tmp_path, monkeypatch):
 def test_decode_rejects_tick_mismatch(tmp_path, small_config):
     path = tmp_path / "r.dlde"
     simulate_to_file(small_config, path)
-    other = make_config(geometry={"tick_ps": 2, "signal_speed_mm_per_ps": 1e-3,
-                                  "propagation_time_ps": 4e4})
+    other = make_config(geometry={"tick_ps": 2, "signal_speed_mm_per_ps": 1e-3, "size_mm": 40.0})
     with pytest.raises(ValueError, match="tick_ps"):
         decode_file(path, other.geometry, other.calibration)
 
@@ -588,7 +616,8 @@ def _check_windows_against_brute(ev0, ev1, corr):
     return a
 
 
-NON_INTEGER_WINDOWS = {"coincidence_window_ps": [-250.5, 250.25], "accidental_window_ps": [1000.25, 1501.0]}
+# accidental window 1250.625 +- 250.375 = [1000.25, 1501.0]
+NON_INTEGER_WINDOWS = {"coincidence_window_ps": [-250.5, 250.25], "accidental_center_ps": 1250.625}
 # the g2 upper edge lo + nbins * width is exactly 17.0, where (17 - lo) / width
 # rounds to bin 99 of 100
 NARROW_G2 = {"g2_range_ps": 17.0, "g2_bin_width_ps": 0.34}
