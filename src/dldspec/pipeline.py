@@ -10,15 +10,28 @@ can still emit. The last block promises no later trigger and flushes
 everything. The block size is a constant of the implementation, not configuration: it is part
 of the identity of the sampled random stream for a given seed. A block draws
 only the photons qe converts, and its emitted and qe-lost counts go into an
-`EmissionTally`. Each block sorts once per ordering decision, twice in all:
-group order after dead time, by (t_mcp, detector), and file order, where the
-writer's carry is merged into the block's pulses by the same sort. Emissions
+`EmissionTally`. A block sorts once per ordering decision: group order
+after dead time, by (t_mcp, detector), and file order, taken a slice of
+SERIALIZE_SLICE_GROUPS groups at a time, where the writer's carry is merged
+into the slice's pulses by the same sort. Emissions
 and detections are in no time order: two groups with equal (t_mcp, detector)
 keys always collide, so the dead-time survivors and their order depend only
 on the set of groups. Emissions, detections and hit groups travel through a
 block as `Columns`, one plain array per field. Pulses are packed into
 PULSE_DTYPE records once, for the writer: the file record is the only packed
 row, and the writer checks it with the reader's validator.
+
+A block is drawn on the calling thread: `generate_emissions`, `detect`,
+`encode_groups` and the dead-time stage, with every tally, so every random
+number is drawn there, in block order. It is serialized (`groups_to_pulses`,
+the flush and `EventWriter.write_chunk`) on one worker thread while the
+calling thread draws the next block. Before it hands over block k+1 the
+calling thread waits for block k, so at most one block is in flight, the
+blocks reach the file in order and a worker error is raised there, which
+discards the staged file. The last block has nothing left to overlap with
+and is serialized on the calling thread, so a one-block run starts no
+thread. Serialization draws no random number and gets the same survivors and
+carry whichever thread runs it, so the threads cannot change a byte.
 
 Decoding streams the file in fixed-size record chunks. Each chunk is split
 once, by one stable radix sort of its `detector * 5 + channel` key, into ten
@@ -36,6 +49,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,6 +97,11 @@ from .render import svg_heatmap, svg_histogram
 from .source_sim import Columns, EmissionTally, generate_emissions, pulse_count
 
 SIM_BLOCK_PULSES = 1 << 20
+# Groups per file-order sort. It bounds the serializer's working memory, about
+# 30 bytes per pulse: under glibc the worker thread allocates from its own
+# malloc arena, whose freed memory stays resident after the run, out of the
+# calling thread's reach.
+SERIALIZE_SLICE_GROUPS = 1 << 12
 SIDE_PEAK_COUNT = 4
 
 
@@ -125,10 +144,44 @@ class SimulationSummary:
         ]
 
 
+def _serialize_block(writer: EventWriter, survivors: Columns, carry: np.ndarray | None,
+                     flush_below: int | None) -> np.ndarray:
+    """Write a block's dead-time survivors, merged with the writer's carry,
+    below tick `flush_below` (everything for None); return the rest, the next
+    block's carry.
+
+    The survivors go SERIALIZE_SLICE_GROUPS at a time. They are in trigger
+    order and no pulse of a group lies below its trigger, so every pulse of a
+    later slice or block lies at or above the next slice's first trigger,
+    which is where a slice flushes: the file does not depend on the slice
+    size.
+    """
+    t_mcp = survivors["t_mcp"]
+    # one pass at least: a block without survivors still flushes the carry
+    for a in range(0, max(survivors.size, 1), SERIALIZE_SLICE_GROUPS):
+        b = a + SERIALIZE_SLICE_GROUPS
+        floor = flush_below if b >= survivors.size else int(t_mcp[b])
+        buf = groups_to_pulses(survivors[a:b], carry)
+        # a binary search that reads the record field in place: np.searchsorted
+        # would first copy the whole strided field; a negative floor flushes nothing
+        n = buf.size if floor is None else bisect.bisect_left(buf["timestamp"], floor)
+        writer.write_chunk(buf[:n])
+        carry = buf[n:].copy()  # drop the reference to the slice's buffer
+    return carry
+
+
 def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES) -> SimulationSummary:
     """Run one seeded acquisition and serialize its raw pulse stream.
 
-    Deterministic: the same (config, seed) yields a byte-identical file.
+    Blocks are drawn on the calling thread and serialized on one worker
+    thread, one block behind; the last block is serialized on the calling
+    thread, so a one-block run starts no thread. At most one block is in
+    flight, and an error raised while serializing comes out of this call as
+    itself.
+
+    Deterministic: the same (config, seed, block_pulses) yields a
+    byte-identical file. Every random number is drawn on the calling thread,
+    in block order; serialization draws none and writes the blocks in order.
     """
     cfg.validate()
     sim, geometry = cfg.simulation, cfg.geometry
@@ -140,8 +193,8 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
     dead_filter = DeadTimeFilter(sim.dead_time_ps, geometry.tick_ps)
     jitter_reach = jitter_reach_ps(sim)
     emitted = EmissionTally()
-    carry = None
-    with EventWriter(path, header) as writer:
+    pending = None  # the previous block's serialization; its result is the writer's carry
+    with EventWriter(path, header) as writer, ThreadPoolExecutor(max_workers=1) as serializer:
         for k0 in range(0, n_pulses, block_pulses):
             k1 = min(k0 + block_pulses, n_pulses)
             emissions = generate_emissions(sim, range(k0, k1), rng, emitted)
@@ -162,14 +215,15 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
             del groups
             for det in (0, 1):
                 summary.groups_written[det] += int(np.count_nonzero(survivors["detector"] == det))
-            buf = groups_to_pulses(survivors, carry)
-            del survivors
-            # a binary search that reads the record field in place: np.searchsorted
-            # would first copy the whole strided field; a negative floor flushes nothing
-            n = buf.size if future_floor is None else bisect.bisect_left(
-                buf["timestamp"], dead_filter.emitted_floor_ticks(future_floor))
-            writer.write_chunk(buf[:n])
-            carry = buf[n:].copy()  # drop the reference to the block's buffer
+            # waiting here keeps one block in flight, writes the blocks in
+            # order and re-raises a worker error
+            carry = None if pending is None else pending.result()
+            if future_floor is None:
+                _serialize_block(writer, survivors, carry, None)
+            else:
+                pending = serializer.submit(_serialize_block, writer, survivors, carry,
+                                            dead_filter.emitted_floor_ticks(future_floor))
+            del survivors, carry
         summary.bytes_written = writer.bytes_written
         summary.records_written = writer.records_written
     summary.dead_time_discarded = list(dead_filter.discards)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,14 +64,10 @@ def _detection_table(cfg, n_rows, seed) -> Columns:
     return table[table["time_ps"] >= 0.0]
 
 
-@pytest.mark.parametrize("block_pulses", [1, 2, 7, 50, 500, pipeline.SIM_BLOCK_PULSES])
-@pytest.mark.parametrize("dead_time_ps", [0.0, 1e4, 4e4])
-def test_block_carries_match_whole_table_referee(tmp_path, monkeypatch, dead_time_ps, block_pulses):
-    """The dead-time and writer carries between blocks lose no group, keep no
-    colliding one and reorder nothing: with `generate_emissions` and `detect` replaced by one fixed
-    detection table, the file equals the brute-force dead time and
-    serialization of the whole table, record for record. At 4e4 ps, three
-    laser periods, the first blocks' flush floor is below tick 0."""
+def _assert_file_is_whole_table_referee(tmp_path, monkeypatch, dead_time_ps, block_pulses):
+    """With `generate_emissions` and `detect` replaced by one fixed detection
+    table, the file equals the brute-force dead time and serialization of the
+    whole table, record for record."""
     cfg = make_config(seed=3, duration_ps=2e7, dead_time_ps=dead_time_ps)
     table = _detection_table(cfg, 300, seed=11)
 
@@ -88,6 +86,26 @@ def test_block_carries_match_whole_table_referee(tmp_path, monkeypatch, dead_tim
     assert [(int(p["detector"]), int(p["channel"]), int(p["timestamp"])) for p in pulses] == brute_serialize([], rows)
     assert s.dead_time_discarded == list(discards)
     assert sum(discards) > 0 or dead_time_ps == 0.0  # the table exercises the dead time
+
+
+@pytest.mark.parametrize("block_pulses", [1, 2, 7, 50, 500, pipeline.SIM_BLOCK_PULSES])
+@pytest.mark.parametrize("dead_time_ps", [0.0, 1e4, 4e4])
+def test_block_carries_match_whole_table_referee(tmp_path, monkeypatch, dead_time_ps, block_pulses):
+    """The dead-time and writer carries between blocks lose no group, keep no
+    colliding one and reorder nothing. At 4e4 ps, three laser periods, the
+    first blocks' flush floor is below tick 0."""
+    _assert_file_is_whole_table_referee(tmp_path, monkeypatch, dead_time_ps, block_pulses)
+
+
+@pytest.mark.parametrize("slice_groups", [1, 2, 7])
+@pytest.mark.parametrize("block_pulses", [50, pipeline.SIM_BLOCK_PULSES])
+@pytest.mark.parametrize("dead_time_ps", [0.0, 1e4])
+def test_serialization_slices_match_whole_table_referee(tmp_path, monkeypatch, dead_time_ps, block_pulses,
+                                                        slice_groups):
+    """A block serialized a slice of groups at a time, on the worker thread or
+    on the calling thread, loses and reorders nothing."""
+    monkeypatch.setattr(pipeline, "SERIALIZE_SLICE_GROUPS", slice_groups)
+    _assert_file_is_whole_table_referee(tmp_path, monkeypatch, dead_time_ps, block_pulses)
 
 
 @pytest.mark.parametrize(
@@ -377,6 +395,107 @@ def test_interrupted_simulation_leaves_no_file(tmp_path, monkeypatch):
         simulate_to_file(cfg, out, block_pulses=500)
     assert list(tmp_path.iterdir()) == [out]
     assert out.read_bytes() == b"an earlier run"
+
+
+class SerializeError(Exception):
+    pass
+
+
+def test_serializer_error_reaches_the_caller_and_leaves_no_file(tmp_path, monkeypatch):
+    """A block serialized on the worker thread raises: the error comes out of
+    `simulate_to_file` as itself, the staged file is discarded, a file already
+    at the path keeps its bytes and the worker thread is gone."""
+    cfg = make_config(seed=23, duration_ps=6e8)
+    real = pipeline.groups_to_pulses
+    callers = []
+
+    def failing(*args, **kwargs):
+        callers.append(threading.current_thread())
+        if len(callers) == 2:
+            raise SerializeError("serializing the second block")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "groups_to_pulses", failing)
+    out = tmp_path / "run.dlde"
+    threads = threading.active_count()
+    with pytest.raises(SerializeError, match="^serializing the second block$"):
+        simulate_to_file(cfg, out, block_pulses=500)
+    assert callers[1] is not threading.current_thread()
+    assert threading.active_count() == threads
+    assert list(tmp_path.iterdir()) == []
+    out.write_bytes(b"an earlier run")
+    callers.clear()
+    with pytest.raises(SerializeError, match="^serializing the second block$"):
+        simulate_to_file(cfg, out, block_pulses=500)
+    assert threading.active_count() == threads
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"an earlier run"
+
+
+def test_one_block_run_serializes_on_the_calling_thread(tmp_path, monkeypatch, default_config):
+    """The last block has nothing left to overlap with, so a one-block run
+    starts no thread."""
+    assert pulse_count(default_config.simulation) <= pipeline.SIM_BLOCK_PULSES
+    real = pipeline.groups_to_pulses
+    threads = threading.active_count()
+    callers = []
+
+    def recording(*args, **kwargs):
+        callers.append((threading.current_thread(), threading.active_count()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "groups_to_pulses", recording)
+    simulate_to_file(default_config, tmp_path / "d.dlde")
+    assert callers and set(callers) == {(threading.current_thread(), threads)}
+
+
+def test_simulation_memory_is_one_block_in_flight(tmp_path, monkeypatch):
+    """Block k is serialized while block k+1 is drawn, never more: the traced
+    peak (the worker thread's allocations included) of an 8-block run is that
+    of a 2-block run. The worker starts each block only once the next block's
+    dead time is done, so every run meets its worst overlap: the serialized
+    block's survivors live through the whole of the next block's draw."""
+    block = 200_000
+    caller = threading.current_thread()
+    drawn = threading.Condition()
+    fed = []
+    served = []
+    real_feed = DeadTimeFilter.feed
+    real = pipeline.groups_to_pulses
+
+    def feed(self, *args):
+        survivors = real_feed(self, *args)
+        with drawn:
+            fed.append(1)
+            drawn.notify_all()
+        return survivors
+
+    def after_the_next_draw(*args):
+        if threading.current_thread() is not caller:
+            served.append(1)
+            with drawn:
+                assert drawn.wait_for(lambda: len(fed) > len(served), timeout=60)
+        return real(*args)
+
+    monkeypatch.setattr(DeadTimeFilter, "feed", feed)
+    monkeypatch.setattr(pipeline, "groups_to_pulses", after_the_next_draw)
+    monkeypatch.setattr(pipeline, "SERIALIZE_SLICE_GROUPS", block)  # one call per block
+
+    def peak_bytes(blocks):
+        fed.clear()
+        served.clear()
+        cfg = make_config(seed=5, duration_ps=blocks * block * make_config().simulation.pulse_period_ps)
+        assert pulse_count(cfg.simulation) == blocks * block
+        tracemalloc.start()
+        try:
+            simulate_to_file(cfg, tmp_path / f"{blocks}.dlde", block_pulses=block)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    two, eight = peak_bytes(2), peak_bytes(8)
+    assert served == [1] * 7
+    assert abs(eight - two) <= 0.1 * two, (two, eight)
 
 
 def test_decode_rejects_tick_mismatch(tmp_path, small_config):
