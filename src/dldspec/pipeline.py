@@ -38,8 +38,18 @@ once, by one stable radix sort of its `detector * 5 + channel` key, into ten
 time-sorted int64 timestamp columns, and each detector's five go to its
 `HitMatcher`, which returns hit-group `Columns`; the decoded events are
 `Columns` too. A decoded table's detector is the slot it sits in, never a
-column. Memory is bounded by the chunk size plus the reconstructed events,
-and the result does not depend on the chunk size.
+column. The first DECODE_INLINE_CHUNKS chunks are read, validated, split and
+matched on the calling thread with nothing read ahead, so a file of at most
+that many chunks starts no thread. From the next chunk on, one worker thread
+reads, validates and splits chunk k+1 while the calling thread matches chunk
+k. The calling thread waits for chunk k+1 before the worker starts chunk k+2,
+so at most one chunk is ahead, and a worker error is raised there as itself.
+Matching, position recovery, the counts and the final join stay on the
+calling thread. Reading and splitting hold no matcher state, and the
+matchers get the same columns in the same order whichever thread split them,
+so the threads cannot change a decoded event. Memory is bounded by two
+chunks plus the reconstructed events, and the result does not depend on the
+chunk size.
 
 Analysis puts every figure of the report, the side-peak-normalized g2
 included, in an `AnalysisResult`; the report only writes them out.
@@ -50,8 +60,10 @@ from __future__ import annotations
 import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -102,6 +114,13 @@ SIM_BLOCK_PULSES = 1 << 20
 # malloc arena, whose freed memory stays resident after the run, out of the
 # calling thread's reach.
 SERIALIZE_SLICE_GROUPS = 1 << 12
+# Chunks matched with nothing read ahead. A file of at most this many chunks
+# starts no thread, and every default-size run is one at DEFAULT_CHUNK_RECORDS.
+# Decode gains from the read-ahead at 2 chunks already, but under glibc the
+# worker allocates from its own malloc arena, which stays resident after the
+# run: a thread on every file raised seed-sweep's peak RSS by 1.8 MiB
+# (BENCH_20.json).
+DECODE_INLINE_CHUNKS = 2
 SIDE_PEAK_COUNT = 4
 
 
@@ -244,13 +263,53 @@ class DecodeResult:
     malformed: list[int]
 
 
+def _split_chunks(reader: EventReader) -> Iterator[list[list[np.ndarray]]]:
+    """`channel_columns` of each chunk of `reader`, in file order, the way
+    `decode_file` describes. The chunk after the first DECODE_INLINE_CHUNKS is
+    split on the calling thread too, so only a file that goes on starts the
+    worker. Close the generator before the reader: that shuts the worker down.
+    """
+    chunks = reader.iter_chunks()
+
+    def split_next() -> list[list[np.ndarray]] | None:
+        chunk = next(chunks, None)
+        return None if chunk is None else channel_columns(chunk)
+
+    columns = split_next()
+    for _ in range(DECODE_INLINE_CHUNKS):
+        if columns is None:
+            return
+        yield columns
+        columns = split_next()
+    if columns is None:
+        return
+    with ThreadPoolExecutor(max_workers=1) as read_ahead:
+        while columns is not None:
+            ahead = read_ahead.submit(split_next)
+            yield columns
+            # waiting here keeps one chunk ahead and re-raises a worker error
+            columns = ahead.result()
+
+
 def decode_file(
     path,
     geometry,
     calibration,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
 ) -> DecodeResult:
-    """Parse a `.dlde` file and reconstruct photon events per detector."""
+    """Parse a `.dlde` file and reconstruct photon events per detector.
+
+    The first DECODE_INLINE_CHUNKS chunks are read, validated, split and
+    matched on the calling thread with nothing read ahead, so a file of at
+    most that many chunks starts no thread. From the next chunk on, one
+    worker thread reads, validates and splits chunk k+1 while the calling
+    thread matches chunk k, and at most one chunk is ahead. Matching,
+    position recovery, the counts and the join run on the calling thread.
+    The matchers see the same columns in the same order on either thread, so
+    the result cannot depend on the threads. An error raised on the worker
+    comes out of this call as itself; the worker is shut down before the file
+    is closed, on every exit.
+    """
     matchers = [HitMatcher(geometry), HitMatcher(geometry)]
     pieces: list[list[Columns]] = [[], []]
     malformed = [0, 0]
@@ -272,10 +331,13 @@ def decode_file(
             raise ValueError(
                 f"file tick_ps={header.tick_ps} does not match configured geometry tick_ps={geometry.tick_ps}"
             )
-        for chunk in reader.iter_chunks():
-            for det, columns in enumerate(channel_columns(chunk)):
-                per_det[det] += sum(col.size for col in columns)
-                consume(det, matchers[det].feed(columns))
+        with closing(_split_chunks(reader)) as chunks:
+            for split in chunks:
+                for det, columns in enumerate(split):
+                    per_det[det] += sum(col.size for col in columns)
+                    consume(det, matchers[det].feed(columns))
+                # not live while the worker splits the chunk after next
+                del split, columns
         for det in (0, 1):
             consume(det, matchers[det].finish())
         # joined a column at a time, each column's chunk pieces dropped as it

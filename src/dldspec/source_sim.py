@@ -43,6 +43,12 @@ class Columns(dict):
     `table["name"]` is a column; any other index (a slice, an index array or
     a mask) selects those rows of every column, as on a structured array.
     `size` is the row count.
+
+    A mask that keeps nearly every row selects as it is: `detect`'s mask keeps
+    99.9% of the rows at default and dense physics, and the dead-time
+    survivors are 96% of the decided groups at default physics. A random
+    mask that drops a large share goes through `np.flatnonzero` to an index
+    selection, several times faster when it keeps about half (`sample_pairs`).
     """
 
     def __getitem__(self, key):

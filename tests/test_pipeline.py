@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dldspec import correlation, pipeline
+from dldspec import correlation, event_format, pipeline
 from dldspec.correlation import build_jsi, g2_axis, select_coincidences, spectrum_1d
 from dldspec.detector_sim import DeadTimeFilter, DetectTally, detect, encode_groups, groups_to_pulses, jitter_reach_ps
-from dldspec.event_format import PULSE_DTYPE, EventFileHeader, FormatError
+from dldspec.event_format import DEFAULT_CHUNK_RECORDS, PULSE_DTYPE, EventFileHeader, EventReader, FormatError
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
 from dldspec.reconstruction import GROUP_TIMES, HitMatcher, channel_columns, groups_to_events
 from dldspec.source_sim import Columns, EmissionTally, EventKind, generate_emissions, pulse_count
@@ -496,6 +498,158 @@ def test_simulation_memory_is_one_block_in_flight(tmp_path, monkeypatch):
     two, eight = peak_bytes(2), peak_bytes(8)
     assert served == [1] * 7
     assert abs(eight - two) <= 0.1 * two, (two, eight)
+
+
+def test_default_file_decodes_on_the_calling_thread(tmp_path, monkeypatch, default_config):
+    """A default-size file is at most two chunks, so its decode reads nothing
+    ahead and starts no thread."""
+    path = tmp_path / "d.dlde"
+    records = simulate_to_file(default_config, path).records_written
+    assert DEFAULT_CHUNK_RECORDS < records <= 2 * DEFAULT_CHUNK_RECORDS
+    real = HitMatcher.feed
+    threads = threading.active_count()
+    callers = []
+
+    def recording(self, *args, **kwargs):
+        callers.append((threading.current_thread(), threading.active_count()))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(HitMatcher, "feed", recording)
+    decode_file(path, default_config.geometry, default_config.calibration)
+    assert len(callers) == 6  # two chunks and the finish, per detector
+    assert set(callers) == {(threading.current_thread(), threads)}
+
+
+def _decode_error(path, cfg, chunk_records):
+    with pytest.raises(FormatError) as info:
+        decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
+    err = info.value
+    return type(err), err.offset, err.record_index, str(err)
+
+
+@pytest.mark.parametrize("fault", ["truncated-last-record", "regression-in-chunk-4"])
+def test_read_ahead_error_is_the_one_chunk_error(tmp_path, monkeypatch, small_config, fault):
+    """A fault met on the read-ahead worker comes out of `decode_file` as the
+    error a one-chunk decode of the same bytes raises, never as the end of
+    the file, and the worker is gone once it does."""
+    path = tmp_path / "r.dlde"
+    records = simulate_to_file(small_config, path).records_written
+    chunk = records // 8  # 8 or 9 chunks
+    data = bytearray(path.read_bytes())
+    if fault == "truncated-last-record":
+        del data[-4:]
+    else:
+        i = 3 * chunk + chunk // 2  # inside the 4th chunk, which the worker reads
+        pulses = np.frombuffer(data, dtype=PULSE_DTYPE, offset=16)
+        pulses["timestamp"][i] = pulses["timestamp"][i - 1] - 1
+    path.write_bytes(data)
+    want = _decode_error(path, small_config, records + 1)
+    real = event_format._validate_chunk
+    validators = []
+
+    def recording(*args):
+        validators.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(event_format, "_validate_chunk", recording)
+    threads = threading.active_count()
+    assert _decode_error(path, small_config, chunk) == want
+    # the last chunk checked, the faulty one or the one before it, was read on the worker
+    assert validators[0] is threading.current_thread() is not validators[-1]
+    assert threading.active_count() == threads
+    gc.collect()  # an unclosed file would warn here, which the suite makes an error
+
+
+class MatchError(Exception):
+    pass
+
+
+def test_matcher_error_with_a_chunk_in_flight_stops_the_worker(tmp_path, monkeypatch, small_config):
+    """`groups_to_events` raises while the worker splits the next chunk: the
+    error keeps its type and message, the worker is done before the file is
+    closed, and no thread is left."""
+    path = tmp_path / "r.dlde"
+    records = simulate_to_file(small_config, path).records_written
+    chunk = records // 8
+    # the second detector's groups of the first chunk matched with one read ahead
+    failing_call = 2 * (pipeline.DECODE_INLINE_CHUNKS + 1)
+    real_split, real_events, real_close = pipeline.channel_columns, pipeline.groups_to_events, EventReader.close
+    caller = threading.current_thread()
+    in_flight, raised, split_done = threading.Event(), threading.Event(), threading.Event()
+    calls = []
+    closed_after_split = []
+
+    def held_split(pulses):
+        if threading.current_thread() is caller:
+            return real_split(pulses)
+        in_flight.set()
+        assert raised.wait(timeout=60)
+        time.sleep(0.05)  # a close that does not wait for the worker comes first
+        columns = real_split(pulses)
+        split_done.set()
+        return columns
+
+    def close(self):
+        closed_after_split.append(split_done.is_set())
+        real_close(self)
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == failing_call:
+            assert in_flight.wait(timeout=60)
+            raised.set()
+            raise MatchError("matching with a chunk in flight")
+        return real_events(*args)
+
+    monkeypatch.setattr(pipeline, "channel_columns", held_split)
+    monkeypatch.setattr(pipeline, "groups_to_events", failing)
+    monkeypatch.setattr(EventReader, "close", close)
+    threads = threading.active_count()
+    with pytest.raises(MatchError, match="^matching with a chunk in flight$"):
+        decode_file(path, small_config.geometry, small_config.calibration, chunk_records=chunk)
+    assert closed_after_split == [True]
+    assert threading.active_count() == threads
+    gc.collect()
+
+
+def test_read_ahead_keeps_one_chunk_ahead(tmp_path, monkeypatch, small_config):
+    """Chunks split but not yet matched never exceed two: the one being
+    matched and the one read ahead. Each feed of a chunk with a worker behind
+    it waits until the chunk ahead is split, then gives a worker that runs
+    further ahead a moment to show it."""
+    path = tmp_path / "r.dlde"
+    records = simulate_to_file(small_config, path).records_written
+    chunk = records // 8
+    n_chunks = -(-records // chunk)
+    assert n_chunks >= pipeline.DECODE_INLINE_CHUNKS + 3
+    real_split, real_feed = pipeline.channel_columns, HitMatcher.feed
+    split = threading.Condition()
+    splits = []
+    feeds = []
+    ahead = []
+
+    def counting_split(pulses):
+        with split:
+            splits.append(1)
+            split.notify_all()
+        return real_split(pulses)
+
+    def counting_feed(self, columns, final=False):
+        if not final:
+            k = len(feeds) // 2 + 1  # the 1-based chunk being matched
+            if pipeline.DECODE_INLINE_CHUNKS < k < n_chunks:
+                with split:
+                    assert split.wait_for(lambda: len(splits) > k, timeout=60)
+                    split.wait_for(lambda: len(splits) > k + 1, timeout=0.02)
+            ahead.append(len(splits) - (k - 1))
+            feeds.append(1)
+        return real_feed(self, columns, final)
+
+    monkeypatch.setattr(pipeline, "channel_columns", counting_split)
+    monkeypatch.setattr(HitMatcher, "feed", counting_feed)
+    decode_file(path, small_config.geometry, small_config.calibration, chunk_records=chunk)
+    assert len(splits) == n_chunks and len(feeds) == 2 * n_chunks
+    assert max(ahead) == 2
 
 
 def test_decode_rejects_tick_mismatch(tmp_path, small_config):
