@@ -12,8 +12,8 @@ The package covers the full chain of such an instrument in software:
   wavelength;
 * `correlation` builds the delay histogram, peak fits, spectra, the joint
   spectrum, accidental subtraction and the coincidence-to-accidental ratio;
-* `csvtext` formats the per-event and joint-spectrum CSV rows, a whole column
-  at a time;
+* `csvtext` formats report text a whole column at a time: the CSV rows, and
+  each distinct value of a figure or curve once;
 * `pipeline`/`cli` wire it into reproducible seeded runs.
 """
 

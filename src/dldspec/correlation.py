@@ -39,7 +39,7 @@ import numpy as np
 from scipy import optimize
 
 from .config import CorrelationConfig, GAUSSIAN_FWHM_OVER_SIGMA
-from .csvtext import csv_rows
+from .csvtext import csv_rows, distinct_texts
 
 _PAIR_BLOCK = 1 << 17
 # fit_fwhm fits the bins within this many bin widths of the peak center
@@ -119,11 +119,16 @@ class Axis:
 
 def write_bin_rows(sink, axis: Axis, column: str, values: np.ndarray) -> None:
     """`bin_lo,bin_hi,<column>` lines, one per bin of `axis`, to an open text
-    file; `values` holds one number per bin, in `fmt_number`'s format."""
+    file; `values` holds one number per bin, in `fmt_number`'s format.
+
+    The edges print as `%.6f` (`csvtext.csv_rows`). Each distinct value's text
+    is formatted once and each row indexes it (`csvtext.distinct_texts`)."""
+    if np.shape(values) != (axis.nbins,):
+        raise ValueError(f"{np.shape(values)} values for {axis.nbins} bins")
+    edges = axis.edges()
+    rows = np.array(csv_rows([edges[:-1], edges[1:]]).splitlines(), dtype=object)
     sink.write(f"bin_lo,bin_hi,{column}\n")
-    edges = axis.edges().tolist()
-    for lo, hi, v in zip(edges[:-1], edges[1:], values.tolist(), strict=True):
-        sink.write(f"{lo:.6f},{hi:.6f},{fmt_number(v)}\n")
+    sink.write("".join((rows + "," + distinct_texts(values, fmt_number) + "\n").tolist()))
 
 
 @dataclass

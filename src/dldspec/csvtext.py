@@ -1,4 +1,4 @@
-"""CSV rows formatted a whole column at a time.
+"""Report text formatted a whole column at a time.
 
 `csv_rows` gives the text that Python's `%` operator would give row by row:
 an integer column prints as `%d` and a float column exactly as `%.6f`, that
@@ -14,6 +14,9 @@ exact product is not on, or off one it is on, so the exact error of q
 (Dekker's two-product, Numer. Math. 18, 224, 1971) decides every value that
 `rint` sees as a tie. n must stay below 2**53, where every integer is a
 float: `csv_rows` refuses a non-finite float or one with |x| >= 2**53 / 10**6.
+
+`distinct_texts` serves any other format: it calls a formatter once per
+distinct value of an array, and each element indexes the text of its value.
 """
 
 from __future__ import annotations
@@ -110,3 +113,17 @@ def csv_rows(columns, prefix: str = "") -> str:
         out[:, i] = slot
     flat = out.view(np.uint8).ravel()
     return str(flat[flat != 0], "ascii")
+
+
+def distinct_texts(values, fmt) -> np.ndarray:
+    """Each element's `fmt(element)` as an object array of `values`'s shape.
+
+    `fmt` gets the Python scalar (`tolist`) of each distinct bit pattern's
+    first element, once per pattern, so `-0.0` never shares the text of
+    `0.0` and each NaN keeps its own.
+    """
+    a = np.asarray(values)
+    bits = np.ascontiguousarray(a).view(f"u{a.itemsize}").ravel()
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    texts = np.array([fmt(v) for v in a.ravel()[first].tolist()], dtype=object)
+    return texts[inverse].reshape(a.shape)

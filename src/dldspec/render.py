@@ -6,6 +6,11 @@ a curve derived from them, such as the normalized g2. A heatmap draws a
 function of the data, so report bundles are byte-identical across reruns,
 which the plotting libraries do not guarantee. Figures are diagnostic, not
 publication art.
+
+A figure has few distinct values: a heatmap's x and y positions and counts, a
+bar chart's heights. Each distinct value's text is formatted once
+(`csvtext.distinct_texts`), and each cell or bar line indexes those texts, so
+no Python code runs per cell.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .correlation import Axis, Histogram2D, fmt_number
+from .csvtext import distinct_texts
 
 _W, _H = 900, 420
 _ML, _MR, _MT, _MB = 70, 20, 34, 48
@@ -48,10 +54,13 @@ def _axis_labels(x_label: str, y_label: str) -> list[str]:
 
 def svg_histogram(axis: Axis, heights: np.ndarray, title: str, x_label: str, y_label: str = "counts") -> str:
     """Bar chart on a linear scale, one bar per bin of `axis`: a histogram's
-    counts or any other curve on its bins. A non-finite height draws no bar.
+    counts or any other curve on its bins. A non-finite height draws no bar;
+    a number of heights other than the bins' raises ValueError.
     """
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
+    if np.shape(heights) != (axis.nbins,):
+        raise ValueError(f"{np.shape(heights)} heights for {axis.nbins} bins")
     counts = np.nan_to_num(np.asarray(heights, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
     top = float(counts.max()) if counts.size and counts.max() > 0 else 1.0
     parts = _header(title)
@@ -59,18 +68,15 @@ def svg_histogram(axis: Axis, heights: np.ndarray, title: str, x_label: str, y_l
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black"/>'
     )
-    n = axis.nbins
-    bw = plot_w / n
-    for i in range(n):
-        c = counts[i]
-        if c <= 0:
-            continue
+    bw = plot_w / axis.nbins
+    bars = np.flatnonzero(counts > 0)
+
+    def tail(c: float) -> str:
         h = c / top * plot_h
-        x = _ML + i * bw
-        parts.append(
-            f'<rect x="{x:.2f}" y="{_MT + plot_h - h:.2f}" width="{max(bw, 0.5):.2f}" '
-            f'height="{h:.2f}" fill="#27608f"/>'
-        )
+        return f'" y="{_MT + plot_h - h:.2f}" width="{max(bw, 0.5):.2f}" height="{h:.2f}" fill="#27608f"/>'
+
+    rects = distinct_texts(_ML + bars * bw, '<rect x="{:.2f}'.format) + distinct_texts(counts[bars], tail)
+    parts += rects.tolist()
     edges = axis.edges()
     for frac, value in ((0.0, edges[0]), (0.5, (edges[0] + edges[-1]) / 2), (1.0, edges[-1])):
         x = _ML + frac * plot_w
@@ -95,20 +101,13 @@ def svg_heatmap(hist: Histogram2D, title: str, x_label: str, y_label: str) -> st
     nx, ny = m.shape
     cw = side / nx
     ch = side / ny
-    parts = _header(title)
-    for i in range(nx):
-        col = m[i]
-        for j in range(ny):
-            v = col[j]
-            if v <= 0:
-                continue
-            # x axis -> horizontal, y axis -> vertical, origin bottom-left
-            x = _ML + i * cw
-            y = _MT + side - (j + 1) * ch
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}" '
-                f'fill="{_color(v / top)}"/>'
-            )
+    size = f'" width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}" fill="'
+    # x axis -> horizontal, y axis -> vertical, origin bottom-left
+    x_texts = distinct_texts(_ML + np.arange(nx) * cw, '<rect x="{:.2f}" y="'.format)
+    y_texts = distinct_texts(_MT + side - (np.arange(ny) + 1) * ch, lambda y: f"{y:.2f}{size}")
+    i, j = np.nonzero(m > 0)  # row-major: x outer, y inner
+    rects = x_texts[i] + y_texts[j] + distinct_texts(m[i, j], lambda v: _color(v / top)) + '"/>'
+    parts = _header(title) + rects.tolist()
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{side:.1f}" height="{side:.1f}" fill="none" stroke="black"/>')
     for frac, value in ((0.0, hist.x.lo), (1.0, hist.x.upper)):
         x = _ML + frac * side

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the library paths they check: all-pairs
 delay enumeration instead of the sliding window, direct arithmetic instead of
-vectorised kernels.
+vectorised kernels. The report-text referees format one cell, bar or row at a
+time, with their own copy of the figure layout, colour ramp and number format.
 """
 
 from __future__ import annotations
@@ -182,3 +183,117 @@ def per_photon_qe_emissions(config, n_pulses, rng):
     emitted = {"pairs": m, "pump": int(np.count_nonzero(rows["kind"] == 2)), "dark": sum(n_dark),
                "qe_lost": int(survive.size - np.count_nonzero(survive))}
     return {name: column[survive] for name, column in rows.items()}, emitted
+
+
+# render's page size, margins and colour ramp
+_SVG_W, _SVG_H = 900, 420
+_SVG_ML, _SVG_MR, _SVG_MT, _SVG_MB = 70, 20, 34, 48
+_SVG_RAMP = ((13, 8, 60), (40, 80, 160), (40, 170, 190), (250, 230, 85))
+
+
+def _report_number(v):
+    """6 significant digits for a float, `str` for anything else."""
+    return f"{v:.6g}" if isinstance(v, float) else str(v)
+
+
+def _svg_color(frac):
+    """The ramp colour at `frac` in [0, 1], linear between its four stops."""
+    f = min(max(frac, 0.0), 1.0) * 3
+    i = min(int(f), 2)
+    t = f - i
+    lo, hi = _SVG_RAMP[i], _SVG_RAMP[i + 1]
+    return "#" + "".join(f"{round(a + (b - a) * t):02x}" for a, b in zip(lo, hi))
+
+
+def _svg_header(title):
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
+        f'viewBox="0 0 {_SVG_W} {_SVG_H}" font-family="monospace" font-size="12">',
+        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<text x="{_SVG_W / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+    ]
+
+
+def _svg_axis_labels(x_label, y_label):
+    mid_y = (_SVG_MT + _SVG_H - _SVG_MB) / 2
+    return [
+        f'<text x="{(_SVG_ML + _SVG_W - _SVG_MR) / 2:.1f}" y="{_SVG_H - 10}" text-anchor="middle">{x_label}</text>',
+        f'<text x="16" y="{mid_y:.1f}" text-anchor="middle" transform="rotate(-90 16 {mid_y:.1f})">{y_label}</text>',
+    ]
+
+
+def brute_svg_histogram(axis, heights, title, x_label, y_label="counts"):
+    """`render.svg_histogram` drawing its bars bin by bin."""
+    plot_w = _SVG_W - _SVG_ML - _SVG_MR
+    plot_h = _SVG_H - _SVG_MT - _SVG_MB
+    counts = np.nan_to_num(np.asarray(heights, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
+    top = float(counts.max()) if counts.size and counts.max() > 0 else 1.0
+    parts = _svg_header(title)
+    parts.append(
+        f'<rect x="{_SVG_ML}" y="{_SVG_MT}" width="{plot_w}" height="{plot_h}" '
+        f'fill="none" stroke="black"/>'
+    )
+    n = axis.nbins
+    bw = plot_w / n
+    for i in range(n):
+        c = counts[i]
+        if c <= 0:
+            continue
+        h = c / top * plot_h
+        x = _SVG_ML + i * bw
+        parts.append(
+            f'<rect x="{x:.2f}" y="{_SVG_MT + plot_h - h:.2f}" width="{max(bw, 0.5):.2f}" '
+            f'height="{h:.2f}" fill="#27608f"/>'
+        )
+    edges = axis.edges()
+    for frac, value in ((0.0, edges[0]), (0.5, (edges[0] + edges[-1]) / 2), (1.0, edges[-1])):
+        x = _SVG_ML + frac * plot_w
+        parts.append(f'<line x1="{x:.1f}" y1="{_SVG_MT + plot_h}" x2="{x:.1f}" y2="{_SVG_MT + plot_h + 5}" stroke="black"/>')
+        parts.append(f'<text x="{x:.1f}" y="{_SVG_MT + plot_h + 18}" text-anchor="middle">{_report_number(value)}</text>')
+    parts.append(f'<text x="{_SVG_ML}" y="{_SVG_MT - 6}">max {_report_number(top)}</text>')
+    parts.extend(_svg_axis_labels(x_label, y_label))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def brute_svg_heatmap(hist, title, x_label, y_label):
+    """`render.svg_heatmap` drawing its cells one by one, x outer, y inner."""
+    m = np.log10(1.0 + np.maximum(hist.counts.astype(np.float64), 0.0))
+    top = float(m.max()) if m.size and m.max() > 0 else 1.0
+    side = min(_SVG_W - _SVG_ML - _SVG_MR, _SVG_H - _SVG_MT - _SVG_MB)
+    nx, ny = m.shape
+    cw = side / nx
+    ch = side / ny
+    parts = _svg_header(title)
+    for i in range(nx):
+        col = m[i]
+        for j in range(ny):
+            v = col[j]
+            if v <= 0:
+                continue
+            x = _SVG_ML + i * cw
+            y = _SVG_MT + side - (j + 1) * ch
+            parts.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}" '
+                f'fill="{_svg_color(v / top)}"/>'
+            )
+    parts.append(f'<rect x="{_SVG_ML}" y="{_SVG_MT}" width="{side:.1f}" height="{side:.1f}" fill="none" stroke="black"/>')
+    for frac, value in ((0.0, hist.x.lo), (1.0, hist.x.upper)):
+        x = _SVG_ML + frac * side
+        parts.append(f'<text x="{x:.1f}" y="{_SVG_MT + side + 18}" text-anchor="middle">{_report_number(value)}</text>')
+    for frac, value in ((0.0, hist.y.lo), (1.0, hist.y.upper)):
+        y = _SVG_MT + side - frac * side
+        parts.append(f'<text x="{_SVG_ML - 6:.1f}" y="{y:.1f}" text-anchor="end">{_report_number(value)}</text>')
+    parts.append(f'<text x="{_SVG_ML + side + 12:.1f}" y="{_SVG_MT + 10}">log10(1+n), max {_report_number(top)}</text>')
+    parts.extend(_svg_axis_labels(x_label, y_label))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def brute_bin_rows(axis, column, values):
+    """`correlation.write_bin_rows`'s text, formatted row by row."""
+    lines = [f"bin_lo,bin_hi,{column}\n"]
+    edges = axis.edges().tolist()
+    for lo, hi, v in zip(edges[:-1], edges[1:], values.tolist(), strict=True):
+        lines.append(f"{lo:.6f},{hi:.6f},{_report_number(v)}\n")
+    return "".join(lines)

@@ -304,6 +304,27 @@ def test_decode_matches_default_at_tiny_chunk_sizes(tmp_path):
             ref.records, ref.records_per_detector, ref.groups, ref.orphans, ref.malformed)
 
 
+DENSE_PHYSICS = {"pair_rate_per_pulse": 0.5, "pump_scatter_rate_per_pulse": 0.5, "qe": 0.4}
+SHARED_CANDIDATE = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "two accepted triggers take the same anode pulse of detector 2, which the ledger then counts twice; "
+    "ROADMAP item 1's rule 'no other accepted trigger shares a candidate' balances it"))
+
+
+@pytest.mark.parametrize("overrides", [
+    *(pytest.param({"seed": seed}, id=f"default-seed{seed}") for seed in (1, 2, 3)),
+    *(pytest.param({"seed": seed, "duration_ps": 3.5e9, **DENSE_PHYSICS}, marks=SHARED_CANDIDATE,
+                   id=f"dense-seed{seed}") for seed in (7, 1)),
+])
+def test_every_pulse_ends_in_a_group_or_as_an_orphan(tmp_path, overrides):
+    """The decode ledger: a detector's records are five per accepted group
+    plus its orphans."""
+    cfg = make_config(**overrides)
+    path = tmp_path / "run.dlde"
+    simulate_to_file(cfg, path)
+    d = decode_file(path, cfg.geometry, cfg.calibration)
+    assert [d.records_per_detector[k] for k in (0, 1)] == [5 * d.groups[k] + d.orphans[k] for k in (0, 1)]
+
+
 @pytest.mark.parametrize(
     "overrides, chunk_records, digest",
     [
