@@ -42,6 +42,9 @@ from .config import CorrelationConfig, GAUSSIAN_FWHM_OVER_SIGMA
 from .csvtext import csv_rows, distinct_texts
 
 _PAIR_BLOCK = 1 << 17
+# Histogram1D.fill bins this many values at a time, so its temporaries are
+# a block's size however many values it counts
+_FILL_BLOCK = 1 << 16
 # fit_fwhm fits the bins within this many bin widths of the peak center
 _FIT_HALFWIDTH_BINS = 5
 
@@ -142,9 +145,13 @@ class Histogram1D:
         self.counts = _counts(self.counts, (self.axis.nbins,))
 
     def fill(self, values: np.ndarray) -> None:
-        idx, ok = self.axis.index(values)
-        if np.any(ok):
-            self.counts += np.bincount(idx[ok].astype(np.int64), minlength=self.axis.nbins)
+        """Count each value inside the domain in its bin, _FILL_BLOCK values at a time."""
+        values = np.asarray(values)
+        for b in range(0, values.size, _FILL_BLOCK):
+            idx, ok = self.axis.index(values[b : b + _FILL_BLOCK])
+            counts = np.bincount(idx[ok].astype(np.int64))
+            self.counts[: counts.size] += counts
+            del idx, ok  # not live under the next block's temporaries
 
     def merge(self, other: "Histogram1D") -> "Histogram1D":
         if self.axis != other.axis:
@@ -194,7 +201,8 @@ class Histogram2D:
 
 def _event_times(events) -> np.ndarray:
     arr = np.asarray(events).astype(np.int64, copy=False)
-    if arr.size > 1 and np.any(np.diff(arr) < 0):
+    # neighbours compared, not differenced: a difference wraps for times 2**63 or more apart
+    if np.any(arr[1:] < arr[:-1]):
         raise ValueError("event times must be sorted")
     return arr
 

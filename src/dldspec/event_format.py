@@ -258,6 +258,15 @@ class EventReader:
         self.records_read = 0
         self._prev_ts = 0
 
+    def file_records(self) -> int:
+        """The whole records the source holds after its header, counted from
+        its size: what `iter_chunks` yields in all unless it raises. The
+        source must be seekable; its read position is kept."""
+        here = self._f.tell()
+        end = self._f.seek(0, os.SEEK_END)
+        self._f.seek(here)
+        return max(end - HEADER_SIZE, 0) // RECORD_SIZE
+
     def iter_chunks(self) -> Iterator[np.ndarray]:
         while True:
             buf = self._f.read(self.chunk_records * RECORD_SIZE)

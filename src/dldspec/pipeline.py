@@ -44,12 +44,15 @@ that many chunks starts no thread. From the next chunk on, one worker thread
 reads, validates and splits chunk k+1 while the calling thread matches chunk
 k. The calling thread waits for chunk k+1 before the worker starts chunk k+2,
 so at most one chunk is ahead, and a worker error is raised there as itself.
-Matching, position recovery, the counts and the final join stay on the
-calling thread. Reading and splitting hold no matcher state, and the
-matchers get the same columns in the same order whichever thread split them,
-so the threads cannot change a decoded event. Memory is bounded by two
-chunks plus the reconstructed events, and the result does not depend on the
-chunk size.
+Matching, position recovery and the counts stay on the calling thread.
+Reading and splitting hold no matcher state, and the matchers get the same
+columns in the same order whichever thread split them, so the threads cannot
+change a decoded event. Each chunk's events are written, at a running
+offset, straight into their detector's final event columns, allocated once
+for `_event_capacity` of the file's record count; the decoded tables are views
+of those columns' first rows, and nothing is joined at the end. Memory is
+bounded by two chunks plus the event columns, and the result does not depend
+on the chunk size.
 
 Analysis puts every figure of the report, the side-peak-normalized g2
 included, in an `AnalysisResult`; the report only writes them out.
@@ -254,13 +257,59 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
 @dataclass
 class DecodeResult:
     header: EventFileHeader
-    # event Columns (t_ps, x_mm, y_mm, wavelength_nm), detector 0's then detector 1's
+    # event Columns (t_ps, x_mm, y_mm, wavelength_nm), detector 0's then detector
+    # 1's; each column is a view of the first rows of its decode column
     events: tuple[Columns, Columns]
     records: int
     records_per_detector: list[int]
     groups: list[int]
     orphans: list[int]
     malformed: list[int]
+
+
+def _event_capacity(records: int) -> int:
+    """Events each detector's decode columns have room for, in a file of
+    `records` records: a group is five records and two detectors of equal
+    physics split the records about evenly, so each decodes at most about
+    records / 10 events, and 1/64 more keeps the larger of the two within
+    its share. At criterion-9 scale (seed 42, 10.2M records) the first
+    detector wrote 607 groups more than records / 10, and the 1/64 is 15,964."""
+    share = records // 10
+    return share + share // 64
+
+
+class _EventColumns:
+    """One detector's decoded events: each chunk's events are written at a
+    running offset into columns allocated once, by the first write, with its
+    names and dtypes and `capacity` rows. A detector that outgrows them
+    doubles them, a column at a time, so the old and new columns overlap by
+    one column only."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.columns: dict[str, np.ndarray] = {}
+        self.size = 0
+
+    def write(self, events: Columns) -> None:
+        start, end = self.size, self.size + events.size
+        if not self.columns:
+            self.capacity = max(self.capacity, end)
+            self.columns = {name: np.empty(self.capacity, col.dtype) for name, col in events.items()}
+        elif end > self.capacity:
+            self.capacity = max(2 * self.capacity, end)
+            for name, old in self.columns.items():
+                grown = np.empty(self.capacity, old.dtype)
+                grown[:start] = old[:start]
+                self.columns[name] = grown
+        for name, col in events.items():
+            self.columns[name][start:end] = col
+        self.size = end
+
+    def table(self) -> Columns:
+        """The events written so far: views of the columns' first rows, not a
+        trimmed copy. Rows never written are never touched; trimming with
+        `ndarray.resize` was measured to raise seed-sweep's peak RSS by 4-7 MiB."""
+        return Columns({name: col[: self.size] for name, col in self.columns.items()})
 
 
 def _split_chunks(reader: EventReader) -> Iterator[list[list[np.ndarray]]]:
@@ -304,21 +353,21 @@ def decode_file(
     most that many chunks starts no thread. From the next chunk on, one
     worker thread reads, validates and splits chunk k+1 while the calling
     thread matches chunk k, and at most one chunk is ahead. Matching,
-    position recovery, the counts and the join run on the calling thread.
+    position recovery and the counts run on the calling thread.
+    The events live in per-detector columns allocated once, for
+    `_event_capacity(records)` rows of the open file: each chunk's events
+    are written into them at a running offset, and a detector that outgrows
+    them doubles them. The returned tables are views of their first rows.
+    Memory is bounded by two chunks plus those columns: no chunk's events are
+    kept, and nothing is joined at the end.
     The matchers see the same columns in the same order on either thread, so
     the result cannot depend on the threads. An error raised on the worker
     comes out of this call as itself; the worker is shut down before the file
     is closed, on every exit.
     """
     matchers = [HitMatcher(geometry), HitMatcher(geometry)]
-    pieces: list[list[Columns]] = [[], []]
     malformed = [0, 0]
     per_det = [0, 0]
-
-    def consume(det: int, groups: Columns) -> None:
-        ev, bad = groups_to_events(groups, geometry, calibration)
-        malformed[det] += bad
-        pieces[det].append(ev)
 
     with EventReader(path, chunk_records) as reader:
         header = reader.header
@@ -331,6 +380,14 @@ def decode_file(
             raise ValueError(
                 f"file tick_ps={header.tick_ps} does not match configured geometry tick_ps={geometry.tick_ps}"
             )
+        capacity = _event_capacity(reader.file_records())
+        events = [_EventColumns(capacity), _EventColumns(capacity)]
+
+        def consume(det: int, groups: Columns) -> None:
+            ev, bad = groups_to_events(groups, geometry, calibration)
+            malformed[det] += bad
+            events[det].write(ev)
+
         with closing(_split_chunks(reader)) as chunks:
             for split in chunks:
                 for det, columns in enumerate(split):
@@ -340,18 +397,13 @@ def decode_file(
                 del split, columns
         for det in (0, 1):
             consume(det, matchers[det].finish())
-        # joined a column at a time, each column's chunk pieces dropped as it
-        # is joined: the pieces and the result overlap by one column only
-        events = tuple(
-            Columns({name: np.concatenate([piece.pop(name) for piece in parts]) for name in list(parts[0])})
-            for parts in pieces
-        )
+        tables = (events[0].table(), events[1].table())
         return DecodeResult(
             header=header,
-            events=events,  # type: ignore[arg-type]
+            events=tables,
             records=reader.records_read,
             records_per_detector=per_det,
-            groups=[ev.size + bad for ev, bad in zip(events, malformed)],
+            groups=[ev.size + bad for ev, bad in zip(tables, malformed)],
             orphans=[m.orphans for m in matchers],
             malformed=malformed,
         )
@@ -414,7 +466,6 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     a_mask = in_window(delays, corr.accidental_window_ps)
     ci, cj = pair_i[c_mask], pair_j[c_mask]
     ai, aj = pair_i[a_mask], pair_j[a_mask]
-    # the pairs are not live under the g2 fill's temporaries, which set the peak memory
     del pair_i, pair_j
     g2 = g2_histogram(delays, corr)
     fit = None

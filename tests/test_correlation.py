@@ -3,12 +3,14 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dldspec import correlation
 from dldspec.correlation import (
     Axis,
     AxisMismatchError,
@@ -117,6 +119,37 @@ class TestHistogram1D:
         a.fill(np.array([0.5]))
         assert b.counts.sum() == 0 and m.counts.sum() == 0
 
+    def test_block_fill_equals_one_bincount(self, monkeypatch):
+        r = np.random.default_rng(5)
+        values = r.normal(0.0, 4.0, 1000)
+        values[:3] = (10.0, -10.0, 9.999)  # on both domain edges
+        axis = Axis.spanning(-10.0, 10.0, 0.5)
+        idx, ok = axis.index(values)
+        want = np.bincount(idx[ok].astype(np.int64), minlength=axis.nbins)
+        for block in (1, 7, 999, 1000, 4096):
+            monkeypatch.setattr(correlation, "_FILL_BLOCK", block)
+            h = Histogram1D(axis)
+            h.fill(values)
+            assert np.array_equal(h.counts, want), block
+
+    def test_fill_memory_is_bounded_by_the_block(self):
+        """The traced peak of a fill is a block's temporaries, whatever the
+        number of values: 16 blocks peak as 1 does."""
+        axis = Axis.spanning(-60000.0, 60000.0, 88.0)
+
+        def peak_bytes(blocks):
+            values = np.random.default_rng(blocks).integers(-70000, 70000, blocks * correlation._FILL_BLOCK)
+            h = Histogram1D(axis)
+            tracemalloc.start()
+            try:
+                h.fill(values)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, sixteen = peak_bytes(1), peak_bytes(16)
+        assert abs(sixteen - one) <= 0.1 * one, (one, sixteen)
+
     def test_csv_lines(self, tmp_path):
         h = Histogram1D(Axis.spanning(0.0, 2.0, 1.0))
         h.fill(np.array([0.5]))
@@ -201,6 +234,16 @@ class TestSelectCoincidences:
         t2 = np.array([-100, 0, 100], dtype=np.int64)
         i, j = select_coincidences(t1, t2, (-500.0, 500.0))
         assert i.size == 3
+
+    def test_sorted_times_far_apart_are_accepted(self):
+        # 2**62 - -2**62 is 2**63, which wraps to a negative int64 difference
+        i, j = select_coincidences(np.array([-2**62, 2**62]), np.array([0]), (-10.0, 10.0))
+        assert i.size == 0 and j.size == 0
+
+    @pytest.mark.parametrize("t1, t2", [([0, 5, 3], [0]), ([0], [2, 1])])
+    def test_unsorted_times_are_rejected(self, t1, t2):
+        with pytest.raises(ValueError, match="must be sorted"):
+            select_coincidences(np.array(t1), np.array(t2), (-10.0, 10.0))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, seed):

@@ -304,6 +304,58 @@ def test_decode_matches_default_at_tiny_chunk_sizes(tmp_path):
             ref.records, ref.records_per_detector, ref.groups, ref.orphans, ref.malformed)
 
 
+@pytest.mark.parametrize("shape", ["one-detector", "lopsided"])
+def test_a_detector_past_its_share_grows_its_columns(tmp_path, shape):
+    """A file whose first detector holds all or most of the records: that
+    detector outgrows its event columns, and its events, counts and orphans
+    still equal a one-record-chunk decode and the one-feed `match_hits`."""
+    cfg = make_config(seed=9, duration_ps=1e8)
+    source = tmp_path / "source.dlde"
+    simulate_to_file(cfg, source)
+    header, pulses = read_all_pulses(source)
+    keep = pulses["detector"] == 0
+    if shape == "lopsided":  # the second detector's first tenth of the run
+        keep |= pulses["timestamp"] < pulses["timestamp"][-1] // 10
+    pulses = pulses[keep]
+    path = tmp_path / f"{shape}.dlde"
+    write_events(pulses, header, path)
+    oracle = []
+    for det in (0, 1):
+        hits, orphans = match_hits(pulses[pulses["detector"] == det], cfg.geometry)
+        events, bad = groups_to_events(hits, cfg.geometry, cfg.calibration)
+        oracle.append((events, hits.size, orphans, bad, int(np.count_nonzero(pulses["detector"] == det))))
+    # the premise: the first detector outgrows its share
+    assert oracle[0][0].size > pipeline._event_capacity(pulses.size)
+    for chunk_records in (1, 997, DEFAULT_CHUNK_RECORDS):
+        got = decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
+        for det, (events, groups, orphans, bad, records) in enumerate(oracle):
+            assert np.array_equal(packed(got.events[det]), packed(events)), (chunk_records, det)
+            assert (got.groups[det], got.orphans[det], got.malformed[det], got.records_per_detector[det]) == (
+                groups, orphans, bad, records)
+
+
+def test_decode_memory_is_bounded_by_the_chunks(tmp_path):
+    """The traced peak of a decode, less its event columns' buffers, is the
+    chunks' working memory: a run of about 85 chunks peaks as one of 21
+    does. The decode keeps no per-chunk events and joins nothing."""
+    def peak_above_the_columns(scale):
+        cfg = make_config(seed=4, duration_ps=scale * 1.5e9)
+        path = tmp_path / f"{scale}.dlde"
+        simulate_to_file(cfg, path)
+        tracemalloc.start()
+        try:
+            dec = decode_file(path, cfg.geometry, cfg.calibration, chunk_records=1 << 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = {id(b): b.nbytes for ev in dec.events for col in ev.values()
+                   for b in [col if col.base is None else col.base]}
+        return peak - sum(buffers.values())
+
+    one, four = peak_above_the_columns(1), peak_above_the_columns(4)
+    assert abs(four - one) <= 0.1 * one, (one, four)
+
+
 DENSE_PHYSICS = {"pair_rate_per_pulse": 0.5, "pump_scatter_rate_per_pulse": 0.5, "qe": 0.4}
 SHARED_CANDIDATE = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "two accepted triggers take the same anode pulse of detector 2, which the ledger then counts twice; "
