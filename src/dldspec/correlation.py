@@ -17,12 +17,16 @@ Conventions, shared by every operation and by the brute-force test oracles:
   ceil(lo) <= d <= floor(hi) (`in_window`).
 * Pair search never materialises the all-pairs product: both streams are
   time-sorted, so for each left event the partner range is found with two
-  binary searches and only in-window pairs are expanded, block by block.
+  binary searches and only in-window pairs are expanded. Searches and pairs
+  go a block of left events at a time, and the search keys saturate at the
+  int64 bounds, so times anywhere in int64 pair exactly.
 * An analysis makes one pair search: `pipeline.analyze_events` selects the
   pairs of one closed window spanning the g2 domain and every closed window,
-  and derives everything from their delays. The g2 histogram bins them (its
-  half-open upper edge is enforced by `fill`, not by the search), and
-  `in_window` filters them per closed window.
+  and derives everything from their delays, a fixed slice of pairs at a
+  time. Each slice's g2 histogram bins them (its half-open upper edge is
+  enforced by `fill`, not by the search) and merges into the run's, and
+  `in_window` counts them per closed window. Its memory is the pairs plus
+  one slice.
 
 Merging chunk-partial histograms on equal axes is exact, so histograms
 accumulated over chunks or separate runs add up to the single-pass result.
@@ -41,7 +45,9 @@ from scipy import optimize
 from .config import CorrelationConfig, GAUSSIAN_FWHM_OVER_SIGMA
 from .csvtext import csv_rows, distinct_texts
 
+# iter_window_pairs searches this many first-detector events at a time
 _PAIR_BLOCK = 1 << 17
+_INT64 = np.iinfo(np.int64)
 # Histogram1D.fill bins this many values at a time, so its temporaries are
 # a block's size however many values it counts
 _FILL_BLOCK = 1 << 16
@@ -218,25 +224,48 @@ def in_window(delays: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     return (delays >= first) & (delays <= last)
 
 
+def _saturating_add(t: np.ndarray, k: int) -> np.ndarray:
+    """t + k, saturated at the int64 bounds where it would wrap. A k beyond
+    int64 is added in two steps of its sign, since a saturated key stays so;
+    a k of 2**64 or more saturates every key, as 2**64 does."""
+    if not _INT64.min <= k <= _INT64.max:
+        k = max(min(k, 2**64), -(2**64))
+        half = k // 2
+        return _saturating_add(_saturating_add(t, half), k - half)
+    return np.clip(t, max(_INT64.min, _INT64.min - k), min(_INT64.max, _INT64.max - k)) + k
+
+
+def _count_below(t2: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """For each time in `t`, the number of `t2` times below t + k, exactly.
+
+    The key saturates in k's direction only, and the side of the search is
+    the one a saturated key still counts right: every t2 time lies at or
+    below the int64 maximum and none lies below the minimum."""
+    if k > 0:  # t2 < t + k exactly when t2 <= t + k - 1
+        return np.searchsorted(t2, _saturating_add(t, k - 1), side="right")
+    return np.searchsorted(t2, _saturating_add(t, k), side="left")
+
+
 def iter_window_pairs(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (i, j) index blocks of all pairs with t2[j] - t1[i] in the closed
-    window [lo, hi].
+    window [lo, hi], in i-major order.
 
-    Cost is O(n1 log n2 + pairs); memory is bounded by the block size,
-    _PAIR_BLOCK first-detector events.
+    Each block is _PAIR_BLOCK first-detector events: their partner ranges
+    come from two binary searches into t2 of the block's events only, so
+    memory is bounded by the block size and the pairs of one block. Times
+    anywhere in int64 are searched exactly. Cost is O(n1 log n2 + pairs).
     """
     first, last = _closed_bounds(lo, hi)
-    starts = np.searchsorted(t2, t1 + first, side="left")
-    ends = np.searchsorted(t2, t1 + last, side="right")
-    ends = np.maximum(ends, starts)
+    if first > last:  # no integer delay in the window
+        return
     for b in range(0, t1.size, _PAIR_BLOCK):
-        s = starts[b : b + _PAIR_BLOCK]
-        e = ends[b : b + _PAIR_BLOCK]
-        counts = e - s
+        t = t1[b : b + _PAIR_BLOCK]
+        s = _count_below(t2, t, first)
+        counts = _count_below(t2, t, last + 1) - s
         total = int(counts.sum())
         if total == 0:
             continue
-        i = np.repeat(np.arange(b, b + s.size, dtype=np.int64), counts)
+        i = np.repeat(np.arange(b, b + t.size, dtype=np.int64), counts)
         cum = np.concatenate([[0], np.cumsum(counts)])
         j = np.repeat(s, counts) + (np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], counts))
         yield i, j

@@ -20,6 +20,8 @@ streams; every failure mode has a distinct exception type carrying the byte
 offset (and record index where meaningful). Memory is bounded by the chunk
 size regardless of file size. The writer checks its records with the same
 validator (`_validate_chunk`), so every record it writes passes the reader.
+The decoder adds one check the format does not make (`check_picosecond_range`):
+a record's time in int64 picoseconds, timestamp * tick_ps, must not wrap.
 
 Writing to a path goes through a temporary file beside it that replaces the
 path only when the writer closes cleanly, so an interrupted run never leaves a
@@ -163,6 +165,19 @@ def _validate_chunk(
         backwards = np.concatenate([[int(ts[0]) < prev_timestamp], ts[1:] < ts[:-1]])
         _raise_first(backwards, TimestampRegressionError, start_index,
                      lambda i: "timestamp goes backwards (records must be sorted)")
+
+
+def check_picosecond_range(arr: np.ndarray, tick_ps: int, start_index: int) -> None:
+    """Raise `TimestampRangeError` for the first record of a time-sorted chunk
+    whose time in picoseconds, timestamp * tick_ps, is 2**63 or more: an int64
+    picosecond time cannot hold it. The file format allows such a record; the
+    decoder, which works in int64 picoseconds, does not. At tick_ps=1 the
+    validator has rejected every such record already."""
+    limit = -(-(2**63) // tick_ps)  # the first tick at or past 2**63 ps
+    ts = arr["timestamp"]
+    if arr.size and int(ts[-1]) >= limit:
+        _raise_first(ts >= limit, TimestampRangeError, start_index,
+                     lambda i: f"timestamp {int(ts[i])} ticks of {tick_ps} ps is 2**63 ps or more")
 
 
 class StagedFile:

@@ -55,7 +55,9 @@ bounded by two chunks plus the event columns, and the result does not depend
 on the chunk size.
 
 Analysis puts every figure of the report, the side-peak-normalized g2
-included, in an `AnalysisResult`; the report only writes them out.
+included, in an `AnalysisResult`; the report only writes them out. It makes
+one pair search and consumes its pairs ANALYZE_SLICE_PAIRS at a time, so
+beyond the events its memory is the pair arrays plus one slice.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ from .event_format import (
     EventWriter,
     FormatError,
     StagedFile,
+    check_picosecond_range,
 )
 from .reconstruction import (
     HitMatcher,
@@ -124,6 +127,9 @@ SERIALIZE_SLICE_GROUPS = 1 << 12
 # run: a thread on every file raised seed-sweep's peak RSS by 1.8 MiB
 # (BENCH_20.json).
 DECODE_INLINE_CHUNKS = 2
+# Pairs analyze_events consumes at a time: its delays, window masks and g2
+# fill are a slice's size however many pairs the run has
+ANALYZE_SLICE_PAIRS = 1 << 16
 SIDE_PEAK_COUNT = 4
 
 
@@ -322,7 +328,10 @@ def _split_chunks(reader: EventReader) -> Iterator[list[list[np.ndarray]]]:
 
     def split_next() -> list[list[np.ndarray]] | None:
         chunk = next(chunks, None)
-        return None if chunk is None else channel_columns(chunk)
+        if chunk is None:
+            return None
+        check_picosecond_range(chunk, reader.header.tick_ps, reader.records_read - chunk.size)
+        return channel_columns(chunk)
 
     columns = split_next()
     for _ in range(DECODE_INLINE_CHUNKS):
@@ -360,6 +369,9 @@ def decode_file(
     them doubles them. The returned tables are views of their first rows.
     Memory is bounded by two chunks plus those columns: no chunk's events are
     kept, and nothing is joined at the end.
+    A record whose time in picoseconds, timestamp * tick_ps, is 2**63 or more
+    raises `TimestampRangeError` (`check_picosecond_range`): int64 `t_ps`
+    cannot hold it.
     The matchers see the same columns in the same order on either thread, so
     the result cannot depend on the threads. An error raised on the worker
     comes out of this call as itself; the worker is shut down before the file
@@ -435,12 +447,15 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     window center), not histogram-bin sums, so they carry no binning bias.
 
     One pair search serves every figure: `select_coincidences` over the closed
-    window spanning the g2 domain and every closed window. Its delays are
-    binned into the g2 histogram, whose `fill` drops those outside the
-    half-open domain, and filtered per closed window with `in_window`. The
-    coincidence and accidental windows keep their index pairs for the joint
-    spectra; the side windows only count. Their mean, per bin of the g2 axis,
-    normalizes the g2 curve.
+    window spanning the g2 domain and every closed window. Its pairs are
+    consumed ANALYZE_SLICE_PAIRS at a time, so no run-sized delay array or
+    window mask is built: each slice's delays are binned with `g2_histogram`,
+    whose `fill` drops those outside the half-open domain, and the slice
+    histograms merge on their equal axes. Each slice adds to the side-window
+    counts (`in_window`), and keeps only the index pairs of the coincidence
+    and accidental windows, for the joint spectra. The side windows' mean,
+    per bin of the g2 axis, normalizes the g2 curve. Memory is the events,
+    the pairs, the kept index pairs and one slice.
     """
     warnings: list[str] = []
     ev0, ev1 = events
@@ -461,13 +476,23 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     g2_domain = g2_axis(corr)
     windows = [(g2_domain.lo, g2_domain.upper), corr.coincidence_window_ps, *side_windows]
     pair_i, pair_j = select_coincidences(t0, t1, (min(w[0] for w in windows), max(w[1] for w in windows)))
-    delays = t1[pair_j] - t0[pair_i]
-    c_mask = in_window(delays, corr.coincidence_window_ps)
-    a_mask = in_window(delays, corr.accidental_window_ps)
-    ci, cj = pair_i[c_mask], pair_j[c_mask]
-    ai, aj = pair_i[a_mask], pair_j[a_mask]
-    del pair_i, pair_j
-    g2 = g2_histogram(delays, corr)
+    g2 = Histogram1D(g2_domain)
+    side_counts = [0] * len(side_windows)
+    kept_c, kept_a = [], []  # each slice's (i, j) in the coincidence and the accidental window
+    # one slice at least, so a run without pairs has an empty slice to join
+    for start in range(0, max(pair_i.size, 1), ANALYZE_SLICE_PAIRS):
+        i = pair_i[start : start + ANALYZE_SLICE_PAIRS]
+        j = pair_j[start : start + ANALYZE_SLICE_PAIRS]
+        delays = t1[j] - t0[i]
+        g2 = g2.merge(g2_histogram(delays, corr))
+        side = [in_window(delays, w) for w in side_windows]
+        side_counts = [n + int(np.count_nonzero(m)) for n, m in zip(side_counts, side)]
+        c = in_window(delays, corr.coincidence_window_ps)
+        kept_c.append((i[c], j[c]))
+        kept_a.append((i[side[0]], j[side[0]]))
+    del pair_i, pair_j, i, j  # the slices are views that keep the pair arrays alive
+    ci, cj = map(np.concatenate, zip(*kept_c))
+    ai, aj = map(np.concatenate, zip(*kept_a))
     fit = None
     fit_error = ""
     try:
@@ -478,7 +503,6 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     if ci.size == 0:
         warnings.append("no coincidences inside the coincidence window")
     center = int(ci.size)
-    side_counts = [int(np.count_nonzero(in_window(delays, w))) for w in side_windows]
     side_mean = float(np.mean(side_counts))
     ratio = center / side_mean if side_mean > 0 else math.nan
     bins_per_window = window_width / g2.axis.width

@@ -6,6 +6,7 @@ import pytest
 from dldspec.config import RunConfig, SimConfig, run_config_from_dict
 from dldspec.correlation import Axis, Histogram1D, select_coincidences
 from dldspec.event_format import PULSE_DTYPE, EventFileHeader, EventReader, EventWriter
+from dldspec.pipeline import ANALYZE_SLICE_PAIRS
 from dldspec.reconstruction import GROUP_TIMES, HitMatcher, channel_columns
 from dldspec.source_sim import Columns, EventKind, pulse_count
 
@@ -102,11 +103,17 @@ def read_all_pulses(source) -> tuple[EventFileHeader, np.ndarray]:
 
 
 def delay_histogram(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float, width: float) -> Histogram1D:
-    """Pairwise delays t2 - t1 binned on [lo, lo + nbins * width), the way the
-    analysis bins its g2: one `select_coincidences` over the closed window
-    [lo, upper], whose delays at the excluded upper edge `fill` drops. A
-    helper over the library, not an oracle."""
+    """Pairwise delays t2 - t1 binned on [lo, lo + nbins * width), the way
+    `analyze_events` bins its g2: one `select_coincidences` over the closed
+    window [lo, upper], whose pairs are binned ANALYZE_SLICE_PAIRS at a time
+    into histograms that merge on their equal axis; `fill` drops the delays at
+    the excluded upper edge. The axis is any axis, not only a config's
+    symmetric g2 axis, so each slice fills a `Histogram1D` as `g2_histogram`
+    does. A helper over the library, not an oracle."""
     hist = Histogram1D(Axis.spanning(lo, hi, width))
     i, j = select_coincidences(t1, t2, (lo, hist.axis.upper))
-    hist.fill(t2[j] - t1[i])
+    for start in range(0, i.size, ANALYZE_SLICE_PAIRS):
+        part = Histogram1D(hist.axis)
+        part.fill(t2[j[start : start + ANALYZE_SLICE_PAIRS]] - t1[i[start : start + ANALYZE_SLICE_PAIRS]])
+        hist = hist.merge(part)
     return hist

@@ -240,6 +240,24 @@ class TestSelectCoincidences:
         i, j = select_coincidences(np.array([-2**62, 2**62]), np.array([0]), (-10.0, 10.0))
         assert i.size == 0 and j.size == 0
 
+    @pytest.mark.parametrize("t1, t2, window, pairs", [
+        # t1 + hi and t1 + lo would wrap past the int64 maximum / minimum
+        ([2**63 - 100], [2**63 - 50], (0.0, 100.0), 1),
+        ([-2**63 + 10], [-2**63 + 5], (-100.0, 0.0), 1),
+        # a search key saturated at the bound must not take in a time on it
+        ([2**63 - 100], [2**63 - 1], (200.0, 300.0), 0),
+        ([-2**63 + 100], [-2**63], (-300.0, -200.0), 0),
+        # windows wider than int64 still hold every delay they cover
+        ([-2**63, 0, 2**63 - 1], [-2**63, 0, 2**63 - 1], (-2.0**64, 2.0**64), 9),
+        ([2**63 - 1], [-2**63], (-1e30, -1.8e19), 1),
+    ])
+    def test_times_near_the_int64_limits(self, t1, t2, window, pairs):
+        i, j = select_coincidences(np.array(t1), np.array(t2), window)
+        # delays in Python integers, which do not wrap
+        want = [(a, b) for a, x in enumerate(t1) for b, y in enumerate(t2) if window[0] <= y - x <= window[1]]
+        assert len(want) == pairs
+        assert sorted(zip(i.tolist(), j.tolist())) == want
+
     @pytest.mark.parametrize("t1, t2", [([0, 5, 3], [0]), ([0], [2, 1])])
     def test_unsorted_times_are_rejected(self, t1, t2):
         with pytest.raises(ValueError, match="must be sorted"):
@@ -255,6 +273,41 @@ class TestSelectCoincidences:
         hi = lo + float(r.integers(1, 20_000))
         i, j = select_coincidences(t1, t2, (lo, hi))
         assert sorted(zip(i.tolist(), j.tolist())) == brute_coincidences(t1, t2, (lo, hi))
+
+
+class TestWindowPairs:
+    @pytest.mark.parametrize("block", [1, 7, correlation._PAIR_BLOCK])
+    @pytest.mark.parametrize("window", [(-2_500.0, 2_500.0), (-400.0, 3_000.5), (0.2, 0.8)],
+                             ids=["symmetric", "asymmetric", "empty"])
+    def test_blocks_equal_brute_force(self, block, window, monkeypatch):
+        monkeypatch.setattr(correlation, "_PAIR_BLOCK", block)
+        r = np.random.default_rng(block)
+        t1 = np.sort(np.concatenate([r.integers(0, 60_000, 150), [-1_000_000, 5_000_000]]))
+        t2 = np.sort(r.integers(0, 60_000, 150))  # the two far t1 events have no partner
+        blocks = list(correlation.iter_window_pairs(t1, t2, *window))
+        got = [(int(a), int(b)) for i, j in blocks for a, b in zip(i, j)]
+        assert got == brute_coincidences(t1, t2, window)
+        assert all(i.size and i[-1] - i[0] < block for i, _ in blocks)
+        assert (len(got) == 0) == (window == (0.2, 0.8))
+
+    def test_memory_is_bounded_by_the_block(self, monkeypatch):
+        """The traced peak of consuming every block is one block's worth,
+        however many blocks of first-detector events there are."""
+        monkeypatch.setattr(correlation, "_PAIR_BLOCK", 1 << 10)
+
+        def peak_bytes(blocks):
+            t = np.arange(blocks << 10, dtype=np.int64) * 1_000
+            t2 = t + 300
+            tracemalloc.start()
+            try:
+                for _ in correlation.iter_window_pairs(t, t2, -2_500.0, 2_500.0):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        eight, thirty_two = peak_bytes(8), peak_bytes(32)
+        assert abs(thirty_two - eight) <= 0.1 * eight, (eight, thirty_two)
 
 
 class TestSpectrum:

@@ -14,13 +14,22 @@ import pytest
 from dldspec import correlation, event_format, pipeline
 from dldspec.correlation import build_jsi, g2_axis, select_coincidences, spectrum_1d
 from dldspec.detector_sim import DeadTimeFilter, DetectTally, detect, encode_groups, groups_to_pulses, jitter_reach_ps
-from dldspec.event_format import DEFAULT_CHUNK_RECORDS, PULSE_DTYPE, EventFileHeader, EventReader, FormatError
+from dldspec.event_format import (
+    DEFAULT_CHUNK_RECORDS,
+    HEADER_SIZE,
+    PULSE_DTYPE,
+    RECORD_SIZE,
+    EventFileHeader,
+    EventReader,
+    FormatError,
+    TimestampRangeError,
+)
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
 from dldspec.reconstruction import GROUP_TIMES, HitMatcher, channel_columns, groups_to_events
 from dldspec.source_sim import Columns, EmissionTally, EventKind, generate_emissions, pulse_count
 
 from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram, brute_serialize
-from conftest import make_config, match_hits, packed, read_all_pulses, write_events
+from conftest import detection_rows, make_config, match_hits, packed, read_all_pulses, write_events
 
 
 def test_simulate_deterministic(tmp_path, small_config):
@@ -733,6 +742,28 @@ def test_decode_rejects_tick_mismatch(tmp_path, small_config):
         decode_file(path, other.geometry, other.calibration)
 
 
+def test_decode_rejects_picosecond_times_past_int64(tmp_path):
+    """At tick_ps=4 a tick of 2**61 or more is 2**63 ps or more, which an
+    int64 t_ps cannot hold: decode names the first such record."""
+    cfg = make_config(geometry={"tick_ps": 4})
+    group = groups_to_pulses(encode_groups(detection_rows([(0, 1000.0, 20.0, 20.0)]), cfg.geometry))
+    t0 = int(group["timestamp"][0])
+
+    def decode_with_second_group_at(tick):
+        far = group.copy()
+        far["timestamp"] += np.uint64(tick - t0)
+        path = tmp_path / f"{tick}.dlde"
+        write_events(np.concatenate([group, far]), EventFileHeader(tick_ps=4), path)
+        return decode_file(path, cfg.geometry, cfg.calibration)
+
+    last = (2**63 - 1) // 4  # the last tick below 2**63 ps
+    decoded = decode_with_second_group_at(last - 20_000)
+    assert decoded.events[0]["t_ps"].tolist() == [4 * t0, 4 * (last - 20_000)]
+    with pytest.raises(TimestampRangeError) as e:
+        decode_with_second_group_at(last + 1000)
+    assert e.value.record_index == 5 and e.value.offset == HEADER_SIZE + 5 * RECORD_SIZE
+
+
 def test_analyze_empty_file_warns(tmp_path):
     cfg = make_config(pair_rate_per_pulse=0.0, pump_scatter_rate_per_pulse=0.0,
                       dark_rate_hz=0.0, duration_ps=1e8)
@@ -1015,6 +1046,20 @@ def test_window_counts_with_empty_streams(sizes, rng):
     assert a.coincidence_count == a.accidental_count == 0
     assert a.side_window_counts == [0] * 8
     assert "no coincidences inside the coincidence window" in a.warnings
+
+
+@pytest.mark.parametrize("slice_pairs", [1, 7, pipeline.ANALYZE_SLICE_PAIRS])
+def test_analysis_slices_match_brute_force(slice_pairs, monkeypatch, rng):
+    """Whatever the slice, every window count, the g2 and both joint spectra
+    equal the all-pairs oracle, on random events plus delays on every window
+    and g2 edge."""
+    monkeypatch.setattr(pipeline, "ANALYZE_SLICE_PAIRS", slice_pairs)
+    corr = make_config(correlation=NON_INTEGER_WINDOWS).correlation
+    bases = np.arange(4) * 1_000_000
+    t0 = np.concatenate([bases, rng.integers(0, 4_000_000, 200)])
+    t1 = np.concatenate([[b + d for b in bases for d in _edge_delays(corr)], rng.integers(0, 4_000_000, 200)])
+    a = _check_windows_against_brute(_photons(t0, rng), _photons(t1, rng), corr)
+    assert a.g2.counts.sum() > 100 and min(a.side_window_counts) > 0  # many slices of 1 and 7
 
 
 def test_analyze_makes_one_pair_pass(monkeypatch, rng):
