@@ -2,12 +2,14 @@
 
 The package covers the full chain of such an instrument in software:
 
-* `source_sim` draws the ground-truth emission stream (laser pulse train,
-  energy-anti-correlated photon pairs, pump scatter, dark counts);
-* `detector_sim` folds in quantum efficiency, trigger jitter, the delay-line
-  anode's time encoding and multi-hit dead-time losses;
+* `config` holds the run configuration and the laser pulse count;
+* `source_sim` draws the ground-truth emission stream (energy-anti-correlated
+  photon pairs, pump scatter, dark counts);
+* `detector_sim` folds in trigger jitter, the spectrometer's wavelength to
+  position map, the delay-line anode's time encoding and multi-hit dead-time
+  losses;
 * `event_format` serializes/parses the raw five-channel timestamp stream
-  (`.dlde` files);
+  (`.dlde` files) and holds the `Columns` table type and the channel order;
 * `reconstruction` groups pulses into hits and inverts timing to position and
   wavelength;
 * `correlation` builds the delay histogram, peak fits, spectra, the joint
@@ -15,6 +17,12 @@ The package covers the full chain of such an instrument in software:
 * `csvtext` formats report text a whole column at a time: the CSV rows, and
   each distinct value of a figure or curve once;
 * `pipeline`/`cli` wire it into reproducible seeded runs.
+
+The simulator (`source_sim`, `detector_sim`) and the analysis
+(`reconstruction`, `correlation`, `csvtext`, `render`) import nothing of each
+other, and `config` and `event_format` import neither, so the analysis has no
+path to the simulation's truth. Only `pipeline`, `cli` and this module see
+both halves.
 """
 
 from .config import (
@@ -25,6 +33,7 @@ from .config import (
     RunConfig,
     SimConfig,
     load_run_config,
+    pulse_count,
     run_config_from_dict,
 )
 from .correlation import (
@@ -43,11 +52,12 @@ from .correlation import (
     spectrum_1d,
     subtract_accidental,
 )
-from .detector_sim import detect, encode_groups
+from .detector_sim import detect, encode_groups, wavelength_to_position
 from .event_format import (
     BadMagicError,
     ChannelRangeError,
     Channel,
+    Columns,
     DetectorRangeError,
     EventFileHeader,
     EventReader,
@@ -67,12 +77,7 @@ from .pipeline import (
     simulate_to_file,
     write_report_bundle,
 )
-from .reconstruction import (
-    HitMatcher,
-    position_to_wavelength,
-    wavelength_to_position,
-)
-from .source_sim import (Columns, EmissionTally, EventKind, generate_emissions, pulse_count, sample_background,
-                         sample_pairs)
+from .reconstruction import HitMatcher, position_to_wavelength
+from .source_sim import EmissionTally, EventKind, generate_emissions, sample_background, sample_pairs
 
 __version__ = "0.1.0"

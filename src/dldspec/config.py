@@ -127,13 +127,27 @@ class SimConfig:
         return 1e12 / self.rep_rate_hz
 
 
+def pulse_count(config: SimConfig) -> int:
+    """Number of laser pulses: one at k * period for every k >= 0 with k * period < duration."""
+    period = config.pulse_period_ps
+    n = math.ceil(config.duration_ps / period)
+    while n > 1 and (n - 1) * period >= config.duration_ps:
+        n -= 1
+    while n * period < config.duration_ps:
+        n += 1
+    return n
+
+
 @dataclass(frozen=True)
 class CorrelationConfig:
     """Delay histogram, coincidence window and spectral binning parameters.
 
     The accidental window is the coincidence window moved to the side peak at
     accidental_center_ps, so equal widths, which an unbiased accidental
-    subtraction needs, hold by construction.
+    subtraction needs, hold by construction. The side windows, the coincidence
+    window moved to each multiple of the centre, must not overlap it or each
+    other, or true coincidences are subtracted as accidentals: for a window
+    [lo, hi] of half-width h, |accidental_center_ps| > max(hi + h, h - lo, 2h).
     """
 
     g2_bin_width_ps: float = 88.0
@@ -164,6 +178,12 @@ class CorrelationConfig:
         w = self.coincidence_window_ps
         if len(w) != 2 or not w[0] < w[1]:
             raise ConfigError(f"{path}.coincidence_window_ps: must be an increasing (lo, hi) pair")
+        half = (w[1] - w[0]) / 2.0
+        if not abs(self.accidental_center_ps) > max(w[1] + half, half - w[0], 2.0 * half):
+            raise ConfigError(
+                f"{path}.accidental_center_ps: its side windows (the coincidence window moved to each "
+                "multiple of it) must not overlap the coincidence window or each other"
+            )
         for lo, hi, width, label in (
             (self.spectrum_lo_nm, self.spectrum_hi_nm, self.spectrum_bin_nm, "spectrum"),
             (self.jsi_lo_nm, self.jsi_hi_nm, self.jsi_bin_nm, "jsi"),

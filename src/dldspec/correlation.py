@@ -420,7 +420,8 @@ def subtract_accidental(
     inside the coincidence window; subtracting it leaves the time-correlated
     pairs. Negative cells are kept (they are informative Poisson fluctuations).
     CAR is computed on the raw and on the subtracted matrix against the
-    complement of the configured signal rectangles.
+    complement of the configured signal rectangles. A rectangle that holds no
+    cell centre (`signal_region_mask`) has no peak; it raises ValueError.
     """
     subtracted = jsi.merge(Histogram2D(accidental.x, accidental.y, -accidental.counts))
     mask = signal_region_mask(jsi, regions)
@@ -429,8 +430,10 @@ def subtract_accidental(
     xc = jsi.x.centers()
     yc = jsi.y.centers()
     peaks = []
-    for rect in regions:
+    for k, rect in enumerate(regions):
         rmask = signal_region_mask(jsi, (rect,))
+        if not rmask.any():
+            raise ValueError(f"signal_regions_nm[{k}] = {list(rect)} holds no joint-spectrum cell centre")
         vals = np.where(rmask, subtracted.counts, np.iinfo(np.int64).min)
         i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
         peaks.append((float(xc[i]), float(yc[j])))

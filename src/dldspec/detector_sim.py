@@ -3,7 +3,8 @@
 Quantum efficiency is drawn upstream: `source_sim` samples only the photons
 it converts. The chain per converted photon is
 
-    add trigger jitter -> land at (x, y) on the anode
+    add trigger jitter -> land at (x, y) on the anode (x from the wavelength
+    by the spectrometer map `wavelength_to_position`)
     -> split into MCP + four delay-line pulses -> quantise timestamps
     -> discard multi-hit collisions within the dead time.
 
@@ -27,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AnodeGeometry, RunConfig, SimConfig, fwhm_to_sigma
-from .event_format import PULSE_DTYPE
-from .reconstruction import GROUP_TIMES, wavelength_to_position
-from .source_sim import Columns, EventKind
+from .config import AnodeGeometry, Calibration, RunConfig, SimConfig, fwhm_to_sigma
+from .event_format import GROUP_TIMES, PULSE_DTYPE, Columns
+from .source_sim import EventKind
 
 # Gaussian jitter is clipped here so that a detection time can be bounded by
 # its emission time; the clipped mass is ~2e-9 of draws.
@@ -41,6 +41,10 @@ def jitter_reach_ps(sim: SimConfig) -> float:
     """The largest jitter `detect` adds or subtracts: its Gaussian clipped
     at JITTER_CLIP_SIGMAS sigma."""
     return JITTER_CLIP_SIGMAS * fwhm_to_sigma(sim.jitter_fwhm_ps)
+
+
+def wavelength_to_position(wavelength_nm, calibration: Calibration):
+    return calibration.x_center_mm + (wavelength_nm - calibration.lambda_center_nm) / calibration.dispersion_nm_per_mm
 
 
 @dataclass

@@ -72,7 +72,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import CorrelationConfig, RunConfig
+from .config import CorrelationConfig, RunConfig, pulse_count
 from .correlation import (
     FitError,
     FwhmFit,
@@ -98,6 +98,7 @@ from .detector_sim import (
 )
 from .event_format import (
     DEFAULT_CHUNK_RECORDS,
+    Columns,
     EventFileHeader,
     EventReader,
     EventWriter,
@@ -112,7 +113,7 @@ from .reconstruction import (
     write_events_csv,
 )
 from .render import svg_heatmap, svg_histogram
-from .source_sim import Columns, EmissionTally, generate_emissions, pulse_count
+from .source_sim import EmissionTally, generate_emissions
 
 SIM_BLOCK_PULSES = 1 << 20
 # Groups per file-order sort. It bounds the serializer's working memory, about

@@ -14,9 +14,12 @@ rather than mis-localised.
 
 Decoding works on one detector at a time, so its tables carry no detector
 column: the caller keeps each detector's tables apart. Decoded hit groups are
-`Columns` of the int64 tick columns `GROUP_TIMES`; photon events have `t_ps`
-(int64), `x_mm`, `y_mm` and `wavelength_nm`. `write_events_csv` exports them
-through the column formatter `csvtext.csv_rows`, a block of rows at a time.
+`Columns` of the int64 tick columns `GROUP_TIMES` (both from `event_format`);
+photon events have `t_ps` (int64), `x_mm`, `y_mm` and `wavelength_nm`.
+`write_events_csv` exports them through the column formatter
+`csvtext.csv_rows`, a block of rows at a time. The module sees nothing of the
+simulator: `position_to_wavelength` inverts the spectrometer map, and its
+forward twin, `detector_sim.wavelength_to_position`, belongs to the simulator.
 """
 
 from __future__ import annotations
@@ -25,12 +28,9 @@ import numpy as np
 
 from .config import AnodeGeometry, Calibration
 from .csvtext import csv_rows
-from .source_sim import Columns
+from .event_format import GROUP_TIMES, Columns
 
 DEFAULT_SUM_TOL_TICKS = 3
-
-# a hit group's timestamp columns, in channel order (MCP, XA, XB, YA, YB)
-GROUP_TIMES = ("t_mcp", "t_xa", "t_xb", "t_ya", "t_yb")
 
 EVENTS_CSV_HEADER = "detector,t_ps,x_mm,y_mm,lambda_nm"
 # write_events_csv formats this many rows at once. A default-run row takes
@@ -175,10 +175,6 @@ def hit_positions(hits: Columns, geometry: AnodeGeometry) -> tuple[np.ndarray, n
 def position_to_wavelength(x_mm, calibration: Calibration):
     """Linear spectrometer map, strictly monotone in x."""
     return calibration.lambda_center_nm + (x_mm - calibration.x_center_mm) * calibration.dispersion_nm_per_mm
-
-
-def wavelength_to_position(wavelength_nm, calibration: Calibration):
-    return calibration.x_center_mm + (wavelength_nm - calibration.lambda_center_nm) / calibration.dispersion_nm_per_mm
 
 
 def groups_to_events(hits: Columns, geometry: AnodeGeometry, calibration: Calibration) -> tuple[Columns, int]:

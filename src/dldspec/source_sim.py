@@ -1,4 +1,4 @@
-"""Ground-truth emission streams: pulse count, photon pairs, scatter and darks.
+"""Ground-truth emission streams: photon pairs, scatter and darks.
 
 The samplers draw only the photons the detector's quantum efficiency
 converts: qe is an independent coin per photon, so the converted photons of
@@ -7,7 +7,9 @@ Processes*, 1993), and the lost ones are only counted. Converted photons are
 `Columns`, one row per photon: emission time, collection path (0 or 1, one per
 detector arm), `kind` and wavelength, in no time order. Pair photons are
 energy anti-correlated around the two polariton lines; the high-energy member
-takes a uniformly random path and its partner the other.
+takes a uniformly random path and its partner the other. `EventKind`, a
+photon's origin, is simulation truth: it lives here, where the analysis
+cannot import it. The pulse count is `config.pulse_count`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SimConfig, fwhm_to_sigma
+from .config import SimConfig, fwhm_to_sigma, pulse_count
+from .event_format import Columns
 
 
 class EventKind(enum.IntEnum):
@@ -26,50 +29,6 @@ class EventKind(enum.IntEnum):
     LEP = 1  # low-energy pair member
     PUMP = 2  # scattered excitation light
     DARK = 3  # photocathode dark count, no wavelength
-
-
-class Columns(dict):
-    """A table: equal-length 1-D arrays by name, one row per entry.
-
-    Every in-memory table of the package is one: emissions and detections in
-    the simulate chain, hit groups on both sides of the file, and decoded
-    photon events. Simulated groups of both detectors share one table with a
-    `detector` column; a decoded table holds one detector's rows and has no
-    such column. A table holds its columns and nothing else, so a row
-    selection keeps all of it. Packed records exist only at the `.dlde`
-    boundary (`event_format.PULSE_DTYPE`). Gathering or joining a plain
-    column is one contiguous copy, a packed record is copied field by field.
-
-    `table["name"]` is a column; any other index (a slice, an index array or
-    a mask) selects those rows of every column, as on a structured array.
-    `size` is the row count.
-
-    A mask that keeps nearly every row selects as it is: `detect`'s mask keeps
-    99.9% of the rows at default and dense physics, and the dead-time
-    survivors are 96% of the decided groups at default physics. A random
-    mask that drops a large share goes through `np.flatnonzero` to an index
-    selection, several times faster when it keeps about half (`sample_pairs`).
-    """
-
-    def __getitem__(self, key):
-        if isinstance(key, str):
-            return super().__getitem__(key)
-        return Columns({name: column[key] for name, column in self.items()})
-
-    @property
-    def size(self) -> int:
-        return len(next(iter(self.values()), ()))
-
-
-def pulse_count(config: SimConfig) -> int:
-    """Number of laser pulses: one at k * period for every k >= 0 with k * period < duration."""
-    period = config.pulse_period_ps
-    n = math.ceil(config.duration_ps / period)
-    while n > 1 and (n - 1) * period >= config.duration_ps:
-        n -= 1
-    while n * period < config.duration_ps:
-        n += 1
-    return n
 
 
 @dataclass

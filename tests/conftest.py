@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dldspec.config import RunConfig, SimConfig, run_config_from_dict
+from dldspec.config import RunConfig, SimConfig, pulse_count, run_config_from_dict
 from dldspec.correlation import Axis, Histogram1D, select_coincidences
-from dldspec.event_format import PULSE_DTYPE, EventFileHeader, EventReader, EventWriter
+from dldspec.event_format import GROUP_TIMES, PULSE_DTYPE, Columns, EventFileHeader, EventReader, EventWriter
 from dldspec.pipeline import ANALYZE_SLICE_PAIRS
-from dldspec.reconstruction import GROUP_TIMES, HitMatcher, channel_columns
-from dldspec.source_sim import Columns, EventKind, pulse_count
+from dldspec.reconstruction import HitMatcher, channel_columns
+from dldspec.source_sim import EventKind
 
 
 @pytest.fixture

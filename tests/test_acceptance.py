@@ -26,6 +26,7 @@ from dldspec.detector_sim import encode_groups
 from dldspec.event_format import (
     BadMagicError,
     ChannelRangeError,
+    Columns,
     EventFileHeader,
     PULSE_DTYPE,
     TimestampRegressionError,
@@ -33,7 +34,7 @@ from dldspec.event_format import (
 )
 from dldspec.pipeline import analyze_file, decode_file, simulate_to_file
 from dldspec.reconstruction import hit_positions
-from dldspec.source_sim import Columns, EventKind
+from dldspec.source_sim import EventKind
 
 from _oracles import brute_coincidences, brute_delay_histogram
 from conftest import delay_histogram, read_all_pulses, write_events

@@ -89,14 +89,35 @@ def test_propagation_time_derived_from_size_and_speed():
         ({}, (12658.0, 13658.0)),
         ({"coincidence_window_ps": [-400.0, 500.0]}, (12708.0, 13608.0)),
         ({"coincidence_window_ps": [-250.5, 250.25], "accidental_center_ps": 1250.625}, (1000.25, 1501.0)),
+        ({"accidental_center_ps": -13158.0}, (-13658.0, -12658.0)),
+        # the side windows just clear of the coincidence window and of each other
+        ({"accidental_center_ps": 1000.5}, (500.5, 1500.5)),
+        ({"coincidence_window_ps": [-400.0, 500.0], "accidental_center_ps": -950.5}, (-1400.5, -500.5)),
     ],
-    ids=["default", "asymmetric", "non-integer"],
+    ids=["default", "asymmetric", "non-integer", "negative", "just-clear", "asymmetric-just-clear"],
 )
 def test_accidental_window_is_the_coincidence_width_at_the_centre(corr, window):
     cfg = run_config_from_dict({"correlation": corr}).correlation
     assert cfg.accidental_window_ps == window
     lo, hi = cfg.coincidence_window_ps
     assert window[1] - window[0] == hi - lo
+
+
+@pytest.mark.parametrize(
+    "corr",
+    [
+        {"accidental_center_ps": 0.0},
+        {"accidental_center_ps": 300.0},
+        {"accidental_center_ps": 1000.0},  # a delay of 500 ps is in both windows
+        {"accidental_center_ps": -1000.0},
+        {"coincidence_window_ps": [-400.0, 500.0], "accidental_center_ps": 950.0},
+        {"coincidence_window_ps": [-400.0, 500.0], "accidental_center_ps": -950.0},
+    ],
+    ids=["zero", "inside", "touching", "touching-negative", "asymmetric-touching", "asymmetric-negative"],
+)
+def test_side_windows_that_meet_the_coincidence_window_are_rejected(corr):
+    with pytest.raises(ConfigError, match=r"correlation\.accidental_center_ps"):
+        run_config_from_dict({"correlation": corr})
 
 
 def test_overrides_dotted_paths():

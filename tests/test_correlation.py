@@ -452,6 +452,18 @@ class TestSubtractAccidental:
         assert abs(x1 - 388.8) <= cfg.jsi_bin_nm / 2 and abs(y1 - 389.8) <= cfg.jsi_bin_nm / 2
         assert abs(x2 - 389.8) <= cfg.jsi_bin_nm / 2 and abs(y2 - 388.8) <= cfg.jsi_bin_nm / 2
 
+    @pytest.mark.parametrize(
+        "rect", [(400.0, 401.0, 400.0, 401.0), (388.51, 388.54, 389.55, 390.05)], ids=["off-axis", "between-centres"]
+    )
+    def test_rectangle_without_a_cell_centre_rejected(self, rect):
+        # the cell centres lie at 388.5, 388.55, ...: neither rectangle holds one,
+        # and its peak would otherwise be reported at the axis's first cell
+        cfg = corr_cfg()
+        jsi = build_jsi(np.full(50, 389.8), np.full(50, 388.8), cfg)
+        acc = build_jsi(np.empty(0), np.empty(0), cfg)
+        with pytest.raises(ValueError, match=r"signal_regions_nm\[1\] = \[" + str(rect[0])):
+            subtract_accidental(jsi, acc, (cfg.signal_regions_nm[0], rect))
+
 
 class TestFitFwhm:
     def test_noiseless_gaussian_recovered(self):

@@ -11,8 +11,9 @@ from dldspec.detector_sim import (
     encode_groups,
     groups_to_pulses,
 )
-from dldspec.event_format import PULSE_DTYPE, Channel
-from dldspec.source_sim import Columns, EmissionTally, EventKind, generate_emissions, pulse_count, sample_background
+from dldspec.config import pulse_count
+from dldspec.event_format import PULSE_DTYPE, Channel, Columns
+from dldspec.source_sim import EmissionTally, EventKind, generate_emissions, sample_background
 
 from _oracles import brute_dead_time, brute_serialize, gaussian_fwhm_from_samples, position_from_times
 from conftest import detection_rows as _detections, make_config, packed

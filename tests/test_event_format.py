@@ -238,6 +238,17 @@ class TestParse:
         assert max(sizes) <= 512
         assert sum(sizes) == n
 
+    @pytest.mark.parametrize("chunk_records", [0, -3, 2.7, 2.0, True, "512"])
+    def test_chunk_size_that_is_not_a_positive_integer_rejected(self, tmp_path, chunk_records):
+        # checked before the source is opened: a missing path is not reached
+        with pytest.raises(ValueError, match="chunk_records"):
+            EventReader(tmp_path / "missing.dlde", chunk_records=chunk_records)
+
+    def test_numpy_integer_chunk_size_accepted(self):
+        blob = EventFileHeader().pack() + make_pulses([(0, 0, 1), (0, 1, 2), (0, 2, 3)]).tobytes()
+        with EventReader(io.BytesIO(blob), chunk_records=np.int64(2)) as r:
+            assert [c.size for c in r.iter_chunks()] == [2, 1]
+
 
 @given(pulse_lists())
 @settings(max_examples=120, deadline=None)

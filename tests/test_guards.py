@@ -1,4 +1,5 @@
-"""Guards on the test oracles, the package's record types and the benchmark's tracing hooks."""
+"""Guards on the test oracles, the split of the package into simulator and
+analysis, its public names, its record types and the benchmark's tracing hooks."""
 
 from __future__ import annotations
 
@@ -8,30 +9,91 @@ from pathlib import Path
 
 import pytest
 
+import dldspec
 from dldspec import pipeline
-from dldspec.event_format import Channel
-from dldspec.reconstruction import GROUP_TIMES
+from dldspec.event_format import GROUP_TIMES, Channel
 
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
 SRC = TESTS.parent / "src" / "dldspec"
 
 
-def test_oracles_do_not_import_dldspec():
-    tree = ast.parse((TESTS / "_oracles.py").read_text())
+# The package's modules: its two halves, the modules both halves share, and
+# the wiring, the only modules that see both halves.
+SIMULATOR = {"source_sim", "detector_sim"}
+ANALYSIS = {"reconstruction", "correlation", "csvtext", "render"}
+SHARED = {"config", "event_format"}
+WIRING = {"pipeline", "cli", "__init__"}
+
+
+def _imported(path: Path) -> list[str]:
+    """Every module `path` imports, as written: relative ones with their
+    leading dots, and a `from . import x` as `.x`. Calls of `__import__` and
+    `import_module` with a literal name count too."""
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            imported.append("." * node.level + (node.module or ""))
+            base = "." * node.level + (node.module or "")
+            imported += [base + alias.name for alias in node.names] if node.module is None else [base]
         elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) in (
             "__import__", "import_module",
         ):
             imported += [a.value for a in node.args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    return imported
+
+
+def _package_modules(path: Path) -> set[str]:
+    """The dldspec modules a module of the package imports: `from .x import`,
+    `from . import x`, `from dldspec.x import`, `from dldspec import x` and
+    `import dldspec.x` all name `x`."""
+    found = set()
+    for name in _imported(path):
+        if name.startswith(".") and not name.startswith(".."):
+            found.add(name[1:].split(".")[0])
+        elif name.split(".")[0] == "dldspec":
+            found.add(name.split(".")[1] if "." in name else "__init__")
+    return found
+
+
+def test_oracles_do_not_import_dldspec():
+    imported = _imported(TESTS / "_oracles.py")
     assert imported, "the import scan found nothing; it is not looking at the right file"
     offending = [m for m in imported if m.startswith(".") or m.split(".")[0] == "dldspec"]
     assert offending == []
+
+
+def test_analysis_and_simulator_import_nothing_of_each_other():
+    """Truth referees on the analysis mean something only if the analysis
+    cannot see the simulator's truth. So no module of one half imports the
+    other, and a shared module imports neither. A new module fails the test
+    until it is placed."""
+    modules = {path.stem: _package_modules(path) for path in sorted(SRC.glob("*.py"))}
+    assert set(modules) == SIMULATOR | ANALYSIS | SHARED | WIRING
+    assert modules["pipeline"] >= {"source_sim", "reconstruction"}, "the scan misses the wiring's imports"
+    offending = [f"{name} -> {other}" for name in sorted(set(modules) - WIRING)
+                 for half in (SIMULATOR, ANALYSIS) if name not in half for other in sorted(modules[name] & half)]
+    assert offending == []
+
+
+# Every name the package exported before Columns, GROUP_TIMES, pulse_count and
+# wavelength_to_position got their present homes.
+PUBLIC_NAMES = (
+    "AnalysisResult", "AnodeGeometry", "Axis", "AxisMismatchError", "BadMagicError", "Calibration", "Channel",
+    "ChannelRangeError", "Columns", "ConfigError", "CorrelationConfig", "DecodeResult", "DegeneratePeakError",
+    "DetectorRangeError", "EmissionTally", "EventFileHeader", "EventKind", "EventReader", "EventWriter", "FitError",
+    "FormatError", "FwhmFit", "Histogram1D", "Histogram2D", "HitMatcher", "JsiReport", "RunConfig", "SimConfig",
+    "SimulationSummary", "TimestampRangeError", "TimestampRegressionError", "TruncatedRecordError",
+    "analyze_events", "analyze_file", "build_jsi", "decode_file", "detect", "encode_groups", "fit_fwhm",
+    "g2_histogram", "generate_emissions", "load_run_config", "position_to_wavelength", "pulse_count",
+    "run_config_from_dict", "sample_background", "sample_pairs", "select_coincidences", "simulate_to_file",
+    "spectrum_1d", "subtract_accidental", "wavelength_to_position", "write_report_bundle", "__version__",
+)
+
+
+def test_every_public_name_is_still_exported():
+    assert [name for name in PUBLIC_NAMES if not hasattr(dldspec, name)] == []
 
 
 def _structured_dtype_lines(tree: ast.AST) -> list[int]:

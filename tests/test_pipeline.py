@@ -12,21 +12,24 @@ import numpy as np
 import pytest
 
 from dldspec import correlation, event_format, pipeline
+from dldspec.config import pulse_count
 from dldspec.correlation import build_jsi, g2_axis, select_coincidences, spectrum_1d
 from dldspec.detector_sim import DeadTimeFilter, DetectTally, detect, encode_groups, groups_to_pulses, jitter_reach_ps
 from dldspec.event_format import (
     DEFAULT_CHUNK_RECORDS,
+    GROUP_TIMES,
     HEADER_SIZE,
     PULSE_DTYPE,
     RECORD_SIZE,
     EventFileHeader,
+    Columns,
     EventReader,
     FormatError,
     TimestampRangeError,
 )
 from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file, summary_lines, write_report_bundle
-from dldspec.reconstruction import GROUP_TIMES, HitMatcher, channel_columns, groups_to_events
-from dldspec.source_sim import Columns, EmissionTally, EventKind, generate_emissions, pulse_count
+from dldspec.reconstruction import HitMatcher, channel_columns, groups_to_events
+from dldspec.source_sim import EmissionTally, EventKind, generate_emissions
 
 from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram, brute_serialize
 from conftest import detection_rows, make_config, match_hits, packed, read_all_pulses, write_events
@@ -283,6 +286,16 @@ def test_decode_chunk_size_invariant(tmp_path, small_config):
         assert got.groups == ref.groups
         assert got.records_per_detector == ref.records_per_detector
         assert summary_lines(got, analyze_events(got.events, small_config.correlation)) == ref_lines
+
+
+@pytest.mark.parametrize("chunk_records", [0, 2.7])
+def test_decode_rejects_a_chunk_size_that_is_not_a_positive_integer(tmp_path, small_config, chunk_records):
+    path = tmp_path / "r.dlde"
+    simulate_to_file(small_config, path)
+    with pytest.raises(ValueError, match="chunk_records"):
+        decode_file(path, small_config.geometry, small_config.calibration, chunk_records=chunk_records)
+    with pytest.raises(ValueError, match="chunk_records"):
+        analyze_file(path, small_config, chunk_records=chunk_records)
 
 
 def test_decoded_tables_carry_no_detector_column(tmp_path, small_config):

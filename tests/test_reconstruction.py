@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dldspec import reconstruction
-from dldspec.detector_sim import encode_groups, groups_to_pulses
 from dldspec.config import run_config_from_dict
-from dldspec.event_format import PULSE_DTYPE, Channel
+from dldspec.detector_sim import encode_groups, groups_to_pulses, wavelength_to_position
+from dldspec.event_format import PULSE_DTYPE, Channel, Columns
 from dldspec.reconstruction import (
     DEFAULT_SUM_TOL_TICKS,
     HitMatcher,
@@ -21,10 +21,8 @@ from dldspec.reconstruction import (
     groups_to_events,
     hit_positions,
     position_to_wavelength,
-    wavelength_to_position,
     write_events_csv,
 )
-from dldspec.source_sim import Columns
 
 from _oracles import brute_match_hits, events_csv_text, position_from_times
 from conftest import detection_rows, group_times, match_hits, packed

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from dldspec.correlation import Axis, Histogram2D, write_bin_rows
+from dldspec.event_format import Columns
 from dldspec.pipeline import analyze_events, analyze_file, simulate_to_file
 from dldspec.render import svg_heatmap, svg_histogram
-from dldspec.source_sim import Columns
 
 from _oracles import brute_bin_rows, brute_svg_heatmap, brute_svg_histogram
 from conftest import make_config

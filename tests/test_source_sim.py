@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dldspec.config import pulse_count
 from dldspec.source_sim import (
     EmissionTally,
     EventKind,
     _thin,
     generate_emissions,
-    pulse_count,
     sample_background,
     sample_pairs,
 )
