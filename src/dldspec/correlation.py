@@ -35,14 +35,12 @@ accumulated over chunks or separate runs add up to the single-pass result.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from scipy import optimize
 
-from .config import CorrelationConfig, GAUSSIAN_FWHM_OVER_SIGMA
+from .config import ConfigError, CorrelationConfig, GAUSSIAN_FWHM_OVER_SIGMA
 from .csvtext import csv_rows, distinct_texts
 
 # iter_window_pairs searches this many first-detector events at a time
@@ -51,8 +49,12 @@ _INT64 = np.iinfo(np.int64)
 # Histogram1D.fill bins this many values at a time, so its temporaries are
 # a block's size however many values it counts
 _FILL_BLOCK = 1 << 16
-# fit_fwhm fits the bins within this many bin widths of the peak center
+# fit_fwhm fits the bins within this many bin widths of the peak center,
+# until no parameter moves by more than _FIT_XTOL of itself, in at most
+# _FIT_MAX_STEPS trial steps
 _FIT_HALFWIDTH_BINS = 5
+_FIT_XTOL = 1e-12
+_FIT_MAX_STEPS = 200
 
 
 class FitError(RuntimeError):
@@ -324,12 +326,27 @@ class FwhmFit:
     fwhm: float
 
 
+def _gaussian(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """amp * exp(-z**2 / 2) + off with z = (x - mu) / sigma at `x`, for
+    p = (amp, mu, sigma, off), and its transposed Jacobian, a row per parameter."""
+    amp, mu, sigma, off = p
+    z = (x - mu) / sigma
+    e = np.exp(-0.5 * z * z)
+    d_mu = amp / sigma * e * z
+    return amp * e + off, np.array([e, d_mu, d_mu * z, np.ones_like(x)])
+
+
 def fit_fwhm(hist: Histogram1D, peak_center: float) -> FwhmFit:
-    """Least-squares Gaussian-plus-offset fit around peak_center.
+    """Least-squares Gaussian-plus-offset fit around peak_center; FWHM =
+    2 sqrt(2 ln 2) * sigma.
 
     Uses the bins whose centers lie within _FIT_HALFWIDTH_BINS bin widths of
-    peak_center; needs at least 5 populated bins there. FWHM = 2 sqrt(2 ln 2)
-    * sigma.
+    peak_center; needs at least 5 populated bins there (DegeneratePeakError).
+    Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 431, 1963) with
+    the analytic Jacobian runs to convergence, so the result is the optimum,
+    not a stopping point. FitError when it does not converge, or when the
+    Jacobian at the solution is rank-deficient: a flat histogram leaves the
+    center and width undetermined.
     """
     centers = hist.axis.centers()
     half = _FIT_HALFWIDTH_BINS * hist.axis.width
@@ -341,24 +358,34 @@ def fit_fwhm(hist: Histogram1D, peak_center: float) -> FwhmFit:
         raise DegeneratePeakError(
             f"only {populated} populated bins within {half:g} of {peak_center:g}"
         )
-
-    def model(x, amp, mu, sigma, off):
-        return amp * np.exp(-0.5 * ((x - mu) / sigma) ** 2) + off
-
     amp0 = float(ys.max() - ys.min())
     mu0 = float(xs[int(np.argmax(ys))])
-    p0 = (max(amp0, 1.0), mu0, 2.0 * hist.axis.width, float(ys.min()))
-    try:
-        # curve_fit only warns when it cannot estimate the covariance; make that fail too
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", optimize.OptimizeWarning)
-            popt, _ = optimize.curve_fit(model, xs, ys, p0=p0, maxfev=20000)
-    except (RuntimeError, optimize.OptimizeWarning) as exc:
-        raise FitError(f"peak fit did not converge: {exc}") from None
-    amp, mu, sigma, off = (float(v) for v in popt)
+    p = np.array([max(amp0, 1.0), mu0, 2.0 * hist.axis.width, float(ys.min())])
+    f, jac = _gaussian(p, xs)
+    cost, damping = float(np.sum((f - ys) ** 2)), 1e-3
+    ill_posed = "peak fit is ill-posed: its Jacobian is rank-deficient"
+    # a trial that overflows is rejected as one that raises the cost is
+    with np.errstate(all="ignore"):
+        for _ in range(_FIT_MAX_STEPS):
+            a = jac @ jac.T
+            try:
+                step = np.linalg.solve(a + damping * np.diag(np.diag(a)), jac @ (ys - f))
+            except np.linalg.LinAlgError:  # a parameter that moves no bin
+                raise FitError(ill_posed) from None
+            f_trial, jac_trial = _gaussian(p + step, xs)
+            cost_trial = float(np.sum((f_trial - ys) ** 2))
+            if cost_trial < cost and np.isfinite(jac_trial).all():
+                p, f, jac, cost, damping = p + step, f_trial, jac_trial, cost_trial, damping / 10
+            else:
+                damping *= 10
+            if (np.abs(step) <= _FIT_XTOL * np.abs(p)).all():
+                break
+        else:
+            raise FitError(f"peak fit did not converge in {_FIT_MAX_STEPS} steps")
+    if np.linalg.matrix_rank(jac) < p.size:  # at the solution
+        raise FitError(ill_posed)
+    amp, mu, sigma, off = (float(v) for v in p)
     sigma = abs(sigma)
-    if not (np.isfinite(sigma) and sigma > 0 and np.isfinite(mu)):
-        raise FitError("peak fit produced a degenerate width")
     return FwhmFit(amp, mu, sigma, off, GAUSSIAN_FWHM_OVER_SIGMA * sigma)
 
 
@@ -377,6 +404,17 @@ def signal_region_mask(hist: Histogram2D, regions: tuple[tuple[float, float, flo
         in_y = (yc >= y_lo - eps) & (yc <= y_hi + eps)
         mask |= in_x[:, None] & in_y[None, :]
     return mask
+
+
+def check_signal_regions(config: CorrelationConfig) -> None:
+    """ConfigError naming the first of `signal_regions_nm` that holds no cell
+    centre of the axis `build_jsi` builds, by `signal_region_mask`'s rule.
+    Such a rectangle has no peak (`subtract_accidental`); the axis is the
+    config's alone, so a run can be refused before its decode."""
+    jsi = build_jsi(np.empty(0), np.empty(0), config)
+    for k, rect in enumerate(config.signal_regions_nm):
+        if not signal_region_mask(jsi, (rect,)).any():
+            raise ConfigError(f"correlation.signal_regions_nm[{k}]: {list(rect)} holds no joint-spectrum cell centre")
 
 
 def car_ratio(matrix: np.ndarray, signal_mask: np.ndarray) -> tuple[float, bool]:

@@ -79,6 +79,7 @@ from .correlation import (
     Histogram1D,
     JsiReport,
     build_jsi,
+    check_signal_regions,
     fit_fwhm,
     fmt_number,
     g2_axis,
@@ -531,6 +532,7 @@ def analyze_file(
     path, cfg: RunConfig, chunk_records: int = DEFAULT_CHUNK_RECORDS
 ) -> tuple[DecodeResult, AnalysisResult]:
     cfg.validate()
+    check_signal_regions(cfg.correlation)
     decode = decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
     analysis = analyze_events(decode.events, cfg.correlation)
     if decode.records == 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -76,6 +77,62 @@ def brute_match_hits(timestamps, channels, propagation_ticks, window_ticks, sum_
             for k in (i, *picks):
                 claimed[k] = True
     return groups, claimed.count(False)
+
+
+def brute_sum_match(timestamps, channels, propagation_ticks, window_ticks):
+    """Group one detector's time-sorted pulses by the two-stage sum-consistent
+    rule of ROADMAP item 1, trigger by trigger.
+
+    Channels are 0=MCP and 1-4=XA, XB, YA, YB; an axis's sum is a + b - 2t
+    for its pulses a and b and the trigger t, and P is `propagation_ticks`.
+    Stage 1: a trigger's candidates are the earliest pulse of each anode
+    channel in [t, t + window]. It passes with all four and both sums within
+    2 ticks of P, and is accepted when no candidate of it is a candidate of
+    another passing trigger (nothing is claimed before stage 1 of a whole
+    stream). Stage 2, in trigger order, for every other trigger, over the
+    pulses no accepted group holds: per axis, the triples (t, a, b) with a
+    and b in [t, t + window] and the sum within 3 ticks of P; the one with
+    the smallest |sum - P|, then the earliest a, then the earliest b. The
+    trigger is accepted when both axes have a triple, and its pulses are
+    claimed. Returns ((t_mcp, t_xa, t_xb, t_ya, t_yb) tuples in trigger
+    order, number of pulses in no group).
+    """
+    ts = [int(t) for t in timestamps]
+    by_channel = [[] for _ in range(5)]
+    for k, c in enumerate(channels):
+        by_channel[int(c)].append(k)
+    times = [[ts[k] for k in col] for col in by_channel]
+
+    def in_window(c, t):
+        """Channel c's pulses in [t, t + window], as record indices in time order."""
+        return by_channel[c][bisect.bisect_left(times[c], t) : bisect.bisect_right(times[c], t + window_ticks)]
+
+    def off(t, a, b):
+        return abs(ts[a] + ts[b] - 2 * t - propagation_ticks)
+
+    passing = {}
+    for i in by_channel[0]:
+        picks = [in_window(c, ts[i])[:1] for c in (1, 2, 3, 4)]
+        if all(picks):
+            xa, xb, ya, yb = (p[0] for p in picks)
+            if off(ts[i], xa, xb) <= 2 and off(ts[i], ya, yb) <= 2:
+                passing[i] = (xa, xb, ya, yb)
+    uses = Counter(k for picks in passing.values() for k in picks)
+    accepted = {i: picks for i, picks in passing.items() if all(uses[k] == 1 for k in picks)}
+    claimed = {k for i, picks in accepted.items() for k in (i, *picks)}
+    for i in by_channel[0]:
+        if i in accepted:
+            continue
+        t = ts[i]
+        best = [min(((off(t, a, b), ts[a], a, ts[b], b)
+                     for a in in_window(a_ch, t) if a not in claimed
+                     for b in in_window(a_ch + 1, t) if b not in claimed and off(t, a, b) <= 3), default=None)
+                for a_ch in (1, 3)]
+        if None not in best:
+            accepted[i] = (best[0][2], best[0][4], best[1][2], best[1][4])
+            claimed.update((i, *accepted[i]))
+    groups = [tuple(ts[k] for k in (i, *accepted[i])) for i in sorted(accepted)]
+    return groups, len(ts) - len(claimed)
 
 
 def brute_dead_time(detectors, triggers, dead_time_ps, tick_ps=1):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dldspec import pipeline
 from dldspec.cli import EXIT_FAILURE, EXIT_OK, EXIT_WARNINGS, main
 from dldspec.event_format import PULSE_DTYPE, EventFileHeader
 
@@ -110,6 +111,25 @@ def test_bad_config_fails_with_field_path(tmp_path, capsys):
     code = run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x.dlde"])
     assert code == EXIT_FAILURE
     assert "simulation.qe" in capsys.readouterr().err
+
+
+def test_signal_rectangle_without_a_cell_centre_fails_before_the_decode(tmp_path, cfg_file, capsys, monkeypatch):
+    """The joint-spectrum axis is the config's alone, so a signal rectangle
+    that holds none of its cell centres is a config error, raised before the
+    file is decoded."""
+    data = tmp_path / "run.dlde"
+    assert run_cli(["simulate", "--config", cfg_file, "--out", data]) == EXIT_OK
+    capsys.readouterr()
+
+    def decode_file(*args, **kwargs):
+        raise AssertionError("the file was decoded")
+
+    monkeypatch.setattr(pipeline, "decode_file", decode_file)
+    regions = "correlation.signal_regions_nm=[[400,401,400,401],[389.55,390.05,388.55,389.05]]"
+    code = run_cli(["analyze", "--config", cfg_file, "--input", data, "--out", tmp_path / "rep", "--set", regions])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("config error: correlation.signal_regions_nm[0]: [400.0, 401.0, 400.0, 401.0]")
+    assert not (tmp_path / "rep").exists()
 
 
 def test_corrupt_input_fails(tmp_path, cfg_file, capsys):

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from dldspec import correlation
+from dldspec.config import GAUSSIAN_FWHM_OVER_SIGMA, ConfigError
 from dldspec.correlation import (
     Axis,
     AxisMismatchError,
@@ -19,6 +21,7 @@ from dldspec.correlation import (
     Histogram1D,
     Histogram2D,
     build_jsi,
+    check_signal_regions,
     fit_fwhm,
     g2_histogram,
     select_coincidences,
@@ -26,6 +29,7 @@ from dldspec.correlation import (
     spectrum_1d,
     subtract_accidental,
 )
+from dldspec.pipeline import analyze_file, simulate_to_file
 
 from _oracles import brute_coincidences, brute_delay_histogram
 from conftest import delay_histogram, make_config
@@ -464,6 +468,16 @@ class TestSubtractAccidental:
         with pytest.raises(ValueError, match=r"signal_regions_nm\[1\] = \[" + str(rect[0])):
             subtract_accidental(jsi, acc, (cfg.signal_regions_nm[0], rect))
 
+    @pytest.mark.parametrize(
+        "rect", [(400.0, 401.0, 400.0, 401.0), (388.51, 388.54, 389.55, 390.05)], ids=["off-axis", "between-centres"]
+    )
+    def test_config_rectangle_without_a_cell_centre_is_a_config_error(self, rect):
+        # the joint-spectrum axis is the config's alone, so the config is refused before any data
+        check_signal_regions(corr_cfg())
+        cfg = corr_cfg(signal_regions_nm=[list(corr_cfg().signal_regions_nm[0]), list(rect)])
+        with pytest.raises(ConfigError, match=r"^correlation\.signal_regions_nm\[1\]: \[" + str(rect[0])):
+            check_signal_regions(cfg)
+
 
 class TestFitFwhm:
     def test_noiseless_gaussian_recovered(self):
@@ -483,11 +497,18 @@ class TestFitFwhm:
             fit_fwhm(h, 0.0)
 
     def test_unestimable_covariance_fails(self):
-        # a flat histogram leaves center and width unconstrained: curve_fit
-        # only warns that it cannot estimate the covariance
+        # a flat histogram leaves center and width unconstrained: the
+        # Jacobian at the solution is rank-deficient
         h = Histogram1D(Axis.spanning(-1000.0, 1000.0, 88.0))
         h.counts[:] = 100
-        with pytest.raises(FitError, match="Covariance"):
+        with pytest.raises(FitError, match="rank-deficient"):
+            fit_fwhm(h, 0.0)
+
+    def test_no_convergence_fails(self, monkeypatch):
+        monkeypatch.setattr(correlation, "_FIT_MAX_STEPS", 1)
+        h = Histogram1D(Axis.spanning(-3000.0, 3000.0, 88.0))
+        h.counts = np.rint(5000 * np.exp(-0.5 * (h.axis.centers() / 158.4) ** 2)).astype(np.int64)
+        with pytest.raises(FitError, match="did not converge in 1 steps"):
             fit_fwhm(h, 0.0)
 
     def test_offset_absorbed(self):
@@ -510,6 +531,35 @@ class TestFitFwhm:
         widened = 2.3548 * math.sqrt((sigma1 * math.sqrt(2)) ** 2 + 88.0**2 / 12)
         assert fit.fwhm == pytest.approx(widened, abs=8.0)
         assert abs(fit.fwhm - 372.0) <= 15.0
+
+
+def gaussian_plus_offset(x, amp, mu, sigma, off):
+    return amp * np.exp(-0.5 * ((x - mu) / sigma) ** 2) + off
+
+
+@pytest.mark.parametrize("overrides", [
+    *(pytest.param({"seed": seed, "duration_ps": 2e8}, id=f"short-seed{seed}") for seed in range(1, 21)),
+    pytest.param({"seed": 1}, id="default-seed1"),
+    pytest.param({"seed": 7, "duration_ps": 1e9, "pair_rate_per_pulse": 0.5, "pump_scatter_rate_per_pulse": 0.5,
+                  "qe": 0.4}, id="dense-seed7"),
+])
+def test_fit_is_at_least_as_good_as_curve_fit(tmp_path, overrides):
+    """scipy's `curve_fit` referees the peak fit of a simulated run's g2:
+    from the same start, on the same bins, the fit's residual sum of squares
+    is at most curve_fit's, and the two FWHMs agree within 1e-4 relative."""
+    cfg = make_config(**overrides)
+    simulate_to_file(cfg, tmp_path / "run.dlde")
+    _, analysis = analyze_file(tmp_path / "run.dlde", cfg)
+    g2, fit = analysis.g2, analysis.fit
+    centers = g2.axis.centers()
+    m = np.abs(centers) <= correlation._FIT_HALFWIDTH_BINS * g2.axis.width * (1 + 1e-12)
+    xs, ys = centers[m], g2.counts[m].astype(np.float64)
+    p0 = (max(float(ys.max() - ys.min()), 1.0), float(xs[np.argmax(ys)]), 2.0 * g2.axis.width, float(ys.min()))
+    ref, _ = optimize.curve_fit(gaussian_plus_offset, xs, ys, p0=p0, maxfev=20000)
+    residual = [float(np.sum((gaussian_plus_offset(xs, *p) - ys) ** 2))
+                for p in ((fit.amplitude, fit.center, fit.sigma, fit.offset), ref)]
+    assert residual[0] <= residual[1]
+    assert fit.fwhm == pytest.approx(GAUSSIAN_FWHM_OVER_SIGMA * abs(ref[2]), rel=1e-4)
 
 
 @given(

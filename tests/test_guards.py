@@ -1,10 +1,14 @@
 """Guards on the test oracles, the split of the package into simulator and
-analysis, its public names, its record types and the benchmark's tracing hooks."""
+analysis, its dependencies, its public names, its record types and the
+benchmark's tracing hooks."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -75,6 +79,20 @@ def test_analysis_and_simulator_import_nothing_of_each_other():
     offending = [f"{name} -> {other}" for name in sorted(set(modules) - WIRING)
                  for half in (SIMULATOR, ANALYSIS) if name not in half for other in sorted(modules[name] & half)]
     assert offending == []
+
+
+def test_the_package_needs_numpy_only():
+    """scipy is a test referee, not a dependency: `import dldspec` in a fresh
+    interpreter loads no scipy module, and pyproject.toml's dependencies list
+    numpy only, with scipy in the test extra."""
+    probe = "import sys, dldspec, dldspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
+    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    assert "scipy" in [d.split(">")[0] for d in project["optional-dependencies"]["test"]]
 
 
 # Every name the package exported before Columns, GROUP_TIMES, pulse_count and
