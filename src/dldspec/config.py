@@ -17,8 +17,11 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import Any
 
+from .event_format import MAX_TICK_PS
+
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
 GAUSSIAN_FWHM_OVER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+SIDE_PEAK_COUNT = 4
 
 
 class ConfigError(ValueError):
@@ -46,8 +49,8 @@ class AnodeGeometry:
         for name in ("size_mm", "signal_speed_mm_per_ps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{path}.{name}: must be > 0")
-        if not isinstance(self.tick_ps, int) or self.tick_ps < 1:
-            raise ConfigError(f"{path}.tick_ps: must be an integer >= 1")
+        if not isinstance(self.tick_ps, int) or not 1 <= self.tick_ps <= MAX_TICK_PS:
+            raise ConfigError(f"{path}.tick_ps: must be an integer in [1, {MAX_TICK_PS}], the file header's range")
 
     @property
     def propagation_time_ps(self) -> float:
@@ -201,9 +204,18 @@ class CorrelationConfig:
                 )
 
     @property
-    def accidental_window_ps(self) -> tuple[float, float]:
+    def side_windows_ps(self) -> tuple[tuple[float, float], ...]:
+        """The coincidence window moved to +k, then -k, times accidental_center_ps, k = 1..SIDE_PEAK_COUNT."""
         half = (self.coincidence_window_ps[1] - self.coincidence_window_ps[0]) / 2.0
-        return (self.accidental_center_ps - half, self.accidental_center_ps + half)
+        return tuple(
+            (c - half, c + half)
+            for k in range(1, SIDE_PEAK_COUNT + 1)
+            for c in (k * self.accidental_center_ps, -k * self.accidental_center_ps)
+        )
+
+    @property
+    def accidental_window_ps(self) -> tuple[float, float]:
+        return self.side_windows_ps[0]
 
 
 @dataclass(frozen=True)
@@ -271,7 +283,7 @@ def _coerce(type_name: str, value: Any, where: str) -> Any:
         raise ConfigError(f"{where}: must be an integer")
     if type_name == "float":
         if _is_number(value):
-            return _finite(value, where)
+            return float(_finite(value, where))
         raise ConfigError(f"{where}: must be a number")
     if type_name == "tuple[float, float]":
         pair = _numbers(value, 2, where)

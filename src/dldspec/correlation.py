@@ -10,8 +10,9 @@ Conventions, shared by every operation and by the brute-force test oracles:
 * A histogram is axes plus counts: `Histogram1D` counts on one `Axis`, and
   `Histogram2D` (a joint spectrum, its accidental estimate or their signed
   difference) on two. Histograms share axes freely and never share counts.
-* A histogram's `to_csv` formats whole columns (`csvtext.csv_rows`); any other
-  curve on an axis's bins is a `bin_lo,bin_hi,<column>` CSV (`write_bin_rows`).
+* Every curve on an axis's bins, a `Histogram1D`'s counts included, is a
+  `bin_lo,bin_hi,<column>` CSV (`write_bin_rows`); a `Histogram2D` writes
+  sparse triplets, formatting whole columns (`csvtext.csv_rows`).
 * Coincidence selection windows are closed, [lo, hi] inclusive on both ends.
   Delays are integer picoseconds, so a delay d is inside [lo, hi] exactly when
   ceil(lo) <= d <= floor(hi) (`in_window`).
@@ -24,9 +25,9 @@ Conventions, shared by every operation and by the brute-force test oracles:
   pairs of one closed window spanning the g2 domain and every closed window,
   and derives everything from their delays, a fixed slice of pairs at a
   time. Each slice's g2 histogram bins them (its half-open upper edge is
-  enforced by `fill`, not by the search) and merges into the run's, and
-  `in_window` counts them per closed window. Its memory is the pairs plus
-  one slice.
+  enforced by `fill`, not by the search) and merges into the run's, as its
+  two joint spectra do, and `in_window` counts them per closed window. Its
+  memory is the pairs plus one slice.
 
 Merging chunk-partial histograms on equal axes is exact, so histograms
 accumulated over chunks or separate runs add up to the single-pass result.
@@ -167,10 +168,8 @@ class Histogram1D:
         return Histogram1D(self.axis, self.counts + other.counts)
 
     def to_csv(self, sink) -> None:
-        """`bin_lo,bin_hi,count` lines to an open text file (`csvtext.csv_rows`)."""
-        edges = self.axis.edges()
-        sink.write("bin_lo,bin_hi,count\n")
-        sink.write(csv_rows([edges[:-1], edges[1:], self.counts]))
+        """`bin_lo,bin_hi,count` lines to an open text file (`write_bin_rows`)."""
+        write_bin_rows(sink, self.axis, "count", self.counts)
 
 
 @dataclass
@@ -208,7 +207,14 @@ class Histogram2D:
 
 
 def _event_times(events) -> np.ndarray:
-    arr = np.asarray(events).astype(np.int64, copy=False)
+    """`events` as int64 times, converted exactly; ValueError for a
+    non-integer dtype, an unsigned time of 2**63 or more, or unsorted times."""
+    arr = np.asarray(events)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"event times must be integers, not {arr.dtype}")
+    if arr.dtype.kind == "u" and arr.size and arr.max() > _INT64.max:
+        raise ValueError("event times must be below 2**63")
+    arr = arr.astype(np.int64, copy=False)
     # neighbours compared, not differenced: a difference wraps for times 2**63 or more apart
     if np.any(arr[1:] < arr[:-1]):
         raise ValueError("event times must be sorted")

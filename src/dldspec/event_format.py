@@ -52,6 +52,8 @@ RECORD_SIZE = 10
 DEFAULT_CHUNK_RECORDS = 1 << 18
 
 _HEADER_STRUCT = struct.Struct("<4sHIB5s")
+# the largest tick_ps the header's u32 field holds
+MAX_TICK_PS = 0xFFFFFFFF
 
 PULSE_DTYPE = np.dtype([("detector", "u1"), ("channel", "u1"), ("timestamp", "<u8")])
 assert PULSE_DTYPE.itemsize == RECORD_SIZE
@@ -143,7 +145,7 @@ class EventFileHeader:
     detector_count: int = 2
 
     def pack(self) -> bytes:
-        if self.tick_ps < 1 or self.tick_ps > 0xFFFFFFFF:
+        if not 1 <= self.tick_ps <= MAX_TICK_PS:
             raise ValueError("tick_ps must fit an unsigned 32-bit integer and be >= 1")
         if not 0 <= self.detector_count <= 0xFF:
             raise ValueError("detector_count must fit an unsigned 8-bit integer")

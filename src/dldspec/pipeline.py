@@ -56,8 +56,9 @@ on the chunk size.
 
 Analysis puts every figure of the report, the side-peak-normalized g2
 included, in an `AnalysisResult`; the report only writes them out. It makes
-one pair search and consumes its pairs ANALYZE_SLICE_PAIRS at a time, so
-beyond the events its memory is the pair arrays plus one slice.
+one pair search and consumes its pairs ANALYZE_SLICE_PAIRS at a time into
+histograms and window counts, keeping no index pair, so beyond the events
+its memory is the pair arrays plus one slice.
 """
 
 from __future__ import annotations
@@ -132,7 +133,6 @@ DECODE_INLINE_CHUNKS = 2
 # Pairs analyze_events consumes at a time: its delays, window masks and g2
 # fill are a slice's size however many pairs the run has
 ANALYZE_SLICE_PAIRS = 1 << 16
-SIDE_PEAK_COUNT = 4
 
 
 @dataclass
@@ -445,19 +445,19 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     """Run the full analysis chain on reconstructed events of both detectors.
 
     Center/side-peak statistics are event counts in equal-width delay windows
-    (the coincidence window and its images at multiples of the accidental-
-    window center), not histogram-bin sums, so they carry no binning bias.
+    (the coincidence window and its images, `corr.side_windows_ps`), not
+    histogram-bin sums, so they carry no binning bias.
 
     One pair search serves every figure: `select_coincidences` over the closed
     window spanning the g2 domain and every closed window. Its pairs are
     consumed ANALYZE_SLICE_PAIRS at a time, so no run-sized delay array or
     window mask is built: each slice's delays are binned with `g2_histogram`,
-    whose `fill` drops those outside the half-open domain, and the slice
-    histograms merge on their equal axes. Each slice adds to the side-window
-    counts (`in_window`), and keeps only the index pairs of the coincidence
-    and accidental windows, for the joint spectra. The side windows' mean,
+    whose `fill` drops those outside the half-open domain, each closed window
+    counts the slice's delays in it (`in_window`), and the pairs in the
+    coincidence and the accidental window fill the slice's two joint spectra.
+    The slice histograms merge on their equal axes. The side windows' mean,
     per bin of the g2 axis, normalizes the g2 curve. Memory is the events,
-    the pairs, the kept index pairs and one slice.
+    the pairs and one slice.
     """
     warnings: list[str] = []
     ev0, ev1 = events
@@ -465,36 +465,27 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
         spectrum_1d(ev0["wavelength_nm"], corr),
         spectrum_1d(ev1["wavelength_nm"], corr),
     )
-    t0 = ev0["t_ps"]
-    t1 = ev1["t_ps"]
-    window_width = corr.coincidence_window_ps[1] - corr.coincidence_window_ps[0]
-    half = window_width / 2.0
-    # side_windows[0], at +accidental_center_ps, is the accidental window
-    side_windows = [
-        (c - half, c + half)
-        for k in range(1, SIDE_PEAK_COUNT + 1)
-        for c in (k * corr.accidental_center_ps, -k * corr.accidental_center_ps)
-    ]
+    t0, t1 = ev0["t_ps"], ev1["t_ps"]
+    lambda0, lambda1 = ev0["wavelength_nm"], ev1["wavelength_nm"]
+    # the coincidence window, then the side windows; the first side window is the accidental window
+    windows = (corr.coincidence_window_ps, *corr.side_windows_ps)
     g2_domain = g2_axis(corr)
-    windows = [(g2_domain.lo, g2_domain.upper), corr.coincidence_window_ps, *side_windows]
-    pair_i, pair_j = select_coincidences(t0, t1, (min(w[0] for w in windows), max(w[1] for w in windows)))
+    span = [(g2_domain.lo, g2_domain.upper), *windows]
+    pair_i, pair_j = select_coincidences(t0, t1, (min(w[0] for w in span), max(w[1] for w in span)))
     g2 = Histogram1D(g2_domain)
-    side_counts = [0] * len(side_windows)
-    kept_c, kept_a = [], []  # each slice's (i, j) in the coincidence and the accidental window
-    # one slice at least, so a run without pairs has an empty slice to join
-    for start in range(0, max(pair_i.size, 1), ANALYZE_SLICE_PAIRS):
+    jsi = build_jsi(np.empty(0), np.empty(0), corr)
+    accidental = build_jsi(np.empty(0), np.empty(0), corr)
+    counts = [0] * len(windows)
+    for start in range(0, pair_i.size, ANALYZE_SLICE_PAIRS):
         i = pair_i[start : start + ANALYZE_SLICE_PAIRS]
         j = pair_j[start : start + ANALYZE_SLICE_PAIRS]
         delays = t1[j] - t0[i]
         g2 = g2.merge(g2_histogram(delays, corr))
-        side = [in_window(delays, w) for w in side_windows]
-        side_counts = [n + int(np.count_nonzero(m)) for n, m in zip(side_counts, side)]
-        c = in_window(delays, corr.coincidence_window_ps)
-        kept_c.append((i[c], j[c]))
-        kept_a.append((i[side[0]], j[side[0]]))
-    del pair_i, pair_j, i, j  # the slices are views that keep the pair arrays alive
-    ci, cj = map(np.concatenate, zip(*kept_c))
-    ai, aj = map(np.concatenate, zip(*kept_a))
+        masks = [in_window(delays, w) for w in windows]
+        counts = [n + int(np.count_nonzero(m)) for n, m in zip(counts, masks)]
+        jsi = jsi.merge(build_jsi(lambda0[i[masks[0]]], lambda1[j[masks[0]]], corr))
+        accidental = accidental.merge(build_jsi(lambda0[i[masks[1]]], lambda1[j[masks[1]]], corr))
+    center, side_counts = counts[0], counts[1:]
     fit = None
     fit_error = ""
     try:
@@ -502,15 +493,12 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     except FitError as exc:
         fit_error = str(exc)
         warnings.append(f"g2 peak fit unavailable: {exc}")
-    if ci.size == 0:
+    if center == 0:
         warnings.append("no coincidences inside the coincidence window")
-    center = int(ci.size)
     side_mean = float(np.mean(side_counts))
     ratio = center / side_mean if side_mean > 0 else math.nan
-    bins_per_window = window_width / g2.axis.width
+    bins_per_window = (corr.coincidence_window_ps[1] - corr.coincidence_window_ps[0]) / g2.axis.width
     g2_normalized = g2.counts * (bins_per_window / side_mean if side_mean > 0 else math.nan)
-    jsi = build_jsi(ev0["wavelength_nm"][ci], ev1["wavelength_nm"][cj], corr)
-    accidental = build_jsi(ev0["wavelength_nm"][ai], ev1["wavelength_nm"][aj], corr)
     report = subtract_accidental(jsi, accidental, corr.signal_regions_nm)
     return AnalysisResult(
         spectra=spectra,
@@ -522,7 +510,7 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
         side_window_mean=side_mean,
         center_to_side_ratio=ratio,
         coincidence_count=center,
-        accidental_count=int(ai.size),
+        accidental_count=side_counts[0],
         jsi_report=report,
         warnings=warnings,
     )

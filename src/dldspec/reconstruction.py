@@ -107,21 +107,23 @@ class HitMatcher:
     buffered (at or before the last buffered tick minus the window), so
     results do not depend on the chunking. Decided triggers and expired
     pulses, which no future trigger can reach, are a prefix of each column;
-    what follows is carried, per channel, with a claimed flag for each pulse.
-    A pulse is counted as an orphan when it expires still unclaimed.
+    what follows is carried, per channel, with a claimed flag for each anode
+    pulse. A trigger is decided in the feed that cuts it, so an unaccepted
+    trigger is counted as an orphan there; an anode pulse is counted as one
+    when it expires still unclaimed.
     """
 
     def __init__(self, geometry: AnodeGeometry):
         self.geometry = geometry
         self.window_ticks = default_window_ticks(geometry)
         self._carry = [np.empty(0, dtype=np.int64)] * 5
-        self._carry_claimed = [np.empty(0, dtype=bool)] * 5
+        self._carry_claimed = [np.empty(0, dtype=bool)] * 4  # the anode channels'
         self.orphans = 0
 
     def feed(self, columns: list[np.ndarray], final: bool = False) -> Columns:
         buf = [np.concatenate([carry, col]) for carry, col in zip(self._carry, columns)]
         claimed = [np.concatenate([flags, np.zeros(col.size, dtype=bool)])
-                   for flags, col in zip(self._carry_claimed, columns)]
+                   for flags, col in zip(self._carry_claimed, columns[1:])]
         if final:
             cuts = [col.size for col in buf]
         else:
@@ -131,10 +133,10 @@ class HitMatcher:
         mcp_t = buf[0][: cuts[0]]
         ok, cand_pos, cand_t = _match_core(mcp_t, buf[1:], self.geometry.propagation_ticks, self.window_ticks)
         accept = np.flatnonzero(ok)
-        claimed[0][accept] = True
+        self.orphans += mcp_t.size - accept.size
         for k in range(4):
-            claimed[k + 1][cand_pos[k].take(accept)] = True
-        for flags, cut in zip(claimed, cuts):
+            claimed[k][cand_pos[k].take(accept)] = True
+        for flags, cut in zip(claimed, cuts[1:]):
             self.orphans += cut - int(np.count_nonzero(flags[:cut]))
         groups = Columns({
             "t_mcp": mcp_t.take(accept),
@@ -142,7 +144,7 @@ class HitMatcher:
         })
         # deferred triggers stay in the carry along with every still-live pulse
         self._carry = [col[cut:] for col, cut in zip(buf, cuts)]
-        self._carry_claimed = [flags[cut:] for flags, cut in zip(claimed, cuts)]
+        self._carry_claimed = [flags[cut:] for flags, cut in zip(claimed, cuts[1:])]
         return groups
 
     def finish(self) -> Columns:

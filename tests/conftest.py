@@ -5,7 +5,15 @@ import pytest
 
 from dldspec.config import RunConfig, SimConfig, pulse_count, run_config_from_dict
 from dldspec.correlation import Axis, Histogram1D, select_coincidences
-from dldspec.event_format import GROUP_TIMES, PULSE_DTYPE, Columns, EventFileHeader, EventReader, EventWriter
+from dldspec.event_format import (
+    GROUP_TIMES,
+    PULSE_DTYPE,
+    Channel,
+    Columns,
+    EventFileHeader,
+    EventReader,
+    EventWriter,
+)
 from dldspec.pipeline import ANALYZE_SLICE_PAIRS
 from dldspec.reconstruction import HitMatcher, channel_columns
 from dldspec.source_sim import EventKind
@@ -84,6 +92,38 @@ def match_hits(pulses: np.ndarray, geometry) -> tuple[Columns, int]:
     detector = int(pulses["detector"][0]) if pulses.size else 0
     matcher = HitMatcher(geometry)
     return matcher.feed(channel_columns(pulses)[detector], final=True), matcher.orphans
+
+
+def stray_pulse_stream(geometry) -> tuple[np.ndarray, int, int]:
+    """A hand-built stream of time-sorted PULSE_DTYPE records for both
+    detectors, with the groups and orphans each detector decodes to, counted
+    by hand: (records, groups, orphans).
+
+    Each block is a few rows, `spacing` ticks after the last, so no window
+    reaches from one block into another. Detector 1 gets detector 0's blocks
+    `spacing / 2` later. A clean hit lands at (3/8, 5/8) of the anode."""
+    spacing = 10**6
+    mcp, xa, xb, ya, yb = Channel
+    prop = geometry.propagation_ticks
+    a, b = 3 * prop // 8, 5 * prop // 8
+    hit = [(0, mcp), (a, xa), (prop - a, xb), (b, ya), (prop - b, yb)]
+    blocks = [  # (rows as (tick, channel), groups, orphans)
+        (hit, 1, 0),
+        ([(0, mcp)], 0, 1),  # a trigger with no partners
+        ([(0, xa), (100, xb), (200, ya), (300, yb)], 0, 4),  # anode pulses with no trigger
+        (hit + [(prop - 1, xa)], 1, 1),  # a later second XA pulse is no candidate
+        (hit[:3], 0, 3),  # no YA or YB pulse in the window: the trigger, XA and XB
+        (hit[:2] + [(prop - a + 10, xb)] + hit[3:], 0, 5),  # the x timing sum is 10 ticks off
+        (hit + [(5, mcp)], 1, 1),  # a second trigger 5 ticks on: both its sums are 10 ticks short
+        ([(-1, c) for c in (xa, xb, ya, yb)] + hit, 1, 4),  # a pulse on each anode channel just before
+        ([(0, mcp)], 0, 1),  # a trigger with no partners at the end, decided by `finish`
+    ]
+    rows = [(spacing * (k + 1) + det * spacing // 2 + t, det, int(c))
+            for k, (block, _, _) in enumerate(blocks) for det in (0, 1) for t, c in block]
+    rows.sort()
+    pulses = np.empty(len(rows), dtype=PULSE_DTYPE)
+    pulses["timestamp"], pulses["detector"], pulses["channel"] = zip(*rows)
+    return pulses, sum(g for _, g, _ in blocks), sum(o for _, _, o in blocks)
 
 
 def write_events(pulses: np.ndarray, header: EventFileHeader, sink) -> int:

@@ -196,6 +196,7 @@ def test_non_json_config_fails(tmp_path, capsys):
         "simulation.seed=true",
         "simulation.seed=1.5",
         "geometry.tick_ps=false",
+        f"geometry.tick_ps={2**32}",  # an integer past the file header's u32 field
         "calibration.x_center_mm=[20]",
         "correlation.coincidence_window_ps=[-500]",
         "correlation.accidental_center_ps=\"13158\"",

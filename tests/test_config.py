@@ -14,6 +14,7 @@ from dldspec.config import (
     load_run_config,
     run_config_from_dict,
 )
+from dldspec.event_format import EventFileHeader
 from dldspec.pipeline import simulate_to_file
 
 
@@ -55,12 +56,19 @@ def test_unknown_key_rejected_with_path(doc, message):
         ("simulation", "lambda_pump_nm", 391.0, "lambda_hep_nm < lambda_pump_nm"),
         ("calibration", "dispersion_nm_per_mm", 0.0, "dispersion"),
         ("geometry", "tick_ps", 0, "tick_ps"),
+        ("geometry", "tick_ps", 2**32, r"geometry\.tick_ps"),  # past the file header's u32 field
         ("correlation", "g2_bin_width_ps", -1, "g2_bin_width_ps"),
     ],
 )
 def test_invariant_violations_rejected(section, key, value, fragment):
     with pytest.raises(ConfigError, match=fragment):
         run_config_from_dict({section: {key: value}})
+
+
+def test_the_largest_tick_the_header_holds_is_a_valid_config():
+    cfg = run_config_from_dict({"geometry": {"tick_ps": 2**32 - 1}})
+    header = EventFileHeader(tick_ps=cfg.geometry.tick_ps)
+    assert EventFileHeader.unpack(header.pack()) == header
 
 
 @pytest.mark.parametrize(

@@ -267,6 +267,26 @@ class TestSelectCoincidences:
         with pytest.raises(ValueError, match="must be sorted"):
             select_coincidences(np.array(t1), np.array(t2), (-10.0, 10.0))
 
+    @pytest.mark.parametrize("t1, t2, window, message", [
+        # a cast would pair 1.9 with 1.2 at delay 0
+        (np.array([0.4, 1.9]), np.array([1.2]), (0.0, 0.0), "integers"),
+        (np.array([0, 1]), np.array([1.0]), (0.0, 0.0), "integers"),
+        # a cast would wrap 2**63 + 5 to a negative time
+        (np.array([2**63 + 5], dtype=np.uint64), np.array([3]), (0.0, 2.0**63), r"below 2\*\*63"),
+        (np.array([0]), np.array([2**63], dtype=np.uint64), (0.0, 2.0**64), r"below 2\*\*63"),
+    ], ids=["float-first", "float-second", "uint64-first", "uint64-second"])
+    def test_times_that_int64_cannot_hold_exactly_are_rejected(self, t1, t2, window, message):
+        with pytest.raises(ValueError, match=message):
+            select_coincidences(t1, t2, window)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint32, np.uint64])
+    def test_integer_times_that_fit_convert_exactly(self, dtype):
+        top = min(int(np.iinfo(dtype).max), 2**63 - 1)
+        t1 = np.array([0, top - 1], dtype=dtype)
+        t2 = np.array([1, top], dtype=dtype)
+        i, j = select_coincidences(t1, t2, (1.0, 1.0))
+        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 0), (1, 1)]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, seed):
         r = np.random.default_rng(100 + seed)

@@ -32,7 +32,7 @@ from dldspec.reconstruction import HitMatcher, channel_columns, groups_to_events
 from dldspec.source_sim import EmissionTally, EventKind, generate_emissions
 
 from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram, brute_serialize
-from conftest import detection_rows, make_config, match_hits, packed, read_all_pulses, write_events
+from conftest import detection_rows, make_config, match_hits, packed, read_all_pulses, stray_pulse_stream, write_events
 
 
 def test_simulate_deterministic(tmp_path, small_config):
@@ -326,6 +326,21 @@ def test_decode_matches_default_at_tiny_chunk_sizes(tmp_path):
             ref.records, ref.records_per_detector, ref.groups, ref.orphans, ref.malformed)
 
 
+@pytest.mark.parametrize("chunk_records", [1, 2, 5, DEFAULT_CHUNK_RECORDS])
+def test_stray_pulses_and_lone_triggers_are_orphans_at_every_chunk_size(tmp_path, chunk_records):
+    """Orphans of a hand-built stream with stray pulses on every channel and
+    triggers without partners equal the count made by hand, whichever feed
+    decides a trigger or expires a pulse."""
+    cfg = make_config()
+    pulses, groups, orphans = stray_pulse_stream(cfg.geometry)
+    assert (groups, orphans) == (4, 20)
+    path = tmp_path / "strays.dlde"
+    write_events(pulses, EventFileHeader(tick_ps=cfg.geometry.tick_ps), path)
+    d = decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
+    assert d.records_per_detector == [5 * groups + orphans] * 2
+    assert (d.groups, d.malformed, d.orphans) == ([groups] * 2, [0, 0], [orphans] * 2)
+
+
 @pytest.mark.parametrize("shape", ["one-detector", "lopsided"])
 def test_a_detector_past_its_share_grows_its_columns(tmp_path, shape):
     """A file whose first detector holds all or most of the records: that
@@ -435,6 +450,11 @@ def test_report_bundle_bytes_are_pinned(tmp_path, overrides, chunk_records, dige
     assert h.hexdigest() == digest
 
 
+# small_config's run, its integer-valued float keys spelled as integers
+INTEGER_VALUED_SIMULATION = {
+    "seed": 7, "duration_ps": 200000000, "rep_rate_hz": 76000000, "dark_rate_hz": 1000,
+    "jitter_fwhm_ps": 263, "dead_time_ps": 10000,
+}
 # every float key of the correlation section, integer-valued
 INTEGER_VALUED_CORRELATION = {
     "g2_bin_width_ps": 88, "g2_range_ps": 60000, "coincidence_window_ps": [-500, 500],
@@ -444,23 +464,28 @@ INTEGER_VALUED_CORRELATION = {
 }
 
 
-def test_integer_spelled_config_values_give_the_float_spelled_bundle(tmp_path, small_config):
+def test_integer_spelled_config_values_give_the_float_spelled_bundle(tmp_path):
     """A config value written as a JSON integer is the same number as its
-    float spelling, and the report bundle cannot tell them apart."""
-    path = tmp_path / "r.dlde"
-    simulate_to_file(small_config, path)
-    text = json.dumps(INTEGER_VALUED_CORRELATION)
-    bundles = []
-    for name, doc in (("ints", json.loads(text)), ("floats", json.loads(text, parse_int=float))):
-        cfg = make_config(duration_ps=small_config.simulation.duration_ps, seed=small_config.simulation.seed,
-                          correlation=doc)
+    float spelling: the `.dlde` file, the simulate summary and the report
+    bundle cannot tell them apart."""
+    text = json.dumps({"simulation": INTEGER_VALUED_SIMULATION, "correlation": INTEGER_VALUED_CORRELATION})
+    runs = []
+    for name, parse_int in (("ints", int), ("floats", float)):
+        doc = json.loads(text, parse_int=parse_int)
+        cfg = make_config(**doc["simulation"], correlation=doc["correlation"])
+        path = tmp_path / f"{name}.dlde"
+        lines = simulate_to_file(cfg, path).lines()
         decode, analysis = analyze_file(path, cfg)
         written = write_report_bundle(tmp_path / name, decode, analysis)
-        bundles.append({p.name: p.read_bytes() for p in written})
-    assert bundles[0].keys() == bundles[1].keys()
-    for name in bundles[0]:
-        assert bundles[0][name] == bundles[1][name], name
-    assert bundles[0]["jsi.csv"].splitlines()[1].startswith(b"388.000000,")
+        runs.append((lines, path.read_bytes(), {p.name: p.read_bytes() for p in written}))
+    (lines, dlde, bundle), (float_lines, float_dlde, float_bundle) = runs
+    assert lines == float_lines
+    assert "duration_ps=2e+08" in lines
+    assert dlde == float_dlde
+    assert bundle.keys() == float_bundle.keys()
+    for name in bundle:
+        assert bundle[name] == float_bundle[name], name
+    assert bundle["jsi.csv"].splitlines()[1].startswith(b"388.000000,")
 
 
 def test_decode_rejects_other_detector_counts(tmp_path, small_config):

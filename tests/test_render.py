@@ -8,7 +8,7 @@ import io
 import numpy as np
 import pytest
 
-from dldspec.correlation import Axis, Histogram2D, write_bin_rows
+from dldspec.correlation import Axis, Histogram1D, Histogram2D, write_bin_rows
 from dldspec.event_format import Columns
 from dldspec.pipeline import analyze_events, analyze_file, simulate_to_file
 from dldspec.render import svg_heatmap, svg_histogram
@@ -22,6 +22,12 @@ BIG = 2**53
 def bin_rows(axis, column, values):
     sink = io.StringIO()
     write_bin_rows(sink, axis, column, values)
+    return sink.getvalue()
+
+
+def counts_csv(hist):
+    sink = io.StringIO()
+    hist.to_csv(sink)
     return sink.getvalue()
 
 
@@ -53,6 +59,8 @@ def test_report_text_matches_brute_at_default_seeds(tmp_path, seed):
     for ax, heights in bars:
         assert svg_histogram(ax, heights, "g2", "delay", "n") == brute_svg_histogram(ax, heights, "g2", "delay", "n")
     assert bin_rows(axis, "g2", a.g2_normalized) == brute_bin_rows(axis, "g2", a.g2_normalized)
+    for hist in (a.g2, *a.spectra):
+        assert counts_csv(hist) == brute_bin_rows(hist.axis, "count", hist.counts)
 
 
 def test_heatmap_matches_brute_on_edge_counts():
@@ -91,6 +99,8 @@ def test_bin_rows_match_brute_on_edge_values():
     }
     for name, (axis, values) in cases.items():
         assert bin_rows(axis, "g2", values) == brute_bin_rows(axis, "g2", values), name
+    axis, counts = cases["integer"]
+    assert counts_csv(Histogram1D(axis, counts)) == brute_bin_rows(axis, "count", counts)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
