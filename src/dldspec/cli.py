@@ -19,14 +19,14 @@ import sys
 
 from .config import ConfigError, RunConfig, _read_config_doc, apply_overrides, run_config_from_dict
 from .event_format import FormatError, StagedFile
-from .pipeline import analyze_file, simulate_to_file, summary_lines, write_report_bundle
+from .pipeline import REPORT_ARTIFACTS, analyze_file, simulate_to_file, summary_lines, write_report_bundle
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_WARNINGS = 3
 
 _ANALYZE_ARTIFACTS = {
-    "analyze": ("spectrum", "g2", "jsi"),
+    "analyze": REPORT_ARTIFACTS,
     "g2": ("g2",),
     "spectrum": ("spectrum",),
     "jsi": ("jsi",),

@@ -1,4 +1,4 @@
-"""Run configuration: typed parameter records, validation, JSON loading, overrides.
+"""Run configuration: typed parameter records, JSON loading, overrides.
 
 All times are picoseconds, lengths millimetres, wavelengths nanometres unless a
 field name says otherwise. A run is fully described by one RunConfig; the same
@@ -6,7 +6,8 @@ document drives simulation and analysis so a report is reproducible from the
 config file plus the seed alone. The tree mirrors the JSON document: RunConfig
 has one field per document section (simulation, geometry, calibration,
 correlation, io), each a flat record of that section's keys, so
-`dataclasses.asdict` gives the document back.
+`dataclasses.asdict` gives the document back. A section converts each value to
+its field's type and range-checks it when built, so an invalid one cannot exist.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ class AnodeGeometry:
     signal_speed_mm_per_ps: float = 1e-3
     tick_ps: int = 1
 
-    def validate(self, path: str) -> None:
+    def __post_init__(self) -> None:
+        path = _convert(self)
         for name in ("size_mm", "signal_speed_mm_per_ps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{path}.{name}: must be > 0")
-        if not isinstance(self.tick_ps, int) or not 1 <= self.tick_ps <= MAX_TICK_PS:
+        if not 1 <= self.tick_ps <= MAX_TICK_PS:
             raise ConfigError(f"{path}.tick_ps: must be an integer in [1, {MAX_TICK_PS}], the file header's range")
 
     @property
@@ -69,7 +71,8 @@ class Calibration:
     dispersion_nm_per_mm: float = 0.0375
     x_center_mm: float = 20.0
 
-    def validate(self, path: str) -> None:
+    def __post_init__(self) -> None:
+        path = _convert(self)
         if self.dispersion_nm_per_mm == 0:
             raise ConfigError(f"{path}.dispersion_nm_per_mm: must be nonzero")
 
@@ -102,13 +105,13 @@ class SimConfig:
     jitter_fwhm_ps: float = 263.0
     dead_time_ps: float = 10000.0
 
-    def validate(self, path: str) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
+    def __post_init__(self) -> None:
+        path = _convert(self)
+        if not 0 <= self.seed < 2**64:
             raise ConfigError(f"{path}.seed: must be an unsigned 64-bit integer")
-        if self.duration_ps <= 0:
-            raise ConfigError(f"{path}.duration_ps: must be > 0")
-        if self.rep_rate_hz <= 0:
-            raise ConfigError(f"{path}.rep_rate_hz: must be > 0")
+        for name in ("duration_ps", "rep_rate_hz", "lambda_hep_nm", "lambda_lep_nm", "lambda_pump_nm"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{path}.{name}: must be > 0")
         for name in ("pair_rate_per_pulse", "pump_scatter_rate_per_pulse", "qe"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -121,9 +124,6 @@ class SimConfig:
                 f"{path}: require lambda_hep_nm < lambda_pump_nm < lambda_lep_nm, "
                 f"got {self.lambda_hep_nm}, {self.lambda_pump_nm}, {self.lambda_lep_nm}"
             )
-        for name in ("lambda_hep_nm", "lambda_lep_nm", "lambda_pump_nm"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{path}.{name}: must be > 0")
 
     @property
     def pulse_period_ps(self) -> float:
@@ -173,13 +173,14 @@ class CorrelationConfig:
         (389.55, 390.05, 388.55, 389.05),
     )
 
-    def validate(self, path: str) -> None:
+    def __post_init__(self) -> None:
+        path = _convert(self)
         if self.g2_bin_width_ps <= 0:
             raise ConfigError(f"{path}.g2_bin_width_ps: must be > 0")
         if self.g2_range_ps <= 0:
             raise ConfigError(f"{path}.g2_range_ps: must be > 0")
         w = self.coincidence_window_ps
-        if len(w) != 2 or not w[0] < w[1]:
+        if not w[0] < w[1]:
             raise ConfigError(f"{path}.coincidence_window_ps: must be an increasing (lo, hi) pair")
         half = (w[1] - w[0]) / 2.0
         if not abs(self.accidental_center_ps) > max(w[1] + half, half - w[0], 2.0 * half):
@@ -198,7 +199,7 @@ class CorrelationConfig:
         if len(self.signal_regions_nm) != 2:
             raise ConfigError(f"{path}.signal_regions_nm: expected exactly two rectangles")
         for i, rect in enumerate(self.signal_regions_nm):
-            if len(rect) != 4 or not (rect[0] < rect[1] and rect[2] < rect[3]):
+            if not (rect[0] < rect[1] and rect[2] < rect[3]):
                 raise ConfigError(
                     f"{path}.signal_regions_nm[{i}]: expected (x_lo, x_hi, y_lo, y_hi) with lo < hi"
                 )
@@ -225,8 +226,8 @@ class IoConfig:
     events_path: str | None = None
     out_dir: str | None = None
 
-    def validate(self, path: str) -> None:
-        return None
+    def __post_init__(self) -> None:
+        _convert(self)
 
 
 @dataclass(frozen=True)
@@ -238,14 +239,6 @@ class RunConfig:
     calibration: Calibration = field(default_factory=Calibration)
     correlation: CorrelationConfig = field(default_factory=CorrelationConfig)
     io: IoConfig = field(default_factory=IoConfig)
-
-    def validate(self) -> None:
-        """Per section: every value's type check, as a loaded document gets it, then the range checks."""
-        for f in dataclass_fields(self):
-            section = getattr(self, f.name)
-            for key in dataclass_fields(section):
-                _coerce(key.type, getattr(section, key.name), f"{f.name}.{key.name}")
-            section.validate(f.name)
 
 
 def _is_number(value: Any) -> bool:
@@ -303,18 +296,25 @@ def _coerce(type_name: str, value: Any, where: str) -> Any:
     raise AssertionError(f"{where}: no type check for {type_name}")
 
 
+def _convert(section: Any) -> str:
+    """Converts `section`'s fields to their types in place; returns its RunConfig field name."""
+    path = next(f.name for f in dataclass_fields(RunConfig) if f.type == type(section).__name__)
+    for f in dataclass_fields(section):
+        object.__setattr__(section, f.name, _coerce(f.type, getattr(section, f.name), f"{path}.{f.name}"))
+    return path
+
+
 def _build_section(cls: type, doc: Any, path: str) -> Any:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
-    types = {f.name: f.type for f in dataclass_fields(cls)}
-    unknown = set(doc) - set(types)
+    unknown = set(doc) - {f.name for f in dataclass_fields(cls)}
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
-    return cls(**{name: _coerce(types[name], value, f"{path}.{name}") for name, value in doc.items()})
+    return cls(**doc)
 
 
 def run_config_from_dict(doc: dict[str, Any]) -> RunConfig:
-    """Build and validate a RunConfig from a nested plain dict.
+    """Build a RunConfig from a nested plain dict.
 
     Unknown sections or keys are rejected so a typo cannot silently fall back
     to a default value.
@@ -325,9 +325,7 @@ def run_config_from_dict(doc: dict[str, Any]) -> RunConfig:
     unknown = set(doc) - set(sections)
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown section")
-    cfg = RunConfig(**{name: _build_section(cls, doc.get(name, {}), name) for name, cls in sections.items()})
-    cfg.validate()
-    return cfg
+    return RunConfig(**{name: _build_section(cls, doc.get(name, {}), name) for name, cls in sections.items()})
 
 
 def _read_config_doc(path: str | Path) -> Any:

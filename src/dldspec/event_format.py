@@ -328,8 +328,13 @@ class EventReader:
         return max(end - HEADER_SIZE, 0) // RECORD_SIZE
 
     def iter_chunks(self) -> Iterator[np.ndarray]:
+        # a buffered read allocates the whole request, so a seekable source is
+        # asked for no more than it holds: its whole records and a torn tail
+        records = self.chunk_records
+        if self._f.seekable():
+            records = min(records, self.file_records() - self.records_read + 1)
         while True:
-            buf = self._f.read(self.chunk_records * RECORD_SIZE)
+            buf = self._f.read(records * RECORD_SIZE)
             if not buf:
                 return
             extra = len(buf) % RECORD_SIZE

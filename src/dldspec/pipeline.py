@@ -213,7 +213,6 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
     byte-identical file. Every random number is drawn on the calling thread,
     in block order; serialization draws none and writes the blocks in order.
     """
-    cfg.validate()
     sim, geometry = cfg.simulation, cfg.geometry
     period = sim.pulse_period_ps
     n_pulses = pulse_count(sim)
@@ -519,7 +518,6 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
 def analyze_file(
     path, cfg: RunConfig, chunk_records: int = DEFAULT_CHUNK_RECORDS
 ) -> tuple[DecodeResult, AnalysisResult]:
-    cfg.validate()
     check_signal_regions(cfg.correlation)
     decode = decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
     analysis = analyze_events(decode.events, cfg.correlation)
@@ -570,18 +568,26 @@ def summary_lines(decode: DecodeResult, analysis: AnalysisResult) -> list[str]:
     return lines
 
 
+REPORT_ARTIFACTS = ("spectrum", "g2", "jsi")
+
+
 def write_report_bundle(
     out_dir,
     decode: DecodeResult,
     analysis: AnalysisResult,
     events_csv: bool = False,
-    artifacts: tuple[str, ...] = ("spectrum", "g2", "jsi"),
+    artifacts: tuple[str, ...] = REPORT_ARTIFACTS,
 ) -> list[Path]:
     """Write CSV + SVG artifacts and the flat summary; returns written paths.
 
     Each file is staged beside its path and moved onto it once complete, so a
     failure part-way leaves every file either whole and new or untouched.
+    ValueError, before any file is written, for an artifact name not in
+    REPORT_ARTIFACTS.
     """
+    unknown = [name for name in artifacts if name not in REPORT_ARTIFACTS]
+    if unknown:
+        raise ValueError(f"unknown artifact {unknown[0]!r}; the known ones are {', '.join(REPORT_ARTIFACTS)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []

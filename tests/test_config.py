@@ -8,6 +8,7 @@ import pytest
 
 from dldspec.config import (
     ConfigError,
+    CorrelationConfig,
     RunConfig,
     SimConfig,
     apply_overrides,
@@ -73,15 +74,36 @@ def test_the_largest_tick_the_header_holds_is_a_valid_config():
 
 @pytest.mark.parametrize(
     "sim,where",
-    [(SimConfig(seed=True), "simulation.seed"), (SimConfig(qe="0.2"), "simulation.qe")],
+    [({"seed": True}, "simulation.seed"), ({"qe": "0.2"}, "simulation.qe")],
     ids=["bool-seed", "string-qe"],
 )
-def test_config_built_in_code_gets_the_document_type_checks(tmp_path, sim, where):
-    cfg = RunConfig(simulation=sim)
+def test_config_built_in_code_gets_the_document_type_checks(sim, where):
     with pytest.raises(ConfigError, match=where):
-        cfg.validate()
+        SimConfig(**sim)
+
+
+def test_a_section_built_in_code_holds_the_document_types(tmp_path):
+    """An integer in a float field is converted when the section is built, so
+    the run prints it as the loaded document's number does."""
+    built = RunConfig(simulation=SimConfig(duration_ps=20000000))
+    loaded = run_config_from_dict({"simulation": {"duration_ps": 2e7}})
+    assert built == loaded and isinstance(built.simulation.duration_ps, float)
+    lines = simulate_to_file(built, tmp_path / "built.dlde").lines()
+    assert lines == simulate_to_file(loaded, tmp_path / "loaded.dlde").lines()
+    assert "duration_ps=2e+07" in lines
+
+
+@pytest.mark.parametrize(
+    "corr,where",
+    [
+        ({"coincidence_window_ps": (500.0, -500.0)}, r"correlation\.coincidence_window_ps"),
+        ({"g2_bin_width_ps": 0.0}, r"correlation\.g2_bin_width_ps: must be > 0"),
+    ],
+    ids=["reversed-window", "zero-bin-width"],
+)
+def test_a_correlation_section_built_in_code_is_range_checked(corr, where):
     with pytest.raises(ConfigError, match=where):
-        simulate_to_file(cfg, tmp_path / "r.dlde")
+        CorrelationConfig(**corr)
 
 
 def test_propagation_time_derived_from_size_and_speed():

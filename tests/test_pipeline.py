@@ -7,6 +7,7 @@ import math
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,20 +311,37 @@ def test_decoded_tables_carry_no_detector_column(tmp_path, small_config):
         assert dec.events[det].size > 0 and list(dec.events[det]) == ["t_ps", "x_mm", "y_mm", "wavelength_nm"]
 
 
+def _assert_same_decode(got, ref) -> None:
+    for det in (0, 1):
+        assert np.array_equal(packed(got.events[det]), packed(ref.events[det]))
+    assert (got.records, got.records_per_detector, got.groups, got.orphans, got.malformed) == (
+        ref.records, ref.records_per_detector, ref.groups, ref.orphans, ref.malformed)
+
+
 def test_decode_matches_default_at_tiny_chunk_sizes(tmp_path):
     # a high-occupancy run, so equal timestamps and carried triggers meet
-    # every chunk boundary
+    # every chunk boundary; the hand-built stray pulses after it leave orphans
+    # on both detectors whatever the matcher makes of the run
     cfg = make_config(seed=7, duration_ps=2e7, pair_rate_per_pulse=0.5, pump_scatter_rate_per_pulse=0.5, qe=0.4)
     path = tmp_path / "dense.dlde"
     simulate_to_file(cfg, path)
+    header, pulses = read_all_pulses(path)
+    strays, _, _ = stray_pulse_stream(cfg.geometry)
+    strays["timestamp"] += pulses["timestamp"][-1]
+    write_events(np.concatenate([pulses, strays]), header, path)
     ref = decode_file(path, cfg.geometry, cfg.calibration)
     assert min(ref.groups) > 0 and min(ref.orphans) > 0
     for chunk_records in (1, 2, 5):
-        got = decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
-        for det in (0, 1):
-            assert np.array_equal(packed(got.events[det]), packed(ref.events[det]))
-        assert (got.records, got.records_per_detector, got.groups, got.orphans, got.malformed) == (
-            ref.records, ref.records_per_detector, ref.groups, ref.orphans, ref.malformed)
+        _assert_same_decode(decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records), ref)
+
+
+@pytest.mark.parametrize("chunk_records", [2**40, 2**62], ids=["2**40", "2**62"])
+def test_a_chunk_larger_than_the_file_reads_the_whole_file(tmp_path, small_config, chunk_records):
+    path = tmp_path / "r.dlde"
+    simulate_to_file(small_config, path)
+    ref = decode_file(path, small_config.geometry, small_config.calibration)
+    got = decode_file(path, small_config.geometry, small_config.calibration, chunk_records=chunk_records)
+    _assert_same_decode(got, ref)
 
 
 @pytest.mark.parametrize("chunk_records", [1, 2, 5, DEFAULT_CHUNK_RECORDS])
@@ -965,6 +983,15 @@ def test_failed_bundle_keeps_old_files_and_leaves_no_temporaries(tmp_path, small
     assert after["summary.txt"] == b"an earlier summary.txt"  # not reached
 
 
+def test_an_unknown_artifact_is_refused_before_any_file_is_written(tmp_path, small_config):
+    path = tmp_path / "r.dlde"
+    simulate_to_file(small_config, path)
+    decode, analysis = analyze_file(path, small_config)
+    with pytest.raises(ValueError, match=r"unknown artifact 'g2x'; the known ones are spectrum, g2, jsi"):
+        write_report_bundle(tmp_path / "rep", decode, analysis, artifacts=("g2", "g2x"))
+    assert not (tmp_path / "rep").exists()
+
+
 def test_summary_contains_stable_keys(tmp_path, small_config):
     path = tmp_path / "r.dlde"
     simulate_to_file(small_config, path)
@@ -1072,8 +1099,7 @@ def test_window_counts_random_streams_match_brute_force(corr_overrides, rng):
 
 
 def test_side_windows_beyond_g2_range(rng):
-    cfg = make_config(correlation={"g2_range_ps": 20_000.0})
-    cfg.validate()  # side windows past the g2 range are still a valid config
+    cfg = make_config(correlation={"g2_range_ps": 20_000.0})  # side windows past the g2 range: a valid config
     corr = cfg.correlation
     assert max(w[1] for w in _side_windows(corr)) > corr.g2_range_ps
     ev0 = _photons([100_000], rng)
@@ -1127,3 +1153,11 @@ def test_analyze_makes_one_pair_pass(monkeypatch, rng):
     for w_lo, w_hi in [(g2.lo, g2.upper), corr.coincidence_window_ps, corr.accidental_window_ps,
                        *_side_windows(corr)]:
         assert lo <= w_lo and w_hi <= hi
+
+
+def test_the_readme_library_sketch_runs_as_written(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert (tmp_path / "run.dlde").stat().st_size > 0
