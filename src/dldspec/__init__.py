@@ -2,7 +2,7 @@
 
 The package covers the full chain of such an instrument in software:
 
-* `config` holds the run configuration and the laser pulse count;
+* `config` holds the run configuration, the laser pulse count and `Axis`;
 * `source_sim` draws the ground-truth emission stream (energy-anti-correlated
   photon pairs, pump scatter, dark counts);
 * `detector_sim` folds in trigger jitter, the spectrometer's wavelength to
@@ -27,6 +27,7 @@ both halves.
 
 from .config import (
     AnodeGeometry,
+    Axis,
     Calibration,
     ConfigError,
     CorrelationConfig,
@@ -37,7 +38,6 @@ from .config import (
     run_config_from_dict,
 )
 from .correlation import (
-    Axis,
     AxisMismatchError,
     DegeneratePeakError,
     FitError,

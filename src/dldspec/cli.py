@@ -25,13 +25,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_WARNINGS = 3
 
-_ANALYZE_ARTIFACTS = {
-    "analyze": REPORT_ARTIFACTS,
-    "g2": ("g2",),
-    "spectrum": ("spectrum",),
-    "jsi": ("jsi",),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dldspec", description=__doc__,
@@ -48,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_sim)
     p_sim.add_argument("--out", required=True, help="output .dlde path")
 
-    for name in ("analyze", "g2", "spectrum", "jsi"):
+    for name in ("analyze", *REPORT_ARTIFACTS):
         p = sub.add_parser(name, help=f"{name} outputs from a .dlde stream")
         common(p)
         p.add_argument("--input", required=False, help="input .dlde path (or io.events_path)")
@@ -99,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)
-        return _cmd_analyze(args, _ANALYZE_ARTIFACTS[args.command])
+        return _cmd_analyze(args, REPORT_ARTIFACTS if args.command == "analyze" else (args.command,))
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_FAILURE

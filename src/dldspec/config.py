@@ -8,6 +8,7 @@ has one field per document section (simulation, geometry, calibration,
 correlation, io), each a flat record of that section's keys, so
 `dataclasses.asdict` gives the document back. A section converts each value to
 its field's type and range-checks it when built, so an invalid one cannot exist.
+`Axis` lives here, so the correlation section builds and checks its own axes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from .event_format import MAX_TICK_PS
 
@@ -142,6 +145,55 @@ def pulse_count(config: SimConfig) -> int:
 
 
 @dataclass(frozen=True)
+class Axis:
+    """`nbins` bins of `width` on the half-open domain [lo, upper); a value,
+    equal to every axis with the same bins."""
+
+    lo: float
+    width: float
+    nbins: int
+
+    def __post_init__(self):
+        # floats even when a config spells them as integers, so edges print as floats
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "width", float(self.width))
+        if self.nbins <= 0:
+            raise ValueError("histogram axis must span at least one bin")
+
+    @classmethod
+    def spanning(cls, lo: float, hi: float, width: float) -> "Axis":
+        """The axis from `lo` in bins of `width`, ceil((hi - lo) / width) of them."""
+        return cls(lo, width, int(math.ceil((hi - lo) / width - 1e-12)))
+
+    @property
+    def upper(self) -> float:
+        """The excluded upper domain edge, lo + nbins * width."""
+        return self.lo + self.nbins * self.width
+
+    def edges(self) -> np.ndarray:
+        return self.lo + self.width * np.arange(self.nbins + 1)
+
+    def centers(self) -> np.ndarray:
+        return self.lo + self.width * (np.arange(self.nbins) + 0.5)
+
+    def index(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each value's bin index and the mask of the values inside the domain.
+
+        A value at or above `upper` is out even where its index rounds below
+        nbins; an index that rounds up to nbins is out too.
+        """
+        v = np.asarray(values, dtype=np.float64)
+        idx = (v - self.lo) / self.width
+        np.floor(idx, out=idx)
+        return idx, (v >= self.lo) & (v < self.upper) & (idx < self.nbins)
+
+    def covers(self, lo: float, hi: float) -> np.ndarray:
+        """Mask of the bins whose centre lies in [lo, hi], within 1e-9 so no centre on a bound is lost to rounding."""
+        c = self.centers()
+        return (c >= lo - 1e-9) & (c <= hi + 1e-9)
+
+
+@dataclass(frozen=True)
 class CorrelationConfig:
     """Delay histogram, coincidence window and spectral binning parameters.
 
@@ -151,6 +203,8 @@ class CorrelationConfig:
     window moved to each multiple of the centre, must not overlap it or each
     other, or true coincidences are subtracted as accidentals: for a window
     [lo, hi] of half-width h, |accidental_center_ps| > max(hi + h, h - lo, 2h).
+    Each histogram axis holds a bin, and each signal rectangle a cell centre
+    of `jsi_axis` (`Axis.covers`), or the section is not built.
     """
 
     g2_bin_width_ps: float = 88.0
@@ -196,13 +250,21 @@ class CorrelationConfig:
                 raise ConfigError(f"{path}.{label}_bin_nm: must be > 0")
             if not lo < hi:
                 raise ConfigError(f"{path}.{label}_lo_nm/{label}_hi_nm: must be increasing")
+        for key, label in (("g2_bin_width_ps", "g2"), ("spectrum_bin_nm", "spectrum"), ("jsi_bin_nm", "jsi")):
+            try:
+                getattr(self, f"{label}_axis")
+            except (ValueError, OverflowError):
+                raise ConfigError(f"{path}.{key}: must give the {label} axis a finite, nonzero bin count") from None
         if len(self.signal_regions_nm) != 2:
             raise ConfigError(f"{path}.signal_regions_nm: expected exactly two rectangles")
+        jsi = self.jsi_axis
         for i, rect in enumerate(self.signal_regions_nm):
             if not (rect[0] < rect[1] and rect[2] < rect[3]):
                 raise ConfigError(
                     f"{path}.signal_regions_nm[{i}]: expected (x_lo, x_hi, y_lo, y_hi) with lo < hi"
                 )
+            if not (jsi.covers(rect[0], rect[1]).any() and jsi.covers(rect[2], rect[3]).any()):
+                raise ConfigError(f"{path}.signal_regions_nm[{i}]: {list(rect)} holds no joint-spectrum cell centre")
 
     @property
     def side_windows_ps(self) -> tuple[tuple[float, float], ...]:
@@ -217,6 +279,19 @@ class CorrelationConfig:
     @property
     def accidental_window_ps(self) -> tuple[float, float]:
         return self.side_windows_ps[0]
+
+    @property
+    def g2_axis(self) -> Axis:
+        """g2_bin_width_ps bins from -g2_range_ps, enough to reach g2_range_ps."""
+        return Axis.spanning(-self.g2_range_ps, self.g2_range_ps, self.g2_bin_width_ps)
+
+    @property
+    def spectrum_axis(self) -> Axis:
+        return Axis.spanning(self.spectrum_lo_nm, self.spectrum_hi_nm, self.spectrum_bin_nm)
+
+    @property
+    def jsi_axis(self) -> Axis:
+        return Axis.spanning(self.jsi_lo_nm, self.jsi_hi_nm, self.jsi_bin_nm)
 
 
 @dataclass(frozen=True)

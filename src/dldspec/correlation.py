@@ -4,9 +4,10 @@ Conventions, shared by every operation and by the brute-force test oracles:
 
 * Delays are always t2 - t1 (detector 2 minus detector 1).
 * `Axis` is the one binning type: an immutable value of nbins fixed-width
-  bins on the half-open domain [lo, lo + nbins * width), built from a config's
-  (lo, hi, width) with nbins = ceil((hi - lo) / width). A value exactly at the
-  upper domain edge is out: `fill` drops it, whatever its bin index rounds to.
+  bins on the half-open domain [lo, lo + nbins * width). It lives in `config`,
+  whose `CorrelationConfig` builds and checks the g2, spectrum and jsi axes.
+  A value exactly at the upper domain edge is out: `fill` drops it, whatever
+  its bin index rounds to.
 * A histogram is axes plus counts: `Histogram1D` counts on one `Axis`, and
   `Histogram2D` (a joint spectrum, its accidental estimate or their signed
   difference) on two. Histograms share axes freely and never share counts.
@@ -41,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import ConfigError, CorrelationConfig, GAUSSIAN_FWHM_OVER_SIGMA
+from .config import Axis, CorrelationConfig, GAUSSIAN_FWHM_OVER_SIGMA
 from .csvtext import csv_rows, distinct_texts
 
 # iter_window_pairs searches this many first-detector events at a time
@@ -83,50 +84,6 @@ def _counts(counts, shape: tuple[int, ...]) -> np.ndarray:
     if counts.shape != shape:
         raise ValueError(f"counts shape {counts.shape} != {shape}")
     return counts
-
-
-@dataclass(frozen=True)
-class Axis:
-    """`nbins` bins of `width` on the half-open domain [lo, upper); a value,
-    equal to every axis with the same bins."""
-
-    lo: float
-    width: float
-    nbins: int
-
-    def __post_init__(self):
-        # floats even when a config spells them as integers, so edges print as floats
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "width", float(self.width))
-        if self.nbins <= 0:
-            raise ValueError("histogram axis must span at least one bin")
-
-    @classmethod
-    def spanning(cls, lo: float, hi: float, width: float) -> "Axis":
-        """The axis from `lo` in bins of `width`, ceil((hi - lo) / width) of them."""
-        return cls(lo, width, int(math.ceil((hi - lo) / width - 1e-12)))
-
-    @property
-    def upper(self) -> float:
-        """The excluded upper domain edge, lo + nbins * width."""
-        return self.lo + self.nbins * self.width
-
-    def edges(self) -> np.ndarray:
-        return self.lo + self.width * np.arange(self.nbins + 1)
-
-    def centers(self) -> np.ndarray:
-        return self.lo + self.width * (np.arange(self.nbins) + 0.5)
-
-    def index(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each value's bin index and the mask of the values inside the domain.
-
-        A value at or above `upper` is out even where its index rounds below
-        nbins; an index that rounds up to nbins is out too.
-        """
-        v = np.asarray(values, dtype=np.float64)
-        idx = (v - self.lo) / self.width
-        np.floor(idx, out=idx)
-        return idx, (v >= self.lo) & (v < self.upper) & (idx < self.nbins)
 
 
 def write_bin_rows(sink, axis: Axis, column: str, values: np.ndarray) -> None:
@@ -279,16 +236,11 @@ def iter_window_pairs(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float) -> I
         yield i, j
 
 
-def g2_axis(config: CorrelationConfig) -> Axis:
-    """The g2 delay axis: g2_bin_width_ps bins from -g2_range_ps, enough to reach g2_range_ps."""
-    return Axis.spanning(-config.g2_range_ps, config.g2_range_ps, config.g2_bin_width_ps)
-
-
 def g2_histogram(delays: np.ndarray, config: CorrelationConfig) -> Histogram1D:
     """Second-order correlation histogram: pair delays t2 - t1 binned on the
     g2 axis. Delays outside its half-open domain are not counted, so the
     delays of any window search that covers the domain give the same result."""
-    hist = Histogram1D(g2_axis(config))
+    hist = Histogram1D(config.g2_axis)
     hist.fill(delays)
     return hist
 
@@ -309,16 +261,15 @@ def select_coincidences(events1, events2, window: tuple[float, float]) -> tuple[
 
 def spectrum_1d(wavelengths: np.ndarray, config: CorrelationConfig) -> Histogram1D:
     """Singles wavelength spectrum; no coincidence filtering."""
-    hist = Histogram1D(Axis.spanning(config.spectrum_lo_nm, config.spectrum_hi_nm, config.spectrum_bin_nm))
+    hist = Histogram1D(config.spectrum_axis)
     hist.fill(np.asarray(wavelengths, dtype=np.float64))
     return hist
 
 
 def build_jsi(lambda1: np.ndarray, lambda2: np.ndarray, config: CorrelationConfig) -> Histogram2D:
     """Joint spectrum: detector-1 wavelength on x, detector-2 on y, both on
-    the same jsi axis."""
-    axis = Axis.spanning(config.jsi_lo_nm, config.jsi_hi_nm, config.jsi_bin_nm)
-    hist = Histogram2D(axis, axis)
+    `config.jsi_axis`."""
+    hist = Histogram2D(config.jsi_axis, config.jsi_axis)
     hist.fill(np.asarray(lambda1, dtype=np.float64), np.asarray(lambda2, dtype=np.float64))
     return hist
 
@@ -396,31 +347,11 @@ def fit_fwhm(hist: Histogram1D, peak_center: float) -> FwhmFit:
 
 
 def signal_region_mask(hist: Histogram2D, regions: tuple[tuple[float, float, float, float], ...]) -> np.ndarray:
-    """Boolean matrix of cells whose centers fall inside any signal rectangle.
-
-    Boundaries carry a small tolerance so a cell center that lands exactly on
-    a rectangle edge is not excluded by floating-point representation.
-    """
-    eps = 1e-9
-    xc = hist.x.centers()
-    yc = hist.y.centers()
+    """Boolean matrix of cells whose centers fall inside any signal rectangle (`Axis.covers`)."""
     mask = np.zeros(hist.counts.shape, dtype=bool)
     for x_lo, x_hi, y_lo, y_hi in regions:
-        in_x = (xc >= x_lo - eps) & (xc <= x_hi + eps)
-        in_y = (yc >= y_lo - eps) & (yc <= y_hi + eps)
-        mask |= in_x[:, None] & in_y[None, :]
+        mask |= hist.x.covers(x_lo, x_hi)[:, None] & hist.y.covers(y_lo, y_hi)[None, :]
     return mask
-
-
-def check_signal_regions(config: CorrelationConfig) -> None:
-    """ConfigError naming the first of `signal_regions_nm` that holds no cell
-    centre of the axis `build_jsi` builds, by `signal_region_mask`'s rule.
-    Such a rectangle has no peak (`subtract_accidental`); the axis is the
-    config's alone, so a run can be refused before its decode."""
-    jsi = build_jsi(np.empty(0), np.empty(0), config)
-    for k, rect in enumerate(config.signal_regions_nm):
-        if not signal_region_mask(jsi, (rect,)).any():
-            raise ConfigError(f"correlation.signal_regions_nm[{k}]: {list(rect)} holds no joint-spectrum cell centre")
 
 
 def car_ratio(matrix: np.ndarray, signal_mask: np.ndarray) -> tuple[float, bool]:

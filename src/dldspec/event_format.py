@@ -227,8 +227,9 @@ class StagedFile:
     """A file written under a temporary name beside `path`.
 
     `close(publish=True)` moves it onto the path; `close(publish=False)`
-    deletes it, and a file already at the path keeps its bytes. As a context
-    manager it yields the open file and publishes only on a clean exit.
+    deletes it, and a file already at the path keeps its bytes. A move that
+    fails deletes it too, and raises. As a context manager it yields the open
+    file and publishes only on a clean exit.
     """
 
     def __init__(self, path, mode: str):
@@ -240,10 +241,11 @@ class StagedFile:
         if self.file.closed:
             return
         self.file.close()
-        if publish:
-            os.replace(self._tmp, self.path)
-        else:
-            self._tmp.unlink(missing_ok=True)
+        try:
+            if publish:
+                os.replace(self._tmp, self.path)
+        finally:
+            self._tmp.unlink(missing_ok=True)  # gone already after a move
 
     def __enter__(self):
         return self.file

@@ -80,10 +80,8 @@ from .correlation import (
     Histogram1D,
     JsiReport,
     build_jsi,
-    check_signal_regions,
     fit_fwhm,
     fmt_number,
-    g2_axis,
     g2_histogram,
     in_window,
     select_coincidences,
@@ -468,7 +466,7 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     lambda0, lambda1 = ev0["wavelength_nm"], ev1["wavelength_nm"]
     # the coincidence window, then the side windows; the first side window is the accidental window
     windows = (corr.coincidence_window_ps, *corr.side_windows_ps)
-    g2_domain = g2_axis(corr)
+    g2_domain = corr.g2_axis
     span = [(g2_domain.lo, g2_domain.upper), *windows]
     pair_i, pair_j = select_coincidences(t0, t1, (min(w[0] for w in span), max(w[1] for w in span)))
     g2 = Histogram1D(g2_domain)
@@ -518,7 +516,6 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
 def analyze_file(
     path, cfg: RunConfig, chunk_records: int = DEFAULT_CHUNK_RECORDS
 ) -> tuple[DecodeResult, AnalysisResult]:
-    check_signal_regions(cfg.correlation)
     decode = decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
     analysis = analyze_events(decode.events, cfg.correlation)
     if decode.records == 0:

@@ -113,10 +113,21 @@ def test_bad_config_fails_with_field_path(tmp_path, capsys):
     assert "simulation.qe" in capsys.readouterr().err
 
 
-def test_signal_rectangle_without_a_cell_centre_fails_before_the_decode(tmp_path, cfg_file, capsys, monkeypatch):
-    """The joint-spectrum axis is the config's alone, so a signal rectangle
-    that holds none of its cell centres is a config error, raised before the
-    file is decoded."""
+@pytest.mark.parametrize(
+    "override,error",
+    [
+        ("correlation.signal_regions_nm=[[400,401,400,401],[389.55,390.05,388.55,389.05]]",
+         "correlation.signal_regions_nm[0]: [400.0, 401.0, 400.0, 401.0]"),
+        ("correlation.g2_bin_width_ps=1e18", "correlation.g2_bin_width_ps:"),
+    ],
+    ids=["rectangle", "g2-bin"],
+)
+def test_signal_rectangle_without_a_cell_centre_fails_before_the_decode(
+    tmp_path, cfg_file, capsys, monkeypatch, override, error
+):
+    """The histogram axes are the config's alone, so a signal rectangle that
+    holds none of the joint spectrum's cell centres, or an axis with no bin,
+    is a config error, raised before the file is decoded."""
     data = tmp_path / "run.dlde"
     assert run_cli(["simulate", "--config", cfg_file, "--out", data]) == EXIT_OK
     capsys.readouterr()
@@ -125,10 +136,9 @@ def test_signal_rectangle_without_a_cell_centre_fails_before_the_decode(tmp_path
         raise AssertionError("the file was decoded")
 
     monkeypatch.setattr(pipeline, "decode_file", decode_file)
-    regions = "correlation.signal_regions_nm=[[400,401,400,401],[389.55,390.05,388.55,389.05]]"
-    code = run_cli(["analyze", "--config", cfg_file, "--input", data, "--out", tmp_path / "rep", "--set", regions])
+    code = run_cli(["analyze", "--config", cfg_file, "--input", data, "--out", tmp_path / "rep", "--set", override])
     assert code == EXIT_FAILURE
-    assert capsys.readouterr().err.startswith("config error: correlation.signal_regions_nm[0]: [400.0, 401.0, 400.0, 401.0]")
+    assert capsys.readouterr().err.startswith(f"config error: {error}")
     assert not (tmp_path / "rep").exists()
 
 
@@ -210,6 +220,11 @@ def test_non_json_config_fails(tmp_path, capsys):
         "correlation.g2_bin_width_ps=NaN",
         "correlation.coincidence_window_ps=[-Infinity, 500]",
         "simulation.duration_ps=1" + "0" * 400,  # an int beyond the float range
+        # a bin width that leaves its axis no bin, or more than a float counts
+        "correlation.g2_bin_width_ps=1e18",
+        "correlation.g2_bin_width_ps=1e-320",
+        "correlation.spectrum_bin_nm=1e13",
+        "correlation.jsi_bin_nm=1e13",
     ],
 )
 def test_value_of_the_wrong_type_fails_with_field_path(tmp_path, capsys, override):

@@ -4,7 +4,10 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dldspec.config import (
     ConfigError,
@@ -15,8 +18,8 @@ from dldspec.config import (
     load_run_config,
     run_config_from_dict,
 )
-from dldspec.event_format import EventFileHeader
-from dldspec.pipeline import simulate_to_file
+from dldspec.event_format import Columns, EventFileHeader
+from dldspec.pipeline import analyze_events, simulate_to_file
 
 
 def test_defaults_validate():
@@ -104,6 +107,63 @@ def test_a_section_built_in_code_holds_the_document_types(tmp_path):
 def test_a_correlation_section_built_in_code_is_range_checked(corr, where):
     with pytest.raises(ConfigError, match=where):
         CorrelationConfig(**corr)
+
+
+def _bin_width(draw, span):
+    """A width that leaves an axis of `span` 1 to about 1,000 bins or, one
+    time in five, about the 1e12 spans from which `Axis.spanning` counts none."""
+    if draw(st.integers(0, 4)) == 0:
+        return span * 10.0 ** draw(st.floats(11.9, 13.0))
+    return span / draw(st.floats(0.9, 1000.0))
+
+
+@st.composite
+def correlation_sections(draw):
+    """CorrelationConfig keys around the defaults: the three axes hold 0 to
+    about 1,000 bins, and each signal rectangle's edges lie on, between or
+    off the joint spectrum's cell centres."""
+    g2_range = draw(st.floats(1e3, 1e5))
+    doc = {"g2_range_ps": g2_range, "g2_bin_width_ps": _bin_width(draw, 2 * g2_range)}
+    for label in ("spectrum", "jsi"):
+        lo = draw(st.floats(387.0, 390.0))
+        span = draw(st.floats(0.01, 3.0))
+        doc.update({f"{label}_lo_nm": lo, f"{label}_hi_nm": lo + span, f"{label}_bin_nm": _bin_width(draw, span)})
+    lo, width = doc["jsi_lo_nm"], doc["jsi_bin_nm"]
+    nbins = max(1, min(1000, int((doc["jsi_hi_nm"] - lo) / width) + 1))
+    # edges in bins from lo: k + 0.5 is cell k's centre
+    on_centre = st.integers(-2, nbins + 2).map(lambda k: k + 0.5)
+    edge = st.one_of(on_centre, st.floats(-2.0, nbins + 2.0))
+    rects = []
+    for _ in range(2):
+        x, y = draw(edge), draw(edge)
+        dx, dy = (draw(st.one_of(st.integers(1, 3), st.floats(0.01, 3.0))) for _ in range(2))
+        rects.append([lo + width * x, lo + width * (x + dx), lo + width * y, lo + width * (y + dy)])
+    doc["signal_regions_nm"] = rects
+    return doc
+
+
+@given(correlation_sections(), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_a_correlation_section_that_builds_also_analyzes(doc, seed):
+    """A section is refused when built, or the analysis runs on it: no axis
+    without a bin and no signal rectangle without a cell centre gets past
+    the config to fail in the analysis."""
+    try:
+        corr = CorrelationConfig(**doc)
+    except ConfigError:
+        return
+    rng = np.random.default_rng(seed)
+
+    def events(n):
+        return Columns({
+            "t_ps": np.sort(rng.integers(0, 200_000, n)),
+            "x_mm": np.zeros(n),
+            "y_mm": np.zeros(n),
+            "wavelength_nm": rng.uniform(doc["jsi_lo_nm"] - 0.5, doc["jsi_hi_nm"] + 0.5, n),
+        })
+
+    analyze_events((events(0), events(0)), corr)
+    analyze_events((events(60), events(60)), corr)
 
 
 def test_propagation_time_derived_from_size_and_speed():

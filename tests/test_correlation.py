@@ -21,7 +21,6 @@ from dldspec.correlation import (
     Histogram1D,
     Histogram2D,
     build_jsi,
-    check_signal_regions,
     fit_fwhm,
     g2_histogram,
     select_coincidences,
@@ -492,11 +491,9 @@ class TestSubtractAccidental:
         "rect", [(400.0, 401.0, 400.0, 401.0), (388.51, 388.54, 389.55, 390.05)], ids=["off-axis", "between-centres"]
     )
     def test_config_rectangle_without_a_cell_centre_is_a_config_error(self, rect):
-        # the joint-spectrum axis is the config's alone, so the config is refused before any data
-        check_signal_regions(corr_cfg())
-        cfg = corr_cfg(signal_regions_nm=[list(corr_cfg().signal_regions_nm[0]), list(rect)])
+        # the joint-spectrum axis is the config's alone, so the config is refused when built
         with pytest.raises(ConfigError, match=r"^correlation\.signal_regions_nm\[1\]: \[" + str(rect[0])):
-            check_signal_regions(cfg)
+            corr_cfg(signal_regions_nm=[list(corr_cfg().signal_regions_nm[0]), list(rect)])
 
 
 class TestFitFwhm:

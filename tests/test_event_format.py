@@ -20,6 +20,7 @@ from dldspec.event_format import (
     RECORD_SIZE,
     EventWriter,
     FORMAT_VERSION,
+    StagedFile,
     TimestampRangeError,
     TimestampRegressionError,
     TruncatedRecordError,
@@ -112,6 +113,15 @@ class TestWrite:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == b"earlier"
 
+    def test_a_failed_publish_deletes_the_staged_file(self, tmp_path):
+        path = tmp_path / "run.dlde"
+        path.mkdir()  # a file cannot be moved onto a directory
+        staged = StagedFile(path, "xb")
+        staged.file.write(b"bytes")
+        with pytest.raises(OSError):
+            staged.close(publish=True)
+        assert list(tmp_path.iterdir()) == [path]
+        assert list(path.iterdir()) == []
 
     def test_header_always_writes_the_version_it_reads(self):
         hdr = EventFileHeader(tick_ps=7, detector_count=255).pack()

@@ -14,7 +14,7 @@ import pytest
 
 from dldspec import correlation, event_format, pipeline
 from dldspec.config import pulse_count
-from dldspec.correlation import build_jsi, g2_axis, select_coincidences, spectrum_1d
+from dldspec.correlation import build_jsi, select_coincidences, spectrum_1d
 from dldspec.detector_sim import DeadTimeFilter, DetectTally, detect, encode_groups, groups_to_pulses, jitter_reach_ps
 from dldspec.event_format import (
     DEFAULT_CHUNK_RECORDS,
@@ -579,6 +579,15 @@ def test_serializer_error_reaches_the_caller_and_leaves_no_file(tmp_path, monkey
     assert out.read_bytes() == b"an earlier run"
 
 
+def test_simulation_onto_a_directory_fails_and_leaves_no_temporary(tmp_path, small_config):
+    out = tmp_path / "run.dlde"
+    out.mkdir()
+    with pytest.raises(OSError):
+        simulate_to_file(small_config, out)
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
+
+
 def test_one_block_run_serializes_on_the_calling_thread(tmp_path, monkeypatch, default_config):
     """The last block has nothing left to overlap with, so a one-block run
     starts no thread."""
@@ -1036,7 +1045,7 @@ def _window_edge_delays(corr):
 def _g2_edge_delays(corr):
     """Integer delays at the g2 domain edges: on and just below -R, the last
     in-domain integer and the first integer at or past the upper edge."""
-    axis = g2_axis(corr)
+    axis = corr.g2_axis
     lo, upper = axis.lo, axis.upper
     return {math.floor(lo) - 1, math.floor(lo), math.ceil(lo), math.ceil(upper) - 1, math.ceil(upper)}
 
@@ -1149,7 +1158,7 @@ def test_analyze_makes_one_pair_pass(monkeypatch, rng):
     analyze_events((ev0, ev1), corr)
     assert len(passes) == 1
     (lo, hi), = passes
-    g2 = g2_axis(corr)
+    g2 = corr.g2_axis
     for w_lo, w_hi in [(g2.lo, g2.upper), corr.coincidence_window_ps, corr.accidental_window_ps,
                        *_side_windows(corr)]:
         assert lo <= w_lo and w_hi <= hi
