@@ -26,6 +26,9 @@ from .event_format import MAX_TICK_PS
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
 GAUSSIAN_FWHM_OVER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 SIDE_PEAK_COUNT = 4
+# The most cells a histogram of the analysis may have: bins of the g2 and
+# spectrum axes, and jsi bins squared. 2**24 int64 cells are 128 MiB.
+MAX_HISTOGRAM_CELLS = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -203,8 +206,9 @@ class CorrelationConfig:
     window moved to each multiple of the centre, must not overlap it or each
     other, or true coincidences are subtracted as accidentals: for a window
     [lo, hi] of half-width h, |accidental_center_ps| > max(hi + h, h - lo, 2h).
-    Each histogram axis holds a bin, and each signal rectangle a cell centre
-    of `jsi_axis` (`Axis.covers`), or the section is not built.
+    Each histogram holds a bin and at most MAX_HISTOGRAM_CELLS cells, and each
+    signal rectangle a cell centre of `jsi_axis` (`Axis.covers`), or the
+    section is not built.
     """
 
     g2_bin_width_ps: float = 88.0
@@ -250,11 +254,18 @@ class CorrelationConfig:
                 raise ConfigError(f"{path}.{label}_bin_nm: must be > 0")
             if not lo < hi:
                 raise ConfigError(f"{path}.{label}_lo_nm/{label}_hi_nm: must be increasing")
-        for key, label in (("g2_bin_width_ps", "g2"), ("spectrum_bin_nm", "spectrum"), ("jsi_bin_nm", "jsi")):
+        # the joint spectrum's cells are its bins squared
+        for key, label, dims in (("g2_bin_width_ps", "g2", 1), ("spectrum_bin_nm", "spectrum", 1),
+                                 ("jsi_bin_nm", "jsi", 2)):
             try:
-                getattr(self, f"{label}_axis")
+                cells = getattr(self, f"{label}_axis").nbins ** dims
             except (ValueError, OverflowError):
-                raise ConfigError(f"{path}.{key}: must give the {label} axis a finite, nonzero bin count") from None
+                cells = None
+            if cells is None or cells > MAX_HISTOGRAM_CELLS:
+                raise ConfigError(
+                    f"{path}.{key}: must give the {label} histogram a nonzero bin count and at most "
+                    f"{MAX_HISTOGRAM_CELLS} cells"
+                )
         if len(self.signal_regions_nm) != 2:
             raise ConfigError(f"{path}.signal_regions_nm: expected exactly two rectangles")
         jsi = self.jsi_axis

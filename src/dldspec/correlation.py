@@ -18,9 +18,10 @@ Conventions, shared by every operation and by the brute-force test oracles:
   Delays are integer picoseconds, so a delay d is inside [lo, hi] exactly when
   ceil(lo) <= d <= floor(hi) (`in_window`).
 * Pair search never materialises the all-pairs product: both streams are
-  time-sorted, so for each left event the partner range is found with two
-  binary searches and only in-window pairs are expanded. Searches and pairs
-  go a block of left events at a time, and the search keys saturate at the
+  time-sorted, so searches go a block of left events at a time. Two scalar
+  searches find the stretch of right events the block's window can reach,
+  each left event's partner range is found by searching that stretch only,
+  and only in-window pairs are expanded. The search keys saturate at the
   int64 bounds, so times anywhere in int64 pair exactly.
 * An analysis makes one pair search: `pipeline.analyze_events` selects the
   pairs of one closed window spanning the g2 domain and every closed window,
@@ -45,8 +46,9 @@ import numpy as np
 from .config import Axis, CorrelationConfig, GAUSSIAN_FWHM_OVER_SIGMA
 from .csvtext import csv_rows, distinct_texts
 
-# iter_window_pairs searches this many first-detector events at a time
-_PAIR_BLOCK = 1 << 17
+# iter_window_pairs searches this many first-detector events at a time, so
+# the stretch of second-detector times one block reaches stays in cache
+_PAIR_BLOCK = 1 << 13
 _INT64 = np.iinfo(np.int64)
 # Histogram1D.fill bins this many values at a time, so its temporaries are
 # a block's size however many values it counts
@@ -215,24 +217,33 @@ def iter_window_pairs(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float) -> I
     """Yield (i, j) index blocks of all pairs with t2[j] - t1[i] in the closed
     window [lo, hi], in i-major order.
 
-    Each block is _PAIR_BLOCK first-detector events: their partner ranges
-    come from two binary searches into t2 of the block's events only, so
-    memory is bounded by the block size and the pairs of one block. Times
-    anywhere in int64 are searched exactly. Cost is O(n1 log n2 + pairs).
+    Each block is _PAIR_BLOCK first-detector events. Two scalar searches find
+    the stretch of t2 that the window of its first and last event can reach,
+    and its events' partner ranges are searched inside that stretch only, so
+    the searches stay in cache and memory is bounded by the block size and
+    the pairs of one block. Times anywhere in int64 are searched exactly.
+    Cost is O(n1 log(block partners) + pairs).
     """
     first, last = _closed_bounds(lo, hi)
     if first > last:  # no integer delay in the window
         return
     for b in range(0, t1.size, _PAIR_BLOCK):
         t = t1[b : b + _PAIR_BLOCK]
-        s = _count_below(t2, t, first)
-        counts = _count_below(t2, t, last + 1) - s
+        # t is sorted: every partner of the block lies in t2[a:z]
+        a = int(_count_below(t2, t[:1], first)[0])
+        z = int(_count_below(t2, t[-1:], last + 1)[0])
+        reach = t2[a:z]
+        s = _count_below(reach, t, first)
+        counts = _count_below(reach, t, last + 1) - s
         total = int(counts.sum())
         if total == 0:
             continue
         i = np.repeat(np.arange(b, b + t.size, dtype=np.int64), counts)
-        cum = np.concatenate([[0], np.cumsum(counts)])
-        j = np.repeat(s, counts) + (np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], counts))
+        # the pair k of event m is partner s[m] + k - (pairs of the events before m)
+        s += a
+        s[1:] -= np.cumsum(counts[:-1])
+        j = np.repeat(s, counts)
+        j += np.arange(total, dtype=np.int64)
         yield i, j
 
 

@@ -159,15 +159,17 @@ class DeadTimeFilter:
             raise ValueError("trigger tick out of range (>= 2**62 ticks)")
         buf = Columns({name: np.concatenate([pending, groups[name]]) for name, pending in self._pending.items()})
         # one key orders by (t_mcp, detector); the range check keeps it from overflowing
-        buf = buf[np.argsort(buf["t_mcp"] * 2 + buf["detector"], kind="stable")]
-        t = buf["t_mcp"]
+        order = np.argsort(buf["t_mcp"] * 2 + buf["detector"], kind="stable")
+        # collisions are decided on the sorted trigger and detector columns alone
+        t = buf["t_mcp"].take(order)
+        detector = buf["detector"].take(order)
         if future_floor_ticks is None:
             n_dec = t.size
         else:
             n_dec = int(np.searchsorted(t, future_floor_ticks - self.dead_ticks))
         collide = np.zeros(t.size, dtype=bool)
         for det in (0, 1):
-            idx = np.flatnonzero(buf["detector"] == det)
+            idx = np.flatnonzero(detector == det)
             t_det = t[idx]
             hit = _collision_mask(t_det, self.dead_ticks)
             last = self._last_trigger[det]
@@ -178,8 +180,9 @@ class DeadTimeFilter:
             self.discards[det] += int(np.count_nonzero(hit[:n_det]))
             if n_det:
                 self._last_trigger[det] = int(t_det[n_det - 1])
-        self._pending = buf[n_dec:]
-        return buf[:n_dec][~collide[:n_dec]]
+        # every column is gathered once, into the survivors or the pending rows
+        self._pending = buf[order[n_dec:]]
+        return buf[order[:n_dec][~collide[:n_dec]]]
 
     def emitted_floor_ticks(self, future_floor_ticks: int) -> int:
         """Lower bound on any trigger tick this stage can still emit, right

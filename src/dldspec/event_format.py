@@ -88,10 +88,9 @@ class Columns(dict):
     `size` is the row count.
 
     A mask that keeps nearly every row selects as it is: `detect`'s mask keeps
-    99.9% of the rows at default and dense physics, and the dead-time
-    survivors are 96% of the decided groups at default physics. A random
-    mask that drops a large share goes through `np.flatnonzero` to an index
-    selection, several times faster when it keeps about half (`sample_pairs`).
+    99.9% of the rows at default and dense physics. A random mask that drops
+    a large share goes through `np.flatnonzero` to an index selection,
+    several times faster when it keeps about half (`sample_pairs`).
     """
 
     def __getitem__(self, key):

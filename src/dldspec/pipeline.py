@@ -38,12 +38,14 @@ once, by one stable radix sort of its `detector * 5 + channel` key, into ten
 time-sorted int64 timestamp columns, and each detector's five go to its
 `HitMatcher`, which returns hit-group `Columns`; the decoded events are
 `Columns` too. A decoded table's detector is the slot it sits in, never a
-column. The first DECODE_INLINE_CHUNKS chunks are read, validated, split and
-matched on the calling thread with nothing read ahead, so a file of at most
-that many chunks starts no thread. From the next chunk on, one worker thread
-reads, validates and splits chunk k+1 while the calling thread matches chunk
-k. The calling thread waits for chunk k+1 before the worker starts chunk k+2,
-so at most one chunk is ahead, and a worker error is raised there as itself.
+column. Threading is decided once, from the file's record count. A file of
+at most DECODE_INLINE_CHUNKS chunks is read, validated, split and matched on
+the calling thread with nothing read ahead, and starts no thread. A longer
+file reads ahead from its first chunk: the calling thread splits the first
+chunk, and from then on one worker thread reads, validates and splits chunk
+k+1 while the calling thread matches chunk k. The calling thread waits for
+chunk k+1 before the worker starts chunk k+2, so at most one chunk is
+ahead, and a worker error is raised there as itself.
 Matching, position recovery and the counts stay on the calling thread.
 Reading and splitting hold no matcher state, and the matchers get the same
 columns in the same order whichever thread split them, so the threads cannot
@@ -319,9 +321,9 @@ class _EventColumns:
 
 def _split_chunks(reader: EventReader) -> Iterator[list[list[np.ndarray]]]:
     """`channel_columns` of each chunk of `reader`, in file order, the way
-    `decode_file` describes. The chunk after the first DECODE_INLINE_CHUNKS is
-    split on the calling thread too, so only a file that goes on starts the
-    worker. Close the generator before the reader: that shuts the worker down.
+    `decode_file` describes: a file of at most DECODE_INLINE_CHUNKS chunks is
+    split on the calling thread, and a longer one reads ahead from its first
+    chunk. Close the generator before the reader: that shuts the worker down.
     """
     chunks = reader.iter_chunks()
 
@@ -332,13 +334,16 @@ def _split_chunks(reader: EventReader) -> Iterator[list[list[np.ndarray]]]:
         check_picosecond_range(chunk, reader.header.tick_ps, reader.records_read - chunk.size)
         return channel_columns(chunk)
 
+    inline = reader.file_records() <= DECODE_INLINE_CHUNKS * reader.chunk_records
+    # the first chunk is split here in either case: splitting it on the worker
+    # made a process that decodes the dense seed-7 file 8 times peak at about
+    # 160 MiB RSS in 5 of 11 runs, against 122-149 MiB split here, through
+    # where glibc's heap puts the first large arrays
     columns = split_next()
-    for _ in range(DECODE_INLINE_CHUNKS):
-        if columns is None:
-            return
-        yield columns
-        columns = split_next()
-    if columns is None:
+    if inline:
+        while columns is not None:
+            yield columns
+            columns = split_next()
         return
     with ThreadPoolExecutor(max_workers=1) as read_ahead:
         while columns is not None:
@@ -356,11 +361,12 @@ def decode_file(
 ) -> DecodeResult:
     """Parse a `.dlde` file and reconstruct photon events per detector.
 
-    The first DECODE_INLINE_CHUNKS chunks are read, validated, split and
-    matched on the calling thread with nothing read ahead, so a file of at
-    most that many chunks starts no thread. From the next chunk on, one
-    worker thread reads, validates and splits chunk k+1 while the calling
-    thread matches chunk k, and at most one chunk is ahead. Matching,
+    A file of at most DECODE_INLINE_CHUNKS chunks, counted from its size, is
+    read, validated, split and matched on the calling thread and starts no
+    thread. A longer file reads ahead from its first chunk: once the calling
+    thread has split it, one worker thread reads, validates and splits chunk
+    k+1 while the calling thread matches chunk k, and at most one chunk is
+    ahead. Matching,
     position recovery and the counts run on the calling thread.
     The events live in per-detector columns allocated once, for
     `_event_capacity(records)` rows of the open file: each chunk's events

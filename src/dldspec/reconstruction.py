@@ -70,23 +70,35 @@ def _match_core(
     XA, XB, YA, YB columns. Returns the per-trigger accept mask and each
     candidate's position in its column and time (4 x n arrays)."""
     n = mcp_t.size
-    cand_pos = np.zeros((4, n), dtype=np.intp)
-    cand_t = np.zeros((4, n), dtype=np.int64)
+    if min(col.size for col in anodes) == 0:  # no trigger has a candidate on every channel
+        return np.zeros(n, dtype=bool), np.zeros((4, n), dtype=np.intp), np.zeros((4, n), dtype=np.int64)
+    cand_pos = np.empty((4, n), dtype=np.intp)
+    cand_t = np.empty((4, n), dtype=np.int64)
     ok = np.ones(n, dtype=bool)
+    # the triggers are written once, and each anode column is copied in behind them
+    merge = np.empty(n + max(col.size for col in anodes), dtype=np.int64)
+    merge[:n] = mcp_t
+    rank = np.arange(n)
+    reach = mcp_t + window_ticks
     for k, col in enumerate(anodes):
-        if col.size == 0:
-            ok[:] = False
-            continue
         # np.searchsorted(col, mcp_t): a stable sort of the two sorted runs is a
         # timsort merge, faster than binary searches; triggers sort first on ties
-        merged = np.argsort(np.concatenate([mcp_t, col]), kind="stable")
-        pos = np.flatnonzero(merged < n) - np.arange(n)
+        merge[n : n + col.size] = col
+        pos = np.flatnonzero(np.argsort(merge[: n + col.size], kind="stable") < n)
+        pos -= rank
         ok &= pos < col.size
         np.minimum(pos, col.size - 1, out=cand_pos[k])
         col.take(cand_pos[k], out=cand_t[k])
-        ok &= cand_t[k] <= mcp_t + window_ticks
-    ok &= np.abs(cand_t[0] + cand_t[1] - 2 * mcp_t - propagation_ticks) <= DEFAULT_SUM_TOL_TICKS
-    ok &= np.abs(cand_t[2] + cand_t[3] - 2 * mcp_t - propagation_ticks) <= DEFAULT_SUM_TOL_TICKS
+        ok &= cand_t[k] <= reach
+    # 2 t_mcp plus the propagation time, in reach's buffer; each timing sum
+    # less it is formed in place
+    base = np.multiply(mcp_t, 2, out=reach)
+    base += propagation_ticks
+    for a in (0, 2):
+        total = cand_t[a] + cand_t[a + 1]
+        total -= base
+        np.abs(total, out=total)
+        ok &= total <= DEFAULT_SUM_TOL_TICKS
     return ok, cand_pos, cand_t
 
 

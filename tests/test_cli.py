@@ -225,6 +225,9 @@ def test_non_json_config_fails(tmp_path, capsys):
         "correlation.g2_bin_width_ps=1e-320",
         "correlation.spectrum_bin_nm=1e13",
         "correlation.jsi_bin_nm=1e13",
+        # a bin width that gives a histogram more cells than the config allows
+        "correlation.g2_bin_width_ps=1e-6",
+        "correlation.jsi_bin_nm=1e-7",
     ],
 )
 def test_value_of_the_wrong_type_fails_with_field_path(tmp_path, capsys, override):

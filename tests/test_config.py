@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dldspec.config import (
     ConfigError,
+    MAX_HISTOGRAM_CELLS,
     CorrelationConfig,
     RunConfig,
     SimConfig,
@@ -107,6 +108,25 @@ def test_a_section_built_in_code_holds_the_document_types(tmp_path):
 def test_a_correlation_section_built_in_code_is_range_checked(corr, where):
     with pytest.raises(ConfigError, match=where):
         CorrelationConfig(**corr)
+
+
+@pytest.mark.parametrize(
+    "corr,key",
+    [
+        ({"g2_range_ps": 2.0**23, "g2_bin_width_ps": 1.0}, "g2_bin_width_ps"),
+        ({"spectrum_lo_nm": 388.0, "spectrum_hi_nm": 388.0 + 2.0**14, "spectrum_bin_nm": 2.0**-10}, "spectrum_bin_nm"),
+        ({"jsi_lo_nm": 388.0, "jsi_hi_nm": 392.0, "jsi_bin_nm": 2.0**-10}, "jsi_bin_nm"),
+    ],
+    ids=["g2", "spectrum", "jsi"],
+)
+def test_a_histogram_of_more_than_the_cell_cap_is_refused(corr, key):
+    """Each axis at exactly MAX_HISTOGRAM_CELLS cells (jsi: 4096 bins a side)
+    builds; one more bin a side is refused, naming the key."""
+    assert MAX_HISTOGRAM_CELLS == 2**24
+    CorrelationConfig(**corr)
+    finer = {**corr, key: corr[key] * (1 - 1e-9)}
+    with pytest.raises(ConfigError, match=rf"^correlation\.{key}: .*at most {MAX_HISTOGRAM_CELLS} cells"):
+        CorrelationConfig(**finer)
 
 
 def _bin_width(draw, span):

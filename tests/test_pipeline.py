@@ -674,6 +674,43 @@ def test_default_file_decodes_on_the_calling_thread(tmp_path, monkeypatch, defau
     assert set(callers) == {(threading.current_thread(), threads)}
 
 
+@pytest.mark.parametrize("n_chunks", [pipeline.DECODE_INLINE_CHUNKS, pipeline.DECODE_INLINE_CHUNKS + 1])
+def test_a_file_past_the_inline_chunks_reads_ahead_from_its_first_chunk(tmp_path, monkeypatch, small_config, n_chunks):
+    """The thread is decided once, from the file's record count: a file of
+    DECODE_INLINE_CHUNKS chunks is split on the calling thread and starts no
+    thread; a longer one has its first chunk split on the calling thread and
+    every later chunk on the worker, the second while the first is matched."""
+    path = tmp_path / "r.dlde"
+    records = simulate_to_file(small_config, path).records_written
+    chunk = -(-records // n_chunks)
+    assert -(-records // chunk) == n_chunks
+    real_split, real_feed = pipeline.channel_columns, HitMatcher.feed
+    threads = threading.active_count()
+    splits, feeds = [], []
+
+    def recording_split(pulses):
+        splits.append((threading.current_thread(), threading.active_count()))
+        return real_split(pulses)
+
+    def recording_feed(self, columns, final=False):
+        feeds.append(threading.active_count())
+        return real_feed(self, columns, final)
+
+    monkeypatch.setattr(pipeline, "channel_columns", recording_split)
+    monkeypatch.setattr(HitMatcher, "feed", recording_feed)
+    decode_file(path, small_config.geometry, small_config.calibration, chunk_records=chunk)
+    assert len(splits) == n_chunks
+    caller = threading.current_thread()
+    if n_chunks <= pipeline.DECODE_INLINE_CHUNKS:
+        assert set(splits) == {(caller, threads)}
+    else:
+        assert splits[0] == (caller, threads)
+        assert caller not in {thread for thread, _ in splits[1:]}
+        # the worker was started before the first chunk was matched
+        assert feeds[0] == threads + 1
+    assert threading.active_count() == threads
+
+
 def _decode_error(path, cfg, chunk_records):
     with pytest.raises(FormatError) as info:
         decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
@@ -725,8 +762,8 @@ def test_matcher_error_with_a_chunk_in_flight_stops_the_worker(tmp_path, monkeyp
     path = tmp_path / "r.dlde"
     records = simulate_to_file(small_config, path).records_written
     chunk = records // 8
-    # the second detector's groups of the first chunk matched with one read ahead
-    failing_call = 2 * (pipeline.DECODE_INLINE_CHUNKS + 1)
+    # the second detector's groups of the first chunk, matched while the worker splits the second
+    failing_call = 2
     real_split, real_events, real_close = pipeline.channel_columns, pipeline.groups_to_events, EventReader.close
     caller = threading.current_thread()
     in_flight, raised, split_done = threading.Event(), threading.Event(), threading.Event()
@@ -768,14 +805,14 @@ def test_matcher_error_with_a_chunk_in_flight_stops_the_worker(tmp_path, monkeyp
 
 def test_read_ahead_keeps_one_chunk_ahead(tmp_path, monkeypatch, small_config):
     """Chunks split but not yet matched never exceed two: the one being
-    matched and the one read ahead. Each feed of a chunk with a worker behind
-    it waits until the chunk ahead is split, then gives a worker that runs
-    further ahead a moment to show it."""
+    matched and the one read ahead. Each feed of a chunk but the last waits
+    until the chunk ahead is split, then gives a worker that runs further
+    ahead a moment to show it."""
     path = tmp_path / "r.dlde"
     records = simulate_to_file(small_config, path).records_written
     chunk = records // 8
     n_chunks = -(-records // chunk)
-    assert n_chunks >= pipeline.DECODE_INLINE_CHUNKS + 3
+    assert n_chunks > pipeline.DECODE_INLINE_CHUNKS
     real_split, real_feed = pipeline.channel_columns, HitMatcher.feed
     split = threading.Condition()
     splits = []
@@ -791,7 +828,7 @@ def test_read_ahead_keeps_one_chunk_ahead(tmp_path, monkeypatch, small_config):
     def counting_feed(self, columns, final=False):
         if not final:
             k = len(feeds) // 2 + 1  # the 1-based chunk being matched
-            if pipeline.DECODE_INLINE_CHUNKS < k < n_chunks:
+            if k < n_chunks:
                 with split:
                     assert split.wait_for(lambda: len(splits) > k, timeout=60)
                     split.wait_for(lambda: len(splits) > k + 1, timeout=0.02)
@@ -1095,6 +1132,33 @@ def test_window_counts_on_edges_match_brute_force(corr_overrides, rng):
     expected = [len(bases) * (4 + sum(lo <= d <= hi for d in g2_only)) for lo, hi in windows]
     assert [a.coincidence_count, a.accidental_count, *a.side_window_counts] == expected
     assert a.g2.counts.sum() > 0
+
+
+@pytest.mark.parametrize(
+    "corr_overrides",
+    [{}, NON_INTEGER_WINDOWS, {"coincidence_window_ps": [0.2, 0.8]},
+     {"accidental_center_ps": 1000.5}, {"coincidence_window_ps": [-400.0, 500.0], "accidental_center_ps": -950.5}],
+    ids=["integer", "non-integer", "empty", "adjacent", "negative-center"],
+)
+def test_every_window_count_and_mask_follows_the_closed_rule(corr_overrides, rng):
+    """Referee for the window pass: one pair per delay on every window edge
+    and one either side, each pair alone in its window reach; every window's
+    count, and the pairs in the coincidence and the accidental window (their
+    joint spectra), are those of ceil(lo) <= d <= floor(hi), the empty
+    coincidence window (0.2, 0.8) and windows whose integer ranges touch
+    included."""
+    corr = make_config(correlation=corr_overrides).correlation
+    windows = [corr.coincidence_window_ps, *corr.side_windows_ps]
+    delays = sorted({e + k for lo, hi in windows for e in (math.ceil(lo), math.floor(hi)) for k in (-1, 0, 1)})
+    bases = np.arange(len(delays), dtype=np.int64) * 1_000_000
+    ev0, ev1 = _photons(bases, rng), _photons(bases + delays, rng)
+    a = analyze_events((ev0, ev1), corr)
+    rules = [np.array([math.ceil(lo) <= d <= math.floor(hi) for d in delays]) for lo, hi in windows]
+    assert [a.coincidence_count, *a.side_window_counts] == [int(r.sum()) for r in rules]
+    for hist, rule in ((a.jsi_report.jsi, rules[0]), (a.jsi_report.accidental, rules[1])):
+        expected = build_jsi(ev0["wavelength_nm"][rule], ev1["wavelength_nm"][rule], corr)
+        assert np.array_equal(hist.counts, expected.counts)
+    assert (a.coincidence_count == 0) == (corr.coincidence_window_ps == (0.2, 0.8))
 
 
 @pytest.mark.parametrize("corr_overrides", [{}, NON_INTEGER_WINDOWS], ids=["integer", "non-integer"])
