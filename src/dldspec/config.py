@@ -201,8 +201,14 @@ class CorrelationConfig:
     """Delay histogram, coincidence window and spectral binning parameters.
 
     The accidental window is the coincidence window moved to the side peak at
-    accidental_center_ps, so equal widths, which an unbiased accidental
-    subtraction needs, hold by construction. The side windows, the coincidence
+    accidental_center_ps, so the float widths are equal by construction.
+    The counts of possible delays, which an unbiased accidental subtraction
+    needs equal, are not: every delay is a multiple of tick_ps, and a window
+    holds the multiples in [lo, hi]. A shift that is no multiple of the tick
+    (the default section at tick_ps 5 or 25) or that rounds (a centre of
+    1e16 ps or more) leaves a side window a delay or more short or over, and
+    the accidental count A biased by that ratio; ROADMAP item 17 puts the
+    windows on the tick grid. The side windows, the coincidence
     window moved to each multiple of the centre, must not overlap it or each
     other, or true coincidences are subtracted as accidentals: for a window
     [lo, hi] of half-width h, |accidental_center_ps| > max(hi + h, h - lo, 2h).
@@ -279,7 +285,11 @@ class CorrelationConfig:
 
     @property
     def side_windows_ps(self) -> tuple[tuple[float, float], ...]:
-        """The coincidence window moved to +k, then -k, times accidental_center_ps, k = 1..SIDE_PEAK_COUNT."""
+        """The coincidence window moved to +k, then -k, times accidental_center_ps, k = 1..SIDE_PEAK_COUNT.
+
+        Each has the coincidence window's float width, but not always its
+        count of possible delays: at tick_ps 5 or 25, or at a centre of 1e16
+        ps or more, the counts differ (ROADMAP item 17 is the fix)."""
         half = (self.coincidence_window_ps[1] - self.coincidence_window_ps[0]) / 2.0
         return tuple(
             (c - half, c + half)

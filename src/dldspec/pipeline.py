@@ -53,8 +53,9 @@ change a decoded event. Each chunk's events are written, at a running
 offset, straight into their detector's final event columns, allocated once
 for `_event_capacity` of the file's record count; the decoded tables are views
 of those columns' first rows, and nothing is joined at the end. Memory is
-bounded by two chunks plus the event columns, and the result does not depend
-on the chunk size.
+bounded by two chunks plus the event columns plus each matcher's carry: the
+longest run of triggers less than a collection window apart, and its pulses
+(`HitMatcher`). The result does not depend on the chunk size.
 
 Analysis puts every figure of the report, the side-peak-normalized g2
 included, in an `AnalysisResult`; the report only writes them out. It makes
@@ -372,8 +373,10 @@ def decode_file(
     `_event_capacity(records)` rows of the open file: each chunk's events
     are written into them at a running offset, and a detector that outgrows
     them doubles them. The returned tables are views of their first rows.
-    Memory is bounded by two chunks plus those columns: no chunk's events are
-    kept, and nothing is joined at the end.
+    Memory is bounded by two chunks plus those columns plus the longest run
+    of a detector's triggers less than a collection window apart, which its
+    matcher carries: no chunk's events are kept, and nothing is joined at the
+    end.
     A record whose time in picoseconds, timestamp * tick_ps, is 2**63 or more
     raises `TimestampRangeError` (`check_picosecond_range`): int64 `t_ps`
     cannot hold it.

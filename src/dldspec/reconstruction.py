@@ -20,6 +20,13 @@ photon events have `t_ps` (int64), `x_mm`, `y_mm` and `wavelength_nm`.
 `csvtext.csv_rows`, a block of rows at a time. The module sees nothing of the
 simulator: `position_to_wavelength` inverts the spectrometer map, and its
 forward twin, `detector_sim.wavelength_to_position`, belongs to the simulator.
+
+`HitMatcher` groups a detector's stream as it is read. A trigger reaches
+only the pulses of its own window, so the stream falls into independent
+parts wherever two consecutive triggers are more than a window apart. Each
+feed decides every part that is wholly buffered and carries only the
+timestamps of the last, unfinished one: beyond its feed, a matcher holds the
+longest run of triggers less than a window apart, and the pulses among them.
 """
 
 from __future__ import annotations
@@ -114,49 +121,55 @@ class HitMatcher:
     ticks.
     Matching is stateless per trigger (no candidate consumption), so two
     detections closer than the window can steal each other's candidates, fail
-    the gate and be lost: the square-anode multi-hit blind spot. A trigger is
-    decided exactly once, as soon as its whole candidate window is known to be
-    buffered (at or before the last buffered tick minus the window), so
-    results do not depend on the chunking. Decided triggers and expired
-    pulses, which no future trigger can reach, are a prefix of each column;
-    what follows is carried, per channel, with a claimed flag for each anode
-    pulse. A trigger is decided in the feed that cuts it, so an unaccepted
-    trigger is counted as an orphan there; an anode pulse is counted as one
-    when it expires still unclaimed.
+    the gate and be lost: the square-anode multi-hit blind spot.
+
+    A feed decides the stream below the latest valid cut c, one with no
+    trigger in [c - window, c): the last buffered tick when the last trigger
+    lies more than a window below it, else the latest trigger more than a
+    window after its predecessor (the first of an equal-time run; the first
+    buffered trigger qualifies, as the previous cut lies a window past every
+    decided trigger). No trigger on one side of c reaches a pulse on the
+    other, and every pulse below c is buffered, so the triggers below c are
+    decided there, the anode pulses below c expire there, and results do not
+    depend on the chunking. Only the five timestamp columns from c on are
+    carried: beyond its feed, a matcher holds the longest run of triggers
+    less than a window apart, and the pulses among them. A trigger is decided
+    in the feed that cuts it, so an unaccepted trigger is counted as an
+    orphan there, and so is an anode pulse that expires unclaimed.
     """
 
     def __init__(self, geometry: AnodeGeometry):
         self.geometry = geometry
         self.window_ticks = default_window_ticks(geometry)
         self._carry = [np.empty(0, dtype=np.int64)] * 5
-        self._carry_claimed = [np.empty(0, dtype=bool)] * 4  # the anode channels'
         self.orphans = 0
 
     def feed(self, columns: list[np.ndarray], final: bool = False) -> Columns:
         buf = [np.concatenate([carry, col]) for carry, col in zip(self._carry, columns)]
-        claimed = [np.concatenate([flags, np.zeros(col.size, dtype=bool)])
-                   for flags, col in zip(self._carry_claimed, columns[1:])]
+        mcp = buf[0]
         if final:
             cuts = [col.size for col in buf]
         else:
-            # with nothing buffered every cut is 0, whatever the cutoff
-            cutoff = max((int(col[-1]) for col in buf if col.size), default=0) - self.window_ticks
-            cuts = [int(np.searchsorted(col, cutoff, side="right")) for col in buf]
-        mcp_t = buf[0][: cuts[0]]
-        ok, cand_pos, cand_t = _match_core(mcp_t, buf[1:], self.geometry.propagation_ticks, self.window_ticks)
+            # the latest valid cut c; with nothing buffered every cut is 0
+            c = max((int(col[-1]) for col in buf if col.size), default=0)
+            if mcp.size and c - int(mcp[-1]) <= self.window_ticks:
+                gaps = np.flatnonzero(np.diff(mcp) > self.window_ticks)
+                c = int(mcp[gaps[-1] + 1 if gaps.size else 0])
+            cuts = [int(np.searchsorted(col, c)) for col in buf]
+        mcp_t = mcp[: cuts[0]]
+        ok, cand_pos, cand_t = _match_core(mcp_t, [col[:cut] for col, cut in zip(buf[1:], cuts[1:])],
+                                           self.geometry.propagation_ticks, self.window_ticks)
         accept = np.flatnonzero(ok)
-        self.orphans += mcp_t.size - accept.size
-        for k in range(4):
-            claimed[k][cand_pos[k].take(accept)] = True
-        for flags, cut in zip(claimed, cuts[1:]):
-            self.orphans += cut - int(np.count_nonzero(flags[:cut]))
+        # on each channel an accepted trigger's candidate never precedes an
+        # earlier one's, so a pulse that several claim is a run of equal positions
+        claimed = cand_pos.take(accept, axis=1)
+        distinct = claimed.size and 4 + int(np.count_nonzero(claimed[:, 1:] != claimed[:, :-1]))
+        self.orphans += mcp_t.size - accept.size + sum(cuts[1:]) - distinct
         groups = Columns({
             "t_mcp": mcp_t.take(accept),
             **{name: cand_t[k].take(accept) for k, name in enumerate(GROUP_TIMES[1:])},
         })
-        # deferred triggers stay in the carry along with every still-live pulse
         self._carry = [col[cut:] for col, cut in zip(buf, cuts)]
-        self._carry_claimed = [flags[cut:] for flags, cut in zip(claimed, cuts[1:])]
         return groups
 
     def finish(self) -> Columns:

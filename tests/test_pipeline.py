@@ -348,7 +348,10 @@ def test_a_chunk_larger_than_the_file_reads_the_whole_file(tmp_path, small_confi
 def test_stray_pulses_and_lone_triggers_are_orphans_at_every_chunk_size(tmp_path, chunk_records):
     """Orphans of a hand-built stream with stray pulses on every channel and
     triggers without partners equal the count made by hand, whichever feed
-    decides a trigger or expires a pulse."""
+    decides a trigger or expires a pulse. A feed decides the stream below
+    the latest cut with no trigger less than a window below it, so the chunk
+    size moves the cuts; beyond its feed, a matcher carries at most the
+    longest run of triggers less than a window apart, and their pulses."""
     cfg = make_config()
     pulses, groups, orphans = stray_pulse_stream(cfg.geometry)
     assert (groups, orphans) == (4, 20)

@@ -238,6 +238,26 @@ def test_streamed_matcher_equals_oracle_for_every_chunk_size(pulses):
         assert m.orphans == want_orphans
 
 
+
+def test_matcher_carry_with_a_dead_mcp_channel_stays_within_a_window():
+    """10**6 anode pulses and no trigger, fed 1,000 at a time: with no
+    trigger to wait for, every feed cuts at its last buffered tick, so the
+    carry never holds a pulse more than a window below it, however long the
+    stream, and every pulse ends as an orphan."""
+    rng = np.random.default_rng(16)
+    n, step = 10**6, 1000
+    window = default_window_ticks(_GEOMETRY)
+    # gaps of up to an eighth of a window, three in ten of them 0 (equal times)
+    ts = np.cumsum(rng.integers(0, window // 8, n) * (rng.random(n) < 0.7))
+    channel = rng.integers(Channel.XA, Channel.YB + 1, n)
+    m = HitMatcher(_GEOMETRY)
+    for lo in range(0, n, step):
+        t, c = ts[lo : lo + step], channel[lo : lo + step]
+        assert m.feed([t[c == k] for k in range(5)]).size == 0
+        assert np.concatenate(m._carry).min(initial=t[-1]) >= t[-1] - window
+    assert m.finish().size == 0
+    assert m.orphans == n
+
 class TestGroupsToEvents:
     def test_wavelength_consistency_field(self, default_config):
         g = default_config.geometry
