@@ -10,7 +10,8 @@ Conventions, shared by every operation and by the brute-force test oracles:
   its bin index rounds to.
 * A histogram is axes plus counts: `Histogram1D` counts on one `Axis`, and
   `Histogram2D` (a joint spectrum, its accidental estimate or their signed
-  difference) on two. Histograms share axes freely and never share counts.
+  difference) on two, with one block-bounded fill and one merge between them
+  (`_Histogram`). Histograms share axes freely and never share counts.
 * Every curve on an axis's bins, a `Histogram1D`'s counts included, is a
   `bin_lo,bin_hi,<column>` CSV (`write_bin_rows`); a `Histogram2D` writes
   sparse triplets, formatting whole columns (`csvtext.csv_rows`).
@@ -50,15 +51,17 @@ from .csvtext import csv_rows, distinct_texts
 # the stretch of second-detector times one block reaches stays in cache
 _PAIR_BLOCK = 1 << 13
 _INT64 = np.iinfo(np.int64)
-# Histogram1D.fill bins this many values at a time, so its temporaries are
-# a block's size however many values it counts
+# a histogram fill bins this many values (value tuples, on two axes) at a
+# time, so its temporaries are a block's size however many values it counts
 _FILL_BLOCK = 1 << 16
 # fit_fwhm fits the bins within this many bin widths of the peak center,
 # until no parameter moves by more than _FIT_XTOL of itself, in at most
-# _FIT_MAX_STEPS trial steps
+# _FIT_MAX_STEPS trial steps; an accepted step cuts the damping tenfold, to
+# no less than _FIT_MIN_DAMPING, so a failed step later climbs back fast
 _FIT_HALFWIDTH_BINS = 5
 _FIT_XTOL = 1e-12
 _FIT_MAX_STEPS = 200
+_FIT_MIN_DAMPING = 1e-9
 
 
 class FitError(RuntimeError):
@@ -79,15 +82,6 @@ def fmt_number(v) -> str:
     return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
-def _counts(counts, shape: tuple[int, ...]) -> np.ndarray:
-    """A fresh int64 array of `shape`: zeros when `counts` is None, else a copy
-    of `counts`, so no histogram shares another's counts."""
-    counts = np.zeros(shape, dtype=np.int64) if counts is None else np.array(counts, dtype=np.int64)
-    if counts.shape != shape:
-        raise ValueError(f"counts shape {counts.shape} != {shape}")
-    return counts
-
-
 def write_bin_rows(sink, axis: Axis, column: str, values: np.ndarray) -> None:
     """`bin_lo,bin_hi,<column>` lines, one per bin of `axis`, to an open text
     file; `values` holds one number per bin, in `fmt_number`'s format.
@@ -102,29 +96,48 @@ def write_bin_rows(sink, axis: Axis, column: str, values: np.ndarray) -> None:
     sink.write("".join((rows + "," + distinct_texts(values, fmt_number) + "\n").tolist()))
 
 
+class _Histogram:
+    """Counts on the cells of `axes`, one bin of each axis a cell: the one
+    counting implementation, which `Histogram1D` and `Histogram2D` share."""
+
+    def __post_init__(self):
+        shape = tuple(a.nbins for a in self.axes)
+        # a copy, so no histogram shares another's counts
+        self.counts = np.zeros(shape, np.int64) if self.counts is None else np.array(self.counts, np.int64)
+        if self.counts.shape != shape:
+            raise ValueError(f"counts shape {self.counts.shape} != {shape}")
+
+    def fill(self, *values: np.ndarray) -> None:
+        """Count each tuple of values, one array per axis, in its cell if every
+        value is inside its axis's domain: one `bincount` of the flattened
+        cells per _FILL_BLOCK tuples, so the temporaries are a block's size."""
+        values = [np.asarray(v) for v in values]
+        if len(values) != len(self.axes) or len({v.shape for v in values}) != 1:
+            raise ValueError(f"fill takes {len(self.axes)} value arrays of one shape")
+        for b in range(0, values[0].size, _FILL_BLOCK):
+            index = [axis.index(v[b : b + _FILL_BLOCK]) for axis, v in zip(self.axes, values)]
+            ok = np.logical_and.reduce([inside for _, inside in index])
+            flat = 0
+            for (idx, _), nbins in zip(index, self.counts.shape):
+                flat = flat * nbins + idx[ok].astype(np.int64)
+            self.counts += np.bincount(flat, minlength=self.counts.size).reshape(self.counts.shape)
+            del index, ok, flat, idx, _  # not live under the next block's temporaries
+
+    def merge(self, other):
+        """A new histogram of the summed counts; AxisMismatchError unless the axes are equal."""
+        if self.axes != other.axes:
+            raise AxisMismatchError(f"histogram axes differ: {self.axes} != {other.axes}")
+        return type(self)(*self.axes, self.counts + other.counts)
+
+
 @dataclass
-class Histogram1D:
+class Histogram1D(_Histogram):
     """Counts per bin of `axis`."""
 
     axis: Axis
     counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        self.counts = _counts(self.counts, (self.axis.nbins,))
-
-    def fill(self, values: np.ndarray) -> None:
-        """Count each value inside the domain in its bin, _FILL_BLOCK values at a time."""
-        values = np.asarray(values)
-        for b in range(0, values.size, _FILL_BLOCK):
-            idx, ok = self.axis.index(values[b : b + _FILL_BLOCK])
-            counts = np.bincount(idx[ok].astype(np.int64))
-            self.counts[: counts.size] += counts
-            del idx, ok  # not live under the next block's temporaries
-
-    def merge(self, other: "Histogram1D") -> "Histogram1D":
-        if self.axis != other.axis:
-            raise AxisMismatchError("1D histogram axes differ")
-        return Histogram1D(self.axis, self.counts + other.counts)
+    axes = property(lambda self: (self.axis,))
 
     def to_csv(self, sink) -> None:
         """`bin_lo,bin_hi,count` lines to an open text file (`write_bin_rows`)."""
@@ -132,29 +145,14 @@ class Histogram1D:
 
 
 @dataclass
-class Histogram2D:
+class Histogram2D(_Histogram):
     """Counts[i, j] of bin i of axis `x` and bin j of axis `y`."""
 
     x: Axis
     y: Axis
     counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        self.counts = _counts(self.counts, (self.x.nbins, self.y.nbins))
-
-    def fill(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        xi, x_ok = self.x.index(xs)
-        yi, y_ok = self.y.index(ys)
-        nx, ny = self.counts.shape
-        ok = x_ok & y_ok
-        if np.any(ok):
-            flat = xi[ok].astype(np.int64) * ny + yi[ok].astype(np.int64)
-            self.counts += np.bincount(flat, minlength=nx * ny).reshape(nx, ny)
-
-    def merge(self, other: "Histogram2D") -> "Histogram2D":
-        if (self.x, self.y) != (other.x, other.y):
-            raise AxisMismatchError("2D histogram axes differ")
-        return Histogram2D(self.x, self.y, self.counts + other.counts)
+    axes = property(lambda self: (self.x, self.y))
 
     def to_csv(self, sink) -> None:
         """Sparse `x_bin,y_bin,count` triplets (bin lower edges) to an open text
@@ -273,7 +271,7 @@ def select_coincidences(events1, events2, window: tuple[float, float]) -> tuple[
 def spectrum_1d(wavelengths: np.ndarray, config: CorrelationConfig) -> Histogram1D:
     """Singles wavelength spectrum; no coincidence filtering."""
     hist = Histogram1D(config.spectrum_axis)
-    hist.fill(np.asarray(wavelengths, dtype=np.float64))
+    hist.fill(wavelengths)
     return hist
 
 
@@ -281,7 +279,7 @@ def build_jsi(lambda1: np.ndarray, lambda2: np.ndarray, config: CorrelationConfi
     """Joint spectrum: detector-1 wavelength on x, detector-2 on y, both on
     `config.jsi_axis`."""
     hist = Histogram2D(config.jsi_axis, config.jsi_axis)
-    hist.fill(np.asarray(lambda1, dtype=np.float64), np.asarray(lambda2, dtype=np.float64))
+    hist.fill(lambda1, lambda2)
     return hist
 
 
@@ -343,7 +341,7 @@ def fit_fwhm(hist: Histogram1D, peak_center: float) -> FwhmFit:
             f_trial, jac_trial = _gaussian(p + step, xs)
             cost_trial = float(np.sum((f_trial - ys) ** 2))
             if cost_trial < cost and np.isfinite(jac_trial).all():
-                p, f, jac, cost, damping = p + step, f_trial, jac_trial, cost_trial, damping / 10
+                p, f, jac, cost, damping = p + step, f_trial, jac_trial, cost_trial, max(damping / 10, _FIT_MIN_DAMPING)
             else:
                 damping *= 10
             if (np.abs(step) <= _FIT_XTOL * np.abs(p)).all():

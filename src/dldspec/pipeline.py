@@ -76,7 +76,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import CorrelationConfig, RunConfig, pulse_count
+from .config import ConfigError, CorrelationConfig, RunConfig, pulse_count
 from .correlation import (
     FitError,
     FwhmFit,
@@ -341,17 +341,13 @@ def _split_chunks(reader: EventReader) -> Iterator[list[list[np.ndarray]]]:
     # 160 MiB RSS in 5 of 11 runs, against 122-149 MiB split here, through
     # where glibc's heap puts the first large arrays
     columns = split_next()
-    if inline:
-        while columns is not None:
-            yield columns
-            columns = split_next()
-        return
+    # an executor that is given nothing starts no thread
     with ThreadPoolExecutor(max_workers=1) as read_ahead:
         while columns is not None:
-            ahead = read_ahead.submit(split_next)
+            ahead = split_next if inline else read_ahead.submit(split_next).result
             yield columns
             # waiting here keeps one chunk ahead and re-raises a worker error
-            columns = ahead.result()
+            columns = ahead()
 
 
 def decode_file(
@@ -379,7 +375,8 @@ def decode_file(
     end.
     A record whose time in picoseconds, timestamp * tick_ps, is 2**63 or more
     raises `TimestampRangeError` (`check_picosecond_range`): int64 `t_ps`
-    cannot hold it.
+    cannot hold it. A header tick_ps other than `geometry.tick_ps` raises
+    `ConfigError`.
     The matchers see the same columns in the same order on either thread, so
     the result cannot depend on the threads. An error raised on the worker
     comes out of this call as itself; the worker is shut down before the file
@@ -397,9 +394,7 @@ def decode_file(
                 offset=10,  # the header's detector_count byte
             )
         if header.tick_ps != geometry.tick_ps:
-            raise ValueError(
-                f"file tick_ps={header.tick_ps} does not match configured geometry tick_ps={geometry.tick_ps}"
-            )
+            raise ConfigError(f"geometry.tick_ps: {geometry.tick_ps} does not match the file's tick_ps={header.tick_ps}")
         capacity = _event_capacity(reader.file_records())
         events = [_EventColumns(capacity), _EventColumns(capacity)]
 

@@ -173,6 +173,27 @@ def test_missing_input_argument_fails(tmp_path, cfg_file, capsys):
     assert "no input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args,error",
+    [
+        (["--set", "geometry.tick_ps=2", "--out", "rep"],
+         "config error: geometry.tick_ps: 2 does not match the file's tick_ps=1\n"),
+        ([], "config error: no output directory"),
+        (["--input", "absent.dlde", "--out", "rep"], "error: [Errno 2] No such file or directory: 'absent.dlde'\n"),
+    ],
+    ids=["tick-mismatch", "no-output-directory", "missing-input-file"],
+)
+def test_analyze_refusal_exits_1(tmp_path, cfg_file, capsys, monkeypatch, args, error):
+    """Analyzing a tick-1 file at another tick, with no output directory or
+    from a missing file fails with exit 1, and writes no report."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["simulate", "--config", cfg_file, "--out", "run.dlde"]) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli(["analyze", "--config", cfg_file, "--input", "run.dlde", *args]) == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith(error)
+    assert not (tmp_path / "rep").exists()
+
+
 def test_defaults_used_without_config(tmp_path):
     out = tmp_path / "def.dlde"
     code = run_cli(["simulate", "--out", out, "--set", "simulation.duration_ps=5e7"])

@@ -65,6 +65,16 @@ class TestAxis:
         assert Axis.spanning(0.0, 10.0, 1.0) != Axis.spanning(0.0, 10.0, 2.0)
 
 
+def fill_peak_bytes(hist, *values):
+    """The traced peak of `hist.fill(*values)`, in bytes."""
+    tracemalloc.start()
+    try:
+        hist.fill(*values)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestHistogram1D:
     def test_bin_count_is_ceil(self):
         h = Histogram1D(Axis.spanning(-60000.0, 60000.0, 88.0))
@@ -142,16 +152,43 @@ class TestHistogram1D:
 
         def peak_bytes(blocks):
             values = np.random.default_rng(blocks).integers(-70000, 70000, blocks * correlation._FILL_BLOCK)
-            h = Histogram1D(axis)
-            tracemalloc.start()
-            try:
-                h.fill(values)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return fill_peak_bytes(Histogram1D(axis), values)
 
         one, sixteen = peak_bytes(1), peak_bytes(16)
         assert abs(sixteen - one) <= 0.1 * one, (one, sixteen)
+
+    def test_2d_block_fill_equals_one_bincount(self, monkeypatch):
+        r = np.random.default_rng(6)
+        xs, ys = r.normal(0.0, 4.0, (2, 1000))
+        xs[:3], ys[:3] = (10.0, 0.0, 9.999), (0.0, -10.0, -10.0)  # on the domain edges
+        x, y = Axis.spanning(-10.0, 10.0, 0.5), Axis.spanning(-10.0, 10.0, 0.25)
+        want = np.histogram2d(xs, ys, bins=(x.edges(), y.edges()))[0]
+        want[-1, :] -= np.histogram(ys[xs == x.upper], bins=y.edges())[0]  # histogram2d closes the last bin
+        for block in (1, 7, 999, 1000, 4096):
+            monkeypatch.setattr(correlation, "_FILL_BLOCK", block)
+            h = Histogram2D(x, y)
+            h.fill(xs, ys)
+            assert np.array_equal(h.counts, want), block
+
+    def test_2d_fill_memory_is_bounded_by_the_block(self):
+        """A joint spectrum's fill is block-bounded too: 16 blocks of value
+        pairs trace within 10% of one block's peak."""
+        axis = Axis.spanning(388.475, 390.025, 0.05)
+
+        def peak_bytes(blocks):
+            xs, ys = np.random.default_rng(blocks).uniform(388.0, 390.5, (2, blocks * correlation._FILL_BLOCK))
+            return fill_peak_bytes(Histogram2D(axis, axis), xs, ys)
+
+        one, sixteen = peak_bytes(1), peak_bytes(16)
+        assert abs(sixteen - one) <= 0.1 * one, (one, sixteen)
+
+    def test_fill_takes_one_value_array_of_one_shape_per_axis(self):
+        axis = Axis.spanning(0.0, 10.0, 1.0)
+        for h, values in ((Histogram1D(axis), ([1.0], [1.0])), (Histogram2D(axis, axis), ([1.0],)),
+                          (Histogram2D(axis, axis), ([1.0], [1.0, 2.0]))):
+            with pytest.raises(ValueError, match="value arrays of one shape"):
+                h.fill(*values)
+            assert h.counts.sum() == 0
 
     def test_csv_lines(self, tmp_path):
         h = Histogram1D(Axis.spanning(0.0, 2.0, 1.0))
