@@ -3,17 +3,21 @@
 `csv_rows` gives the text that Python's `%` operator would give row by row:
 an integer column prints as `%d` and a float column exactly as `%.6f`, that
 is correctly rounded, half to even, from the float's exact binary value.
-Rows are laid out as a `uint8` matrix of fixed-width 4-byte slots filled
-from lookup tables, with NUL bytes where a row has no character (leading
-zeros, a plus sign, a number shorter than its column's longest); one boolean
-compaction of the matrix drops the NULs. No Python code runs per row.
+A row is a run of fixed-width 4-byte slots filled from lookup tables, with
+NUL bytes where it has no character (leading zeros, a plus sign, a number
+shorter than its column's longest). Each slot is one contiguous row of a
+`uint32` matrix of shape (slots, rows); one transposing copy gives the rows'
+bytes in order, and one `bytes.translate` drops the NULs. No Python code runs
+per row.
 
 A float is printed from n = |x| * 10**6 rounded to an integer. The product
-q = fl(|x| * 10**6) can round onto a tie (an odd multiple of 0.5) that the
-exact product is not on, or off one it is on, so the exact error of q
-(Dekker's two-product, Numer. Math. 18, 224, 1971) decides every value that
-`rint` sees as a tie. n must stay below 2**53, where every integer is a
-float: `csv_rows` refuses a non-finite float or one with |x| >= 2**53 / 10**6.
+q = fl(|x| * 10**6) rounds to the integer the exact product rounds to, unless
+q lands on a tie (an odd multiple of 0.5) that the exact product need not be
+on: below 2**52 a half-integer strictly between them would be a nearer float,
+and from 2**52 on fl itself rounds half to even. So only where `rint` meets
+a tie does the exact error of q (Dekker's two-product, Numer. Math. 18, 224,
+1971) decide n. n must stay below 2**53, where every integer is a float:
+`csv_rows` refuses a non-finite float or one with |x| >= 2**53 / 10**6.
 
 `distinct_texts` serves any other format: it calls a formatter once per
 distinct value of an array, and each element indexes the text of its value.
@@ -50,20 +54,23 @@ _SPLIT = 2.0**27 + 1.0
 
 def _float_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sign, integer part and 6-digit fraction of each `%.6f` value, the
-    parts as int64."""
+    parts as int64. `rint` rounds every value; the exact product's error is
+    computed only at the ties it met, to move those it broke the wrong way."""
     a = np.abs(x)
     if not np.all(a < _FLOAT_LIMIT):  # NaN fails the comparison too
         raise ValueError(f"cannot format as %.6f: a value is not finite or not below {_FLOAT_LIMIT!r} in magnitude")
     q = a * 1e6
     n = np.rint(q)
     d = q - n  # exact: n is within 0.5 of q
+    n = n.astype(np.int64)
+    tie = np.flatnonzero(np.abs(d) == 0.5)
+    a, q, d = a[tie], q[tie], d[tie]
     hi = _SPLIT * a
     hi -= hi - a
     err = (hi * 1e6 - q) + (a - hi) * 1e6  # a * 1e6 == q + err exactly
-    n = n.astype(np.int64)
     # rint broke a tie of q to even; the exact product is off it by err
-    n += (d == 0.5) & (err > 0)
-    n -= (d == -0.5) & (err < 0)
+    n[tie] += (d > 0) & (err > 0)
+    n[tie] -= (d < 0) & (err < 0)
     whole = n // 10**6
     return np.signbit(x), whole, n - whole * 10**6
 
@@ -82,7 +89,8 @@ def csv_rows(columns, prefix: str = "") -> str:
 
     Float columns print as `%.6f` and any other column as the integers `%d`
     prints. A non-finite float, or one of magnitude 2**53 / 10**6 or more,
-    raises ValueError and nothing is returned.
+    raises ValueError and nothing is returned. Each slot fills one row of the
+    (slots, rows) matrix; the text is its transpose's bytes less the NULs.
     """
     head = prefix.encode("ascii")
     slots = list(np.frombuffer(head + bytes(-len(head) % 4), dtype=np.uint32))
@@ -108,11 +116,11 @@ def csv_rows(columns, prefix: str = "") -> str:
             high = frac // 10000
             slots += [_FRACTION_HIGH[high], _DIGITS[frac - high * 10000]]
     slots.append(ord("\n"))  # one byte of the slot, the other three NUL
-    out = np.empty((len(columns[0]), len(slots)), dtype=np.uint32)
+    out = np.empty((len(slots), len(columns[0])), dtype=np.uint32)
     for i, slot in enumerate(slots):
-        out[:, i] = slot
-    flat = out.view(np.uint8).ravel()
-    return str(flat[flat != 0], "ascii")
+        out[i] = slot
+    del slots  # before the two byte copies: the peak is three matrix-sized buffers
+    return out.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def distinct_texts(values, fmt) -> np.ndarray:

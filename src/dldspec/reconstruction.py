@@ -40,9 +40,11 @@ from .event_format import GROUP_TIMES, Columns
 DEFAULT_SUM_TOL_TICKS = 3
 
 EVENTS_CSV_HEADER = "detector,t_ps,x_mm,y_mm,lambda_nm"
-# write_events_csv formats this many rows at once. A default-run row takes
-# about 290 B while its block is formatted: its 18 4-byte slots twice (as
-# columns, then as one matrix), the matrix's NUL mask and about 45 B of text.
+# write_events_csv formats this many rows at once. A default-run row peaks at
+# about 250 B (tracemalloc) while its block is formatted: its 18 4-byte slots
+# three times (the slot-major matrix, its bytes in row order, and translate's
+# output buffer before the NULs shrink it to about 45 B of text), plus the
+# last column's parts.
 _CSV_BLOCK_ROWS = 1 << 14
 
 

@@ -299,6 +299,14 @@ class TestGroupsToEvents:
             "y_mm": rng.uniform(-1.0, 41.0, n),
             "wavelength_nm": rng.uniform(388.0, 390.5, n),
         })
+        for name in ("x_mm", "y_mm", "wavelength_nm"):
+            # on rows scattered over the blocks: exact ties (odd multiples of 2**-7, so
+            # value * 10**6 is a half-integer) with their nextafter neighbours below and above,
+            # and the doubles nearest decimal ties, whose product rounds onto a tie it is not on
+            exact, near = np.split(rng.choice(n, 180, replace=False), 2)
+            ties = (2 * np.floor(events[name][exact] * 64) + 1) / 128
+            events[name][exact] = np.nextafter(ties, ties + rng.integers(-1, 2, exact.size))
+            events[name][near] = (np.round(events[name][near] * 1e6) + 0.5) / 1e6
         events["x_mm"][:3] = (0.0, -0.0, 1e-7)  # signed zero and sub-resolution values
         for name, arr in (("some", events), ("none", events[:0])):
             for detector in (0, 1):
