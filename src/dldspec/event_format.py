@@ -240,11 +240,14 @@ class StagedFile:
         if self.file.closed:
             return
         self.file.close()
+        moved = False
         try:
             if publish:
                 os.replace(self._tmp, self.path)
+                moved = True
         finally:
-            self._tmp.unlink(missing_ok=True)  # gone already after a move
+            if not moved:  # a moved file has no staged name left to delete
+                self._tmp.unlink(missing_ok=True)
 
     def __enter__(self):
         return self.file

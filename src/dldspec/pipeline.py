@@ -60,8 +60,10 @@ longest run of triggers less than a collection window apart, and its pulses
 Analysis puts every figure of the report, the side-peak-normalized g2
 included, in an `AnalysisResult`; the report only writes them out. It makes
 one pair search and consumes its pairs ANALYZE_SLICE_PAIRS at a time into
-histograms and window counts, keeping no index pair, so beyond the events
-its memory is the pair arrays plus one slice.
+the g2 histogram and window counts. It keeps the indices of the pairs in the
+coincidence and in the accidental window, and fills each joint spectrum
+from them once, so beyond the events its memory is the pair arrays, those
+indices and one slice.
 """
 
 from __future__ import annotations
@@ -454,11 +456,12 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     consumed ANALYZE_SLICE_PAIRS at a time, so no run-sized delay array or
     window mask is built: each slice's delays are binned with `g2_histogram`,
     whose `fill` drops those outside the half-open domain, each closed window
-    counts the slice's delays in it (`in_window`), and the pairs in the
-    coincidence and the accidental window fill the slice's two joint spectra.
-    The slice histograms merge on their equal axes. The side windows' mean,
-    per bin of the g2 axis, normalizes the g2 curve. Memory is the events,
-    the pairs and one slice.
+    counts the slice's delays in it (`in_window`), and the slice's g2
+    histogram merges into the run's on their equal axes. Each slice keeps the
+    indices of its pairs in the coincidence and in the accidental window, and
+    each joint spectrum is filled once from them, after the last slice. The
+    side windows' mean, per bin of the g2 axis, normalizes the g2 curve.
+    Memory is the events, the pairs, the in-window pair indices and one slice.
     """
     warnings: list[str] = []
     ev0, ev1 = events
@@ -474,9 +477,10 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     span = [(g2_domain.lo, g2_domain.upper), *windows]
     pair_i, pair_j = select_coincidences(t0, t1, (min(w[0] for w in span), max(w[1] for w in span)))
     g2 = Histogram1D(g2_domain)
-    jsi = build_jsi(np.empty(0), np.empty(0), corr)
-    accidental = build_jsi(np.empty(0), np.empty(0), corr)
     counts = [0] * len(windows)
+    # positions in the pair arrays of the pairs in the coincidence window and
+    # in the accidental window (masks[0] and masks[1]), a run per slice
+    joint = ([np.empty(0, np.intp)], [np.empty(0, np.intp)])
     for start in range(0, pair_i.size, ANALYZE_SLICE_PAIRS):
         i = pair_i[start : start + ANALYZE_SLICE_PAIRS]
         j = pair_j[start : start + ANALYZE_SLICE_PAIRS]
@@ -484,8 +488,9 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
         g2 = g2.merge(g2_histogram(delays, corr))
         masks = [in_window(delays, w) for w in windows]
         counts = [n + int(np.count_nonzero(m)) for n, m in zip(counts, masks)]
-        jsi = jsi.merge(build_jsi(lambda0[i[masks[0]]], lambda1[j[masks[0]]], corr))
-        accidental = accidental.merge(build_jsi(lambda0[i[masks[1]]], lambda1[j[masks[1]]], corr))
+        for picked, m in zip(joint, masks):
+            picked.append(start + np.flatnonzero(m))
+    jsi, accidental = (build_jsi(lambda0[pair_i[k]], lambda1[pair_j[k]], corr) for k in map(np.concatenate, joint))
     center, side_counts = counts[0], counts[1:]
     fit = None
     fit_error = ""

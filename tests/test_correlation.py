@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import io
 import math
@@ -336,7 +337,7 @@ class TestSelectCoincidences:
 
 
 class TestWindowPairs:
-    @pytest.mark.parametrize("block", [1, 7, correlation._PAIR_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, 1 << 13, correlation._PAIR_BLOCK])
     @pytest.mark.parametrize("window", [(-2_500.0, 2_500.0), (-400.0, 3_000.5), (0.2, 0.8)],
                              ids=["symmetric", "asymmetric", "empty"])
     def test_blocks_equal_brute_force(self, block, window, monkeypatch):
@@ -349,6 +350,31 @@ class TestWindowPairs:
         assert got == brute_coincidences(t1, t2, window)
         assert all(i.size and i[-1] - i[0] < block for i, _ in blocks)
         assert (len(got) == 0) == (window == (0.2, 0.8))
+
+    @pytest.mark.parametrize("k", [-2**64, -2**63, -1, 0, 1, 2**63 - 1, 2**64])
+    def test_merged_count_equals_a_binary_search(self, k):
+        """The merged partner count against `np.searchsorted` under the same
+        side rule, and both against the exact count in Python integers."""
+        lo, hi = -2**63, 2**63 - 1
+        r = np.random.default_rng(k % 1009)
+        bounds = np.array([lo, lo, lo + 1, lo + 2, -1, 0, 1, hi - 2, hi - 1, hi, hi])
+        cases = {
+            "many equal times": (np.sort(r.integers(-20, 20, 300)), np.sort(r.integers(-20, 20, 200))),
+            "empty reach": (np.empty(0, np.int64), np.sort(r.integers(-20, 20, 50))),
+            "keys past both ends": (np.sort(r.integers(-100, 100, 40)), np.array([-10**6, -10**6, 0, 10**6, 10**6])),
+            "times on the int64 bounds": (bounds, bounds),
+        }
+        for name, (t2, t) in cases.items():
+            t2, t = t2.astype(np.int64), t.astype(np.int64)
+            if k > 0:  # t2 < t + k exactly when t2 <= t + k - 1
+                want = np.searchsorted(t2, correlation._saturating_add(t, k - 1), side="right")
+            else:
+                want = np.searchsorted(t2, correlation._saturating_add(t, k), side="left")
+            values = t2.tolist()
+            exact = [bisect.bisect_left(values, x + k) for x in t.tolist()]
+            assert want.tolist() == exact, name
+            assert correlation._merge_count_below(t2, t, k).tolist() == exact, name
+            assert correlation._count_below(t2, t, k).tolist() == exact, name
 
     def test_memory_is_bounded_by_the_block(self, monkeypatch):
         """The traced peak of consuming every block is one block's worth,

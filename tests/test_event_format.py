@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import io
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,28 @@ class TestWrite:
             staged.close(publish=True)
         assert list(tmp_path.iterdir()) == [path]
         assert list(path.iterdir()) == []
+
+    def test_a_published_file_is_moved_and_nothing_deleted(self, tmp_path, monkeypatch):
+        """A move leaves no staged name, so publishing deletes nothing; a
+        discarded file is deleted."""
+        deleted = []
+        unlink = Path.unlink
+
+        def recording_unlink(p, *args, **kwargs):
+            deleted.append(p.name)
+            unlink(p, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", recording_unlink)
+        path = tmp_path / "run.dlde"
+        path.write_bytes(b"earlier")
+        with StagedFile(path, "xb") as f:
+            f.write(b"bytes")
+        assert deleted == []
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"bytes"
+        staged = StagedFile(path, "xb")
+        staged.close(publish=False)
+        assert deleted == [staged._tmp.name]
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"bytes"
 
     def test_header_always_writes_the_version_it_reads(self):
         hdr = EventFileHeader(tick_ps=7, detector_count=255).pack()

@@ -449,8 +449,11 @@ def test_every_pulse_ends_in_a_group_or_as_an_orphan(tmp_path, overrides):
         ({"seed": 1}, 997, "2a7c302435b19ef2b730f7f8cfa2660af2736301316ba3d56e85f6f4f6907b37"),
         ({"seed": 7, "duration_ps": 1e9, "pair_rate_per_pulse": 0.5, "pump_scatter_rate_per_pulse": 0.5, "qe": 0.4},
          None, "b75887360de87707aa60333b61628c22282cd0e5ecfdc12679fcfb80c6a67311"),
+        # six pair blocks and two analysis slices
+        ({"seed": 7, "duration_ps": 1e10, **DENSE_PHYSICS},
+         None, "2cbf53934333a025a21097badec10f7a330dbf01ec94630b28ab5b64a52c0097"),
     ],
-    ids=["default-seed1", "default-seed1-chunks997", "dense-seed7"],
+    ids=["default-seed1", "default-seed1-chunks997", "dense-seed7", "dense-seed7-long"],
 )
 def test_report_bundle_bytes_are_pinned(tmp_path, overrides, chunk_records, digest):
     """The report bundle for a seed is part of the behaviour contract: the
