@@ -24,7 +24,9 @@ Conventions, shared by every operation and by the brute-force test oracles:
   reach, each left event's partner range is found by merging the block with
   that stretch only (one stable sort of two sorted runs per range edge), and
   only in-window pairs are expanded. The search keys saturate at the int64
-  bounds, so times anywhere in int64 pair exactly.
+  bounds, so times anywhere in int64 pair exactly. A pair's indices are
+  int32, 8 bytes a pair, when both time arrays hold fewer than 2**31 events,
+  and int64 otherwise.
 * An analysis makes one pair search: `pipeline.analyze_events` selects the
   pairs of one closed window spanning the g2 domain and every closed window,
   and derives everything from their delays, a fixed slice of pairs at a
@@ -32,7 +34,8 @@ Conventions, shared by every operation and by the brute-force test oracles:
   enforced by `fill`, not by the search) and merges into the run's, and
   `in_window` counts them per closed window; the pairs in the coincidence
   and in the accidental window fill the two joint spectra once, at the end.
-  Its memory is the pairs, their in-window indices and one slice.
+  Its memory is the pairs (8 bytes each), their in-window indices and one
+  slice.
 
 Merging chunk-partial histograms on equal axes is exact, so histograms
 accumulated over chunks or separate runs add up to the single-pass result.
@@ -54,6 +57,9 @@ from .csvtext import csv_rows, distinct_texts
 # 2**12 to 2**15, 2**14 merged fastest at both criterion-9 and dense occupancy
 _PAIR_BLOCK = 1 << 14
 _INT64 = np.iinfo(np.int64)
+# pair indices are int32 when both time arrays hold fewer events than this,
+# so every index fits in 4 bytes; int64 otherwise
+_INT32_EVENTS = 1 << 31
 # a histogram fill bins this many values (value tuples, on two axes) at a
 # time, so its temporaries are a block's size however many values it counts
 _FILL_BLOCK = 1 << 16
@@ -193,13 +199,18 @@ def in_window(delays: np.ndarray, window: tuple[float, float]) -> np.ndarray:
 
 
 def _saturating_add(t: np.ndarray, k: int) -> np.ndarray:
-    """t + k, saturated at the int64 bounds where it would wrap. A k beyond
-    int64 is added in two steps of its sign, since a saturated key stays so;
-    a k of 2**64 or more saturates every key, as 2**64 does."""
+    """t + k for sorted int64 `t`, saturated at the int64 bounds where it
+    would wrap. Only an end of a sorted `t` can leave int64, so the keys are
+    clipped only when t[0] + k or t[-1] + k does, and added plainly
+    otherwise. A k beyond int64 is added in two steps of its sign, since a
+    saturated key stays so; a k of 2**64 or more saturates every key, as
+    2**64 does."""
     if not _INT64.min <= k <= _INT64.max:
         k = max(min(k, 2**64), -(2**64))
         half = k // 2
         return _saturating_add(_saturating_add(t, half), k - half)
+    if not t.size or _INT64.min <= int(t[0]) + k and int(t[-1]) + k <= _INT64.max:
+        return t + k
     return np.clip(t, max(_INT64.min, _INT64.min - k), min(_INT64.max, _INT64.max - k)) + k
 
 
@@ -216,8 +227,8 @@ def _below_key(t: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
 
 
 def _count_below(t2: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
-    """For each time in `t`, the number of `t2` times below t + k, exactly:
-    a binary search per time."""
+    """For each time in sorted `t`, the number of `t2` times below t + k,
+    exactly: a binary search per time."""
     key, equal_counts = _below_key(t, k)
     return np.searchsorted(t2, key, side="right" if equal_counts else "left")
 
@@ -238,9 +249,17 @@ def _merge_count_below(t2: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
     return pos
 
 
+def _pair_index_dtype(t1: np.ndarray, t2: np.ndarray) -> type:
+    """The dtype of the (i, j) pair indices into `t1` and `t2`: int32 when
+    both hold fewer than _INT32_EVENTS events, int64 otherwise."""
+    return np.int32 if max(t1.size, t2.size) < _INT32_EVENTS else np.int64
+
+
 def iter_window_pairs(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (i, j) index blocks of all pairs with t2[j] - t1[i] in the closed
-    window [lo, hi], in i-major order.
+    window [lo, hi], in i-major order. The indices are int32 when both time
+    arrays hold fewer than 2**31 events and int64 otherwise
+    (`_pair_index_dtype`), decided once from the two lengths.
 
     Each block is _PAIR_BLOCK first-detector events. Two scalar binary
     searches find the stretch of t2 that the window of its first and last
@@ -255,6 +274,7 @@ def iter_window_pairs(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float) -> I
     first, last = _closed_bounds(lo, hi)
     if first > last:  # no integer delay in the window
         return
+    index = _pair_index_dtype(t1, t2)
     for b in range(0, t1.size, _PAIR_BLOCK):
         t = t1[b : b + _PAIR_BLOCK]
         # t is sorted: every partner of the block lies in t2[a:z]
@@ -266,12 +286,14 @@ def iter_window_pairs(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float) -> I
         total = int(counts.sum())
         if total == 0:
             continue
-        i = np.repeat(np.arange(t.size, dtype=np.int64), counts)
-        # the pair k of event m is partner s[m] + k - (pairs of the events before m)
+        i = np.repeat(np.arange(t.size, dtype=index), counts)
+        # the pair k of event m is partner s[m] + k - (pairs of the events
+        # before m); past 2**31 pairs a block the int32 terms wrap, but their
+        # sum, an index below t2.size, wraps back exactly
         s += a
         s[1:] -= np.cumsum(counts[:-1])
-        j = s.take(i)  # a gather, several times faster than a second repeat
-        j += np.arange(total, dtype=np.int64)
+        j = s.astype(index, copy=False).take(i)  # a gather, several times faster than a second repeat
+        j += np.arange(total, dtype=index)
         i += b
         yield i, j
 
@@ -289,13 +311,16 @@ def select_coincidences(events1, events2, window: tuple[float, float]) -> tuple[
     """Index pairs (i, j) with t2[j] - t1[i] inside the closed window.
 
     An event may appear in several pairs; nothing is deduplicated, matching the
-    counting convention of the delay histogram.
+    counting convention of the delay histogram. The indices are int32 when
+    both event arrays hold fewer than 2**31 events and int64 otherwise, as
+    `iter_window_pairs` yields them.
     """
     t1 = _event_times(events1)
     t2 = _event_times(events2)
     blocks = list(iter_window_pairs(t1, t2, window[0], window[1]))
     if not blocks:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        index = _pair_index_dtype(t1, t2)
+        return np.empty(0, dtype=index), np.empty(0, dtype=index)
     return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
 
 

@@ -62,8 +62,9 @@ included, in an `AnalysisResult`; the report only writes them out. It makes
 one pair search and consumes its pairs ANALYZE_SLICE_PAIRS at a time into
 the g2 histogram and window counts. It keeps the indices of the pairs in the
 coincidence and in the accidental window, and fills each joint spectrum
-from them once, so beyond the events its memory is the pair arrays, those
-indices and one slice.
+from them once, so beyond the events its memory is the pair arrays, 8 bytes
+a pair (two int32 indices, `select_coincidences`), those indices and one
+slice.
 """
 
 from __future__ import annotations
@@ -461,7 +462,8 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     indices of its pairs in the coincidence and in the accidental window, and
     each joint spectrum is filled once from them, after the last slice. The
     side windows' mean, per bin of the g2 axis, normalizes the g2 curve.
-    Memory is the events, the pairs, the in-window pair indices and one slice.
+    Memory is the events, the pairs at 8 bytes each (two int32 indices), the
+    in-window pair indices and one slice.
     """
     warnings: list[str] = []
     ev0, ev1 = events
@@ -484,13 +486,14 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     for start in range(0, pair_i.size, ANALYZE_SLICE_PAIRS):
         i = pair_i[start : start + ANALYZE_SLICE_PAIRS]
         j = pair_j[start : start + ANALYZE_SLICE_PAIRS]
-        delays = t1[j] - t0[i]
+        # take, not []: through int32 indices it gathers about a quarter faster
+        delays = t1.take(j) - t0.take(i)
         g2 = g2.merge(g2_histogram(delays, corr))
         masks = [in_window(delays, w) for w in windows]
         counts = [n + int(np.count_nonzero(m)) for n, m in zip(counts, masks)]
         for picked, m in zip(joint, masks):
             picked.append(start + np.flatnonzero(m))
-    jsi, accidental = (build_jsi(lambda0[pair_i[k]], lambda1[pair_j[k]], corr) for k in map(np.concatenate, joint))
+    jsi, accidental = (build_jsi(lambda0.take(pair_i[k]), lambda1.take(pair_j[k]), corr) for k in map(np.concatenate, joint))
     center, side_counts = counts[0], counts[1:]
     fit = None
     fit_error = ""

@@ -29,7 +29,7 @@ from dldspec.correlation import (
     spectrum_1d,
     subtract_accidental,
 )
-from dldspec.pipeline import analyze_file, simulate_to_file
+from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate_to_file
 
 from _oracles import brute_coincidences, brute_delay_histogram
 from conftest import delay_histogram, make_config
@@ -336,11 +336,28 @@ class TestSelectCoincidences:
         assert sorted(zip(i.tolist(), j.tolist())) == brute_coincidences(t1, t2, (lo, hi))
 
 
+def _same(a, b) -> bool:
+    """Equal values of equal types, field by field and element by element,
+    arrays of equal dtype; NaN equals NaN."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, (np.ndarray, float)):
+        return np.result_type(a) == np.result_type(b) and np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+PAIR_BLOCKS = [1, 7, 1 << 13, correlation._PAIR_BLOCK]
+PAIR_WINDOWS = pytest.mark.parametrize("window", [(-2_500.0, 2_500.0), (-400.0, 3_000.5), (0.2, 0.8)],
+                                       ids=["symmetric", "asymmetric", "empty"])
+
+
 class TestWindowPairs:
-    @pytest.mark.parametrize("block", [1, 7, 1 << 13, correlation._PAIR_BLOCK])
-    @pytest.mark.parametrize("window", [(-2_500.0, 2_500.0), (-400.0, 3_000.5), (0.2, 0.8)],
-                             ids=["symmetric", "asymmetric", "empty"])
-    def test_blocks_equal_brute_force(self, block, window, monkeypatch):
+    @staticmethod
+    def _brute_force_case(block, window, monkeypatch):
+        """Blocks of `block` events over 152 and 150 times, with every pair,
+        against the all-pairs oracle."""
         monkeypatch.setattr(correlation, "_PAIR_BLOCK", block)
         r = np.random.default_rng(block)
         t1 = np.sort(np.concatenate([r.integers(0, 60_000, 150), [-1_000_000, 5_000_000]]))
@@ -350,6 +367,47 @@ class TestWindowPairs:
         assert got == brute_coincidences(t1, t2, window)
         assert all(i.size and i[-1] - i[0] < block for i, _ in blocks)
         assert (len(got) == 0) == (window == (0.2, 0.8))
+        return blocks
+
+    @pytest.mark.parametrize("block", PAIR_BLOCKS)
+    @PAIR_WINDOWS
+    def test_blocks_equal_brute_force(self, block, window, monkeypatch):
+        self._brute_force_case(block, window, monkeypatch)
+
+    @pytest.mark.parametrize("window", [(-2_500.0, 2_500.0), (0.2, 0.8)], ids=["pairs", "empty"])
+    def test_ordinary_inputs_give_int32_pairs(self, window):
+        t = np.arange(0, 60_000, 1_000, dtype=np.int64)
+        blocks = list(correlation.iter_window_pairs(t, t + 300, *window))
+        i, j = select_coincidences(t, t + 300, window)
+        assert all(a.dtype == b.dtype == np.int32 for a, b in [*blocks, (i, j)])
+        assert (i.size == 0) == (window == (0.2, 0.8))
+
+    @pytest.mark.parametrize("block", PAIR_BLOCKS)
+    @PAIR_WINDOWS
+    def test_int64_pairs_equal_int32_pairs(self, block, window, monkeypatch):
+        """With the int32 bound below their lengths, the brute-force cases
+        give int64 pairs: the same pairs, in the same blocks, as int32."""
+        narrow = self._brute_force_case(block, window, monkeypatch)
+        monkeypatch.setattr(correlation, "_INT32_EVENTS", 100)
+        wide = self._brute_force_case(block, window, monkeypatch)
+        assert all(a.dtype == b.dtype == np.int64 for a, b in wide)
+        assert len(wide) == len(narrow)
+        for (i64, j64), (i32, j32) in zip(wide, narrow):
+            assert np.array_equal(i64, i32) and np.array_equal(j64, j32)
+
+    def test_analysis_of_int64_pairs_equals_int32(self, tmp_path, monkeypatch):
+        """A default-seed file analyzed from int64 pairs gives the identical
+        result, every figure of it, as from int32 pairs."""
+        cfg = make_config(seed=1)
+        simulate_to_file(cfg, tmp_path / "run.dlde")
+        events = decode_file(tmp_path / "run.dlde", cfg.geometry, cfg.calibration).events
+        narrow = analyze_events(events, cfg.correlation)
+        monkeypatch.setattr(correlation, "_INT32_EVENTS", 1)
+        t0, t1 = (ev["t_ps"] for ev in events)
+        assert select_coincidences(t0, t1, cfg.correlation.coincidence_window_ps)[0].dtype == np.int64
+        wide = analyze_events(events, cfg.correlation)
+        assert narrow.coincidence_count > 0
+        assert _same(wide, narrow)
 
     @pytest.mark.parametrize("k", [-2**64, -2**63, -1, 0, 1, 2**63 - 1, 2**64])
     def test_merged_count_equals_a_binary_search(self, k):
