@@ -77,7 +77,7 @@ from .pipeline import (
     simulate_to_file,
     write_report_bundle,
 )
-from .reconstruction import HitMatcher, position_to_wavelength
+from .reconstruction import HitMatcher, hit_positions, position_to_wavelength
 from .source_sim import EmissionTally, EventKind, generate_emissions, sample_background, sample_pairs
 
 __version__ = "0.1.0"

@@ -49,7 +49,9 @@ ahead, and a worker error is raised there as itself.
 Matching, position recovery and the counts stay on the calling thread.
 Reading and splitting hold no matcher state, and the matchers get the same
 columns in the same order whichever thread split them, so the threads cannot
-change a decoded event. Each chunk's events are written, at a running
+change a decoded event. An event is 16 bytes: its time and its two anode
+differences (`groups_to_events`); x, y and the wavelength are derived where
+they are read (`hit_positions`). Each chunk's events are written, at a running
 offset, straight into their detector's final event columns, allocated once
 for `_event_capacity` of the file's record count; the decoded tables are views
 of those columns' first rows, and nothing is joined at the end. Memory is
@@ -64,7 +66,9 @@ the g2 histogram and window counts. It keeps the indices of the pairs in the
 coincidence and in the accidental window, and fills each joint spectrum
 from them once, so beyond the events its memory is the pair arrays, 8 bytes
 a pair (two int32 indices, `select_coincidences`), those indices and one
-slice.
+slice. It derives wavelengths a block of events at a time for the singles
+spectra, and for the joint spectra only those of the in-window pairs, so no
+run-sized float column is built.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import ConfigError, CorrelationConfig, RunConfig, pulse_count
+from .config import AnodeGeometry, Calibration, ConfigError, RunConfig, pulse_count
 from .correlation import (
     FitError,
     FwhmFit,
@@ -114,8 +118,10 @@ from .event_format import (
 )
 from .reconstruction import (
     HitMatcher,
+    anode_position,
     channel_columns,
     groups_to_events,
+    position_to_wavelength,
     write_events_csv,
 )
 from .render import svg_heatmap, svg_histogram
@@ -137,6 +143,9 @@ DECODE_INLINE_CHUNKS = 2
 # Pairs analyze_events consumes at a time: its delays, window masks and g2
 # fill are a slice's size however many pairs the run has
 ANALYZE_SLICE_PAIRS = 1 << 16
+# Events whose wavelengths analyze_events derives at a time for the singles
+# spectra
+ANALYZE_BLOCK_EVENTS = 1 << 16
 
 
 @dataclass
@@ -268,14 +277,18 @@ def simulate_to_file(cfg: RunConfig, path, block_pulses: int = SIM_BLOCK_PULSES)
 @dataclass
 class DecodeResult:
     header: EventFileHeader
-    # event Columns (t_ps, x_mm, y_mm, wavelength_nm), detector 0's then detector
-    # 1's; each column is a view of the first rows of its decode column
+    # event Columns (t_ps, dt_x, dt_y), detector 0's then detector 1's; each
+    # column is a view of the first rows of its decode column
     events: tuple[Columns, Columns]
     records: int
     records_per_detector: list[int]
     groups: list[int]
     orphans: list[int]
     malformed: list[int]
+    # what the events were decoded with: their x, y and wavelength are
+    # `hit_positions(dt_x, dt_y, geometry, calibration)`
+    geometry: AnodeGeometry
+    calibration: Calibration
 
 
 def _event_capacity(records: int) -> int:
@@ -424,6 +437,8 @@ def decode_file(
             groups=[ev.size + bad for ev, bad in zip(tables, malformed)],
             orphans=[m.orphans for m in matchers],
             malformed=malformed,
+            geometry=geometry,
+            calibration=calibration,
         )
 
 
@@ -445,8 +460,9 @@ class AnalysisResult:
     warnings: list[str]
 
 
-def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> AnalysisResult:
-    """Run the full analysis chain on reconstructed events of both detectors.
+def analyze_events(events: tuple[Columns, Columns], cfg: RunConfig) -> AnalysisResult:
+    """Run the full analysis chain on reconstructed events of both detectors,
+    decoded with `cfg.geometry` and `cfg.calibration`, under `cfg.correlation`.
 
     Center/side-peak statistics are event counts in equal-width delay windows
     (the coincidence window and its images, `corr.side_windows_ps`), not
@@ -462,17 +478,33 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
     indices of its pairs in the coincidence and in the accidental window, and
     each joint spectrum is filled once from them, after the last slice. The
     side windows' mean, per bin of the g2 axis, normalizes the g2 curve.
-    Memory is the events, the pairs at 8 bytes each (two int32 indices), the
-    in-window pair indices and one slice.
+
+    The wavelengths are derived from the events' x differences, as
+    `hit_positions` derives them: for the singles spectra
+    ANALYZE_BLOCK_EVENTS events at a time, each block's spectrum merging into
+    the run's, and for the joint spectra only those of the in-window pairs.
+    Memory is the events (16 bytes each), the pairs at 8 bytes each (two
+    int32 indices), the in-window pair indices and their wavelengths, and one
+    slice or block; no run-sized float column is built.
     """
+    corr = cfg.correlation
     warnings: list[str] = []
     ev0, ev1 = events
-    spectra = (
-        spectrum_1d(ev0["wavelength_nm"], corr),
-        spectrum_1d(ev1["wavelength_nm"], corr),
-    )
+
+    def wavelengths(ev: Columns, rows) -> np.ndarray:
+        """The wavelengths of the events `rows` (a slice or an index array) of
+        `ev`, as `hit_positions` derives them, without their y."""
+        return position_to_wavelength(anode_position(ev["dt_x"][rows], cfg.geometry)[0], cfg.calibration)
+
+    def singles(ev: Columns) -> Histogram1D:
+        hist = Histogram1D(corr.spectrum_axis)
+        # one block at least, so an empty table is binned too
+        for b in range(0, max(ev.size, 1), ANALYZE_BLOCK_EVENTS):
+            hist = hist.merge(spectrum_1d(wavelengths(ev, slice(b, b + ANALYZE_BLOCK_EVENTS)), corr))
+        return hist
+
+    spectra = (singles(ev0), singles(ev1))
     t0, t1 = ev0["t_ps"], ev1["t_ps"]
-    lambda0, lambda1 = ev0["wavelength_nm"], ev1["wavelength_nm"]
     # the coincidence window, then the side windows; the first side window is the accidental window
     windows = (corr.coincidence_window_ps, *corr.side_windows_ps)
     g2_domain = corr.g2_axis
@@ -493,7 +525,8 @@ def analyze_events(events: tuple[Columns, Columns], corr: CorrelationConfig) -> 
         counts = [n + int(np.count_nonzero(m)) for n, m in zip(counts, masks)]
         for picked, m in zip(joint, masks):
             picked.append(start + np.flatnonzero(m))
-    jsi, accidental = (build_jsi(lambda0.take(pair_i[k]), lambda1.take(pair_j[k]), corr) for k in map(np.concatenate, joint))
+    jsi, accidental = (build_jsi(wavelengths(ev0, pair_i[k]), wavelengths(ev1, pair_j[k]), corr)
+                       for k in map(np.concatenate, joint))
     center, side_counts = counts[0], counts[1:]
     fit = None
     fit_error = ""
@@ -529,7 +562,7 @@ def analyze_file(
     path, cfg: RunConfig, chunk_records: int = DEFAULT_CHUNK_RECORDS
 ) -> tuple[DecodeResult, AnalysisResult]:
     decode = decode_file(path, cfg.geometry, cfg.calibration, chunk_records=chunk_records)
-    analysis = analyze_events(decode.events, cfg.correlation)
+    analysis = analyze_events(decode.events, cfg)
     if decode.records == 0:
         analysis.warnings.insert(0, "input file contains no records")
     return decode, analysis
@@ -636,6 +669,7 @@ def write_report_bundle(
         emit_text("jsi_subtracted.svg", svg_heatmap, rep.subtracted, "joint spectrum, accidentals subtracted", wl1, wl2)
     if events_csv:
         for det in (0, 1):
-            emit(f"events_det{det + 1}.csv", lambda fh: write_events_csv(decode.events[det], det, fh))
+            emit(f"events_det{det + 1}.csv",
+                 lambda fh: write_events_csv(decode.events[det], decode.geometry, decode.calibration, det, fh))
     emit("summary.txt", lambda fh: fh.write("\n".join(summary_lines(decode, analysis)) + "\n"))
     return paths

@@ -14,12 +14,19 @@ rather than mis-localised.
 
 Decoding works on one detector at a time, so its tables carry no detector
 column: the caller keeps each detector's tables apart. Decoded hit groups are
-`Columns` of the int64 tick columns `GROUP_TIMES` (both from `event_format`);
-photon events have `t_ps` (int64), `x_mm`, `y_mm` and `wavelength_nm`.
-`write_events_csv` exports them through the column formatter
-`csvtext.csv_rows`, a block of rows at a time. The module sees nothing of the
-simulator: `position_to_wavelength` inverts the spectrometer map, and its
-forward twin, `detector_sim.wavelength_to_position`, belongs to the simulator.
+`Columns` of the int64 tick columns `GROUP_TIMES` (both from `event_format`).
+A photon event keeps only integers, 16 bytes a row at every geometry whose
+collection window is below 2**31 ticks: `t_ps` (int64) and the anode
+differences `dt_x` = t_xa - t_xb and `dt_y` = t_ya - t_yb in ticks (int32,
+or int64 for a longer window; `difference_dtype`). Its x, y and wavelength
+are fixed functions of the differences, and every reader derives them with
+`hit_positions`, the helper that also makes decode's malformed check, from
+one `anode_position` per axis, so every reader gets the same floats bit for
+bit. `write_events_csv` derives and exports them through the column
+formatter `csvtext.csv_rows`, a block of rows at a time. The module sees
+nothing of the simulator: `position_to_wavelength` inverts the spectrometer
+map, and its forward twin, `detector_sim.wavelength_to_position`, belongs to
+the simulator.
 
 `HitMatcher` groups a detector's stream as it is read. A trigger reaches
 only the pulses of its own window, so the stream falls into independent
@@ -31,6 +38,8 @@ longest run of triggers less than a window apart, and the pulses among them.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from .config import AnodeGeometry, Calibration
@@ -38,13 +47,16 @@ from .csvtext import csv_rows
 from .event_format import GROUP_TIMES, Columns
 
 DEFAULT_SUM_TOL_TICKS = 3
+# decoded events' anode differences are int32 when the collection window is
+# below this many ticks, so every difference fits in 4 bytes; int64 otherwise
+_INT32_TICKS = 1 << 31
 
 EVENTS_CSV_HEADER = "detector,t_ps,x_mm,y_mm,lambda_nm"
-# write_events_csv formats this many rows at once. A default-run row peaks at
-# about 250 B (tracemalloc) while its block is formatted: its 18 4-byte slots
-# three times (the slot-major matrix, its bytes in row order, and translate's
-# output buffer before the NULs shrink it to about 45 B of text), plus the
-# last column's parts.
+# write_events_csv derives and formats this many rows at once. A default-run
+# row peaks at about 280 B (tracemalloc) while its block is formatted: its 18
+# 4-byte slots three times (the slot-major matrix, its bytes in row order, and
+# translate's output buffer before the NULs shrink it to about 45 B of text),
+# the last column's parts, and its three derived floats.
 _CSV_BLOCK_ROWS = 1 << 14
 
 
@@ -178,27 +190,50 @@ class HitMatcher:
         return self.feed([np.empty(0, dtype=np.int64)] * 5, final=True)
 
 
-def hit_positions(hits: Columns, geometry: AnodeGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Invert the delay-line timing of hit groups to (x, y) in mm, with the
-    mask of malformed groups.
+def difference_dtype(geometry: AnodeGeometry) -> type:
+    """The dtype of decoded events' anode differences: int32 when the
+    collection window is below _INT32_TICKS ticks, int64 otherwise. A
+    group's candidates lie within one window of its trigger, so a
+    difference is at most a window in size."""
+    return np.int32 if default_window_ticks(geometry) < _INT32_TICKS else np.int64
 
-    Positions up to one quantisation step outside the anode are clamped to the
-    edge (rounding can push an edge hit out by half a step); a group further
-    out is malformed.
+
+def anode_position(dt: np.ndarray, geometry: AnodeGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Invert one delay line: the position in mm of the anode difference `dt`
+    (ticks, any integer dtype), and the mask of positions out of the anode.
+
+    A position up to one quantisation step outside the anode is clamped to
+    the edge (rounding can push an edge hit out by half a step); one further
+    out is masked, and clamped too.
     """
     v = geometry.signal_speed_mm_per_ps
     tick = geometry.tick_ps
-    t_prop = geometry.propagation_time_ps
-    dx = (hits["t_xa"] - hits["t_xb"]).astype(np.float64) * tick
-    dy = (hits["t_ya"] - hits["t_yb"]).astype(np.float64) * tick
-    x = (dx + t_prop) * v / 2.0
-    y = (dy + t_prop) * v / 2.0
-    margin = v * tick
     size = geometry.size_mm
-    bad = (x < -margin) | (x > size + margin) | (y < -margin) | (y > size + margin)
-    np.clip(x, 0.0, size, out=x)
-    np.clip(y, 0.0, size, out=y)
-    return x, y, bad
+    # (dt * tick + T) * v / 2, in place: the same float operations in the same order
+    position = dt.astype(np.float64)
+    position *= tick
+    position += geometry.propagation_time_ps
+    position *= v
+    position /= 2.0
+    margin = v * tick
+    outside = (position < -margin) | (position > size + margin)
+    np.clip(position, 0.0, size, out=position)
+    return position, outside
+
+
+def hit_positions(dt_x: np.ndarray, dt_y: np.ndarray, geometry: AnodeGeometry, calibration: Calibration,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """x and y in mm (`anode_position`) and the wavelength in nm of the anode
+    differences `dt_x` and `dt_y`, with the mask of malformed groups: those
+    out of the anode on either axis. Every float of a decoded event is
+    derived here, or by the same `anode_position` and
+    `position_to_wavelength` calls where only the wavelength is read, so the
+    same difference always gives the same bits.
+    """
+    x, bad = anode_position(dt_x, geometry)
+    y, bad_y = anode_position(dt_y, geometry)
+    bad |= bad_y
+    return x, y, position_to_wavelength(x, calibration), bad
 
 
 def position_to_wavelength(x_mm, calibration: Calibration):
@@ -207,25 +242,42 @@ def position_to_wavelength(x_mm, calibration: Calibration):
 
 
 def groups_to_events(hits: Columns, geometry: AnodeGeometry, calibration: Calibration) -> tuple[Columns, int]:
-    """Hit groups -> photon events; malformed groups are dropped and counted."""
-    x, y, bad = hit_positions(hits, geometry)
+    """Hit groups -> photon events (`t_ps`, `dt_x`, `dt_y`); malformed groups
+    are dropped and counted. The differences are checked in int64 and stored
+    in `difference_dtype`, which holds every one that passes."""
+    dt_x = hits["t_xa"] - hits["t_xb"]
+    dt_y = hits["t_ya"] - hits["t_yb"]
+    bad = hit_positions(dt_x, dt_y, geometry, calibration)[3]
     good = ~bad
-    x = x[good]
+    dtype = difference_dtype(geometry)
     events = Columns({
         "t_ps": hits["t_mcp"][good] * geometry.tick_ps,
-        "x_mm": x,
-        "y_mm": y[good],
-        "wavelength_nm": position_to_wavelength(x, calibration),
+        "dt_x": dt_x[good].astype(dtype, copy=False),
+        "dt_y": dt_y[good].astype(dtype, copy=False),
     })
     return events, int(np.count_nonzero(bad))
 
 
-def write_events_csv(events: Columns, detector: int, sink) -> None:
-    """One `detector,t_ps,x_mm,y_mm,lambda_nm` line per event of `detector`,
-    written 1-based, to an open text file. `t_ps` prints as `%d`, the rest as
-    `%.6f` (`csvtext.csv_rows`), one block of rows at a time."""
+def write_event_rows(blocks: Iterable[list[np.ndarray]], detector: int, sink) -> None:
+    """The events CSV of `detector`, written 1-based, to an open text file:
+    the header, then one `detector,t_ps,x_mm,y_mm,lambda_nm` line per row of
+    each block of (t_ps, x, y, wavelength) columns. `t_ps` prints as `%d`,
+    the rest as `%.6f` (`csvtext.csv_rows`); a block that cannot be
+    formatted raises before any of its text is written."""
     sink.write(EVENTS_CSV_HEADER + "\n")
     prefix = "%d," % (detector + 1)
-    for b in range(0, events.size, _CSV_BLOCK_ROWS):
-        block = events[b : b + _CSV_BLOCK_ROWS]
-        sink.write(csv_rows([block[name] for name in ("t_ps", "x_mm", "y_mm", "wavelength_nm")], prefix))
+    for columns in blocks:
+        sink.write(csv_rows(columns, prefix))
+
+
+def write_events_csv(events: Columns, geometry: AnodeGeometry, calibration: Calibration, detector: int,
+                     sink) -> None:
+    """`write_event_rows` of decoded events: x, y and the wavelength are
+    derived (`hit_positions`) one block of _CSV_BLOCK_ROWS rows at a time."""
+    def blocks():
+        for b in range(0, events.size, _CSV_BLOCK_ROWS):
+            block = events[b : b + _CSV_BLOCK_ROWS]
+            x, y, wavelength, _ = hit_positions(block["dt_x"], block["dt_y"], geometry, calibration)
+            yield [block["t_ps"], x, y, wavelength]
+
+    write_event_rows(blocks(), detector, sink)

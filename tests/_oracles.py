@@ -182,6 +182,28 @@ def events_csv_text(events):
     return "".join(lines)
 
 
+def group_floats(groups, geometry, calibration):
+    """x and y in mm, the wavelength in nm and the malformed mask of hit
+    groups, from their tick columns: the float operations, in their order,
+    that decoded events stored before they kept only integers. A referee for
+    `reconstruction.hit_positions`, whose floats must equal these bit for bit
+    (no tolerance) on the groups that are not malformed."""
+    v = geometry.signal_speed_mm_per_ps
+    tick = geometry.tick_ps
+    t_prop = geometry.propagation_time_ps
+    dx = (groups["t_xa"] - groups["t_xb"]).astype(np.float64) * tick
+    dy = (groups["t_ya"] - groups["t_yb"]).astype(np.float64) * tick
+    x = (dx + t_prop) * v / 2.0
+    y = (dy + t_prop) * v / 2.0
+    margin = v * tick
+    size = geometry.size_mm
+    bad = (x < -margin) | (x > size + margin) | (y < -margin) | (y > size + margin)
+    np.clip(x, 0.0, size, out=x)
+    np.clip(y, 0.0, size, out=y)
+    wavelength = calibration.lambda_center_nm + (x - calibration.x_center_mm) * calibration.dispersion_nm_per_mm
+    return x, y, wavelength, bad
+
+
 def position_from_times(t_xa, t_xb, propagation_time_ps, speed_mm_per_ps):
     """Direct evaluation of the time-difference-to-position line."""
     return ((t_xa - t_xb) + propagation_time_ps) * speed_mm_per_ps / 2.0

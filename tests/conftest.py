@@ -15,7 +15,7 @@ from dldspec.event_format import (
     EventWriter,
 )
 from dldspec.pipeline import ANALYZE_SLICE_PAIRS
-from dldspec.reconstruction import HitMatcher, channel_columns
+from dldspec.reconstruction import HitMatcher, channel_columns, difference_dtype, hit_positions
 from dldspec.source_sim import EventKind
 
 
@@ -62,6 +62,29 @@ def detection_rows(rows) -> Columns:
         "x_mm": np.array(x_mm, dtype=np.float64),
         "y_mm": np.array(y_mm, dtype=np.float64),
         "wavelength_nm": np.full(len(rows), 389.2),
+    })
+
+
+def event_floats(events: Columns, cfg: RunConfig) -> Columns:
+    """Decoded events of `cfg` with their derived floats: `t_ps`, `x_mm`,
+    `y_mm` and `wavelength_nm` (`hit_positions` of the anode differences)."""
+    x, y, wavelength, _ = hit_positions(events["dt_x"], events["dt_y"], cfg.geometry, cfg.calibration)
+    return Columns({"t_ps": events["t_ps"], "x_mm": x, "y_mm": y, "wavelength_nm": wavelength})
+
+
+def photon_events(times, rng: np.random.Generator) -> Columns:
+    """Hand-built decoded events of the default geometry at the sorted
+    `times`: random anode differences in x over the whole anode, so at the
+    default calibration wavelengths from 388.5 to 390.0 nm, and 0 (the
+    centre) in y."""
+    n = len(times)
+    geometry = RunConfig().geometry
+    prop = geometry.propagation_ticks
+    dtype = difference_dtype(geometry)
+    return Columns({
+        "t_ps": np.sort(np.asarray(times, dtype=np.int64)),
+        "dt_x": rng.integers(-prop, prop, n, endpoint=True).astype(dtype),
+        "dt_y": np.zeros(n, dtype=dtype),
     })
 
 

@@ -37,7 +37,7 @@ from dldspec.reconstruction import hit_positions
 from dldspec.source_sim import EventKind
 
 from _oracles import brute_coincidences, brute_delay_histogram
-from conftest import delay_histogram, read_all_pulses, write_events
+from conftest import delay_histogram, event_floats, read_all_pulses, write_events
 
 PULSE_PERIOD_PS = 1e12 / 76e6
 
@@ -89,7 +89,8 @@ def test_criterion_1_round_trip_fidelity(default_config):
     })
     t0 = time.perf_counter()
     hits = encode_groups(det, geometry)
-    x, y, bad = hit_positions(hits, geometry)
+    x, y, _, bad = hit_positions(hits["t_xa"] - hits["t_xb"], hits["t_ya"] - hits["t_yb"], geometry,
+                                 default_config.calibration)
     elapsed = time.perf_counter() - t0
     assert not np.any(bad), "a hit inverts outside the anode"
     err_x = float(np.max(np.abs(x - det["x_mm"])))
@@ -203,7 +204,7 @@ def test_criterion_5_jsi_topology(default_reports):
         for (cx, cy), (tx, ty) in zip(centroids, targets)
     )
     # transpose symmetry under detector swap
-    ev0, ev1 = decode.events
+    ev0, ev1 = (event_floats(ev, cfg) for ev in decode.events)
     w = corr.coincidence_window_ps
     ci, cj = select_coincidences(ev0["t_ps"], ev1["t_ps"], w)
     ai, aj = select_coincidences(ev0["t_ps"], ev1["t_ps"], corr.accidental_window_ps)

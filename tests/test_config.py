@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dldspec.config import (
+    Calibration,
     ConfigError,
     MAX_HISTOGRAM_CELLS,
     CorrelationConfig,
@@ -173,17 +174,25 @@ def test_a_correlation_section_that_builds_also_analyzes(doc, seed):
     except ConfigError:
         return
     rng = np.random.default_rng(seed)
+    # a calibration that maps the anode onto the joint spectrum's axis and
+    # half a nanometre either side, so differences over the whole anode give
+    # wavelengths over that range
+    lo, hi = doc["jsi_lo_nm"] - 0.5, doc["jsi_hi_nm"] + 0.5
+    geometry = RunConfig().geometry
+    calibration = Calibration(lambda_center_nm=(lo + hi) / 2, dispersion_nm_per_mm=(hi - lo) / geometry.size_mm,
+                              x_center_mm=geometry.size_mm / 2)
+    cfg = RunConfig(geometry=geometry, calibration=calibration, correlation=corr)
+    prop = geometry.propagation_ticks
 
     def events(n):
         return Columns({
             "t_ps": np.sort(rng.integers(0, 200_000, n)),
-            "x_mm": np.zeros(n),
-            "y_mm": np.zeros(n),
-            "wavelength_nm": rng.uniform(doc["jsi_lo_nm"] - 0.5, doc["jsi_hi_nm"] + 0.5, n),
+            "dt_x": rng.integers(-prop, prop, n, endpoint=True).astype(np.int32),
+            "dt_y": np.zeros(n, dtype=np.int32),
         })
 
-    analyze_events((events(0), events(0)), corr)
-    analyze_events((events(60), events(60)), corr)
+    analyze_events((events(0), events(0)), cfg)
+    analyze_events((events(60), events(60)), cfg)
 
 
 def test_propagation_time_derived_from_size_and_speed():

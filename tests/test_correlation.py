@@ -401,11 +401,11 @@ class TestWindowPairs:
         cfg = make_config(seed=1)
         simulate_to_file(cfg, tmp_path / "run.dlde")
         events = decode_file(tmp_path / "run.dlde", cfg.geometry, cfg.calibration).events
-        narrow = analyze_events(events, cfg.correlation)
+        narrow = analyze_events(events, cfg)
         monkeypatch.setattr(correlation, "_INT32_EVENTS", 1)
         t0, t1 = (ev["t_ps"] for ev in events)
         assert select_coincidences(t0, t1, cfg.correlation.coincidence_window_ps)[0].dtype == np.int64
-        wide = analyze_events(events, cfg.correlation)
+        wide = analyze_events(events, cfg)
         assert narrow.coincidence_count > 0
         assert _same(wide, narrow)
 

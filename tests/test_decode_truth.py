@@ -17,12 +17,12 @@ import pytest
 from dldspec.detector_sim import jitter_reach_ps
 from dldspec.event_format import DEFAULT_CHUNK_RECORDS, GROUP_TIMES, Columns
 from dldspec.pipeline import decode_file, simulate_to_file
-from dldspec.reconstruction import default_window_ticks, groups_to_events
+from dldspec.reconstruction import default_window_ticks, groups_to_events, hit_positions
 from dldspec.source_sim import EventKind
 
-from _oracles import brute_sum_match
+from _oracles import brute_sum_match, group_floats
 from _truth import tap
-from conftest import make_config, packed, read_all_pulses
+from conftest import make_config, match_hits, packed, read_all_pulses
 
 DENSE_PHYSICS = {"pair_rate_per_pulse": 0.5, "pump_scatter_rate_per_pulse": 0.5, "qe": 0.4}
 RUNS = {
@@ -123,6 +123,25 @@ def test_truth_labels_every_written_group(run):
     pairs = [dict(zip(w["pair"].tolist(), w["kind"].tolist())) for w in run.written]
     both = (pairs[0].keys() & pairs[1].keys()) - {-1}
     assert both and all(pairs[0][p] != pairs[1][p] for p in both)
+
+
+def test_decoded_events_are_16_bytes_and_derive_the_stored_floats_bit_for_bit(run):
+    """A decoded event row is 16 bytes: int64 `t_ps` and int32 anode
+    differences. The x, y and wavelength `hit_positions` derives from them
+    are, bit for bit, the floats `_oracles.group_floats` computes from the
+    matcher's groups, the values decoded events stored as columns before."""
+    cfg = run.cfg
+    dec = decode_file(run.path, cfg.geometry, cfg.calibration)
+    pulses = read_all_pulses(run.path)[1]
+    for det, events in enumerate(dec.events):
+        assert sum(column.itemsize for column in events.values()) == 16
+        groups, _ = match_hits(pulses[pulses["detector"] == det], cfg.geometry)
+        *want, bad = group_floats(groups, cfg.geometry, cfg.calibration)
+        assert events.size > 0 and np.array_equal(events["t_ps"], groups["t_mcp"][~bad] * cfg.geometry.tick_ps)
+        got = hit_positions(events["dt_x"], events["dt_y"], cfg.geometry, cfg.calibration)
+        assert not got[3].any()
+        for derived, stored in zip(got[:3], want):
+            assert np.array_equal(derived.view(np.uint64), stored[~bad].view(np.uint64))
 
 
 @STEP_1B

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dldspec import correlation, event_format, pipeline
+from dldspec import correlation, event_format, pipeline, reconstruction
 from dldspec.config import pulse_count
 from dldspec.correlation import build_jsi, select_coincidences, spectrum_1d
 from dldspec.detector_sim import DeadTimeFilter, DetectTally, detect, encode_groups, groups_to_pulses, jitter_reach_ps
@@ -33,7 +33,17 @@ from dldspec.reconstruction import HitMatcher, channel_columns, groups_to_events
 from dldspec.source_sim import EmissionTally, EventKind, generate_emissions
 
 from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram, brute_serialize
-from conftest import detection_rows, make_config, match_hits, packed, read_all_pulses, stray_pulse_stream, write_events
+from conftest import (
+    detection_rows,
+    event_floats,
+    make_config,
+    match_hits,
+    packed,
+    photon_events,
+    read_all_pulses,
+    stray_pulse_stream,
+    write_events,
+)
 
 
 def test_simulate_deterministic(tmp_path, small_config):
@@ -267,6 +277,7 @@ def test_full_loop_fidelity_no_noise(tmp_path):
         assert hits.size == np.count_nonzero(truth)  # exactly one group per surviving detection
         events, bad = groups_to_events(hits, cfg.geometry, cfg.calibration)
         assert bad == 0
+        events = event_floats(events, cfg)
         lam_err = np.abs(events["wavelength_nm"] - detections["wavelength_nm"][truth])  # the emitted wavelength
         assert lam_err.max() <= bound + 1e-12
         assert np.abs(events["x_mm"] - detections["x_mm"][truth]).max() <= 0.0005 + 1e-12
@@ -277,7 +288,7 @@ def test_decode_chunk_size_invariant(tmp_path, small_config):
     simulate_to_file(small_config, path)
     ref = decode_file(path, small_config.geometry, small_config.calibration)
     assert ref.records == sum(ref.records_per_detector) > 0
-    ref_lines = summary_lines(ref, analyze_events(ref.events, small_config.correlation))
+    ref_lines = summary_lines(ref, analyze_events(ref.events, small_config))
     for chunk_records in (5, 997):
         got = decode_file(path, small_config.geometry, small_config.calibration, chunk_records=chunk_records)
         for det in (0, 1):
@@ -286,7 +297,7 @@ def test_decode_chunk_size_invariant(tmp_path, small_config):
         assert got.orphans == ref.orphans
         assert got.groups == ref.groups
         assert got.records_per_detector == ref.records_per_detector
-        assert summary_lines(got, analyze_events(got.events, small_config.correlation)) == ref_lines
+        assert summary_lines(got, analyze_events(got.events, small_config)) == ref_lines
 
 
 @pytest.mark.parametrize("chunk_records", [0, 2.7])
@@ -301,14 +312,41 @@ def test_decode_rejects_a_chunk_size_that_is_not_a_positive_integer(tmp_path, sm
 
 def test_decoded_tables_carry_no_detector_column(tmp_path, small_config):
     """A decoded table belongs to one detector, its slot in the result: groups
-    hold exactly the GROUP_TIMES columns and events exactly four columns."""
+    hold exactly the GROUP_TIMES columns, and events exactly their int64
+    time and their two int32 anode differences."""
     path = tmp_path / "r.dlde"
     simulate_to_file(small_config, path)
     dec = decode_file(path, small_config.geometry, small_config.calibration)
     for det, columns in enumerate(channel_columns(read_all_pulses(path)[1])):
         groups = HitMatcher(small_config.geometry).feed(columns, final=True)
         assert groups.size > 0 and list(groups) == list(GROUP_TIMES)
-        assert dec.events[det].size > 0 and list(dec.events[det]) == ["t_ps", "x_mm", "y_mm", "wavelength_nm"]
+        assert dec.events[det].size > 0 and list(dec.events[det]) == ["t_ps", "dt_x", "dt_y"]
+        assert [column.dtype for column in dec.events[det].values()] == [np.int64, np.int32, np.int32]
+
+
+def test_int64_differences_equal_int32(tmp_path, small_config, monkeypatch):
+    """With the int32 bound below the collection window, events keep int64
+    anode differences: the same values, the same analysis and the same
+    report bundle, events CSVs included, as from int32 differences."""
+    path = tmp_path / "r.dlde"
+    simulate_to_file(small_config, path)
+    runs = []
+    for bound in (reconstruction._INT32_TICKS, 1):
+        monkeypatch.setattr(reconstruction, "_INT32_TICKS", bound)
+        decode, analysis = analyze_file(path, small_config)
+        write_report_bundle(tmp_path / f"rep{bound}", decode, analysis, events_csv=True)
+        runs.append((decode, summary_lines(decode, analysis), tmp_path / f"rep{bound}"))
+    (narrow, narrow_lines, narrow_dir), (wide, wide_lines, wide_dir) = runs
+    for det in (0, 1):
+        assert [c.dtype for c in narrow.events[det].values()] == [np.int64, np.int32, np.int32]
+        assert [c.dtype for c in wide.events[det].values()] == [np.int64] * 3
+        assert narrow.events[det].size > 0
+        for name in ("t_ps", "dt_x", "dt_y"):
+            assert np.array_equal(wide.events[det][name], narrow.events[det][name])
+    assert wide_lines == narrow_lines
+    assert sorted(p.name for p in wide_dir.iterdir()) == sorted(p.name for p in narrow_dir.iterdir())
+    for p in narrow_dir.iterdir():
+        assert (wide_dir / p.name).read_bytes() == p.read_bytes(), p.name
 
 
 def _assert_same_decode(got, ref) -> None:
@@ -895,7 +933,7 @@ def test_jsi_transpose_symmetry_under_detector_swap(tmp_path, small_config):
     simulate_to_file(small_config, path)
     dec = decode_file(path, small_config.geometry, small_config.calibration)
     corr = small_config.correlation
-    ev0, ev1 = dec.events
+    ev0, ev1 = (event_floats(ev, small_config) for ev in dec.events)
     i, j = select_coincidences(ev0["t_ps"], ev1["t_ps"], corr.coincidence_window_ps)
     jsi = build_jsi(ev0["wavelength_nm"][i], ev1["wavelength_nm"][j], corr)
     # swapping detector labels negates delays: mirror the window
@@ -913,7 +951,7 @@ def test_side_peak_windows_statistically_identical(tmp_path, small_config):
     simulate_to_file(cfg, path)
     dec = decode_file(path, cfg.geometry, cfg.calibration)
     corr = cfg.correlation
-    ev0, ev1 = dec.events
+    ev0, ev1 = (event_floats(ev, cfg) for ev in dec.events)
     lo, hi = corr.accidental_window_ps
     ip, jp = select_coincidences(ev0["t_ps"], ev1["t_ps"], (lo, hi))
     im, jm = select_coincidences(ev0["t_ps"], ev1["t_ps"], (-hi, -lo))
@@ -932,7 +970,7 @@ def test_spectrum_shows_three_lines(tmp_path, default_config):
     dec = decode_file(path, default_config.geometry, default_config.calibration)
     corr = default_config.correlation
     for det in (0, 1):
-        hist = spectrum_1d(dec.events[det]["wavelength_nm"], corr)
+        hist = spectrum_1d(event_floats(dec.events[det], default_config)["wavelength_nm"], corr)
         centers = hist.axis.centers()
         valley = (np.abs(centers - 389.0) <= 0.05) | (np.abs(centers - 389.5) <= 0.05)
         floor = max(int(hist.counts[valley].max()), 1)
@@ -954,7 +992,7 @@ def test_accidental_window_dominated_by_background_combinations(tmp_path, defaul
     simulate_to_file(default_config, path)
     dec = decode_file(path, default_config.geometry, default_config.calibration)
     corr = default_config.correlation
-    ev0, ev1 = dec.events
+    ev0, ev1 = (event_floats(ev, default_config) for ev in dec.events)
     ai, aj = select_coincidences(ev0["t_ps"], ev1["t_ps"], corr.accidental_window_ps)
     acc = build_jsi(ev0["wavelength_nm"][ai], ev1["wavelength_nm"][aj], corr)
     lines = (388.8, 389.2, 389.8)
@@ -1057,17 +1095,6 @@ def test_summary_contains_stable_keys(tmp_path, small_config):
         assert key in text
 
 
-def _photons(times, rng):
-    """Event columns at the sorted `times`, random wavelengths, zero positions."""
-    n = len(times)
-    return Columns({
-        "t_ps": np.sort(np.asarray(times, dtype=np.int64)),
-        "x_mm": np.zeros(n),
-        "y_mm": np.zeros(n),
-        "wavelength_nm": rng.uniform(388.5, 390.0, n),
-    })
-
-
 def _side_windows(corr):
     """The +-k images (k = 1..4) of the coincidence window, + before -."""
     cw, aw = corr.coincidence_window_ps, corr.accidental_window_ps
@@ -1097,10 +1124,12 @@ def _edge_delays(corr):
     return sorted(_window_edge_delays(corr) | _g2_edge_delays(corr))
 
 
-def _check_windows_against_brute(ev0, ev1, corr):
+def _check_windows_against_brute(ev0, ev1, cfg):
     """analyze_events window statistics and g2 histogram equal the all-pairs
     oracle, window by window."""
-    a = analyze_events((ev0, ev1), corr)
+    corr = cfg.correlation
+    a = analyze_events((ev0, ev1), cfg)
+    lambda0, lambda1 = (event_floats(ev, cfg)["wavelength_nm"] for ev in (ev0, ev1))
     t0, t1 = ev0["t_ps"], ev1["t_ps"]
     r = corr.g2_range_ps
     assert np.array_equal(a.g2.counts, brute_delay_histogram(t0, t1, -r, r, corr.g2_bin_width_ps))
@@ -1112,7 +1141,7 @@ def _check_windows_against_brute(ev0, ev1, corr):
     for hist, pairs in ((a.jsi_report.jsi, coinc), (a.jsi_report.accidental, acc)):
         i = np.array([p[0] for p in pairs], dtype=np.int64)
         j = np.array([p[1] for p in pairs], dtype=np.int64)
-        expected = build_jsi(ev0["wavelength_nm"][i], ev1["wavelength_nm"][j], corr)
+        expected = build_jsi(lambda0[i], lambda1[j], corr)
         assert np.array_equal(hist.counts, expected.counts)
     return a
 
@@ -1127,10 +1156,11 @@ NARROW_G2 = {"g2_range_ps": 17.0, "g2_bin_width_ps": 0.34}
 @pytest.mark.parametrize("corr_overrides", [{}, NON_INTEGER_WINDOWS, NARROW_G2],
                          ids=["integer", "non-integer", "narrow-g2"])
 def test_window_counts_on_edges_match_brute_force(corr_overrides, rng):
-    corr = make_config(correlation=corr_overrides).correlation
+    cfg = make_config(correlation=corr_overrides)
+    corr = cfg.correlation
     bases = [0, 1_000_000]  # far enough apart that only same-base pairs fall in any window
     t1 = [b + d for b in bases for d in _edge_delays(corr)]
-    a = _check_windows_against_brute(_photons(bases, rng), _photons(t1, rng), corr)
+    a = _check_windows_against_brute(photon_events(bases, rng), photon_events(t1, rng), cfg)
     # per base and window: two window-edge delays each side land inside, the
     # rest outside; a g2-edge delay adds to the window it falls in
     g2_only = _g2_edge_delays(corr) - _window_edge_delays(corr)
@@ -1153,27 +1183,30 @@ def test_every_window_count_and_mask_follows_the_closed_rule(corr_overrides, rng
     joint spectra), are those of ceil(lo) <= d <= floor(hi), the empty
     coincidence window (0.2, 0.8) and windows whose integer ranges touch
     included."""
-    corr = make_config(correlation=corr_overrides).correlation
+    cfg = make_config(correlation=corr_overrides)
+    corr = cfg.correlation
     windows = [corr.coincidence_window_ps, *corr.side_windows_ps]
     delays = sorted({e + k for lo, hi in windows for e in (math.ceil(lo), math.floor(hi)) for k in (-1, 0, 1)})
     bases = np.arange(len(delays), dtype=np.int64) * 1_000_000
-    ev0, ev1 = _photons(bases, rng), _photons(bases + delays, rng)
-    a = analyze_events((ev0, ev1), corr)
+    ev0, ev1 = photon_events(bases, rng), photon_events(bases + delays, rng)
+    a = analyze_events((ev0, ev1), cfg)
     rules = [np.array([math.ceil(lo) <= d <= math.floor(hi) for d in delays]) for lo, hi in windows]
+    lambda0, lambda1 = (event_floats(ev, cfg)["wavelength_nm"] for ev in (ev0, ev1))
     assert [a.coincidence_count, *a.side_window_counts] == [int(r.sum()) for r in rules]
     for hist, rule in ((a.jsi_report.jsi, rules[0]), (a.jsi_report.accidental, rules[1])):
-        expected = build_jsi(ev0["wavelength_nm"][rule], ev1["wavelength_nm"][rule], corr)
+        expected = build_jsi(lambda0[rule], lambda1[rule], corr)
         assert np.array_equal(hist.counts, expected.counts)
     assert (a.coincidence_count == 0) == (corr.coincidence_window_ps == (0.2, 0.8))
 
 
 @pytest.mark.parametrize("corr_overrides", [{}, NON_INTEGER_WINDOWS], ids=["integer", "non-integer"])
 def test_window_counts_random_streams_match_brute_force(corr_overrides, rng):
-    corr = make_config(correlation=corr_overrides).correlation
+    cfg = make_config(correlation=corr_overrides)
+    corr = cfg.correlation
     span = int(4 * max(abs(w[0]) for w in _side_windows(corr)))
-    ev0 = _photons(rng.integers(0, span, 150), rng)
-    ev1 = _photons(rng.integers(0, span, 150), rng)
-    a = _check_windows_against_brute(ev0, ev1, corr)
+    ev0 = photon_events(rng.integers(0, span, 150), rng)
+    ev1 = photon_events(rng.integers(0, span, 150), rng)
+    a = _check_windows_against_brute(ev0, ev1, cfg)
     assert a.coincidence_count > 0 and min(a.side_window_counts) > 0
 
 
@@ -1181,18 +1214,18 @@ def test_side_windows_beyond_g2_range(rng):
     cfg = make_config(correlation={"g2_range_ps": 20_000.0})  # side windows past the g2 range: a valid config
     corr = cfg.correlation
     assert max(w[1] for w in _side_windows(corr)) > corr.g2_range_ps
-    ev0 = _photons([100_000], rng)
-    ev1 = _photons([d + 100_000 for d in _edge_delays(corr)], rng)
+    ev0 = photon_events([100_000], rng)
+    ev1 = photon_events([d + 100_000 for d in _edge_delays(corr)], rng)
     # the check also holds the g2 histogram to its range
-    a = _check_windows_against_brute(ev0, ev1, corr)
+    a = _check_windows_against_brute(ev0, ev1, cfg)
     assert a.side_window_counts == [4] * 8
 
 
 @pytest.mark.parametrize("sizes", [(0, 5), (5, 0), (0, 0)])
 def test_window_counts_with_empty_streams(sizes, rng):
-    corr = make_config().correlation
-    ev0, ev1 = (_photons(rng.integers(0, 20_000, n), rng) for n in sizes)
-    a = _check_windows_against_brute(ev0, ev1, corr)
+    cfg = make_config()
+    ev0, ev1 = (photon_events(rng.integers(0, 20_000, n), rng) for n in sizes)
+    a = _check_windows_against_brute(ev0, ev1, cfg)
     assert a.coincidence_count == a.accidental_count == 0
     assert a.side_window_counts == [0] * 8
     assert "no coincidences inside the coincidence window" in a.warnings
@@ -1204,12 +1237,27 @@ def test_analysis_slices_match_brute_force(slice_pairs, monkeypatch, rng):
     equal the all-pairs oracle, on random events plus delays on every window
     and g2 edge."""
     monkeypatch.setattr(pipeline, "ANALYZE_SLICE_PAIRS", slice_pairs)
-    corr = make_config(correlation=NON_INTEGER_WINDOWS).correlation
+    cfg = make_config(correlation=NON_INTEGER_WINDOWS)
+    corr = cfg.correlation
     bases = np.arange(4) * 1_000_000
     t0 = np.concatenate([bases, rng.integers(0, 4_000_000, 200)])
     t1 = np.concatenate([[b + d for b in bases for d in _edge_delays(corr)], rng.integers(0, 4_000_000, 200)])
-    a = _check_windows_against_brute(_photons(t0, rng), _photons(t1, rng), corr)
+    a = _check_windows_against_brute(photon_events(t0, rng), photon_events(t1, rng), cfg)
     assert a.g2.counts.sum() > 100 and min(a.side_window_counts) > 0  # many slices of 1 and 7
+
+
+@pytest.mark.parametrize("block_events", [1, 7, pipeline.ANALYZE_BLOCK_EVENTS])
+def test_singles_spectra_blocks_equal_one_fill(block_events, monkeypatch, rng):
+    """Whatever the block, each singles spectrum equals `spectrum_1d` of all
+    its detector's derived wavelengths at once, an empty detector's too."""
+    monkeypatch.setattr(pipeline, "ANALYZE_BLOCK_EVENTS", block_events)
+    cfg = make_config()
+    events = (photon_events(rng.integers(0, 4_000_000, 300), rng), photon_events([], rng))
+    a = analyze_events(events, cfg)
+    for hist, ev in zip(a.spectra, events):
+        expected = spectrum_1d(event_floats(ev, cfg)["wavelength_nm"], cfg.correlation)
+        assert hist.axis == expected.axis and np.array_equal(hist.counts, expected.counts)
+    assert a.spectra[0].counts.sum() == 300
 
 
 def test_analyze_makes_one_pair_pass(monkeypatch, rng):
@@ -1222,10 +1270,11 @@ def test_analyze_makes_one_pair_pass(monkeypatch, rng):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(correlation, "iter_window_pairs", counting)
-    ev0 = _photons(rng.integers(0, 200_000, 200), rng)
-    ev1 = _photons(rng.integers(0, 200_000, 200), rng)
-    corr = make_config().correlation
-    analyze_events((ev0, ev1), corr)
+    ev0 = photon_events(rng.integers(0, 200_000, 200), rng)
+    ev1 = photon_events(rng.integers(0, 200_000, 200), rng)
+    cfg = make_config()
+    corr = cfg.correlation
+    analyze_events((ev0, ev1), cfg)
     assert len(passes) == 1
     (lo, hi), = passes
     g2 = corr.g2_axis

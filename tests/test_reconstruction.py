@@ -15,17 +15,19 @@ from dldspec.detector_sim import encode_groups, groups_to_pulses, wavelength_to_
 from dldspec.event_format import PULSE_DTYPE, Channel, Columns
 from dldspec.reconstruction import (
     DEFAULT_SUM_TOL_TICKS,
+    EVENTS_CSV_HEADER,
     HitMatcher,
     channel_columns,
     default_window_ticks,
     groups_to_events,
     hit_positions,
     position_to_wavelength,
+    write_event_rows,
     write_events_csv,
 )
 
 from _oracles import brute_match_hits, events_csv_text, position_from_times
-from conftest import detection_rows, group_times, match_hits, packed
+from conftest import detection_rows, event_floats, group_times, match_hits, packed, photon_events
 
 
 def _encode_detections(rows, geometry):
@@ -38,31 +40,46 @@ def _hit(t_mcp, t_xa, t_xb, t_ya, t_yb):
     return Columns({name: np.array([t], dtype=np.int64) for name, t in times.items()})
 
 
+def _float_blocks(events):
+    """The (t_ps, x_mm, y_mm, wavelength_nm) columns of `events`, any floats,
+    in blocks of _CSV_BLOCK_ROWS rows: `write_event_rows`'s input, as
+    `write_events_csv` makes it from decoded events."""
+    step = reconstruction._CSV_BLOCK_ROWS
+    for b in range(0, events.size, step):
+        yield [events[name][b : b + step] for name in ("t_ps", "x_mm", "y_mm", "wavelength_nm")]
+
+
+def _positions(hit, cfg):
+    """`hit_positions` of a hit group's anode differences: x, y and the malformed mask."""
+    x, y, _, bad = hit_positions(hit["t_xa"] - hit["t_xb"], hit["t_ya"] - hit["t_yb"], cfg.geometry, cfg.calibration)
+    return x, y, bad
+
+
 class TestPositionInversion:
     def test_zero_difference_is_center(self, default_config):
-        x, y, bad = hit_positions(_hit(0, 20_000, 20_000, 20_000, 20_000), default_config.geometry)
+        x, y, bad = _positions(_hit(0, 20_000, 20_000, 20_000, 20_000), default_config)
         assert x[0] == pytest.approx(20.0)
         assert y[0] == pytest.approx(20.0)
         assert not bad[0]
 
     def test_hand_evaluated_offset(self, default_config):
         # dt_x = 1e4 ps -> 25 mm for v = 1e-3, full propagation 4e4
-        x, _, _ = hit_positions(_hit(0, 25_000, 15_000, 20_000, 20_000), default_config.geometry)
+        x, _, _ = _positions(_hit(0, 25_000, 15_000, 20_000, 20_000), default_config)
         assert x[0] == pytest.approx(25.0)
         assert x[0] == pytest.approx(position_from_times(25_000, 15_000, 4e4, 1e-3))
 
     def test_boundary_difference(self, default_config):
-        x, _, _ = hit_positions(_hit(0, 0, 40_000, 20_000, 20_000), default_config.geometry)
+        x, _, _ = _positions(_hit(0, 0, 40_000, 20_000, 20_000), default_config)
         assert x[0] == pytest.approx(0.0)
 
     def test_clamp_within_one_tick(self, default_config):
         # half-tick rounding overshoot is clamped to the anode edge
-        x, _, bad = hit_positions(_hit(0, 0, 40_001, 20_000, 20_000), default_config.geometry)
+        x, _, bad = _positions(_hit(0, 0, 40_001, 20_000, 20_000), default_config)
         assert x[0] == 0.0
         assert not bad[0]
 
     def test_malformed_beyond_margin(self, default_config):
-        _, _, bad = hit_positions(_hit(0, 0, 40_010, 20_000, 20_000), default_config.geometry)
+        _, _, bad = _positions(_hit(0, 0, 40_010, 20_000, 20_000), default_config)
         assert bad.tolist() == [True]
 
 
@@ -264,6 +281,7 @@ class TestGroupsToEvents:
         cal = default_config.calibration
         groups = _encode_detections([(1, 1000.0, 8.0, 5.0)], g)
         events, bad = groups_to_events(groups, g, cal)
+        events = event_floats(events, default_config)
         assert bad == 0
         assert events["wavelength_nm"][0] == pytest.approx(
             position_to_wavelength(events["x_mm"][0], cal)
@@ -282,13 +300,29 @@ class TestGroupsToEvents:
         events, _ = groups_to_events(groups, g, default_config.calibration)
         p = tmp_path / "events.csv"
         with open(p, "w") as fh:
-            write_events_csv(events, 0, fh)
+            write_events_csv(events, g, default_config.calibration, 0, fh)
         lines = p.read_text().splitlines()
         assert lines[0] == "detector,t_ps,x_mm,y_mm,lambda_nm"
         fields = lines[1].split(",")
         assert fields[0] == "1"  # detectors are 1-based in exports
         assert float(fields[2]) == pytest.approx(20.0)
         assert float(fields[4]) == pytest.approx(389.25)
+
+    def test_integer_events_csv_matches_rowwise_formatter(self, tmp_path, rng, monkeypatch):
+        """Decoded-shape events, their differences over the whole anode and
+        past its edges by up to two ticks: the CSV of `write_events_csv`
+        against `%d` and `%.6f` of the floats `hit_positions` derives, row by
+        row, over several blocks and a partial one."""
+        monkeypatch.setattr(reconstruction, "_CSV_BLOCK_ROWS", 64)
+        cfg = run_config_from_dict({})
+        prop = cfg.geometry.propagation_ticks
+        events = photon_events(rng.integers(0, 2**62, 500), rng)
+        events["dt_y"][:] = rng.integers(-prop, prop, events.size, endpoint=True)
+        events["dt_x"][:4] = events["dt_y"][4:8] = (-prop - 2, -prop - 1, prop + 1, prop + 2)
+        sink = io.StringIO()
+        write_events_csv(events, cfg.geometry, cfg.calibration, 1, sink)
+        rows = zip(*(column.tolist() for column in event_floats(events, cfg).values()))
+        assert sink.getvalue() == EVENTS_CSV_HEADER + "\n" + "".join("2,%d,%.6f,%.6f,%.6f\n" % row for row in rows)
 
     def test_csv_bytes_match_rowwise_formatter(self, tmp_path, rng, monkeypatch):
         monkeypatch.setattr(reconstruction, "_CSV_BLOCK_ROWS", 64)  # several blocks, one partial
@@ -312,7 +346,7 @@ class TestGroupsToEvents:
             for detector in (0, 1):
                 p = tmp_path / f"{name}{detector}.csv"
                 with open(p, "w") as fh:
-                    write_events_csv(arr, detector, fh)
+                    write_event_rows(_float_blocks(arr), detector, fh)
                 labelled = Columns({"detector": np.full(arr.size, detector, dtype=np.uint8)} | arr)
                 assert p.read_bytes() == events_csv_text(packed(labelled)).encode()
 
@@ -329,7 +363,7 @@ class TestGroupsToEvents:
         events["wavelength_nm"][6] = bad  # in the second block
         sink = io.StringIO()
         with pytest.raises(ValueError):
-            write_events_csv(events, 0, sink)
+            write_event_rows(_float_blocks(events), 0, sink)
         first_block = Columns({"detector": np.zeros(4, dtype=np.uint8)} | events[:4])
         assert sink.getvalue() == events_csv_text(packed(first_block))
 
@@ -338,18 +372,16 @@ class TestGroupsToEvents:
             def write(self, text):
                 pass
 
+        cfg = run_config_from_dict({})
+
         def peak_bytes(blocks):
             n = blocks * reconstruction._CSV_BLOCK_ROWS
             r = np.random.default_rng(blocks)
-            events = Columns({
-                "t_ps": np.sort(r.integers(10**10, 10**11, n)),
-                "x_mm": r.uniform(0.0, 40.0, n),
-                "y_mm": r.uniform(0.0, 40.0, n),
-                "wavelength_nm": r.uniform(388.0, 390.5, n),
-            })
+            events = photon_events(r.integers(10**10, 10**11, n), r)
+            events["dt_y"][:] = r.integers(-20_000, 20_000, n, endpoint=True)
             tracemalloc.start()
             try:
-                write_events_csv(events, 0, Discard())
+                write_events_csv(events, cfg.geometry, cfg.calibration, 0, Discard())
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

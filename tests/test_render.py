@@ -36,10 +36,11 @@ def empty_side_windows_g2():
     window is empty, so the whole normalized curve is NaN."""
     def events(times):
         n = len(times)
-        return Columns({"t_ps": np.array(times, dtype=np.int64), "x_mm": np.zeros(n), "y_mm": np.zeros(n),
-                        "wavelength_nm": np.full(n, 389.0)})
+        # at the anode's centre: 389.25 nm
+        return Columns({"t_ps": np.array(times, dtype=np.int64), "dt_x": np.zeros(n, dtype=np.int32),
+                        "dt_y": np.zeros(n, dtype=np.int32)})
 
-    a = analyze_events((events([0, 10**6]), events([10, 10**6 + 10])), make_config().correlation)
+    a = analyze_events((events([0, 10**6]), events([10, 10**6 + 10])), make_config())
     assert a.g2.counts.sum() == 2 and np.isnan(a.g2_normalized).all()
     return a.g2.axis, a.g2_normalized
 

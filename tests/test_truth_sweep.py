@@ -28,7 +28,7 @@ from dldspec.pipeline import decode_file, simulate_to_file
 from dldspec.reconstruction import hit_positions
 
 from _truth import tap
-from conftest import make_config, packed
+from conftest import event_floats, make_config, packed
 
 SWEEP_EXAMPLES = 800
 # item 16's ranges, each drawn uniformly
@@ -81,9 +81,10 @@ def test_simulate_and_decode_agree_with_truth_over_the_config_space(draw_seed):
         at = np.searchsorted(written["t_mcp"], t_mcp)
         assert np.all(at < written.size)
         assert np.array_equal(written["t_mcp"][at], t_mcp)
-        x_written = hit_positions(written, geometry)[0][at]
+        x_written = hit_positions(written["t_xa"] - written["t_xb"], written["t_ya"] - written["t_yb"], geometry,
+                                  cfg.calibration)[0][at]
         bound = 2 * geometry.tick_ps * geometry.signal_speed_mm_per_ps
-        assert np.all(np.abs(dec.events[det]["x_mm"] - x_written) <= bound * (1 + 1e-9))
+        assert np.all(np.abs(event_floats(dec.events[det], cfg)["x_mm"] - x_written) <= bound * (1 + 1e-9))
         # the decode does not depend on where the chunks cut the stream
         assert np.array_equal(packed(tiny.events[det]), packed(dec.events[det]))
     assert (tiny.groups, tiny.orphans, tiny.malformed) == (dec.groups, dec.orphans, dec.malformed)
