@@ -29,6 +29,12 @@ SIDE_PEAK_COUNT = 4
 # The most cells a histogram of the analysis may have: bins of the g2 and
 # spectrum axes, and jsi bins squared. 2**24 int64 cells are 128 MiB.
 MAX_HISTOGRAM_CELLS = 1 << 24
+# The most integer delays the analysis may count, one int64 cell each
+# (`CorrelationConfig.delay_span_ps`): twice MAX_HISTOGRAM_CELLS, so that a
+# g2 axis of MAX_HISTOGRAM_CELLS one-picosecond bins fits, whose closed span
+# holds one delay more. 2**25 cells are 256 MiB, and the delays and counts of
+# the occupied ones twice as much at most while the g2 histogram bins them.
+MAX_DELAY_CELLS = 2 * MAX_HISTOGRAM_CELLS
 
 
 class ConfigError(ValueError):
@@ -205,16 +211,22 @@ class CorrelationConfig:
     The counts of possible delays, which an unbiased accidental subtraction
     needs equal, are not: every delay is a multiple of tick_ps, and a window
     holds the multiples in [lo, hi]. A shift that is no multiple of the tick
-    (the default section at tick_ps 5 or 25) or that rounds (a centre of
-    1e16 ps or more) leaves a side window a delay or more short or over, and
-    the accidental count A biased by that ratio; ROADMAP item 17 puts the
-    windows on the tick grid. The side windows, the coincidence
+    (the default section at tick_ps 5 or 25) leaves a side window a delay
+    short or over, and the accidental count A biased by that ratio; ROADMAP
+    item 17 puts the windows on the tick grid. The side windows, the coincidence
     window moved to each multiple of the centre, must not overlap it or each
     other, or true coincidences are subtracted as accidentals: for a window
     [lo, hi] of half-width h, |accidental_center_ps| > max(hi + h, h - lo, 2h).
     Each histogram holds a bin and at most MAX_HISTOGRAM_CELLS cells, and each
     signal rectangle a cell centre of `jsi_axis` (`Axis.covers`), or the
-    section is not built.
+    section is not built. The analysis counts every integer delay of
+    `delay_span_ps` in a cell of its own, so that span may hold at most
+    MAX_DELAY_CELLS delays (at most 768 MiB of counts, and of the delays and
+    counts of the occupied cells while the g2 is binned): a wider one is
+    refused, naming `g2_range_ps` or `accidental_center_ps`, whichever sets
+    its far end. That refuses a g2 range beyond about +-16.8 us and a centre
+    beyond about +-4.2 us, among them the centres of 1e16 ps or more whose
+    side windows would lose width to rounding.
     """
 
     g2_bin_width_ps: float = 88.0
@@ -282,14 +294,26 @@ class CorrelationConfig:
                 )
             if not (jsi.covers(rect[0], rect[1]).any() and jsi.covers(rect[2], rect[3]).any()):
                 raise ConfigError(f"{path}.signal_regions_nm[{i}]: {list(rect)} holds no joint-spectrum cell centre")
+        lo, hi = self.delay_span_ps
+        delays = math.floor(hi) - math.ceil(lo) + 1
+        if delays > MAX_DELAY_CELLS:
+            g2 = self.g2_axis
+            side_reach = max(max(-w_lo, w_hi) for w_lo, w_hi in self.side_windows_ps)
+            key = "accidental_center_ps" if side_reach > max(-g2.lo, g2.upper) else "g2_range_ps"
+            raise ConfigError(
+                f"{path}.{key}: the g2 domain and the side windows must span at most {MAX_DELAY_CELLS} integer "
+                f"delays, one count each; they span {delays}"
+            )
 
     @property
     def side_windows_ps(self) -> tuple[tuple[float, float], ...]:
         """The coincidence window moved to +k, then -k, times accidental_center_ps, k = 1..SIDE_PEAK_COUNT.
 
         Each has the coincidence window's float width, but not always its
-        count of possible delays: at tick_ps 5 or 25, or at a centre of 1e16
-        ps or more, the counts differ (ROADMAP item 17 is the fix)."""
+        count of possible delays: at tick_ps 5 or 25 the counts differ
+        (ROADMAP item 17 is the fix). A centre large enough to round c +- h,
+        1e16 ps or more, spans more delays than MAX_DELAY_CELLS and is
+        refused."""
         half = (self.coincidence_window_ps[1] - self.coincidence_window_ps[0]) / 2.0
         return tuple(
             (c - half, c + half)
@@ -300,6 +324,14 @@ class CorrelationConfig:
     @property
     def accidental_window_ps(self) -> tuple[float, float]:
         return self.side_windows_ps[0]
+
+    @property
+    def delay_span_ps(self) -> tuple[float, float]:
+        """The closed delay window the analysis searches and counts: the g2
+        domain [lo, upper] and the coincidence and side windows."""
+        g2 = self.g2_axis
+        span = [(g2.lo, g2.upper), self.coincidence_window_ps, *self.side_windows_ps]
+        return min(w[0] for w in span), max(w[1] for w in span)
 
     @property
     def g2_axis(self) -> Axis:

@@ -30,12 +30,13 @@ Conventions, shared by every operation and by the brute-force test oracles:
 * An analysis makes one pair search: `pipeline.analyze_events` selects the
   pairs of one closed window spanning the g2 domain and every closed window,
   and derives everything from their delays, a fixed slice of pairs at a
-  time. Each slice's g2 histogram bins them (its half-open upper edge is
-  enforced by `fill`, not by the search) and merges into the run's, and
-  `in_window` counts them per closed window; the pairs in the coincidence
-  and in the accidental window fill the two joint spectra once, at the end.
-  Its memory is the pairs (8 bytes each), their in-window indices and one
-  slice.
+  time. Each slice adds its delays to `DelayCells`, one count per integer
+  delay of that window; the g2 histogram bins the cells once at the end (its
+  half-open upper edge is enforced by `fill`, not by the search), and each
+  closed window's count is the sum of its cells. The pairs in the
+  coincidence and in the accidental window, which `in_window` picks per
+  slice, fill the two joint spectra once, at the end. Its memory is the
+  pairs (8 bytes each), their in-window indices, the cells and one slice.
 
 Merging chunk-partial histograms on equal axes is exact, so histograms
 accumulated over chunks or separate runs add up to the single-pass result.
@@ -116,21 +117,27 @@ class _Histogram:
         if self.counts.shape != shape:
             raise ValueError(f"counts shape {self.counts.shape} != {shape}")
 
-    def fill(self, *values: np.ndarray) -> None:
+    def fill(self, *values: np.ndarray, weights: np.ndarray | None = None) -> None:
         """Count each tuple of values, one array per axis, in its cell if every
-        value is inside its axis's domain: one `bincount` of the flattened
-        cells per _FILL_BLOCK tuples, so the temporaries are a block's size."""
+        value is inside its axis's domain, `weights` times (integers, one per
+        tuple) or once: one `bincount` of the flattened cells per _FILL_BLOCK
+        tuples, so the temporaries are a block's size. A weighted `bincount`
+        sums in float64, exactly while a cell's count stays below 2**53."""
         values = [np.asarray(v) for v in values]
         if len(values) != len(self.axes) or len({v.shape for v in values}) != 1:
             raise ValueError(f"fill takes {len(self.axes)} value arrays of one shape")
         for b in range(0, values[0].size, _FILL_BLOCK):
             index = [axis.index(v[b : b + _FILL_BLOCK]) for axis, v in zip(self.axes, values)]
             ok = np.logical_and.reduce([inside for _, inside in index])
+            if ok.all():  # the usual case: nothing to select
+                ok = slice(None)
             flat = 0
             for (idx, _), nbins in zip(index, self.counts.shape):
                 flat = flat * nbins + idx[ok].astype(np.int64)
-            self.counts += np.bincount(flat, minlength=self.counts.size).reshape(self.counts.shape)
-            del index, ok, flat, idx, _  # not live under the next block's temporaries
+            w = None if weights is None else weights[b : b + _FILL_BLOCK][ok]
+            counts = np.bincount(flat, w, minlength=self.counts.size).astype(np.int64, copy=False)
+            self.counts += counts.reshape(self.counts.shape)
+            del index, ok, flat, idx, _, w, counts  # not live under the next block's temporaries
 
     def merge(self, other):
         """A new histogram of the summed counts; AxisMismatchError unless the axes are equal."""
@@ -196,6 +203,41 @@ def in_window(delays: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     """Mask of integer delays inside the closed window, as `select_coincidences` selects them."""
     first, last = _closed_bounds(*window)
     return (delays >= first) & (delays <= last)
+
+
+class DelayCells:
+    """One int64 count per integer delay of the closed window [lo, hi], from
+    `first` = ceil(lo) to floor(hi): pairs' delays are counted once, and the
+    g2 histogram and every closed window's count derive from the cells.
+
+    `add` counts a batch of delays in place (`np.add.at`), with no temporary
+    of the cells' size. `window_count` sums the cells ceil(lo) to floor(hi)
+    of a closed window, as `in_window` selects its delays. `g2_histogram`
+    bins the delays of the occupied cells, weighted by their counts
+    (`occupied`), with the float computation of a fill of the delays
+    themselves, so every bin gets the same count."""
+
+    def __init__(self, window: tuple[float, float]):
+        self.first, last = _closed_bounds(*window)
+        self.counts = np.zeros(max(last - self.first + 1, 0), np.int64)
+
+    def add(self, delays: np.ndarray) -> None:
+        """Count integer delays, each inside the window."""
+        np.add.at(self.counts, delays - self.first, 1)
+
+    def occupied(self) -> tuple[np.ndarray, np.ndarray]:
+        """The int64 delays of the cells that hold a count, and their counts."""
+        delays = np.flatnonzero(self.counts)
+        counts = self.counts[delays]
+        delays += self.first
+        return delays, counts
+
+    def window_count(self, window: tuple[float, float]) -> int:
+        """The count of delays in the closed window among the cells."""
+        first, last = _closed_bounds(*window)
+        if first > last:  # no integer delay in the window
+            return 0
+        return int(self.counts[max(first - self.first, 0) : max(last - self.first + 1, 0)].sum())
 
 
 def _saturating_add(t: np.ndarray, k: int) -> np.ndarray:
@@ -298,12 +340,14 @@ def iter_window_pairs(t1: np.ndarray, t2: np.ndarray, lo: float, hi: float) -> I
         yield i, j
 
 
-def g2_histogram(delays: np.ndarray, config: CorrelationConfig) -> Histogram1D:
+def g2_histogram(delays: np.ndarray, config: CorrelationConfig, counts: np.ndarray | None = None) -> Histogram1D:
     """Second-order correlation histogram: pair delays t2 - t1 binned on the
-    g2 axis. Delays outside its half-open domain are not counted, so the
-    delays of any window search that covers the domain give the same result."""
+    g2 axis, each `counts` times (one integer per delay, as `DelayCells`
+    keeps them) or once. Delays outside its half-open domain are not counted,
+    so the delays of any window search that covers the domain give the same
+    result."""
     hist = Histogram1D(config.g2_axis)
-    hist.fill(delays)
+    hist.fill(delays, weights=counts)
     return hist
 
 

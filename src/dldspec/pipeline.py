@@ -61,14 +61,17 @@ longest run of triggers less than a collection window apart, and its pulses
 
 Analysis puts every figure of the report, the side-peak-normalized g2
 included, in an `AnalysisResult`; the report only writes them out. It makes
-one pair search and consumes its pairs ANALYZE_SLICE_PAIRS at a time into
-the g2 histogram and window counts. It keeps the indices of the pairs in the
-coincidence and in the accidental window, and fills each joint spectrum
-from them once, so beyond the events its memory is the pair arrays, 8 bytes
-a pair (two int32 indices, `select_coincidences`), those indices and one
-slice. It derives wavelengths a block of events at a time for the singles
-spectra, and for the joint spectra only those of the in-window pairs, so no
-run-sized float column is built.
+one pair search and consumes its pairs ANALYZE_SLICE_PAIRS at a time: each
+slice's integer delays add to one count per integer delay of the searched
+span (`DelayCells`), from which the g2 histogram and every window count are
+derived once, at the end. Each slice keeps the indices of its pairs in the
+coincidence and in the accidental window, from which each joint spectrum is
+filled once, so beyond the events its memory is the pair arrays, 8 bytes a
+pair (two int32 indices, `select_coincidences`), those indices, the cells
+(8 bytes per picosecond of the span, 0.96 MB with the default correlation
+section) and one slice. It derives wavelengths a block of events at a time
+for the singles spectra, and for the joint spectra only those of the
+in-window pairs, so no run-sized float column is built.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ import numpy as np
 
 from .config import AnodeGeometry, Calibration, ConfigError, RunConfig, pulse_count
 from .correlation import (
+    DelayCells,
     FitError,
     FwhmFit,
     Histogram1D,
@@ -140,8 +144,8 @@ SERIALIZE_SLICE_GROUPS = 1 << 12
 # run: a thread on every file raised seed-sweep's peak RSS by 1.8 MiB
 # (BENCH_20.json).
 DECODE_INLINE_CHUNKS = 2
-# Pairs analyze_events consumes at a time: its delays, window masks and g2
-# fill are a slice's size however many pairs the run has
+# Pairs analyze_events consumes at a time: its delays and its two window
+# masks are a slice's size however many pairs the run has
 ANALYZE_SLICE_PAIRS = 1 << 16
 # Events whose wavelengths analyze_events derives at a time for the singles
 # spectra
@@ -415,7 +419,7 @@ def decode_file(
         events = [_EventColumns(capacity), _EventColumns(capacity)]
 
         def consume(det: int, groups: Columns) -> None:
-            ev, bad = groups_to_events(groups, geometry, calibration)
+            ev, bad = groups_to_events(groups, geometry)
             malformed[det] += bad
             events[det].write(ev)
 
@@ -468,24 +472,29 @@ def analyze_events(events: tuple[Columns, Columns], cfg: RunConfig) -> AnalysisR
     (the coincidence window and its images, `corr.side_windows_ps`), not
     histogram-bin sums, so they carry no binning bias.
 
-    One pair search serves every figure: `select_coincidences` over the closed
-    window spanning the g2 domain and every closed window. Its pairs are
-    consumed ANALYZE_SLICE_PAIRS at a time, so no run-sized delay array or
-    window mask is built: each slice's delays are binned with `g2_histogram`,
-    whose `fill` drops those outside the half-open domain, each closed window
-    counts the slice's delays in it (`in_window`), and the slice's g2
-    histogram merges into the run's on their equal axes. Each slice keeps the
-    indices of its pairs in the coincidence and in the accidental window, and
-    each joint spectrum is filled once from them, after the last slice. The
-    side windows' mean, per bin of the g2 axis, normalizes the g2 curve.
+    One pair search serves every figure: `select_coincidences` over
+    `corr.delay_span_ps`, the closed window spanning the g2 domain and every
+    closed window. Its pairs are consumed ANALYZE_SLICE_PAIRS at a time, so no
+    run-sized delay array or window mask is built: each slice's integer
+    delays are counted, one int64 cell per integer delay of the span
+    (`DelayCells`), and the slice keeps the indices of its pairs in the
+    coincidence and in the accidental window (`in_window`, two masks). After
+    the last slice, `g2_histogram` bins the delays of the occupied cells
+    weighted by their counts, with the float computation a fill of each
+    pair's delay makes, so its `fill` drops the same delays outside the
+    half-open domain and every bin gets the same count. Each closed window's
+    count is the sum of its cells, ceil(lo) to floor(hi), and each joint
+    spectrum is filled once from the kept indices. The side windows' mean,
+    per bin of the g2 axis, normalizes the g2 curve.
 
     The wavelengths are derived from the events' x differences, as
     `hit_positions` derives them: for the singles spectra
     ANALYZE_BLOCK_EVENTS events at a time, each block's spectrum merging into
     the run's, and for the joint spectra only those of the in-window pairs.
     Memory is the events (16 bytes each), the pairs at 8 bytes each (two
-    int32 indices), the in-window pair indices and their wavelengths, and one
-    slice or block; no run-sized float column is built.
+    int32 indices), the in-window pair indices and their wavelengths, the
+    cells (at most `config.MAX_DELAY_CELLS`, which the config enforces) and
+    one slice or block; no run-sized float column is built.
     """
     corr = cfg.correlation
     warnings: list[str] = []
@@ -505,29 +514,26 @@ def analyze_events(events: tuple[Columns, Columns], cfg: RunConfig) -> AnalysisR
 
     spectra = (singles(ev0), singles(ev1))
     t0, t1 = ev0["t_ps"], ev1["t_ps"]
-    # the coincidence window, then the side windows; the first side window is the accidental window
-    windows = (corr.coincidence_window_ps, *corr.side_windows_ps)
-    g2_domain = corr.g2_axis
-    span = [(g2_domain.lo, g2_domain.upper), *windows]
-    pair_i, pair_j = select_coincidences(t0, t1, (min(w[0] for w in span), max(w[1] for w in span)))
-    g2 = Histogram1D(g2_domain)
-    counts = [0] * len(windows)
+    span = corr.delay_span_ps
+    pair_i, pair_j = select_coincidences(t0, t1, span)
+    cells = DelayCells(span)
     # positions in the pair arrays of the pairs in the coincidence window and
-    # in the accidental window (masks[0] and masks[1]), a run per slice
+    # in the accidental window, a run per slice
     joint = ([np.empty(0, np.intp)], [np.empty(0, np.intp)])
     for start in range(0, pair_i.size, ANALYZE_SLICE_PAIRS):
         i = pair_i[start : start + ANALYZE_SLICE_PAIRS]
         j = pair_j[start : start + ANALYZE_SLICE_PAIRS]
         # take, not []: through int32 indices it gathers about a quarter faster
         delays = t1.take(j) - t0.take(i)
-        g2 = g2.merge(g2_histogram(delays, corr))
-        masks = [in_window(delays, w) for w in windows]
-        counts = [n + int(np.count_nonzero(m)) for n, m in zip(counts, masks)]
-        for picked, m in zip(joint, masks):
-            picked.append(start + np.flatnonzero(m))
+        cells.add(delays)
+        for picked, window in zip(joint, (corr.coincidence_window_ps, corr.accidental_window_ps)):
+            picked.append(start + np.flatnonzero(in_window(delays, window)))
     jsi, accidental = (build_jsi(wavelengths(ev0, pair_i[k]), wavelengths(ev1, pair_j[k]), corr)
                        for k in map(np.concatenate, joint))
-    center, side_counts = counts[0], counts[1:]
+    delays, counts = cells.occupied()
+    g2 = g2_histogram(delays, corr, counts)
+    # the coincidence window, then the side windows; the first side window is the accidental window
+    center, *side_counts = (cells.window_count(w) for w in (corr.coincidence_window_ps, *corr.side_windows_ps))
     fit = None
     fit_error = ""
     try:

@@ -20,10 +20,13 @@ collection window is below 2**31 ticks: `t_ps` (int64) and the anode
 differences `dt_x` = t_xa - t_xb and `dt_y` = t_ya - t_yb in ticks (int32,
 or int64 for a longer window; `difference_dtype`). Its x, y and wavelength
 are fixed functions of the differences, and every reader derives them with
-`hit_positions`, the helper that also makes decode's malformed check, from
-one `anode_position` per axis, so every reader gets the same floats bit for
-bit. `write_events_csv` derives and exports them through the column
-formatter `csvtext.csv_rows`, a block of rows at a time. The module sees
+`hit_positions`, from one `anode_position` per axis, so every reader gets the
+same floats bit for bit. Decode derives no float per group: the differences
+`anode_position` does not mask are one integer interval, which
+`anode_difference_bounds` finds once per geometry by evaluating it, and the
+malformed check compares the integers with its ends. `write_events_csv`
+derives and exports the floats through the column formatter
+`csvtext.csv_rows`, a block of rows at a time. The module sees
 nothing of the simulator: `position_to_wavelength` inverts the spectrometer
 map, and its forward twin, `detector_sim.wavelength_to_position`, belongs to
 the simulator.
@@ -38,6 +41,7 @@ longest run of triggers less than a window apart, and the pulses among them.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 import numpy as np
@@ -241,21 +245,57 @@ def position_to_wavelength(x_mm, calibration: Calibration):
     return calibration.lambda_center_nm + (x_mm - calibration.x_center_mm) * calibration.dispersion_nm_per_mm
 
 
-def groups_to_events(hits: Columns, geometry: AnodeGeometry, calibration: Calibration) -> tuple[Columns, int]:
-    """Hit groups -> photon events (`t_ps`, `dt_x`, `dt_y`); malformed groups
-    are dropped and counted. The differences are checked in int64 and stored
-    in `difference_dtype`, which holds every one that passes."""
+@functools.lru_cache(maxsize=64)
+def anode_difference_bounds(geometry: AnodeGeometry) -> tuple[int, int]:
+    """The integer anode differences [lo, hi] that `anode_position` does not
+    mask, found by evaluating it, once per geometry.
+
+    Every float step of `anode_position` (the cast, x tick, + T, x v, / 2)
+    rounds monotonically, so the position never decreases as the difference
+    grows, and the differences it does not mask are one interval, which holds
+    0, the anode's centre. Each edge is bracketed by doubling a step away from
+    0 until the step is masked, then found by bisection."""
+    def masked(dt: int) -> bool:
+        return bool(anode_position(np.array([dt], np.int64), geometry)[1][0])
+
+    def last_unmasked(direction: int) -> int:
+        inside, outside = 0, direction
+        while not masked(outside):
+            inside, outside = outside, 2 * outside
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            if masked(mid):
+                outside = mid
+            else:
+                inside = mid
+        return inside
+
+    return last_unmasked(-1), last_unmasked(1)
+
+
+def groups_to_events(hits: Columns, geometry: AnodeGeometry) -> tuple[Columns, int]:
+    """Hit groups -> photon events (`t_ps`, `dt_x`, `dt_y`); malformed groups,
+    those whose x or y difference `anode_position` masks, are dropped and
+    counted. The integer differences are compared with
+    `anode_difference_bounds`, with no float derived per group: first by
+    their extremes, and group by group only where one is out. They are
+    checked in int64 and stored in `difference_dtype`, which holds every one
+    that passes."""
     dt_x = hits["t_xa"] - hits["t_xb"]
     dt_y = hits["t_ya"] - hits["t_yb"]
-    bad = hit_positions(dt_x, dt_y, geometry, calibration)[3]
-    good = ~bad
+    lo, hi = anode_difference_bounds(geometry)
+    if all(lo <= dt.min(initial=lo) and dt.max(initial=hi) <= hi for dt in (dt_x, dt_y)):
+        good, malformed = slice(None), 0  # the usual case: every column is kept unselected
+    else:
+        good = (dt_x >= lo) & (dt_x <= hi) & (dt_y >= lo) & (dt_y <= hi)
+        malformed = good.size - int(np.count_nonzero(good))
     dtype = difference_dtype(geometry)
     events = Columns({
         "t_ps": hits["t_mcp"][good] * geometry.tick_ps,
         "dt_x": dt_x[good].astype(dtype, copy=False),
         "dt_y": dt_y[good].astype(dtype, copy=False),
     })
-    return events, int(np.count_nonzero(bad))
+    return events, malformed
 
 
 def write_event_rows(blocks: Iterable[list[np.ndarray]], detector: int, sink) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from dldspec.config import (
     Calibration,
     ConfigError,
+    MAX_DELAY_CELLS,
     MAX_HISTOGRAM_CELLS,
     CorrelationConfig,
     RunConfig,
@@ -128,6 +130,17 @@ def test_a_histogram_of_more_than_the_cell_cap_is_refused(corr, key):
     finer = {**corr, key: corr[key] * (1 - 1e-9)}
     with pytest.raises(ConfigError, match=rf"^correlation\.{key}: .*at most {MAX_HISTOGRAM_CELLS} cells"):
         CorrelationConfig(**finer)
+
+
+def test_a_delay_span_of_more_than_the_delay_cap_is_refused():
+    """2**24 two-picosecond g2 bins from -(2**24 - 0.5) span exactly
+    MAX_DELAY_CELLS integer delays, from 1 - 2**24 to 2**24, and build; from
+    -2**24 they span one more and are refused, naming the g2 range."""
+    assert MAX_DELAY_CELLS == 2**25
+    lo, hi = CorrelationConfig(g2_range_ps=2.0**24 - 0.5, g2_bin_width_ps=2.0).delay_span_ps
+    assert (math.ceil(lo), math.floor(hi)) == (1 - 2**24, 2**24)
+    with pytest.raises(ConfigError, match=rf"^correlation\.g2_range_ps: .*at most {MAX_DELAY_CELLS} integer delays"):
+        CorrelationConfig(g2_range_ps=2.0**24, g2_bin_width_ps=2.0)
 
 
 def _bin_width(draw, span):

@@ -166,6 +166,6 @@ def test_decoder_equals_the_referee(tmp_path, overrides, chunk_records):
     for det in (0, 1):
         times = Columns({name: np.array([g[k] for g in groups[det]], dtype=np.int64)
                          for k, name in enumerate(GROUP_TIMES)})
-        events, bad = groups_to_events(times, cfg.geometry, cfg.calibration)
+        events, bad = groups_to_events(times, cfg.geometry)
         assert np.array_equal(packed(dec.events[det]), packed(events))
         assert (dec.groups[det], dec.malformed[det], dec.orphans[det]) == (len(groups[det]), bad, orphans[det])

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dldspec import correlation, event_format, pipeline, reconstruction
 from dldspec.config import pulse_count
@@ -32,7 +34,7 @@ from dldspec.pipeline import analyze_events, analyze_file, decode_file, simulate
 from dldspec.reconstruction import HitMatcher, channel_columns, groups_to_events
 from dldspec.source_sim import EmissionTally, EventKind, generate_emissions
 
-from _oracles import brute_coincidences, brute_dead_time, brute_delay_histogram, brute_serialize
+from _oracles import all_pairs_delays, brute_coincidences, brute_dead_time, brute_delay_histogram, brute_serialize
 from conftest import (
     detection_rows,
     event_floats,
@@ -275,7 +277,7 @@ def test_full_loop_fidelity_no_noise(tmp_path):
         hits, orphans = match_hits(pulses, cfg.geometry)
         assert orphans == 0
         assert hits.size == np.count_nonzero(truth)  # exactly one group per surviving detection
-        events, bad = groups_to_events(hits, cfg.geometry, cfg.calibration)
+        events, bad = groups_to_events(hits, cfg.geometry)
         assert bad == 0
         events = event_floats(events, cfg)
         lam_err = np.abs(events["wavelength_nm"] - detections["wavelength_nm"][truth])  # the emitted wavelength
@@ -418,7 +420,7 @@ def test_a_detector_past_its_share_grows_its_columns(tmp_path, shape):
     oracle = []
     for det in (0, 1):
         hits, orphans = match_hits(pulses[pulses["detector"] == det], cfg.geometry)
-        events, bad = groups_to_events(hits, cfg.geometry, cfg.calibration)
+        events, bad = groups_to_events(hits, cfg.geometry)
         oracle.append((events, hits.size, orphans, bad, int(np.count_nonzero(pulses["detector"] == det))))
     # the premise: the first detector outgrows its share
     assert oracle[0][0].size > pipeline._event_capacity(pulses.size)
@@ -1208,6 +1210,45 @@ def test_window_counts_random_streams_match_brute_force(corr_overrides, rng):
     ev1 = photon_events(rng.integers(0, span, 150), rng)
     a = _check_windows_against_brute(ev0, ev1, cfg)
     assert a.coincidence_count > 0 and min(a.side_window_counts) > 0
+
+
+@st.composite
+def delay_cell_sections(draw):
+    """Correlation keys that move the delay cells: a g2 range and a bin width
+    that leaves it 2 to about 1,000 bins, or 0.34 ps, which divides no
+    picosecond; and the default windows, NON_INTEGER_WINDOWS, or a drawn
+    window with fractional edges and a centre past the overlap bound."""
+    g2_range = draw(st.floats(17.0, 2e4))
+    doc = {"g2_range_ps": g2_range,
+           "g2_bin_width_ps": draw(st.one_of(st.just(0.34), st.floats(g2_range / 500, g2_range)))}
+    lo = draw(st.floats(-600.0, 0.0))
+    hi = lo + draw(st.floats(0.1, 1200.0))
+    half = (hi - lo) / 2
+    center = max(hi + half, half - lo, 2 * half) * draw(st.floats(1.001, 3.0)) * draw(st.sampled_from((1, -1)))
+    drawn = {"coincidence_window_ps": [lo, hi], "accidental_center_ps": center}
+    doc.update(draw(st.sampled_from(({}, NON_INTEGER_WINDOWS, drawn))))
+    return doc
+
+
+@given(delay_cell_sections(), st.integers(0, 150), st.integers(0, 150), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_delay_cells_give_the_brute_g2_and_window_counts(doc, n0, n1, seed):
+    """The g2 that `analyze_events` derives from its delay cells equals the
+    all-pairs histogram, and every window count the plain count of integer
+    delays ceil(lo) <= d <= floor(hi), whatever the bin width and the window
+    edges, on random sorted integer times over twice the searched span."""
+    cfg = make_config(correlation=doc)
+    corr = cfg.correlation
+    rng = np.random.default_rng(seed)
+    lo, hi = corr.delay_span_ps
+    t0, t1 = (np.sort(rng.integers(0, int(2 * max(-lo, hi)), n)) for n in (n0, n1))
+    a = analyze_events((photon_events(t0, rng), photon_events(t1, rng)), cfg)
+    r = corr.g2_range_ps
+    assert np.array_equal(a.g2.counts, brute_delay_histogram(t0, t1, -r, r, corr.g2_bin_width_ps))
+    delays = all_pairs_delays(t0, t1)
+    windows = [corr.coincidence_window_ps, *corr.side_windows_ps]
+    want = [int(np.count_nonzero((delays >= math.ceil(w_lo)) & (delays <= math.floor(w_hi)))) for w_lo, w_hi in windows]
+    assert [a.coincidence_count, *a.side_window_counts] == want
 
 
 def test_side_windows_beyond_g2_range(rng):

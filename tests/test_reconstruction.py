@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dldspec import reconstruction
-from dldspec.config import run_config_from_dict
+from dldspec.config import AnodeGeometry, Calibration, run_config_from_dict
 from dldspec.detector_sim import encode_groups, groups_to_pulses, wavelength_to_position
 from dldspec.event_format import PULSE_DTYPE, Channel, Columns
 from dldspec.reconstruction import (
     DEFAULT_SUM_TOL_TICKS,
     EVENTS_CSV_HEADER,
     HitMatcher,
+    anode_difference_bounds,
     channel_columns,
     default_window_ticks,
     groups_to_events,
@@ -280,7 +281,7 @@ class TestGroupsToEvents:
         g = default_config.geometry
         cal = default_config.calibration
         groups = _encode_detections([(1, 1000.0, 8.0, 5.0)], g)
-        events, bad = groups_to_events(groups, g, cal)
+        events, bad = groups_to_events(groups, g)
         events = event_floats(events, default_config)
         assert bad == 0
         assert events["wavelength_nm"][0] == pytest.approx(
@@ -290,14 +291,36 @@ class TestGroupsToEvents:
 
     def test_malformed_dropped_and_counted(self, default_config):
         bad_hit = _hit(0, 0, 40_010, 20_000, 20_000)
-        events, bad = groups_to_events(bad_hit, default_config.geometry, default_config.calibration)
+        events, bad = groups_to_events(bad_hit, default_config.geometry)
         assert events.size == 0
         assert bad == 1
+
+    @given(st.floats(10.0, 80.0), st.floats(5e-4, 2e-3), st.sampled_from((1, 2, 5, 25)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_bounds_equal_the_float_mask(self, size_mm, speed, tick_ps, seed):
+        """Over the truth sweep's geometries, every integer difference within
+        50 ticks past a collection window is out of `anode_difference_bounds`
+        exactly where `hit_positions` masks it, and `groups_to_events` drops
+        and counts exactly the groups `hit_positions` masks on either axis."""
+        geometry = AnodeGeometry(size_mm=size_mm, signal_speed_mm_per_ps=speed, tick_ps=tick_ps)
+        window = default_window_ticks(geometry)
+        dt = np.arange(-window - 50, window + 51, dtype=np.int64)
+        lo, hi = anode_difference_bounds(geometry)
+        out = (dt < lo) | (dt > hi)
+        assert np.array_equal(hit_positions(dt, dt, geometry, Calibration())[3], out)
+        assert out[0] and out[-1] and not out[window + 50]  # both edges inside the range, 0 unmasked
+        dt_y = np.random.default_rng(seed).permutation(dt)
+        bad = hit_positions(dt, dt_y, geometry, Calibration())[3]
+        zero = np.zeros_like(dt)
+        groups = Columns({"t_mcp": zero, "t_xa": dt, "t_xb": zero, "t_ya": dt_y, "t_yb": zero})
+        events, malformed = groups_to_events(groups, geometry)
+        assert malformed == np.count_nonzero(bad)
+        assert np.array_equal(events["dt_x"], dt[~bad]) and np.array_equal(events["dt_y"], dt_y[~bad])
 
     def test_csv_export_format(self, default_config, tmp_path):
         g = default_config.geometry
         groups = _encode_detections([(0, 1000.0, 20.0, 20.0)], g)
-        events, _ = groups_to_events(groups, g, default_config.calibration)
+        events, _ = groups_to_events(groups, g)
         p = tmp_path / "events.csv"
         with open(p, "w") as fh:
             write_events_csv(events, g, default_config.calibration, 0, fh)

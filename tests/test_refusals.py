@@ -39,6 +39,10 @@ CASES = [
     _case(_section("correlation", spectrum_lo_nm=390.0125), ConfigError,
           r"^correlation\.spectrum_lo_nm/spectrum_hi_nm:", "spectrum-lo-at-hi"),
     _case(_section("correlation", jsi_lo_nm=391.0), ConfigError, r"^correlation\.jsi_lo_nm/jsi_hi_nm:", "jsi-lo-above-hi"),
+    _case(_section("correlation", g2_range_ps=2e7), ConfigError,
+          r"^correlation\.g2_range_ps: .*at most 33554432 integer delays", "delay-span-g2-range"),
+    _case(_section("correlation", accidental_center_ps=1e16), ConfigError,
+          r"^correlation\.accidental_center_ps: .*at most 33554432 integer delays", "delay-span-centre-1e16"),
     _case(_section("correlation", signal_regions_nm=[_SIGNAL]), ConfigError, r"^correlation\.signal_regions_nm:",
           "one-signal-region"),
     _case(_section("correlation", signal_regions_nm=[_SIGNAL] * 3), ConfigError, r"^correlation\.signal_regions_nm:",
